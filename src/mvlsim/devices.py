@@ -6,7 +6,9 @@ channel-length modulation term lambda (1/V) and two lumped capacitances:
 cg from gate to source and cd from drain to ground.  P-channel devices are
 evaluated by sign symmetry: flip the terminal voltages, evaluate the
 N-channel twin, flip the current.  For vds < 0 the drain and source roles
-swap, which keeps the current continuous through vds = 0.
+swap, which keeps the current continuous through vds = 0.  One
+implementation, ``square_law``, serves single devices and the engine's
+element-wise pass over every FET of a circuit.
 
 No minimum off-conductance is added here; the solver applies gmin shunts
 externally (see engine.SolveOptions).
@@ -19,6 +21,8 @@ see ``preset`` and tools/calibrate_presets.py for how they were chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -47,58 +51,54 @@ class FetModelCard:
             raise ValueError("P-type card requires vth <= 0")
 
 
-def _nfet_forward(vth: float, k: float, lam: float, vgs: float, vds: float):
-    # vds >= 0 here; caller handles the reversed device.
-    vov = vgs - vth
-    if vov <= 0.0:
-        return 0.0, 0.0, 0.0
-    cl = 1.0 + lam * vds
-    if vds < vov:  # triode
-        q = vov * vds - 0.5 * vds * vds
-        i = k * q * cl
-        gm = k * vds * cl
-        gds = k * (vov - vds) * cl + k * q * lam
-    else:  # saturation
-        i = 0.5 * k * vov * vov * cl
-        gm = k * vov * cl
-        gds = 0.5 * k * vov * vov * lam
-    return i, gm, gds
-
-
-def _nfet(vth: float, k: float, lam: float, vgs: float, vds: float):
-    if vds >= 0.0:
-        return _nfet_forward(vth, k, lam, vgs, vds)
-    # Drain/source roles swap; gate voltage is then measured from the
-    # original drain. id = -f(vgs - vds, -vds), differentiated exactly.
-    i, gm, gds = _nfet_forward(vth, k, lam, vgs - vds, -vds)
-    return -i, -gm, gm + gds
-
-
-def fet_eval(card: FetModelCard, vgs: float, vds: float):
-    """Evaluate a FET card at (vgs, vds).
+def square_law(vth, k, lam, vgs, vds):
+    """N-channel square law, element-wise over scalars or numpy arrays.
 
     Returns (id, gm, gds): the drain current (positive drain-to-source) and
     its exact partial derivatives with respect to vgs and vds.  Regions:
     cutoff for vgs <= vth, triode for vds < vgs - vth, saturation otherwise,
-    all scaled by (1 + lambda*vds).  The model is C1-continuous across the
-    region boundaries.
+    all scaled by (1 + lambda*vds).  For vds < 0 the drain and source roles
+    swap and the gate is measured from the original drain:
+    id = -f(vgs - vds, -vds), differentiated exactly.
     """
-    if card.polarity == "n":
-        return _nfet(card.vth, card.k, card.lam, vgs, vds)
-    i, gm, gds = _nfet(-card.vth, card.k, card.lam, -vgs, -vds)
-    return -i, gm, gds
+    rev = vds < 0.0
+    vgs = np.where(rev, vgs - vds, vgs)
+    vds = np.where(rev, -vds, vds)
+    vov = vgs - vth
+    cl = 1.0 + lam * vds
+    q = vov * vds - 0.5 * vds * vds
+    tri = vds < vov
+    i = np.where(tri, k * q * cl, 0.5 * k * vov * vov * cl)
+    gm = np.where(tri, k * vds * cl, k * vov * cl)
+    gds = np.where(tri, k * (vov - vds) * cl + k * q * lam,
+                   0.5 * k * vov * vov * lam)
+    on = vov > 0.0
+    i, gm, gds = (np.where(on, a, 0.0) for a in (i, gm, gds))
+    return np.where(rev, -i, i), np.where(rev, -gm, gm), np.where(rev, gm + gds, gds)
 
 
-def cap_companion(c: float, v_prev: float, i_prev: float, dt: float, rule: str):
-    """Discrete companion of a capacitor branch: i = geq*v + ihist.
+def fet_eval(card: FetModelCard, vgs, vds):
+    """Evaluate a FET card at (vgs, vds), scalars or arrays.
 
-    v_prev and i_prev are the branch voltage and current at the previous
-    accepted time point (i_prev is only used by the trapezoidal rule).
+    The square law of the N-channel twin, by sign symmetry for P devices.
+    Returns (id, gm, gds) as in ``square_law``; numpy scalars for scalar
+    inputs.  The model is C1-continuous across the region boundaries.
+    """
+    s = 1.0 if card.polarity == "n" else -1.0
+    i, gm, gds = square_law(s * card.vth, card.k, card.lam,
+                            s * np.asarray(vgs), s * np.asarray(vds))
+    return (s * i)[()], gm[()], gds[()]
+
+
+def cap_companion(c, v_prev, i_prev, dt: float, rule: str):
+    """Discrete companion of capacitor branches: i = geq*v + ihist.
+
+    Element-wise over scalars or arrays.  v_prev and i_prev are the branch
+    voltage and current at the previous accepted time point (i_prev is only
+    used by the trapezoidal rule).
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    if c == 0.0:
-        return 0.0, 0.0
     if rule == "backward_euler":
         geq = c / dt
         return geq, -geq * v_prev
@@ -106,22 +106,6 @@ def cap_companion(c: float, v_prev: float, i_prev: float, dt: float, rule: str):
         geq = 2.0 * c / dt
         return geq, -geq * v_prev - i_prev
     raise ValueError(f"unknown integration rule {rule!r}")
-
-
-def fet_charge_currents(card: FetModelCard, dt: float, vgs_prev: float,
-                        vd_prev: float, rule: str = "backward_euler",
-                        i_prev: tuple[float, float] = (0.0, 0.0),
-                        m: float = 1.0):
-    """Companion pairs for the two lumped FET capacitors.
-
-    Returns ((geq_gs, ihist_gs), (geq_dg, ihist_dg)) so that the branch
-    currents for the step are i_gs = geq_gs*vgs + ihist_gs (gate to source)
-    and i_dg = geq_dg*vd + ihist_dg (drain to ground).  With unchanged
-    voltages the history term cancels the conductance term exactly.
-    """
-    gs = cap_companion(card.cg * m, vgs_prev, i_prev[0], dt, rule)
-    dg = cap_companion(card.cd * m, vd_prev, i_prev[1], dt, rule)
-    return gs, dg
 
 
 @dataclass(frozen=True)

@@ -1,34 +1,50 @@
 """Modified nodal analysis: Newton DC operating point and fixed-step transient.
 
 Unknowns are the non-ground node voltages followed by one branch current per
-voltage source (current into the + terminal).  Nonlinear FETs are linearized
-each Newton iteration; convergence requires both a small update step and a
-small true KCL residual at every node:
+voltage source (current into the + terminal).  Each circuit is compiled once
+into index arrays over three kinds of branch:
+
+  * linear branches a -> b carrying i = g*(v[a] - v[b]) + i0: resistors,
+    capacitor companions, a constant gmin shunt on every FET drain/source
+    node (so that fully cut-off stacks keep a DC path to ground) and the
+    gmin-stepping shunts from every node to ground;
+  * FET branches drain -> source, all evaluated by one element-wise
+    square-law pass (devices.square_law);
+  * voltage-source branches, whose currents are unknowns.
+
+Ground is index n, one past the last unknown: every solution vector carries
+a trailing 0 there, so no stamp tests for ground, and row and column n are
+sliced off the scattered sums.  ``_Circuit.linearize`` computes the branch
+currents once and scatters them into the KCL residual F, the largest branch
+current at each node and, with the branch derivatives, the Jacobian dF/dx
+(Ho, Ruehli and Brennan, IEEE TCAS 1975).  Newton solves J dx = -F and
+converges when both a small update step and a small true KCL residual hold
+at every node:
 
     |sum of branch currents| <= abstol + reltol * max |branch current|
-    |dv| <= vtol for every unknown
+    |dx| <= vtol for every unknown
 
-If the plain solve fails, the DC path retries with gmin stepping: shunts of
+If the plain DC solve fails, it is retried with gmin stepping: shunts of
 gmin * 10**(gmin_steps - s) from every node to ground for s = 0..gmin_steps,
-each solution seeding the next.  Independently of stepping, a constant gmin
-shunt sits on every FET drain/source node so that fully cut-off stacks keep
-a DC path to ground.
+each solution seeding the next.  A DC solve sets the capacitor companions
+to zero, which leaves the capacitors open.
 
 Transient analysis marches a fixed step with forced breakpoints at PWL
-corners and PULSE edges.  The step is clamped to tstop/1000 and to a tenth
-of the shortest stimulus edge.  Capacitors (and the lumped FET charge
-elements) become companion conductance/history-current pairs; backward
+corners and PULSE edges; breakpoints closer together than a millionth of
+the step are merged.  The step is clamped to tstop/1000 and to a tenth of
+the shortest stimulus edge.  Every capacitor, the FETs' lumped cg and cd
+included, becomes a companion conductance/history-current pair; backward
 Euler is the default rule, trapezoidal is selectable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import cap_companion, fet_eval
+from .devices import cap_companion, square_law
 from .measure import Waveform
 from .netlist import Netlist, Transient
 
@@ -138,255 +154,218 @@ class WaveformSet:
         return "\n".join(lines) + "\n"
 
 
+# Breakpoints closer together than this fraction of the step are merged, so
+# that no step is so short that the c/h companions swamp the matrix.
+_MIN_SEPARATION = 1e-6
+
+
+def _column(rows, i, dtype=float) -> np.ndarray:
+    return np.array([r[i] for r in rows], dtype=dtype)
+
+
 class _Circuit:
-    """Index maps and stamp lists shared by DC and transient solves."""
+    """A netlist compiled once into branch index arrays; ground is index n."""
 
     def __init__(self, net: Netlist, opts: SolveOptions):
         net.validate()
-        self.net = net
         self.opts = opts
         nodes = net.nodes
         self.node_names = nodes[1:]  # non-ground
-        self.node_of = {name: i - 1 for i, name in enumerate(nodes)}  # "0" -> -1
-        self.nv = len(nodes) - 1
+        self.nv = nv = len(nodes) - 1
         self.vsources = [d for d in net.devices if d.kind == "vsource"]
-        self.n = self.nv + len(self.vsources)
-        self.resistors = []
+        self.stimuli = [d.stimulus for d in self.vsources]
+        self.n = n = nv + len(self.vsources)
+        node_of = {name: i - 1 for i, name in enumerate(nodes)}
+        node_of["0"] = n
+        res, caps, fets = [], [], []
         for d in net.devices:
+            t = [node_of[name] for name in d.terminals]
             if d.kind == "resistor":
-                g = 1.0 / d.params["resistance"]
-                self.resistors.append((self.node_of[d.terminals[0]],
-                                       self.node_of[d.terminals[1]], g))
-        self.fets = []
-        gmin_nodes: set[int] = set()
-        self.caps = []  # (node_a, node_b, farads) with -1 for ground
-        for d in net.devices:
-            if d.kind == "capacitor":
-                self.caps.append((self.node_of[d.terminals[0]],
-                                  self.node_of[d.terminals[1]],
-                                  d.params["capacitance"]))
+                res.append((t[0], t[1], 1.0 / d.params["resistance"]))
+            elif d.kind == "capacitor":
+                caps.append((t[0], t[1], d.params["capacitance"]))
             elif d.kind == "fet":
-                nd, ng, ns, _nb = (self.node_of[t] for t in d.terminals)
                 card = net.models[d.model]
                 m = d.params.get("m", 1.0)
-                eff = replace(card, k=card.k * m)
-                self.fets.append((nd, ng, ns, eff))
-                if card.cg * m > 0.0:
-                    self.caps.append((ng, ns, card.cg * m))
-                if card.cd * m > 0.0:
-                    self.caps.append((nd, -1, card.cd * m))
-                gmin_nodes.update(i for i in (nd, ns) if i >= 0)
-        self.gmin_nodes = sorted(gmin_nodes)
-        base = np.zeros((self.n, self.n))
-        for ia, ib, g in self.resistors:
-            self._stamp_g(base, ia, ib, g)
-        self.src_rows = []
-        for j, d in enumerate(self.vsources):
-            row = self.nv + j
-            ip, im = self.node_of[d.terminals[0]], self.node_of[d.terminals[1]]
-            if ip >= 0:
-                base[ip, row] += 1.0
-                base[row, ip] += 1.0
-            if im >= 0:
-                base[im, row] -= 1.0
-                base[row, im] -= 1.0
-            self.src_rows.append((ip, im, row, d.stimulus))
-        self.base = base
+                sign = 1.0 if card.polarity == "n" else -1.0
+                fets.append((t[0], t[1], t[2], sign, sign * card.vth,
+                             card.k * m, card.lam))
+                caps += [(t[1], t[2], card.cg * m), (t[0], n, card.cd * m)]
+        caps = [cap for cap in caps if cap[2] > 0.0]
+        gmin_nodes = sorted({i for f in fets for i in (f[0], f[2])} - {n})
+        idx = np.intp
 
-    @staticmethod
-    def _stamp_g(a: np.ndarray, ia: int, ib: int, g: float) -> None:
-        if ia >= 0:
-            a[ia, ia] += g
-        if ib >= 0:
-            a[ib, ib] += g
-        if ia >= 0 and ib >= 0:
-            a[ia, ib] -= g
-            a[ib, ia] -= g
+        self.cap_a, self.cap_b = _column(caps, 0, idx), _column(caps, 1, idx)
+        self.cap_c = _column(caps, 2)
+        self.cap_branches = slice(len(res), len(res) + len(caps))
+        # linear branches: resistors, capacitors, gmin shunts, stepping shunts
+        self.g_res = _column(res, 2)
+        self.g_gmin = np.full(len(gmin_nodes),
+                              opts.gmin if opts.enable_gmin else 0.0)
+        la = np.concatenate((_column(res, 0, idx), self.cap_a,
+                             np.array(gmin_nodes, idx), np.arange(nv)))
+        lb = np.concatenate((_column(res, 1, idx), self.cap_b,
+                             np.full(len(gmin_nodes) + nv, n)))
+        fd, fg, fs = (_column(fets, i, idx) for i in range(3))
+        self.sign, self.vth, self.k, self.lam = (_column(fets, i)
+                                                 for i in range(3, 7))
+        sp = np.array([node_of[d.terminals[0]] for d in self.vsources], idx)
+        sm = np.array([node_of[d.terminals[1]] for d in self.vsources], idx)
+        rows = np.arange(nv, n)
+        self.la, self.lb, self.fd, self.fg, self.fs = la, lb, fd, fg, fs
+        self.sp, self.sm = sp, sm
+        # branch currents run from these nodes (first half) to these (second)
+        self.ends = np.concatenate((la, fd, sp, lb, fs, sm))
+        # flat COO indices of the Jacobian entries, in linearize's order
+        jr = np.concatenate((la, la, lb, lb, fd, fd, fd, fs, fs, fs,
+                             sp, sm, rows, rows))
+        jc = np.concatenate((la, lb, la, lb, fg, fd, fs, fg, fd, fs,
+                             rows, rows, sp, sm))
+        self.flat = jr * (n + 1) + jc
+        ones = np.ones(len(sp))
+        self.src_w = np.concatenate((ones, -ones, ones, -ones))
 
-    def source_values(self, t: float) -> list[float]:
-        return [stim.value_at(t) for _, _, _, stim in self.src_rows]
+    def source_values(self, times) -> np.ndarray:
+        """Source values, one row per time point."""
+        return np.array([[s.value_at(t) for s in self.stimuli] for t in times])
 
-    def _eval_fets(self, x: np.ndarray):
-        out = []
-        for nd, ng, ns, card in self.fets:
-            vd = x[nd] if nd >= 0 else 0.0
-            vg = x[ng] if ng >= 0 else 0.0
-            vs = x[ns] if ns >= 0 else 0.0
-            i, gm, gds = fet_eval(card, vg - vs, vd - vs)
-            out.append((i, gm, gds, vg - vs, vd - vs))
-        return out
+    def linearize(self, x, svals, geq, ihist, shunt):
+        """KCL residual F, per-node current scale and Jacobian dF/dx at x.
 
-    def _kcl_excess(self, x, svals, companions, shunt_all, fet_evals):
-        """Worst (|node residual| - reltol*scale) over nodes, plus that node."""
-        res = np.zeros(self.nv)
-        scale = np.zeros(self.nv)
+        x carries the ground 0 at index n.  geq and ihist are the capacitor
+        companions (zeros for DC) and shunt the gmin-stepping conductance
+        from every node to ground.  The scale of a node is its largest
+        |branch current|; F's source rows hold the source constraints.
+        """
+        n, nv = self.n, self.nv
+        g = np.concatenate((self.g_res, geq, self.g_gmin, np.full(nv, shunt)))
+        i_lin = g * (x[self.la] - x[self.lb])
+        i_lin[self.cap_branches] += ihist
+        s = self.sign
+        i_fet, gm, gds = square_law(self.vth, self.k, self.lam,
+                                    s * (x[self.fg] - x[self.fs]),
+                                    s * (x[self.fd] - x[self.fs]))
+        cur = np.concatenate((i_lin, s * i_fet, x[nv:n]))
+        cur = np.concatenate((cur, -cur))
+        f = np.bincount(self.ends, cur, minlength=n + 1)[:n]
+        f[nv:] = x[self.sp] - x[self.sm] - svals
+        scale = np.zeros(n + 1)
+        np.maximum.at(scale, self.ends, np.abs(cur))
+        gms = gm + gds
+        w = np.concatenate((g, -g, -g, g, gm, gds, -gms, -gm, -gds, gms,
+                            self.src_w))
+        jac = np.bincount(self.flat, w, minlength=(n + 1) ** 2)
+        return f, scale[:nv], jac.reshape(n + 1, n + 1)[:n, :n]
 
-        def add(node, cur):
-            if node >= 0:
-                res[node] += cur
-                a = abs(cur)
-                if a > scale[node]:
-                    scale[node] = a
-
-        for ia, ib, g in self.resistors:
-            va = x[ia] if ia >= 0 else 0.0
-            vb = x[ib] if ib >= 0 else 0.0
-            cur = g * (va - vb)
-            add(ia, cur)
-            add(ib, -cur)
-        if companions is not None:
-            for (ia, ib, _c), (geq, ihist) in zip(self.caps, companions):
-                va = x[ia] if ia >= 0 else 0.0
-                vb = x[ib] if ib >= 0 else 0.0
-                cur = geq * (va - vb) + ihist
-                add(ia, cur)
-                add(ib, -cur)
-        for (nd, ng, ns, _card), (i, _gm, _gds, _vgs, _vds) in zip(self.fets, fet_evals):
-            add(nd, i)
-            add(ns, -i)
-        for ip, im, row, _stim in self.src_rows:
-            cur = x[row]
-            add(ip, cur)
-            add(im, -cur)
-        if self.opts.enable_gmin:
-            for node in self.gmin_nodes:
-                add(node, self.opts.gmin * x[node])
-        if shunt_all > 0.0:
-            for node in range(self.nv):
-                add(node, shunt_all * x[node])
-        if self.nv == 0:
-            return 0.0, -1
-        excess = np.abs(res) - self.opts.reltol * scale
-        worst = int(np.argmax(excess))
-        return float(excess[worst]), worst
-
-    def _assemble(self, x, svals, companions, shunt_all, fet_evals):
-        a = self.base.copy()
-        b = np.zeros(self.n)
-        if self.opts.enable_gmin:
-            for node in self.gmin_nodes:
-                a[node, node] += self.opts.gmin
-        if shunt_all > 0.0:
-            idx = np.arange(self.nv)
-            a[idx, idx] += shunt_all
-        for (ip, im, row, _stim), v in zip(self.src_rows, svals):
-            b[row] = v
-        if companions is not None:
-            for (ia, ib, _c), (geq, ihist) in zip(self.caps, companions):
-                self._stamp_g(a, ia, ib, geq)
-                if ia >= 0:
-                    b[ia] -= ihist
-                if ib >= 0:
-                    b[ib] += ihist
-        for (nd, ng, ns, _card), (i, gm, gds, vgs, vds) in zip(self.fets, fet_evals):
-            ieq = i - gm * vgs - gds * vds
-            if nd >= 0:
-                if ng >= 0:
-                    a[nd, ng] += gm
-                a[nd, nd] += gds
-                if ns >= 0:
-                    a[nd, ns] -= gm + gds
-                b[nd] -= ieq
-            if ns >= 0:
-                if ng >= 0:
-                    a[ns, ng] -= gm
-                if nd >= 0:
-                    a[ns, nd] -= gds
-                a[ns, ns] += gm + gds
-                b[ns] += ieq
-        return a, b
-
-    def newton(self, x0, svals, companions, shunt_all, label=""):
-        """Newton-Raphson to the dual (residual + step) criterion."""
+    def newton(self, x, svals, geq, ihist, shunt, label=""):
+        """Newton-Raphson on J dx = -F to the dual (residual + step) criterion."""
         opts = self.opts
-        x = np.array(x0, dtype=float)
-        vlimit = max(1.0, 2.0 * max((abs(v) for v in svals), default=1.0))
+        n, nv = self.n, self.nv
+        vlimit = max(1.0, 2.0 * np.max(np.abs(svals), initial=0.0))
         last_dx = math.inf
-        evals = self._eval_fets(x)
-        for it in range(1, opts.max_newton_iters + 1):
-            excess, worst = self._kcl_excess(x, svals, companions, shunt_all, evals)
-            if excess <= opts.abstol and last_dx <= opts.vtol:
-                return x, it - 1, excess
-            a, b = self._assemble(x, svals, companions, shunt_all, evals)
-            xn = _lu_solve(a, b)
-            dx = xn - x
-            np.clip(dx[:self.nv], -vlimit, vlimit, out=dx[:self.nv])
-            x = x + dx
+        for it in range(opts.max_newton_iters + 1):
+            f, scale, jac = self.linearize(x, svals, geq, ihist, shunt)
+            excess = np.abs(f[:nv]) - opts.reltol * scale
+            worst = int(np.argmax(excess)) if nv else -1
+            err = float(excess[worst]) if nv else 0.0
+            if err <= opts.abstol and last_dx <= opts.vtol:
+                return x, it, err
+            if it == opts.max_newton_iters:
+                break
+            dx = _lu_solve(jac, -f)
+            np.clip(dx[:nv], -vlimit, vlimit, out=dx[:nv])
+            x = np.append(x[:n] + dx, 0.0)
             if not np.all(np.isfinite(x)):
                 raise ConvergenceError(f"solution diverged{label}")
-            last_dx = float(np.max(np.abs(dx))) if len(dx) else 0.0
-            evals = self._eval_fets(x)
-        excess, worst = self._kcl_excess(x, svals, companions, shunt_all, evals)
-        name = self.node_names[worst] if 0 <= worst < self.nv else "?"
+            last_dx = float(np.max(np.abs(dx), initial=0.0))
+        name = self.node_names[worst] if worst >= 0 else "?"
         raise ConvergenceError(
             f"Newton failed after {opts.max_newton_iters} iterations"
-            f"{label}; worst node {name!r} (KCL excess {excess:.3e} A)")
+            f"{label}; worst node {name!r} (KCL excess {err:.3e} A)")
 
     def solve_dc(self, svals):
         """DC solution with gmin-stepping fallback; caps are open."""
         opts = self.opts
-        x0 = np.zeros(self.n)
+        zeros = np.zeros(len(self.cap_c))
+        x0 = np.zeros(self.n + 1)
         try:
-            return self.newton(x0, svals, None, 0.0, label=" (dc)")
+            return self.newton(x0, svals, zeros, zeros, 0.0, label=" (dc)")
         except (ConvergenceError, SingularMatrixError):
             if not opts.enable_gmin:
                 raise
-        x = np.zeros(self.n)
-        result = None
+        x = x0
         for s in range(opts.gmin_steps + 1):
             shunt = opts.gmin * 10.0 ** (opts.gmin_steps - s)
-            x, iters, excess = self.newton(x, svals, None, shunt,
+            x, iters, excess = self.newton(x, svals, zeros, zeros, shunt,
                                            label=f" (gmin step {s})")
-            result = (x, iters, excess)
-        return result
+        return x, iters, excess
 
 
 def mna_system(net: Netlist, t: float = 0.0, x: np.ndarray | None = None,
                opts: SolveOptions | None = None) -> MnaSystem:
     """The linearized MNA system at operating point x (zeros by default).
 
-    For passive circuits this is the exact system; for FET circuits it is
-    one Newton iterate's matrix.  Useful for inspection and tests.
+    The matrix is the Jacobian J and the rhs is J x - F, so the solution is
+    the next Newton iterate.  For passive circuits this is the exact system;
+    for FET circuits it is one Newton iterate's matrix.  Useful for
+    inspection and tests.
     """
     opts = opts or SolveOptions()
     ckt = _Circuit(net, opts)
     xv = np.zeros(ckt.n) if x is None else np.asarray(x, dtype=float)
-    svals = ckt.source_values(t)
-    a, b = ckt._assemble(xv, svals, None, 0.0, ckt._eval_fets(xv))
+    zeros = np.zeros(len(ckt.cap_c))
+    f, _scale, jac = ckt.linearize(np.append(xv, 0.0),
+                                   ckt.source_values([t])[0], zeros, zeros, 0.0)
     index = {name: i for i, name in enumerate(ckt.node_names)}
     for j, d in enumerate(ckt.vsources):
         index[f"i({d.name})"] = ckt.nv + j
-    return MnaSystem(matrix=a, rhs=b, index=index)
+    return MnaSystem(matrix=jac, rhs=jac @ xv - f, index=index)
 
 
 def dc_operating_point(net: Netlist, opts: SolveOptions | None = None) -> dict[str, float]:
     """Node voltages of the DC operating point (sources at their t=0 values)."""
     opts = opts or SolveOptions()
     ckt = _Circuit(net, opts)
-    x, _iters, _excess = ckt.solve_dc(ckt.source_values(0.0))
+    x, _iters, _excess = ckt.solve_dc(ckt.source_values([0.0])[0])
     return {name: float(x[i]) for i, name in enumerate(ckt.node_names)}
 
 
-def _segment_times(ckt: _Circuit, analysis: Transient) -> tuple[list[float], float]:
+def _segment_times(ckt: _Circuit, analysis: Transient) -> tuple[list[float], list[float]]:
+    """Time points from 0 to tstop and the steps between them.
+
+    Breakpoints closer together than _MIN_SEPARATION * dt are merged first;
+    each segment between breakpoints is then cut into equal steps <= dt.
+    """
     tstop = analysis.tstop
     dt = min(analysis.dt, tstop / 1000.0)
     if analysis.dtmax is not None:
         dt = min(dt, analysis.dtmax)
-    edges = [e for _, _, _, stim in ckt.src_rows
-             if (e := stim.min_edge()) is not None]
+    edges = [e for stim in ckt.stimuli if (e := stim.min_edge()) is not None]
     if edges:
         dt = min(dt, min(edges) / 10.0)
     bps = {0.0, tstop}
-    for _, _, _, stim in ckt.src_rows:
+    for stim in ckt.stimuli:
         bps.update(stim.breakpoints(tstop))
-    return sorted(bps), dt
+    merged = [0.0]
+    for t in sorted(bps)[1:]:
+        if t - merged[-1] >= _MIN_SEPARATION * dt:
+            merged.append(t)
+    merged[-1] = tstop
+    times, steps = [0.0], []
+    for t0, t1 in zip(merged, merged[1:]):
+        nsub = max(1, int(math.ceil((t1 - t0) / dt - 1e-9)))
+        h = (t1 - t0) / nsub
+        times += [t0 + j * h for j in range(1, nsub)] + [t1]
+        steps += [h] * nsub
+    return times, steps
 
 
 def transient(net: Netlist, analysis: Transient | None = None,
               opts: SolveOptions | None = None) -> WaveformSet:
     """Fixed-step transient from the t=0 operating point.
 
-    Stimulus breakpoints are forced onto the time grid; each segment between
+    Stimulus breakpoints, merged where closer together than a millionth of
+    the step, are forced onto the time grid; each segment between
     breakpoints is subdivided uniformly with steps no larger than the
     clamped dt.  Identical inputs produce bit-identical WaveformSets.
     """
@@ -397,43 +376,24 @@ def transient(net: Netlist, analysis: Transient | None = None,
             raise ValueError("netlist has no .tran analysis")
         analysis = trans[0]
     ckt = _Circuit(net, opts)
-    bps, dt = _segment_times(ckt, analysis)
-    rule = opts.integration
+    times, steps = _segment_times(ckt, analysis)
+    svals = ckt.source_values(times)
+    ca, cb, c = ckt.cap_a, ckt.cap_b, ckt.cap_c
 
-    x, iters0, excess0 = ckt.solve_dc(ckt.source_values(0.0))
-    cap_v = []
-    for ia, ib, _c in ckt.caps:
-        va = x[ia] if ia >= 0 else 0.0
-        vb = x[ib] if ib >= 0 else 0.0
-        cap_v.append(va - vb)
-    cap_i = [0.0] * len(ckt.caps)
-
-    times = [0.0]
+    x, total_iters, excess = ckt.solve_dc(svals[0])
+    cap_v, cap_i = x[ca] - x[cb], np.zeros(len(c))
     solutions = [x]
-    excesses = [excess0]
-    total_iters = iters0
+    excesses = [excess]
     try:
-        for t0, t1 in zip(bps, bps[1:]):
-            span = t1 - t0
-            nsub = max(1, int(math.ceil(span / dt - 1e-9)))
-            h = span / nsub
-            for j in range(1, nsub + 1):
-                t = t1 if j == nsub else t0 + j * h
-                comps = [cap_companion(c, cap_v[k], cap_i[k], h, rule)
-                         for k, (_ia, _ib, c) in enumerate(ckt.caps)]
-                x, iters, excess = ckt.newton(x, ckt.source_values(t), comps,
-                                              0.0, label=f" at t={t:.6g}s")
-                total_iters += iters
-                for k, (ia, ib, _c) in enumerate(ckt.caps):
-                    va = x[ia] if ia >= 0 else 0.0
-                    vb = x[ib] if ib >= 0 else 0.0
-                    vab = va - vb
-                    geq, ihist = comps[k]
-                    cap_i[k] = geq * vab + ihist
-                    cap_v[k] = vab
-                times.append(t)
-                solutions.append(x)
-                excesses.append(excess)
+        for t, h, sv in zip(times[1:], steps, svals[1:]):
+            geq, ihist = cap_companion(c, cap_v, cap_i, h, opts.integration)
+            x, iters, excess = ckt.newton(x, sv, geq, ihist, 0.0,
+                                          label=f" at t={t:.6g}s")
+            total_iters += iters
+            cap_v = x[ca] - x[cb]
+            cap_i = geq * cap_v + ihist
+            solutions.append(x)
+            excesses.append(excess)
     except ConvergenceError as e:
         raise ConvergenceError(str(e)) from None
 

@@ -128,6 +128,10 @@ class PwlStimulus:
         return min(edges) if edges else None
 
 
+# A PULSE train with more corners than this before tstop is refused.
+_MAX_BREAKPOINTS = 100000
+
+
 @dataclass(frozen=True)
 class PulseStimulus:
     v1: float
@@ -171,8 +175,10 @@ class PulseStimulus:
                 if 0.0 < t < tstop:
                     out.append(t)
             base += self.period
-            if len(out) > 100000:  # pathological period; grid already bounds dt
-                break
+            if len(out) > _MAX_BREAKPOINTS:
+                raise NetlistError(
+                    f"PULSE period {self.period:g} s gives more than "
+                    f"{_MAX_BREAKPOINTS} breakpoints before tstop {tstop:g} s")
         return tuple(out)
 
     def min_edge(self) -> float | None:

@@ -62,6 +62,13 @@ class TestRun:
         assert main(["run", str(src)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_pulse_breakpoint_overflow_is_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "fast.sp"
+        src.write_text("* fast pulse\nv1 a 0 pulse(0 1 0 1p 1p 1p 4p)\n"
+                       "r1 a 0 1k\n.tran 1p 1u\n.end\n")
+        assert main(["run", str(src), "--out", str(tmp_path)]) == 1
+        assert "breakpoints" in capsys.readouterr().err
+
     def test_missing_file_is_exit_3(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.sp")]) == 3
 

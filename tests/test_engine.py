@@ -8,20 +8,25 @@ Analytic oracles used here:
     time and tau = RC
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from mvlsim.cells import CellSpec, build_staircase_testbench
+from mvlsim.devices import fet_eval, preset
 from mvlsim.engine import (
     ConvergenceError,
     SingularMatrixError,
     SolveOptions,
+    _Circuit,
     dc_operating_point,
     mna_system,
     solve_linear,
     transient,
 )
+from mvlsim.mvl import LevelMap
 from mvlsim.netlist import Transient, parse
 
 DIVIDER = """* divider
@@ -50,6 +55,18 @@ c1 out 0 1p
 .tran 3p 3n
 .end
 """
+
+
+def alternating_pwl(corners, hold=2.5e-10, slew=1e-10):
+    """RC netlist driven by a 0/1 PWL whose k-th step starts at corners[k-1];
+    tstop is 80 holds."""
+    pts = [(0.0, 0.0)]
+    for k, t in enumerate(corners, 1):
+        pts += [(t, float((k - 1) % 2)), (t + slew, float(k % 2))]
+    pts.append((corners[-1] + hold, pts[-1][1]))
+    pwl = " ".join(f"{t!r} {v!r}" for t, v in pts)
+    return (f"* alternating pwl\nv1 in 0 pwl({pwl})\nr1 in out 1k\n"
+            f"c1 out 0 10f\n.tran 10p {80 * hold!r}\n.end\n")
 
 
 def rc_exact(t, te=10e-12, tau=1e-9):
@@ -242,6 +259,22 @@ class TestTransient:
                                   b.voltage(node).values)
         assert np.array_equal(a.current("v1").values, b.current("v1").values)
 
+    def test_accumulated_pwl_corner_near_tstop_is_merged(self):
+        # summing 80 holds of 0.25 ns puts the last PWL corner ~7e-24 s
+        # before tstop; that corner must not force a ~1e-23 s final step
+        hold, corners, t = 2.5e-10, [], 0.0
+        for _ in range(79):
+            t += hold
+            corners.append(t)
+        assert 0.0 < 80 * hold - (corners[-1] + hold) < 1e-20
+        ws = transient(parse(alternating_pwl(corners)))
+        exact = transient(parse(alternating_pwl([k * hold for k in range(1, 80)])))
+        assert ws.times[-1] == 80 * hold
+        assert np.min(np.diff(ws.times)) > 1e-13
+        assert len(ws.times) == len(exact.times)
+        assert np.max(np.abs(ws.voltage("out").values
+                             - exact.voltage("out").values)) < 1e-9
+
     def test_requires_a_tran_card(self):
         with pytest.raises(ValueError):
             transient(parse(DIVIDER))
@@ -279,3 +312,82 @@ class TestFetTransient:
         assert out.value_at(2.5e-9) < 0.1  # input high, output low
         assert out.value_at(4.9e-9) > 1.1  # recovered after the pulse
         assert np.max(ws.stats.kcl_excess) <= SolveOptions().abstol
+
+
+class TestLinearize:
+    def test_jacobian_matches_finite_difference_of_residual(self):
+        spec = CellSpec(tech=preset("gnrfet32"), levels=LevelMap(4, 1.2))
+        ckt = _Circuit(build_staircase_testbench(spec), SolveOptions())
+        rng = np.random.default_rng(7)
+        x = np.append(np.concatenate((rng.uniform(-0.2, 1.4, ckt.nv),
+                                      rng.uniform(-1e-4, 1e-4, ckt.n - ckt.nv))),
+                      0.0)
+        svals = ckt.source_values([3e-9])[0]
+        geq = ckt.cap_c / 1e-12
+        ihist = rng.uniform(-1e-5, 1e-5, len(geq))
+        f0, scale, jac = ckt.linearize(x, svals, geq, ihist, 1e-9)
+        assert jac.shape == (ckt.n, ckt.n) and scale.shape == (ckt.nv,)
+        assert np.all(scale > 0.0)
+        h = 1e-7
+        fd = np.empty_like(jac)
+        for j in range(ckt.n):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            fd[:, j] = (ckt.linearize(xp, svals, geq, ihist, 1e-9)[0]
+                        - ckt.linearize(xm, svals, geq, ihist, 1e-9)[0]) / (2 * h)
+        np.testing.assert_allclose(fd, jac, rtol=1e-6, atol=1e-12)
+
+    def test_dc_residual_matches_per_device_loop(self):
+        # reference: stamp every branch current device by device
+        spec = CellSpec(tech=preset("cmos32"), levels=LevelMap(4, 1.2))
+        net = build_staircase_testbench(spec)
+        opts = SolveOptions()
+        ckt = _Circuit(net, opts)
+        rng = np.random.default_rng(3)
+        x = np.append(rng.uniform(-0.2, 1.4, ckt.n), 0.0)
+        svals = ckt.source_values([3e-9])[0]
+        zeros = np.zeros(len(ckt.cap_c))
+        f, scale, _jac = ckt.linearize(x, svals, zeros, zeros, 0.0)
+        v = {name: x[i] for i, name in enumerate(ckt.node_names)} | {"0": 0.0}
+        res = dict.fromkeys(ckt.node_names, 0.0)
+        big = dict.fromkeys(ckt.node_names, 0.0)
+        shunted = set()
+
+        def add(node, cur):
+            if node != "0":
+                res[node] += cur
+                big[node] = max(big[node], abs(cur))
+
+        for d in net.devices:
+            t = d.terminals
+            if d.kind == "resistor":
+                cur = (v[t[0]] - v[t[1]]) / d.params["resistance"]
+            elif d.kind == "vsource":
+                cur = x[ckt.n - len(ckt.vsources) + ckt.vsources.index(d)]
+            elif d.kind == "fet":
+                card = net.models[d.model]
+                card = dataclasses.replace(card, k=card.k * d.params.get("m", 1.0))
+                cur = fet_eval(card, v[t[1]] - v[t[2]], v[t[0]] - v[t[2]])[0]
+                shunted.update((t[0], t[2]))
+            else:
+                continue
+            add(t[0], cur)
+            add(t[2] if d.kind == "fet" else t[1], -cur)
+        for node in shunted:
+            add(node, opts.gmin * v[node])
+        expect = np.array([res[name] for name in ckt.node_names])
+        assert f[:ckt.nv] == pytest.approx(expect, rel=1e-12, abs=1e-18)
+        assert scale == pytest.approx([big[name] for name in ckt.node_names],
+                                      rel=1e-12)
+        for j, d in enumerate(ckt.vsources):
+            vp, vm = (v[name] for name in d.terminals)
+            assert f[ckt.nv + j] == vp - vm - d.stimulus.value_at(3e-9)
+
+    def test_mna_system_at_operating_point_is_a_fixed_point(self):
+        # rhs = J x - F, so at a converged x the linear solve returns x
+        net = parse(INVERTER.format(vin=0.6))
+        ckt = _Circuit(net, SolveOptions())
+        x, _iters, _excess = ckt.solve_dc(ckt.source_values([0.0])[0])
+        sys_ = mna_system(net, x=x[:ckt.n])
+        assert solve_linear(sys_) == pytest.approx(x[:ckt.n], rel=1e-9, abs=1e-15)

@@ -121,6 +121,13 @@ class TestStimuli:
         assert all(0.0 < t < 12.0 for t in bps)
         assert s.min_edge() == 1.0
 
+    def test_pulse_breakpoint_overflow_raises(self):
+        s = PulseStimulus(0.0, 1.0, delay=0.0, rise=1e-12, fall=1e-12,
+                          width=1e-12, period=4e-12)
+        assert len(s.breakpoints(1e-8)) > 9000
+        with pytest.raises(NetlistError, match="breakpoints"):
+            s.breakpoints(1e-6)
+
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
             PulseStimulus(0, 1, delay=-1, rise=1, fall=1, width=1, period=10)
