@@ -24,6 +24,12 @@ at every node:
     |sum of branch currents| <= abstol + reltol * max |branch current|
     |dx| <= vtol for every unknown
 
+Each Newton step is one LAPACK solve (np.linalg.solve) of J dx = -F together
+with a fixed probe right-hand side.  When LAPACK fails, dx is not finite or
+the probe's solution shows a near-zero pivot, the dense LU with partial
+pivoting (_lu_solve) solves the step instead: it decides whether the matrix
+is singular and names the pivot in SingularMatrixError.
+
 If the plain DC solve fails, it is retried with gmin stepping: shunts of
 gmin * 10**(gmin_steps - s) from every node to ground for s = 0..gmin_steps,
 each solution seeding the next.  A DC solve sets the capacitor companions
@@ -56,7 +62,15 @@ class SingularMatrixError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    pass
+    """Newton failed.  t is the time point (None for a DC solve), node the
+    worst KCL node at the last iterate evaluated, excess its KCL excess in A
+    and iteration the number of Newton updates taken."""
+
+    def __init__(self, message: str, t: float | None = None,
+                 node: str | None = None, excess: float | None = None,
+                 iteration: int | None = None):
+        super().__init__(message)
+        self.t, self.node, self.excess, self.iteration = t, node, excess, iteration
 
 
 @dataclass
@@ -117,9 +131,52 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+# Partial pivoting keeps |l_ij| <= 1, so a pivot d of _lu_solve bounds the
+# smallest singular value by n*d, and a pivot at its threshold of
+# 1e-14*|A|inf drives |z|inf*|A|inf/|p|inf for the probe p towards 1e14,
+# less a factor n**1.5 and the probe's share along the near-null direction.
+# Falling back from 1e8 leaves six decades for those two factors.  The
+# decoder's transient Jacobians stay below 1e6; its DC Jacobians, whose
+# cut-off nodes hang on gmin alone, exceed 1e12 and take the fallback.
+_PROBE_KAPPA = 1e8
+
+
+def _probe_rhs(n: int) -> np.ndarray:
+    """An n x 2 right-hand side buffer; column 1 holds the probe cos(1..n)."""
+    rhs = np.empty((n, 2))
+    rhs[:, 1] = np.cos(np.arange(1.0, n + 1.0))
+    return rhs
+
+
+def _solve(a: np.ndarray, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a @ x = b by one LAPACK call; _lu_solve decides doubtful systems.
+
+    b is copied into column 0 of rhs (from _probe_rhs) and solved together
+    with the probe.  If LAPACK fails, x is not finite or the probe's solution
+    is as large as a pivot near _lu_solve's threshold would make it, the
+    system is solved again by _lu_solve, which raises SingularMatrixError on
+    every system it would reject on its own.
+    """
+    rhs[:, 0] = b
+    try:
+        sol = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        xmax, zmax = np.abs(sol).max(axis=0, initial=0.0).tolist()
+        norm = np.abs(a).sum(axis=1).max(initial=0.0)
+        if xmax < math.inf and zmax * norm < _PROBE_KAPPA:  # |probe|inf <= 1
+            return sol[:, 0]
+    return _lu_solve(a, b)
+
+
 def solve_linear(system: MnaSystem) -> np.ndarray:
-    """Solve system.matrix @ x = system.rhs by LU with partial pivoting."""
-    return _lu_solve(system.matrix, system.rhs)
+    """Solve system.matrix @ x = system.rhs.
+
+    LAPACK solves; singular and near-singular systems go to a dense LU with
+    partial pivoting, which raises SingularMatrixError naming the pivot.
+    """
+    return _solve(system.matrix, system.rhs, _probe_rhs(len(system.rhs)))
 
 
 @dataclass
@@ -224,6 +281,7 @@ class _Circuit:
         self.flat = jr * (n + 1) + jc
         ones = np.ones(len(sp))
         self.src_w = np.concatenate((ones, -ones, ones, -ones))
+        self.rhs = _probe_rhs(n)
 
     def source_values(self, times) -> np.ndarray:
         """Source values, one row per time point."""
@@ -257,12 +315,17 @@ class _Circuit:
         jac = np.bincount(self.flat, w, minlength=(n + 1) ** 2)
         return f, scale[:nv], jac.reshape(n + 1, n + 1)[:n, :n]
 
-    def newton(self, x, svals, geq, ihist, shunt, label=""):
-        """Newton-Raphson on J dx = -F to the dual (residual + step) criterion."""
+    def newton(self, x, svals, geq, ihist, shunt, t=None, label=""):
+        """Newton-Raphson on J dx = -F to the dual (residual + step) criterion.
+
+        t is the time point, None for a DC solve; label (DC only) names the
+        solve in error messages.
+        """
         opts = self.opts
         n, nv = self.n, self.nv
         vlimit = max(1.0, 2.0 * np.max(np.abs(svals), initial=0.0))
         last_dx = math.inf
+        diverged = False
         for it in range(opts.max_newton_iters + 1):
             f, scale, jac = self.linearize(x, svals, geq, ihist, shunt)
             excess = np.abs(f[:nv]) - opts.reltol * scale
@@ -272,16 +335,22 @@ class _Circuit:
                 return x, it, err
             if it == opts.max_newton_iters:
                 break
-            dx = _lu_solve(jac, -f)
+            dx = _solve(jac, -f, self.rhs)
             np.clip(dx[:nv], -vlimit, vlimit, out=dx[:nv])
             x = np.append(x[:n] + dx, 0.0)
-            if not np.all(np.isfinite(x)):
-                raise ConvergenceError(f"solution diverged{label}")
+            diverged = not np.all(np.isfinite(x))
+            if diverged:
+                break
             last_dx = float(np.max(np.abs(dx), initial=0.0))
+        where = label if t is None else f" at t={t:.6g}s"
         name = self.node_names[worst] if worst >= 0 else "?"
+        if diverged:
+            raise ConvergenceError(f"solution diverged{where}", t=t, node=name,
+                                   excess=err, iteration=it + 1)
         raise ConvergenceError(
             f"Newton failed after {opts.max_newton_iters} iterations"
-            f"{label}; worst node {name!r} (KCL excess {err:.3e} A)")
+            f"{where}; worst node {name!r} (KCL excess {err:.3e} A)",
+            t=t, node=name, excess=err, iteration=it)
 
     def solve_dc(self, svals):
         """DC solution with gmin-stepping fallback; caps are open."""
@@ -384,18 +453,14 @@ def transient(net: Netlist, analysis: Transient | None = None,
     cap_v, cap_i = x[ca] - x[cb], np.zeros(len(c))
     solutions = [x]
     excesses = [excess]
-    try:
-        for t, h, sv in zip(times[1:], steps, svals[1:]):
-            geq, ihist = cap_companion(c, cap_v, cap_i, h, opts.integration)
-            x, iters, excess = ckt.newton(x, sv, geq, ihist, 0.0,
-                                          label=f" at t={t:.6g}s")
-            total_iters += iters
-            cap_v = x[ca] - x[cb]
-            cap_i = geq * cap_v + ihist
-            solutions.append(x)
-            excesses.append(excess)
-    except ConvergenceError as e:
-        raise ConvergenceError(str(e)) from None
+    for t, h, sv in zip(times[1:], steps, svals[1:]):
+        geq, ihist = cap_companion(c, cap_v, cap_i, h, opts.integration)
+        x, iters, excess = ckt.newton(x, sv, geq, ihist, 0.0, t=t)
+        total_iters += iters
+        cap_v = x[ca] - x[cb]
+        cap_i = geq * cap_v + ihist
+        solutions.append(x)
+        excesses.append(excess)
 
     tarr = np.array(times)
     sol = np.array(solutions)

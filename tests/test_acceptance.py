@@ -1,9 +1,10 @@
 """Acceptance gate.
 
-Eight end-to-end criteria, one test each.  Every test prints a single
-verdict line (run with ``pytest -s`` to see them) before asserting, so
-the printed PASS/FAIL always matches the pytest outcome.  Tolerances are
-pinned here; nothing is derived from the code under test.
+Eight end-to-end criteria, one test each, and a pin of the solver's work
+on the characterization runs.  Every test prints a single verdict line
+(run with ``pytest -s`` to see them) before asserting, so the printed
+PASS/FAIL always matches the pytest outcome.  Tolerances are pinned here;
+nothing is derived from the code under test.
 """
 
 import dataclasses
@@ -104,6 +105,22 @@ def test_c3_technology_comparison(characterization):
          f"cmos rise {cm.rise_time * 1e12:.2f} ps in "
          f"[{RISE_WINDOW[0] * 1e12:.2f}, {RISE_WINDOW[1] * 1e12:.2f}] ps")
         + (f"; FAILED {failed}" if failed else ""))
+
+
+# Steps and Newton iterations of the default decoder runs.  A change that
+# only makes each iteration cheaper leaves them as they are; a change to
+# time stepping or convergence control updates them on purpose.
+NEWTON_WORK = {"cmos32": (2000, 3805), "gnrfet32": (2000, 2407)}
+
+
+def test_newton_work_pinned(characterization):
+    work = {name: (run.wset.stats.steps, run.wset.stats.newton_iterations)
+            for name, run in characterization.items()}
+    assert verdict(
+        "Newton work of the characterization runs", work == NEWTON_WORK,
+        "; ".join(f"{name} {steps} steps, {iters} Newton iterations "
+                  f"(pinned {NEWTON_WORK.get(name)})"
+                  for name, (steps, iters) in work.items()))
 
 
 def test_c4_solver_accuracy(characterization):

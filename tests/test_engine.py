@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from mvlsim import engine
 from mvlsim.cells import CellSpec, build_staircase_testbench
 from mvlsim.devices import fet_eval, preset
 from mvlsim.engine import (
@@ -21,6 +22,7 @@ from mvlsim.engine import (
     SingularMatrixError,
     SolveOptions,
     _Circuit,
+    _lu_solve,
     dc_operating_point,
     mna_system,
     solve_linear,
@@ -69,6 +71,21 @@ def alternating_pwl(corners, hold=2.5e-10, slew=1e-10):
             f"c1 out 0 10f\n.tran 10p {80 * hold!r}\n.end\n")
 
 
+def gnrfet32_linearization():
+    """The gnrfet32 decoder testbench at a random point in mid-transient:
+    the circuit and linearize's arguments."""
+    spec = CellSpec(tech=preset("gnrfet32"), levels=LevelMap(4, 1.2))
+    ckt = _Circuit(build_staircase_testbench(spec), SolveOptions())
+    rng = np.random.default_rng(7)
+    x = np.append(np.concatenate((rng.uniform(-0.2, 1.4, ckt.nv),
+                                  rng.uniform(-1e-4, 1e-4, ckt.n - ckt.nv))),
+                  0.0)
+    svals = ckt.source_values([3e-9])[0]
+    geq = ckt.cap_c / 1e-12
+    ihist = rng.uniform(-1e-5, 1e-5, len(geq))
+    return ckt, (x, svals, geq, ihist, 1e-9)
+
+
 def rc_exact(t, te=10e-12, tau=1e-9):
     if t <= 0.0:
         return 0.0
@@ -115,6 +132,29 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrixError) as ei:
             solve_linear(sys_)
         assert ei.value.pivot == 1
+
+    def test_tiny_nonzero_pivot_reports_pivot(self):
+        # LAPACK solves this one cleanly to [1, 0]; the second pivot,
+        # about 2e-15, is below the LU threshold of 1e-14 * |A|inf
+        sys_ = mna_system(parse("* t\nr1 a 0 1\nr2 b 0 1\n.end\n"))
+        sys_.matrix = np.array([[1.0, 2.0], [2.0, 4.0 * (1.0 + 1e-15)]])
+        sys_.rhs = np.array([1.0, 2.0])
+        with pytest.raises(SingularMatrixError) as ei:
+            solve_linear(sys_)
+        assert ei.value.pivot == 1
+
+    def test_decoder_jacobian_matches_pivoting_lu(self, monkeypatch):
+        ckt, args = gnrfet32_linearization()
+        f, _scale, jac = ckt.linearize(*args)
+        sys_ = mna_system(parse("* t\nr1 a 0 1\n.end\n"))
+        sys_.matrix, sys_.rhs = jac, -f
+        expect = _lu_solve(jac, -f)
+
+        def no_fallback(a, b):
+            raise AssertionError("well-conditioned system left LAPACK")
+
+        monkeypatch.setattr(engine, "_lu_solve", no_fallback)
+        np.testing.assert_allclose(solve_linear(sys_), expect, rtol=1e-12, atol=0)
 
 
 class TestMnaSystem:
@@ -173,8 +213,12 @@ class TestDc:
 
     def test_iteration_budget_enforced(self):
         opts = SolveOptions(max_newton_iters=1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as ei:
             dc_operating_point(parse(INVERTER.format(vin=0.6)), opts)
+        err = ei.value
+        assert err.t is None and err.iteration == 1
+        assert err.node and f"worst node {err.node!r}" in str(err)
+        assert err.excess > opts.abstol
 
     def test_options_validated(self):
         with pytest.raises(ValueError):
@@ -250,6 +294,13 @@ class TestTransient:
         assert ws.stats.steps == len(ws.times) - 1
         assert ws.stats.newton_iterations >= ws.stats.steps
 
+    def test_convergence_error_carries_time_point(self):
+        with pytest.raises(ConvergenceError) as ei:
+            transient(parse(RC), opts=SolveOptions(max_newton_iters=1))
+        err = ei.value
+        assert err.t > 0.0 and f" at t={err.t:.6g}s;" in str(err)
+        assert err.iteration == 1 and err.node in ("in", "out")
+
     def test_bit_identical_reruns(self):
         a = transient(parse(RC))
         b = transient(parse(RC))
@@ -316,16 +367,8 @@ class TestFetTransient:
 
 class TestLinearize:
     def test_jacobian_matches_finite_difference_of_residual(self):
-        spec = CellSpec(tech=preset("gnrfet32"), levels=LevelMap(4, 1.2))
-        ckt = _Circuit(build_staircase_testbench(spec), SolveOptions())
-        rng = np.random.default_rng(7)
-        x = np.append(np.concatenate((rng.uniform(-0.2, 1.4, ckt.nv),
-                                      rng.uniform(-1e-4, 1e-4, ckt.n - ckt.nv))),
-                      0.0)
-        svals = ckt.source_values([3e-9])[0]
-        geq = ckt.cap_c / 1e-12
-        ihist = rng.uniform(-1e-5, 1e-5, len(geq))
-        f0, scale, jac = ckt.linearize(x, svals, geq, ihist, 1e-9)
+        ckt, (x, svals, geq, ihist, shunt) = gnrfet32_linearization()
+        f0, scale, jac = ckt.linearize(x, svals, geq, ihist, shunt)
         assert jac.shape == (ckt.n, ckt.n) and scale.shape == (ckt.nv,)
         assert np.all(scale > 0.0)
         h = 1e-7
@@ -334,8 +377,8 @@ class TestLinearize:
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd[:, j] = (ckt.linearize(xp, svals, geq, ihist, 1e-9)[0]
-                        - ckt.linearize(xm, svals, geq, ihist, 1e-9)[0]) / (2 * h)
+            fd[:, j] = (ckt.linearize(xp, svals, geq, ihist, shunt)[0]
+                        - ckt.linearize(xm, svals, geq, ihist, shunt)[0]) / (2 * h)
         np.testing.assert_allclose(fd, jac, rtol=1e-6, atol=1e-12)
 
     def test_dc_residual_matches_per_device_loop(self):
