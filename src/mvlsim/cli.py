@@ -47,6 +47,7 @@ from .engine import (
     WaveformSet,
     dc_operating_point,
     transient,
+    transient_batch,
 )
 from .measure import (
     MeasureError,
@@ -255,21 +256,38 @@ class DecoderRun:
         }
 
 
+def run_decoders(cfgs: list[RunConfig],
+                 techs: list[TechnologyCard] | None = None) -> list[DecoderRun]:
+    """Decoder staircase runs of several configs, simulated as one batch.
+
+    techs, if given, replaces the cards the cfgs name.  A solver error
+    names the failing run by its index in ``member``.
+    """
+    techs = techs or [resolve_tech(cfg.tech) for cfg in cfgs]
+    nets = []
+    for cfg, tech in zip(cfgs, techs, strict=True):
+        spec = CellSpec(tech=tech, levels=LevelMap(4, cfg.vdd), load=cfg.load)
+        net = build_staircase_testbench(spec, hold=cfg.hold, slew=cfg.slew)
+        if cfg.dt is not None:
+            net = dataclasses.replace(
+                net,
+                analyses=[
+                    dataclasses.replace(a, dt=cfg.dt) if isinstance(a, Transient) else a
+                    for a in net.analyses
+                ],
+            )
+        nets.append(net)
+    wsets = transient_batch(nets)
+    return [_decoder_run(*args) for args in zip(cfgs, techs, nets, wsets)]
+
+
 def run_decoder(cfg: RunConfig, tech: TechnologyCard | None = None) -> DecoderRun:
-    if tech is None:
-        tech = resolve_tech(cfg.tech)
+    return run_decoders([cfg], None if tech is None else [tech])[0]
+
+
+def _decoder_run(cfg: RunConfig, tech: TechnologyCard, net: Netlist,
+                 wset: WaveformSet) -> DecoderRun:
     levels = LevelMap(4, cfg.vdd)
-    spec = CellSpec(tech=tech, levels=levels, load=cfg.load)
-    net = build_staircase_testbench(spec, hold=cfg.hold, slew=cfg.slew)
-    if cfg.dt is not None:
-        net = dataclasses.replace(
-            net,
-            analyses=[
-                dataclasses.replace(a, dt=cfg.dt) if isinstance(a, Transient) else a
-                for a in net.analyses
-            ],
-        )
-    wset = transient(net)
     sample_times = staircase_sample_times(levels, hold=cfg.hold, slew=cfg.slew)
     bits = LevelMap(2, cfg.vdd)
     b1 = quantize(wset.voltage("b1"), bits, sample_times)
@@ -430,13 +448,16 @@ def improvement_pct(reference: float, other: float) -> float:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     base = _cfg_from_args(args)
-    runs: dict[str, DecoderRun] = {}
     outdir = _out_dir(args)
-    for name in ("cmos32", "gnrfet32"):
-        cfg = dataclasses.replace(base, tech=name)
-        run = run_decoder(cfg)
+    names = ("cmos32", "gnrfet32")
+    cfgs = [dataclasses.replace(base, tech=name) for name in names]
+    try:
+        batch = run_decoders(cfgs)
+    except (ConvergenceError, SingularMatrixError) as exc:
+        return _solver_failure(exc, names[exc.member])
+    runs = dict(zip(names, batch))
+    for cfg, run in zip(cfgs, batch):
         _write_decoder_artifacts(outdir, cfg, run)
-        runs[name] = run
     cm, gn = runs["cmos32"], runs["gnrfet32"]
     if cm.stimulus != gn.stimulus:
         raise ValueError("stimulus mismatch between technology runs")
@@ -493,14 +514,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError("count must be >= 1")
     base = _cfg_from_args(args)
-    values = np.linspace(args.start, args.stop, args.count)
+    values = [float(v) for v in np.linspace(args.start, args.stop, args.count)]
+    cfgs = [dataclasses.replace(base, **{args.param: value})
+            if args.param in ("vdd", "load", "hold") else base for value in values]
+    techs = [_sweep_tech(cfg, args.param, value) for cfg, value in zip(cfgs, values)]
+    try:
+        batch = run_decoders(cfgs, techs)
+    except (ConvergenceError, SingularMatrixError) as exc:
+        return _solver_failure(exc, f"{args.param}={values[exc.member]!r}")
     rows: list[tuple[float, int, str, float]] = []
-    for idx, raw in enumerate(values):
-        value = float(raw)
-        cfg = base
-        if args.param in ("vdd", "load", "hold"):
-            cfg = dataclasses.replace(base, **{args.param: value})
-        run = run_decoder(cfg, tech=_sweep_tech(cfg, args.param, value))
+    for idx, (value, run) in enumerate(zip(values, batch)):
         rows.append((value, idx, "logic_ok", 1.0 if run.logic_ok else 0.0))
         for name in sorted(run.measures):
             val = run.measures[name]
@@ -528,6 +551,21 @@ def cmd_dump_models(args: argparse.Namespace) -> int:
         print(model_line("nfet", tech.nfet))
         print(model_line("pfet", tech.pfet))
     return EXIT_OK
+
+
+def _solver_failure(exc: ConvergenceError | SingularMatrixError,
+                    run: str | None = None) -> int:
+    """Print a solver error and its fields, naming the failing run if known."""
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, SingularMatrixError):
+        fields = [f"pivot {exc.pivot}"]
+    else:
+        fields = ["t dc" if exc.t is None else f"t {exc.t!r} s",
+                  f"node {exc.node!r}", f"KCL excess {exc.excess!r} A",
+                  f"iteration {exc.iteration}"]
+    where = "" if run is None else f"run {run}: "
+    print(f"error: {where}{', '.join(fields)}", file=sys.stderr)
+    return EXIT_SOLVER
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +656,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, SingularMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _solver_failure(exc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -60,20 +60,21 @@ def square_law(vth, k, lam, vgs, vds):
     all scaled by (1 + lambda*vds).  For vds < 0 the drain and source roles
     swap and the gate is measured from the original drain:
     id = -f(vgs - vds, -vds), differentiated exactly.
+
+    One clamped formula covers the three regions: with vov = max(vgs - vth, 0)
+    and ve = min(vds, vov), id = k*ve*(vov - ve/2)*(1 + lambda*vds); ve = vds
+    in triode, vov in saturation and 0 in cutoff.
     """
     rev = vds < 0.0
     vgs = np.where(rev, vgs - vds, vgs)
-    vds = np.where(rev, -vds, vds)
-    vov = vgs - vth
+    vds = np.abs(vds)
+    vov = np.maximum(vgs - vth, 0.0)
+    ve = np.minimum(vds, vov)
     cl = 1.0 + lam * vds
-    q = vov * vds - 0.5 * vds * vds
-    tri = vds < vov
-    i = np.where(tri, k * q * cl, 0.5 * k * vov * vov * cl)
-    gm = np.where(tri, k * vds * cl, k * vov * cl)
-    gds = np.where(tri, k * (vov - vds) * cl + k * q * lam,
-                   0.5 * k * vov * vov * lam)
-    on = vov > 0.0
-    i, gm, gds = (np.where(on, a, 0.0) for a in (i, gm, gds))
+    kq = k * (ve * (vov - 0.5 * ve))
+    i = kq * cl
+    gm = k * ve * cl
+    gds = k * (vov - ve) * cl + kq * lam
     return np.where(rev, -i, i), np.where(rev, -gm, gm), np.where(rev, gm + gds, gds)
 
 

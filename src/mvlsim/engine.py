@@ -14,21 +14,34 @@ into index arrays over three kinds of branch:
 
 Ground is index n, one past the last unknown: every solution vector carries
 a trailing 0 there, so no stamp tests for ground, and row and column n are
-sliced off the scattered sums.  ``_Circuit.linearize`` computes the branch
-currents once and scatters them into the KCL residual F, the largest branch
-current at each node and, with the branch derivatives, the Jacobian dF/dx
-(Ho, Ruehli and Brennan, IEEE TCAS 1975).  Newton solves J dx = -F and
-converges when both a small update step and a small true KCL residual hold
-at every node:
+sliced off the scattered sums.  The branch currents are computed once and
+scattered (np.bincount) into the KCL residual F, the largest branch current
+at each node and, with the branch derivatives, the Jacobian dF/dx (Ho,
+Ruehli and Brennan, IEEE TCAS 1975).  Newton solves J dx = -F and converges
+when both a small update step and a small true KCL residual hold at every
+node:
 
     |sum of branch currents| <= abstol + reltol * max |branch current|
     |dx| <= vtol for every unknown
 
-Each Newton step is one LAPACK solve (np.linalg.solve) of J dx = -F together
-with a fixed probe right-hand side.  When LAPACK fails, dx is not finite or
-the probe's solution shows a near-zero pivot, the dense LU with partial
-pivoting (_lu_solve) solves the step instead: it decides whether the matrix
-is singular and names the pivot in SingularMatrixError.
+A batch of B netlists with the same nodes and sources is compiled as the
+disjoint union of its members' branches: member b's unknowns and its own
+ground slot sit at offset b*(n+1) of one flat vector, so one scatter serves
+the whole batch and the Jacobian reshapes to B blocks of n x n.  Newton runs
+the members in lockstep: each keeps its own convergence test, update clip
+and divergence check, and a member that has converged is frozen, so its
+solution, iteration count and KCL excess are exactly those of a run alone.
+The members still iterating are solved together.  A member that fails drops
+out, and so do the members after it; the batch then raises the failure of
+its lowest-index failing member.  ``transient_batch`` groups its netlists by
+time grid and runs each group in lockstep; ``transient`` is a batch of one.
+
+Each Newton step is one LAPACK solve (np.linalg.solve) of the stacked
+J dx = -F together with a fixed probe right-hand side.  For a member where
+LAPACK fails, dx is not finite or the probe's solution shows a near-zero
+pivot, the dense LU with partial pivoting (_lu_solve) solves the step
+instead: it decides whether the matrix is singular and names the pivot in
+SingularMatrixError.
 
 If the plain DC solve fails, it is retried with gmin stepping: shunts of
 gmin * 10**(gmin_steps - s) from every node to ground for s = 0..gmin_steps,
@@ -56,6 +69,11 @@ from .netlist import Netlist, Transient
 
 
 class SingularMatrixError(RuntimeError):
+    """A linear solve met a zero pivot.  member is set by transient_batch to
+    the index of the failing netlist."""
+
+    member: int | None = None
+
     def __init__(self, pivot: int):
         self.pivot = pivot
         super().__init__(f"singular matrix (zero pivot at index {pivot})")
@@ -64,7 +82,10 @@ class SingularMatrixError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """Newton failed.  t is the time point (None for a DC solve), node the
     worst KCL node at the last iterate evaluated, excess its KCL excess in A
-    and iteration the number of Newton updates taken."""
+    and iteration the number of Newton updates taken; member is set by
+    transient_batch to the index of the failing netlist."""
+
+    member: int | None = None
 
     def __init__(self, message: str, t: float | None = None,
                  node: str | None = None, excess: float | None = None,
@@ -141,33 +162,46 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _PROBE_KAPPA = 1e8
 
 
-def _probe_rhs(n: int) -> np.ndarray:
-    """An n x 2 right-hand side buffer; column 1 holds the probe cos(1..n)."""
-    rhs = np.empty((n, 2))
-    rhs[:, 1] = np.cos(np.arange(1.0, n + 1.0))
+def _probe_rhs(batch: int, n: int) -> np.ndarray:
+    """A batch x n x 2 right-hand side buffer; column 1 of each system holds
+    the probe cos(1..n)."""
+    rhs = np.empty((batch, n, 2))
+    rhs[:, :, 1] = np.cos(np.arange(1.0, n + 1.0))
     return rhs
 
 
-def _solve(a: np.ndarray, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by one LAPACK call; _lu_solve decides doubtful systems.
+def _solve(a: np.ndarray, b: np.ndarray,
+           rhs: np.ndarray) -> tuple[np.ndarray, dict[int, SingularMatrixError]]:
+    """Solve the stack a[j] @ x[j] = b[j] by one LAPACK call; _lu_solve
+    decides doubtful systems.
 
     b is copied into column 0 of rhs (from _probe_rhs) and solved together
-    with the probe.  If LAPACK fails, x is not finite or the probe's solution
-    is as large as a pivot near _lu_solve's threshold would make it, the
-    system is solved again by _lu_solve, which raises SingularMatrixError on
-    every system it would reject on its own.
+    with the probes.  Where LAPACK fails, x is not finite or the probe's
+    solution is as large as a pivot near _lu_solve's threshold would make
+    it, the system is solved again by _lu_solve, which rejects every system
+    it would reject on its own.  Returns x and the SingularMatrixError of
+    each rejected system j; x[j] is then undefined.
     """
-    rhs[:, 0] = b
+    rhs[:, :, 0] = b
     try:
         sol = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        xmax, zmax = np.abs(sol).max(axis=0, initial=0.0).tolist()
-        norm = np.abs(a).sum(axis=1).max(initial=0.0)
-        if xmax < math.inf and zmax * norm < _PROBE_KAPPA:  # |probe|inf <= 1
-            return sol[:, 0]
-    return _lu_solve(a, b)
+    except np.linalg.LinAlgError:  # one singular system fails a whole stack
+        if len(a) == 1:
+            sol = np.full(rhs.shape, math.nan)
+        else:
+            each = [_solve(a[j:j + 1], b[j:j + 1], rhs[j:j + 1]) for j in range(len(a))]
+            return (np.concatenate([x for x, _ in each]),
+                    {j: e for j, (_, err) in enumerate(each) for e in err.values()})
+    top = np.maximum.reduce(np.abs(sol), axis=1, initial=0.0)
+    norm = np.maximum.reduce(np.add.reduce(np.abs(a), axis=2), axis=1, initial=0.0)
+    good = (top[:, 0] < math.inf) & (top[:, 1] * norm < _PROBE_KAPPA)  # |probe|inf <= 1
+    x, errors = sol[:, :, 0], {}
+    for j in (~good).nonzero()[0].tolist():
+        try:
+            x[j] = _lu_solve(a[j], b[j])
+        except SingularMatrixError as err:
+            errors[j] = err
+    return x, errors
 
 
 def solve_linear(system: MnaSystem) -> np.ndarray:
@@ -176,7 +210,13 @@ def solve_linear(system: MnaSystem) -> np.ndarray:
     LAPACK solves; singular and near-singular systems go to a dense LU with
     partial pivoting, which raises SingularMatrixError naming the pivot.
     """
-    return _solve(system.matrix, system.rhs, _probe_rhs(len(system.rhs)))
+    n = len(system.rhs)
+    x, errors = _solve(np.asarray(system.matrix, dtype=float)[None],
+                       np.asarray(system.rhs, dtype=float)[None],
+                       _probe_rhs(1, n))
+    if errors:
+        raise errors[0]
+    return x[0]
 
 
 @dataclass
@@ -220,154 +260,266 @@ def _column(rows, i, dtype=float) -> np.ndarray:
     return np.array([r[i] for r in rows], dtype=dtype)
 
 
+def _vsources(net: Netlist) -> list:
+    return [d for d in net.devices if d.kind == "vsource"]
+
+
 class _Circuit:
-    """A netlist compiled once into branch index arrays; ground is index n."""
+    """Netlists with the same nodes and sources, compiled once into branch
+    index arrays over one flat unknown vector.
 
-    def __init__(self, net: Netlist, opts: SolveOptions):
-        net.validate()
+    Member b's unknowns sit at b*(n+1) .. b*(n+1) + n-1 and its ground at
+    b*(n+1) + n.  Compiled from one Netlist, the circuit has no batch axis:
+    linearize, solve_dc and source_values take and return the arrays of a
+    single circuit.  Compiled from a list, every such array gains a leading
+    batch axis.
+    """
+
+    def __init__(self, nets: Netlist | list[Netlist], opts: SolveOptions):
         self.opts = opts
-        nodes = net.nodes
-        self.node_names = nodes[1:]  # non-ground
-        self.nv = nv = len(nodes) - 1
-        self.vsources = [d for d in net.devices if d.kind == "vsource"]
-        self.stimuli = [d.stimulus for d in self.vsources]
+        self.shape = () if isinstance(nets, Netlist) else (len(nets),)
+        nets = [nets] if isinstance(nets, Netlist) else list(nets)
+        self.batch = len(nets)
+        self.node_names = nets[0].nodes[1:]  # non-ground
+        self.nv = nv = len(self.node_names)
+        self.vsources = _vsources(nets[0])
         self.n = n = nv + len(self.vsources)
-        node_of = {name: i - 1 for i, name in enumerate(nodes)}
-        node_of["0"] = n
-        res, caps, fets = [], [], []
-        for d in net.devices:
-            t = [node_of[name] for name in d.terminals]
-            if d.kind == "resistor":
-                res.append((t[0], t[1], 1.0 / d.params["resistance"]))
-            elif d.kind == "capacitor":
-                caps.append((t[0], t[1], d.params["capacitance"]))
-            elif d.kind == "fet":
-                card = net.models[d.model]
-                m = d.params.get("m", 1.0)
-                sign = 1.0 if card.polarity == "n" else -1.0
-                fets.append((t[0], t[1], t[2], sign, sign * card.vth,
-                             card.k * m, card.lam))
-                caps += [(t[1], t[2], card.cg * m), (t[0], n, card.cd * m)]
+        self.n1 = n1 = n + 1
+        src_names = [d.name for d in self.vsources]
+        gmin = opts.gmin if opts.enable_gmin else 0.0
+        res, caps, fets, shunts, gmins, srcs, self.stimuli = ([] for _ in range(7))
+        for b, net in enumerate(nets):
+            net.validate()
+            sources = _vsources(net)
+            if (net.nodes[1:] != self.node_names
+                    or [d.name for d in sources] != src_names):
+                raise ValueError("batched netlists need the same nodes and sources")
+            self.stimuli.append([d.stimulus for d in sources])
+            ground = b * n1 + n
+            node_of = {name: b * n1 + i - 1 for i, name in enumerate(net.nodes)}
+            node_of["0"] = ground
+            fet_nodes = set()
+            for d in net.devices:
+                t = [node_of[name] for name in d.terminals]
+                if d.kind == "resistor":
+                    res.append((t[0], t[1], 1.0 / d.params["resistance"]))
+                elif d.kind == "capacitor":
+                    caps.append((t[0], t[1], d.params["capacitance"]))
+                elif d.kind == "fet":
+                    card = net.models[d.model]
+                    m = d.params.get("m", 1.0)
+                    sign = 1.0 if card.polarity == "n" else -1.0
+                    fets.append((t[0], t[1], t[2], sign, sign * card.vth,
+                                 card.k * m, card.lam))
+                    caps += [(t[1], t[2], card.cg * m), (t[0], ground, card.cd * m)]
+                    fet_nodes.update((t[0], t[2]))
+            gmins += [(i, ground) for i in sorted(fet_nodes - {ground})]
+            shunts += [(b * n1 + i, ground) for i in range(nv)]
+            srcs += [(node_of[d.terminals[0]], node_of[d.terminals[1]],
+                      b * n1 + nv + j) for j, d in enumerate(sources)]
         caps = [cap for cap in caps if cap[2] > 0.0]
-        gmin_nodes = sorted({i for f in fets for i in (f[0], f[2])} - {n})
         idx = np.intp
-
         self.cap_a, self.cap_b = _column(caps, 0, idx), _column(caps, 1, idx)
         self.cap_c = _column(caps, 2)
         self.cap_branches = slice(len(res), len(res) + len(caps))
         # linear branches: resistors, capacitors, gmin shunts, stepping shunts
         self.g_res = _column(res, 2)
-        self.g_gmin = np.full(len(gmin_nodes),
-                              opts.gmin if opts.enable_gmin else 0.0)
-        la = np.concatenate((_column(res, 0, idx), self.cap_a,
-                             np.array(gmin_nodes, idx), np.arange(nv)))
-        lb = np.concatenate((_column(res, 1, idx), self.cap_b,
-                             np.full(len(gmin_nodes) + nv, n)))
+        self.g_gmin = np.full(len(gmins), gmin)
+        self.n_shunt = len(shunts)
+        lin = res + caps + gmins + shunts
+        la, lb = _column(lin, 0, idx), _column(lin, 1, idx)
         fd, fg, fs = (_column(fets, i, idx) for i in range(3))
         self.sign, self.vth, self.k, self.lam = (_column(fets, i)
                                                  for i in range(3, 7))
-        sp = np.array([node_of[d.terminals[0]] for d in self.vsources], idx)
-        sm = np.array([node_of[d.terminals[1]] for d in self.vsources], idx)
-        rows = np.arange(nv, n)
-        self.la, self.lb, self.fd, self.fg, self.fs = la, lb, fd, fg, fs
-        self.sp, self.sm = sp, sm
+        sp, sm, rows = (_column(srcs, i, idx) for i in range(3))
+        # one gather of x serves every branch; these slices cut it apart
+        parts = (la, lb, fg, fd, fs, rows, sp, sm)
+        self.gather = np.concatenate(parts)
+        cuts = np.cumsum([0] + [len(p) for p in parts]).tolist()
+        self.parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
         # branch currents run from these nodes (first half) to these (second)
         self.ends = np.concatenate((la, fd, sp, lb, fs, sm))
-        # flat COO indices of the Jacobian entries, in linearize's order
-        jr = np.concatenate((la, la, lb, lb, fd, fd, fd, fs, fs, fs,
-                             sp, sm, rows, rows))
-        jc = np.concatenate((la, lb, la, lb, fg, fd, fs, fg, fd, fs,
-                             rows, rows, sp, sm))
-        self.flat = jr * (n + 1) + jc
-        ones = np.ones(len(sp))
-        self.src_w = np.concatenate((ones, -ones, ones, -ones))
-        self.rhs = _probe_rhs(n)
+
+        def flat(r, c):  # entry (r, c) of member r // n1's (n+1)^2 block
+            return r * n1 + c % n1
+
+        # Jacobian entries: linear branches and sources are fixed per step,
+        # the FETs' change every iteration
+        self.flat_lin = flat(np.concatenate((la, la, lb, lb, sp, sm, rows, rows)),
+                             np.concatenate((la, lb, la, lb, rows, rows, sp, sm)))
+        self.flat_fet = flat(np.concatenate((fd, fd, fd, fs, fs, fs)),
+                             np.concatenate((fg, fd, fs, fg, fd, fs)))
+        self.src_w = np.repeat([1.0, -1.0, 1.0, -1.0], len(sp))
+        self.rhs = _probe_rhs(self.batch, n)
 
     def source_values(self, times) -> np.ndarray:
-        """Source values, one row per time point."""
-        return np.array([[s.value_at(t) for s in self.stimuli] for t in times])
+        """Source values, one row per time point, then the batch axis."""
+        vals = np.empty((len(times), self.batch, self.n - self.nv))
+        for b, stims in enumerate(self.stimuli):
+            for j, stim in enumerate(stims):
+                vals[:, b, j] = [stim.value_at(t) for t in times]
+        return vals.reshape((len(times),) + self.shape + vals.shape[2:])
+
+    def linear_part(self, geq, ihist, shunt):
+        """What stays fixed over one solve: the linear-branch conductances,
+        their offset currents and the flat Jacobian of the linear branches
+        and the sources.  geq and ihist are the capacitor companions (zeros
+        for DC), shunt the gmin-stepping conductance from every node to
+        ground."""
+        g = np.concatenate((self.g_res, geq, self.g_gmin,
+                            np.full(self.n_shunt, shunt)))
+        i0 = np.zeros(len(g))
+        i0[self.cap_branches] = ihist
+        jac = np.bincount(self.flat_lin, np.concatenate((g, -g, -g, g, self.src_w)),
+                          minlength=self.batch * self.n1 ** 2)
+        return g, i0, jac
+
+    def residual(self, x, lin, svals):
+        """KCL residual F (batch x n) and per-node current scale (batch x nv)
+        at x (batch x n+1, ground 0 last), and the FETs' gm and gds.
+
+        The scale of a node is its largest |branch current|; F's source rows
+        hold the source constraints.
+        """
+        n, nv, n1 = self.n, self.nv, self.n1
+        g, i0, _jac = lin
+        xg = x.reshape(-1)[self.gather]
+        va, vb, vg, vd, vs, i_src, vp, vm = (xg[p] for p in self.parts)
+        s = self.sign
+        i_fet, gm, gds = square_law(self.vth, self.k, self.lam,
+                                    s * (vg - vs), s * (vd - vs))
+        cur = np.concatenate((g * (va - vb) + i0, s * i_fet, i_src))
+        cur = np.concatenate((cur, -cur))
+        f = np.bincount(self.ends, cur, minlength=self.batch * n1).reshape(-1, n1)
+        f[:, nv:n] = (vp - vm).reshape(self.batch, n - nv) - svals
+        scale = np.zeros(self.batch * n1)
+        np.maximum.at(scale, self.ends, np.abs(cur))
+        return f[:, :n], scale.reshape(-1, n1)[:, :nv], gm, gds
+
+    def jacobian(self, lin, gm, gds):
+        """dF/dx, batch x n x n: linear_part's Jacobian plus the FETs'."""
+        gms = gm + gds
+        jac = lin[2].copy()
+        np.add.at(jac, self.flat_fet,
+                  np.concatenate((gm, gds, -gms, -gm, -gds, gms)))
+        return jac.reshape(-1, self.n1, self.n1)[:, :self.n, :self.n]
 
     def linearize(self, x, svals, geq, ihist, shunt):
         """KCL residual F, per-node current scale and Jacobian dF/dx at x.
 
-        x carries the ground 0 at index n.  geq and ihist are the capacitor
-        companions (zeros for DC) and shunt the gmin-stepping conductance
-        from every node to ground.  The scale of a node is its largest
-        |branch current|; F's source rows hold the source constraints.
+        x carries the ground 0 at index n; geq, ihist and shunt are as in
+        linear_part.
         """
-        n, nv = self.n, self.nv
-        g = np.concatenate((self.g_res, geq, self.g_gmin, np.full(nv, shunt)))
-        i_lin = g * (x[self.la] - x[self.lb])
-        i_lin[self.cap_branches] += ihist
-        s = self.sign
-        i_fet, gm, gds = square_law(self.vth, self.k, self.lam,
-                                    s * (x[self.fg] - x[self.fs]),
-                                    s * (x[self.fd] - x[self.fs]))
-        cur = np.concatenate((i_lin, s * i_fet, x[nv:n]))
-        cur = np.concatenate((cur, -cur))
-        f = np.bincount(self.ends, cur, minlength=n + 1)[:n]
-        f[nv:] = x[self.sp] - x[self.sm] - svals
-        scale = np.zeros(n + 1)
-        np.maximum.at(scale, self.ends, np.abs(cur))
-        gms = gm + gds
-        w = np.concatenate((g, -g, -g, g, gm, gds, -gms, -gm, -gds, gms,
-                            self.src_w))
-        jac = np.bincount(self.flat, w, minlength=(n + 1) ** 2)
-        return f, scale[:nv], jac.reshape(n + 1, n + 1)[:n, :n]
+        lin = self.linear_part(geq, ihist, shunt)
+        f, scale, gm, gds = self.residual(np.reshape(x, (self.batch, self.n1)),
+                                          lin, np.reshape(svals, (self.batch, -1)))
+        jac = self.jacobian(lin, gm, gds)
+        return (f.reshape(self.shape + f.shape[1:]),
+                scale.reshape(self.shape + scale.shape[1:]),
+                jac.reshape(self.shape + jac.shape[1:]))
 
-    def newton(self, x, svals, geq, ihist, shunt, t=None, label=""):
-        """Newton-Raphson on J dx = -F to the dual (residual + step) criterion.
+    def newton(self, x, svals, lin, live, t=None, label=""):
+        """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
+        criterion for the members where live is True.
 
-        t is the time point, None for a DC solve; label (DC only) names the
-        solve in error messages.
+        x (batch x n+1) is updated in place; svals holds each member's source
+        values and lin comes from linear_part.  t is the time point, None
+        for a DC solve; label (DC only) names the solve in error messages.
+        Returns each member's Newton update count and KCL excess at its
+        solution and the error of each member that failed.
         """
         opts = self.opts
         n, nv = self.n, self.nv
-        vlimit = max(1.0, 2.0 * np.max(np.abs(svals), initial=0.0))
-        last_dx = math.inf
-        diverged = False
+        batch = self.batch
+        members = live.nonzero()[0]
+        vlimit = np.maximum(1.0, 2.0 * np.maximum.reduce(np.abs(svals), axis=1,
+                                                         initial=0.0))
+        iters = np.zeros(batch, dtype=int)
+        excess = np.zeros(batch)
+        last_dx = np.full(batch, math.inf)
+        failed: dict[int, Exception] = {}
+
+        def fail(b, diverged):
+            where = label if t is None else f" at t={t:.6g}s"
+            name = self.node_names[int(np.argmax(over[b]))] if nv else "?"
+            message = (f"solution diverged{where}" if diverged else
+                       f"Newton failed after {opts.max_newton_iters} iterations"
+                       f"{where}; worst node {name!r} (KCL excess {err[b]:.3e} A)")
+            failed[b] = ConvergenceError(message, t=t, node=name, excess=float(err[b]),
+                                         iteration=it + diverged)
+
         for it in range(opts.max_newton_iters + 1):
-            f, scale, jac = self.linearize(x, svals, geq, ihist, shunt)
-            excess = np.abs(f[:nv]) - opts.reltol * scale
-            worst = int(np.argmax(excess)) if nv else -1
-            err = float(excess[worst]) if nv else 0.0
-            if err <= opts.abstol and last_dx <= opts.vtol:
-                return x, it, err
+            if not len(members):
+                break
+            f, scale, gm, gds = self.residual(x, lin, svals)
+            over = np.abs(f[:, :nv]) - opts.reltol * scale
+            err = np.maximum.reduce(over, axis=1) if nv else np.zeros(batch)
+            pick = slice(None) if len(members) == batch else members
+            done = (err[pick] <= opts.abstol) & (last_dx[pick] <= opts.vtol)
+            if done.any():
+                iters[members[done]] = it
+                excess[members[done]] = err[members[done]]
+                members = members[~done]
+                if not len(members):
+                    break
+                pick = members
             if it == opts.max_newton_iters:
+                for b in members.tolist():
+                    fail(b, diverged=False)
                 break
-            dx = _solve(jac, -f, self.rhs)
-            np.clip(dx[:nv], -vlimit, vlimit, out=dx[:nv])
-            x = np.append(x[:n] + dx, 0.0)
-            diverged = not np.all(np.isfinite(x))
-            if diverged:
-                break
-            last_dx = float(np.max(np.abs(dx), initial=0.0))
-        where = label if t is None else f" at t={t:.6g}s"
-        name = self.node_names[worst] if worst >= 0 else "?"
-        if diverged:
-            raise ConvergenceError(f"solution diverged{where}", t=t, node=name,
-                                   excess=err, iteration=it + 1)
-        raise ConvergenceError(
-            f"Newton failed after {opts.max_newton_iters} iterations"
-            f"{where}; worst node {name!r} (KCL excess {err:.3e} A)",
-            t=t, node=name, excess=err, iteration=it)
+            jac = self.jacobian(lin, gm, gds)
+            dx, singular = _solve(jac[pick], -f[pick], self.rhs[:len(members)])
+            lim = vlimit[pick][:, None]
+            np.minimum(dx[:, :nv], lim, out=dx[:, :nv])
+            np.maximum(dx[:, :nv], -lim, out=dx[:, :nv])
+            xn = x[pick, :n] + dx
+            if singular or not np.isfinite(xn).all():
+                ok = np.isfinite(xn).all(axis=1)
+                ok[list(singular)] = False
+                failed.update((int(members[j]), e) for j, e in singular.items())
+                for b in members[~ok].tolist():
+                    if b not in failed:
+                        fail(b, diverged=True)
+                members = pick = members[ok]
+                dx, xn = dx[ok], xn[ok]
+            x[pick, :n] = xn
+            last_dx[pick] = np.maximum.reduce(np.abs(dx), axis=1, initial=0.0)
+        return iters, excess, failed
 
-    def solve_dc(self, svals):
-        """DC solution with gmin-stepping fallback; caps are open."""
+    def solve_dc(self, svals, failed=None):
+        """DC solution with gmin-stepping fallback; caps are open.
+
+        Returns the solutions (with ground 0), the Newton update counts of
+        the last solve and the KCL excesses.  The failure of each member
+        goes into the failed dict; without one, the lowest-index member's
+        failure is raised.
+        """
         opts = self.opts
+        raising = failed is None
+        failed = {} if raising else failed
+        svals = np.reshape(svals, (self.batch, -1))
         zeros = np.zeros(len(self.cap_c))
-        x0 = np.zeros(self.n + 1)
-        try:
-            return self.newton(x0, svals, zeros, zeros, 0.0, label=" (dc)")
-        except (ConvergenceError, SingularMatrixError):
-            if not opts.enable_gmin:
-                raise
-        x = x0
-        for s in range(opts.gmin_steps + 1):
-            shunt = opts.gmin * 10.0 ** (opts.gmin_steps - s)
-            x, iters, excess = self.newton(x, svals, zeros, zeros, shunt,
-                                           label=f" (gmin step {s})")
-        return x, iters, excess
+        x = np.zeros((self.batch, self.n1))
+        iters, excess, bad = self.newton(x, svals, self.linear_part(zeros, zeros, 0.0),
+                                         np.ones(self.batch, dtype=bool), label=" (dc)")
+        if bad and opts.enable_gmin:
+            retry = np.zeros(self.batch, dtype=bool)
+            retry[list(bad)] = True
+            x[retry] = 0.0
+            bad = {}
+            for s in range(opts.gmin_steps + 1):
+                shunt = opts.gmin * 10.0 ** (opts.gmin_steps - s)
+                it, exc, step_bad = self.newton(
+                    x, svals, self.linear_part(zeros, zeros, shunt), retry,
+                    label=f" (gmin step {s})")
+                bad.update(step_bad)
+                retry[list(step_bad)] = False
+                iters[retry], excess[retry] = it[retry], exc[retry]
+        failed.update(bad)
+        if raising and failed:
+            raise failed[min(failed)]
+        return (x.reshape(self.shape + (self.n1,)), iters.reshape(self.shape),
+                excess.reshape(self.shape))
 
 
 def mna_system(net: Netlist, t: float = 0.0, x: np.ndarray | None = None,
@@ -399,7 +551,7 @@ def dc_operating_point(net: Netlist, opts: SolveOptions | None = None) -> dict[s
     return {name: float(x[i]) for i, name in enumerate(ckt.node_names)}
 
 
-def _segment_times(ckt: _Circuit, analysis: Transient) -> tuple[list[float], list[float]]:
+def _segment_times(stimuli, analysis: Transient) -> tuple[list[float], list[float]]:
     """Time points from 0 to tstop and the steps between them.
 
     Breakpoints closer together than _MIN_SEPARATION * dt are merged first;
@@ -409,11 +561,11 @@ def _segment_times(ckt: _Circuit, analysis: Transient) -> tuple[list[float], lis
     dt = min(analysis.dt, tstop / 1000.0)
     if analysis.dtmax is not None:
         dt = min(dt, analysis.dtmax)
-    edges = [e for stim in ckt.stimuli if (e := stim.min_edge()) is not None]
+    edges = [e for stim in stimuli if (e := stim.min_edge()) is not None]
     if edges:
         dt = min(dt, min(edges) / 10.0)
     bps = {0.0, tstop}
-    for stim in ckt.stimuli:
+    for stim in stimuli:
         bps.update(stim.breakpoints(tstop))
     merged = [0.0]
     for t in sorted(bps)[1:]:
@@ -429,46 +581,104 @@ def _segment_times(ckt: _Circuit, analysis: Transient) -> tuple[list[float], lis
     return times, steps
 
 
+def _lockstep(nets: list[Netlist], times: list[float], steps: list[float],
+              opts: SolveOptions) -> tuple[list[WaveformSet], dict[int, Exception]]:
+    """Transients of netlists that share one time grid, in lockstep."""
+    ckt = _Circuit(nets, opts)
+    batch, nv = ckt.batch, ckt.nv
+    svals = ckt.source_values(times)
+    ca, cb, c = ckt.cap_a, ckt.cap_b, ckt.cap_c
+    # every accepted point of every member, written in place step by step;
+    # the waveforms are views into it
+    sol = np.empty((len(times), batch, ckt.n1))
+    excess = np.empty((batch, len(times)))
+    failed: dict[int, Exception] = {}
+    live = np.ones(batch, dtype=bool)
+
+    x, total, excess[:, 0] = ckt.solve_dc(svals[0], failed)
+    sol[0] = x
+    flat = x.reshape(-1)
+    cap_v, cap_i = flat[ca] - flat[cb], np.zeros(len(c))
+    for k in range(1, len(times)):
+        if failed:  # members after the lowest failed one no longer matter
+            live[min(failed):] = False
+            if not live.any():
+                break
+        geq, ihist = cap_companion(c, cap_v, cap_i, steps[k - 1], opts.integration)
+        iters, excess[:, k], bad = ckt.newton(
+            x, svals[k], ckt.linear_part(geq, ihist, 0.0), live, t=times[k])
+        failed.update(bad)
+        total += iters
+        cap_v = flat[ca] - flat[cb]
+        cap_i = geq * cap_v + ihist
+        sol[k] = x
+    if failed:
+        return [], failed
+
+    tarr = np.array(times)
+    wsets = []
+    for b in range(batch):
+        voltages = {name: Waveform(tarr, sol[:, b, i])
+                    for i, name in enumerate(ckt.node_names)}
+        currents = {d.name: Waveform(tarr, sol[:, b, nv + j])
+                    for j, d in enumerate(ckt.vsources)}
+        stats = RunStats(steps=len(times) - 1, newton_iterations=int(total[b]),
+                         kcl_excess=excess[b])
+        wsets.append(WaveformSet(times=tarr, voltages=voltages,
+                                 currents=currents, stats=stats))
+    return wsets, failed
+
+
+def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None = None,
+                    opts: SolveOptions | None = None) -> list[WaveformSet]:
+    """Fixed-step transients of several netlists, each from its t=0
+    operating point.
+
+    analyses[i] (default: the first .tran card of nets[i]) sets the time
+    grid of nets[i]; netlists with the same nodes, sources and grid run in
+    lockstep as one batch.  Every WaveformSet is bitwise the one the netlist
+    gives alone.  If any netlist fails, the error of the lowest-index one is
+    raised, with that index in its ``member``.
+    """
+    opts = opts or SolveOptions()
+    nets = list(nets)
+    analyses = [None] * len(nets) if analyses is None else list(analyses)
+    groups: dict[tuple, tuple[tuple, list[int]]] = {}
+    for b, (net, analysis) in enumerate(zip(nets, analyses, strict=True)):
+        if analysis is None:
+            trans = [a for a in net.analyses if isinstance(a, Transient)]
+            if not trans:
+                raise ValueError("netlist has no .tran analysis")
+            analysis = trans[0]
+        net.validate()
+        sources = _vsources(net)
+        grid = _segment_times([d.stimulus for d in sources], analysis)
+        key = (tuple(net.nodes), tuple(d.name for d in sources),
+               tuple(grid[0]), tuple(grid[1]))
+        groups.setdefault(key, (grid, []))[1].append(b)
+    wsets: list[WaveformSet] = [None] * len(nets)
+    first: tuple[int, Exception] | None = None
+    for (times, steps), members in groups.values():
+        out, failed = _lockstep([nets[b] for b in members], times, steps, opts)
+        if failed:
+            j = min(failed)
+            if first is None or members[j] < first[0]:
+                first = (members[j], failed[j])
+        for b, wset in zip(members, out):
+            wsets[b] = wset
+    if first is not None:
+        first[1].member = first[0]
+        raise first[1]
+    return wsets
+
+
 def transient(net: Netlist, analysis: Transient | None = None,
               opts: SolveOptions | None = None) -> WaveformSet:
-    """Fixed-step transient from the t=0 operating point.
+    """Fixed-step transient from the t=0 operating point: a batch of one.
 
     Stimulus breakpoints, merged where closer together than a millionth of
     the step, are forced onto the time grid; each segment between
     breakpoints is subdivided uniformly with steps no larger than the
     clamped dt.  Identical inputs produce bit-identical WaveformSets.
     """
-    opts = opts or SolveOptions()
-    if analysis is None:
-        trans = [a for a in net.analyses if isinstance(a, Transient)]
-        if not trans:
-            raise ValueError("netlist has no .tran analysis")
-        analysis = trans[0]
-    ckt = _Circuit(net, opts)
-    times, steps = _segment_times(ckt, analysis)
-    svals = ckt.source_values(times)
-    ca, cb, c = ckt.cap_a, ckt.cap_b, ckt.cap_c
-
-    x, total_iters, excess = ckt.solve_dc(svals[0])
-    cap_v, cap_i = x[ca] - x[cb], np.zeros(len(c))
-    solutions = [x]
-    excesses = [excess]
-    for t, h, sv in zip(times[1:], steps, svals[1:]):
-        geq, ihist = cap_companion(c, cap_v, cap_i, h, opts.integration)
-        x, iters, excess = ckt.newton(x, sv, geq, ihist, 0.0, t=t)
-        total_iters += iters
-        cap_v = x[ca] - x[cb]
-        cap_i = geq * cap_v + ihist
-        solutions.append(x)
-        excesses.append(excess)
-
-    tarr = np.array(times)
-    sol = np.array(solutions)
-    voltages = {name: Waveform(tarr, sol[:, i])
-                for i, name in enumerate(ckt.node_names)}
-    currents = {d.name: Waveform(tarr, sol[:, ckt.nv + j])
-                for j, d in enumerate(ckt.vsources)}
-    stats = RunStats(steps=len(times) - 1, newton_iterations=total_iters,
-                     kcl_excess=np.array(excesses))
-    return WaveformSet(times=tarr, voltages=voltages, currents=currents,
-                       stats=stats)
+    return transient_batch([net], [analysis], opts)[0]

@@ -6,9 +6,11 @@ byte deterministic, so reruns are compared as raw file contents.
 """
 
 import json
+import re
 
 import pytest
 
+from mvlsim import engine
 from mvlsim.cells import vlc_thresholds
 from mvlsim.cli import improvement_pct, main, resolve_tech
 from mvlsim.devices import preset
@@ -24,6 +26,11 @@ c1 out 0 1p
 .measure td delay v(in) v(out)
 .end
 """
+
+# the second exit-2 line: the failing run (batched commands) and the fields
+# of a ConvergenceError
+FAILED_RUN = re.compile(r"^error: run (\S+): t (dc|\S+ s), node '\w+', "
+                        r"KCL excess \S+ A, iteration (\d+)$", re.M)
 
 REPORT_KEYS = {"technology", "max_power", "avg_power", "rise_time",
                "fall_time", "prop_delay", "pdp", "edp"}
@@ -72,10 +79,11 @@ class TestRun:
     def test_missing_file_is_exit_3(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.sp")]) == 3
 
-    def test_solver_failure_is_exit_2(self, tmp_path):
+    def test_solver_failure_is_exit_2(self, tmp_path, capsys):
         src = tmp_path / "sing.sp"
         src.write_text("* s\nv1 a 0 dc 1\nv2 a 0 dc 2\nr1 a 0 1k\n.op\n.end\n")
         assert main(["run", str(src), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.endswith("\nerror: pivot 2\n")
 
     def test_unwritable_out_is_exit_3(self, tmp_path):
         src = tmp_path / "rc.sp"
@@ -198,6 +206,15 @@ class TestCompare:
             assert (tmp_path / f"decoder_{tech}.json").exists()
             assert (tmp_path / f"decoder_{tech}.csv").exists()
 
+    def test_solver_failure_names_the_card(self, tmp_path, capsys, monkeypatch):
+        solve_options = engine.SolveOptions
+        monkeypatch.setattr(engine, "SolveOptions",
+                            lambda: solve_options(max_newton_iters=3))
+        assert main(["compare", "--hold", "1e-9", "--out", str(tmp_path)]) == 2
+        match = FAILED_RUN.search(capsys.readouterr().err)
+        assert match and match[1] == "cmos32" and match[3] == "3"
+        assert not list(tmp_path.iterdir())
+
     def test_improvement_pct(self):
         assert improvement_pct(2.0, 1.0) == 50.0
         assert improvement_pct(1.0, 2.0) == -100.0
@@ -232,6 +249,16 @@ class TestSweep:
         for name, val in doc["measures"].items():
             if val is not None:
                 assert rows[name] == val
+
+    def test_solver_failure_names_the_value(self, tmp_path, capsys, monkeypatch):
+        solve_options = engine.SolveOptions
+        monkeypatch.setattr(engine, "SolveOptions",
+                            lambda: solve_options(max_newton_iters=3))
+        assert main(["sweep", "--param", "vdd", "--start", "1.2", "--stop",
+                     "1.0", "--count", "2", "--hold", "1e-9",
+                     "--out", str(tmp_path)]) == 2
+        match = FAILED_RUN.search(capsys.readouterr().err)
+        assert match and match[1] == "vdd=1.2"
 
     def test_unknown_param_is_exit_1(self, tmp_path):
         assert main(["sweep", "--param", "beta", "--start", "0", "--stop",

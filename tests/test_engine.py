@@ -27,6 +27,7 @@ from mvlsim.engine import (
     mna_system,
     solve_linear,
     transient,
+    transient_batch,
 )
 from mvlsim.mvl import LevelMap
 from mvlsim.netlist import Transient, parse
@@ -84,6 +85,50 @@ def gnrfet32_linearization():
     geq = ckt.cap_c / 1e-12
     ihist = rng.uniform(-1e-5, 1e-5, len(geq))
     return ckt, (x, svals, geq, ihist, 1e-9)
+
+
+def staircase(tech="cmos32", hold=1e-9, vdd=1.2, load=1e-15, vth_scale=1.0):
+    """The decoder staircase testbench as ``mvlsim sweep`` builds it."""
+    card = preset(tech)
+    card = dataclasses.replace(
+        card, nfet=dataclasses.replace(card.nfet, vth=card.nfet.vth * vth_scale),
+        pfet=dataclasses.replace(card.pfet, vth=card.pfet.vth * vth_scale))
+    spec = CellSpec(tech=card, levels=LevelMap(4, vdd), load=load)
+    return build_staircase_testbench(spec, hold=hold)
+
+
+def assert_same_run(a, b):
+    """Bitwise equal waveforms and solver statistics."""
+    assert np.array_equal(a.times, b.times)
+    assert list(a.voltages) == list(b.voltages)
+    assert list(a.currents) == list(b.currents)
+    for wa, wb in zip([*a.voltages.values(), *a.currents.values()],
+                      [*b.voltages.values(), *b.currents.values()]):
+        assert np.array_equal(wa.values, wb.values)
+    assert a.stats.steps == b.stats.steps
+    assert a.stats.newton_iterations == b.stats.newton_iterations
+    assert np.array_equal(a.stats.kcl_excess, b.stats.kcl_excess)
+
+
+def groups_run(monkeypatch):
+    """Record the member count of every lockstep group transient_batch runs."""
+    sizes = []
+    lockstep = engine._lockstep
+
+    def spy(nets, *args):
+        sizes.append(len(nets))
+        return lockstep(nets, *args)
+
+    monkeypatch.setattr(engine, "_lockstep", spy)
+    return sizes
+
+
+def step_at(early):
+    """RC driven by a 1 V step at 1 ns if early, else at 2 ns; both have the
+    same breakpoints and so the same time grid."""
+    v1, v2 = (1, 1) if early else (0, 1)
+    return parse(f"* step\nv1 in 0 pwl(0 0 1n 0 1.01n {v1} 2n {v1} 2.01n {v2} 3n {v2})\n"
+                 f"r1 in out 1k\nc1 out 0 1p\n.tran 10p 3n\n.end\n")
 
 
 def rc_exact(t, te=10e-12, tau=1e-9):
@@ -342,6 +387,57 @@ class TestTransient:
         assert len(lines) == len(ws.times) + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first == [0.0, 1.0, -1e-3]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("members", [
+        [{"load": 1e-15}, {"load": 3e-15}, {"load": 5e-15}],
+        [{"vdd": 1.0}, {"vdd": 1.2}],
+        [{"vth_scale": 0.9}, {"vth_scale": 1.1}],
+        [{"tech": "cmos32"}, {"tech": "gnrfet32"}],
+    ], ids=["load", "vdd", "vth_scale", "compare"])
+    def test_members_match_batches_of_one(self, members, monkeypatch):
+        nets = [staircase(**kw) for kw in members]
+        sizes = groups_run(monkeypatch)
+        batch = transient_batch(nets)
+        assert sizes == [len(nets)]
+        for net, wset in zip(nets, batch):
+            assert_same_run(wset, transient(net))
+
+    def test_hold_sweep_splits_by_time_grid(self, monkeypatch):
+        nets = [staircase(hold=h) for h in (1e-9, 1.5e-9, 1e-9)]
+        sizes = groups_run(monkeypatch)
+        batch = transient_batch(nets)
+        assert sizes == [2, 1]
+        for net, wset in zip(nets, batch):
+            assert_same_run(wset, transient(net))
+
+    def test_singular_member_reports_its_pivot(self):
+        good = "* pair\nv1 a 0 dc 1\nv2 b 0 dc 1\nr1 a 0 1k\nr2 b 0 1k\n.tran 1p 1n\n.end\n"
+        bad = "* pair\nv1 a b dc 1\nv2 b a dc 1\nr1 a 0 1k\nr2 b 0 1k\n.tran 1p 1n\n.end\n"
+        with pytest.raises(SingularMatrixError) as alone:
+            transient(parse(bad))
+        with pytest.raises(SingularMatrixError) as batched:
+            transient_batch([parse(good), parse(bad)])
+        assert batched.value.pivot == alone.value.pivot
+        assert (alone.value.member, batched.value.member) == (0, 1)
+
+    @pytest.mark.parametrize("order", [(False, True), (True, False)])
+    def test_lowest_index_failure_is_raised(self, order):
+        # with one Newton update allowed, a member fails at the first step
+        # of its input edge; member 0's failure is raised even when member
+        # 1 fails earlier in time
+        opts = SolveOptions(max_newton_iters=1)
+        nets = [step_at(early) for early in order]
+        with pytest.raises(ConvergenceError) as alone:
+            transient(nets[0], opts=opts)
+        with pytest.raises(ConvergenceError) as batched:
+            transient_batch(nets, opts=opts)
+        a, b = alone.value, batched.value
+        edge = 1e-9 if order[0] else 2e-9
+        assert b.member == 0 and edge < b.t < edge + 2e-11
+        assert (str(b), b.t, b.node, b.excess, b.iteration) == (
+            str(a), a.t, a.node, a.excess, a.iteration)
 
 
 class TestFetTransient:
