@@ -53,7 +53,21 @@ corners and PULSE edges; breakpoints closer together than a millionth of
 the step are merged.  The step is clamped to tstop/1000 and to a tenth of
 the shortest stimulus edge.  Every capacitor, the FETs' lumped cg and cd
 included, becomes a companion conductance/history-current pair; backward
-Euler is the default rule, trapezoidal is selectable.
+Euler is the default rule, trapezoidal is selectable.  The conductances and
+the Jacobian of the linear branches depend on the step alone and are built
+again only when it changes.
+
+Newton at each time point starts from a linear predictor through the last
+two accepted points (Nagel, SPICE2, UCB/ERL M520, 1975):
+
+    x0 = x[k-1] + (h[k] / h[k-1]) * (x[k-1] - x[k-2])
+
+with h[k] the step to point k; the first step after the DC point starts
+from the DC solution.  Where the waveform is locally linear the first
+update already meets the step test, so a step costs one solve, not two.
+The predictor is element-wise per member, so batching stays bitwise exact.
+Compared with the corrected solution, it is also the building block of a
+local truncation error estimate.
 """
 
 from __future__ import annotations
@@ -226,6 +240,9 @@ class RunStats:
     kcl_excess: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # kcl_excess[i] = max over nodes of (|residual| - reltol*scale) at point i;
     # every accepted point satisfies kcl_excess[i] <= abstol.
+    newton_per_point: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # Newton updates taken at point i (0: the DC solve); they sum to
+    # newton_iterations.
 
 
 @dataclass
@@ -262,6 +279,12 @@ def _column(rows, i, dtype=float) -> np.ndarray:
 
 def _vsources(net: Netlist) -> list:
     return [d for d in net.devices if d.kind == "vsource"]
+
+
+def _vlimit(svals: np.ndarray) -> np.ndarray:
+    """Newton's clip on node-voltage updates: twice the largest |source
+    value| of each member (source values on the last axis), at least 1 V."""
+    return np.maximum(1.0, 2.0 * np.maximum.reduce(np.abs(svals), axis=-1, initial=0.0))
 
 
 class _Circuit:
@@ -327,6 +350,7 @@ class _Circuit:
         self.g_gmin = np.full(len(gmins), gmin)
         self.n_shunt = len(shunts)
         lin = res + caps + gmins + shunts
+        self.n_lin = len(lin)
         la, lb = _column(lin, 0, idx), _column(lin, 1, idx)
         fd, fg, fs = (_column(fets, i, idx) for i in range(3))
         self.sign, self.vth, self.k, self.lam = (_column(fets, i)
@@ -360,19 +384,23 @@ class _Circuit:
                 vals[:, b, j] = [stim.value_at(t) for t in times]
         return vals.reshape((len(times),) + self.shape + vals.shape[2:])
 
-    def linear_part(self, geq, ihist, shunt):
-        """What stays fixed over one solve: the linear-branch conductances,
-        their offset currents and the flat Jacobian of the linear branches
-        and the sources.  geq and ihist are the capacitor companions (zeros
-        for DC), shunt the gmin-stepping conductance from every node to
-        ground."""
+    def linear_part(self, geq, shunt):
+        """What stays fixed while the step size does: the linear-branch
+        conductances and the flat Jacobian of the linear branches and the
+        sources.  geq are the capacitor companion conductances (zeros for
+        DC), shunt the gmin-stepping conductance from every node to ground."""
         g = np.concatenate((self.g_res, geq, self.g_gmin,
                             np.full(self.n_shunt, shunt)))
-        i0 = np.zeros(len(g))
-        i0[self.cap_branches] = ihist
         jac = np.bincount(self.flat_lin, np.concatenate((g, -g, -g, g, self.src_w)),
                           minlength=self.batch * self.n1 ** 2)
-        return g, i0, jac
+        return g, jac
+
+    def offsets(self, ihist):
+        """The linear branches' offset currents i0: the capacitor history
+        currents ihist, zero elsewhere."""
+        i0 = np.zeros(self.n_lin)
+        i0[self.cap_branches] = ihist
+        return i0
 
     def residual(self, x, lin, svals):
         """KCL residual F (batch x n) and per-node current scale (batch x nv)
@@ -382,7 +410,7 @@ class _Circuit:
         hold the source constraints.
         """
         n, nv, n1 = self.n, self.nv, self.n1
-        g, i0, _jac = lin
+        g, _jac, i0 = lin
         xg = x.reshape(-1)[self.gather]
         va, vb, vg, vd, vs, i_src, vp, vm = (xg[p] for p in self.parts)
         s = self.sign
@@ -399,7 +427,7 @@ class _Circuit:
     def jacobian(self, lin, gm, gds):
         """dF/dx, batch x n x n: linear_part's Jacobian plus the FETs'."""
         gms = gm + gds
-        jac = lin[2].copy()
+        jac = lin[1].copy()
         np.add.at(jac, self.flat_fet,
                   np.concatenate((gm, gds, -gms, -gm, -gds, gms)))
         return jac.reshape(-1, self.n1, self.n1)[:, :self.n, :self.n]
@@ -407,10 +435,10 @@ class _Circuit:
     def linearize(self, x, svals, geq, ihist, shunt):
         """KCL residual F, per-node current scale and Jacobian dF/dx at x.
 
-        x carries the ground 0 at index n; geq, ihist and shunt are as in
-        linear_part.
+        x carries the ground 0 at index n; geq and shunt are as in
+        linear_part, ihist as in offsets.
         """
-        lin = self.linear_part(geq, ihist, shunt)
+        lin = (*self.linear_part(geq, shunt), self.offsets(ihist))
         f, scale, gm, gds = self.residual(np.reshape(x, (self.batch, self.n1)),
                                           lin, np.reshape(svals, (self.batch, -1)))
         jac = self.jacobian(lin, gm, gds)
@@ -418,13 +446,15 @@ class _Circuit:
                 scale.reshape(self.shape + scale.shape[1:]),
                 jac.reshape(self.shape + jac.shape[1:]))
 
-    def newton(self, x, svals, lin, live, t=None, label=""):
+    def newton(self, x, svals, vlimit, lin, live, t=None, label=""):
         """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
         criterion for the members where live is True.
 
-        x (batch x n+1) is updated in place; svals holds each member's source
-        values and lin comes from linear_part.  t is the time point, None
-        for a DC solve; label (DC only) names the solve in error messages.
+        x (batch x n+1) holds the initial guess and is updated in place;
+        svals holds each member's source values and vlimit their _vlimit;
+        lin is linear_part's (g, jac) followed by offsets' i0.  t is the
+        time point, None for a DC solve; label (DC only) names the solve in
+        error messages.
         Returns each member's Newton update count and KCL excess at its
         solution and the error of each member that failed.
         """
@@ -432,8 +462,6 @@ class _Circuit:
         n, nv = self.n, self.nv
         batch = self.batch
         members = live.nonzero()[0]
-        vlimit = np.maximum(1.0, 2.0 * np.maximum.reduce(np.abs(svals), axis=1,
-                                                         initial=0.0))
         iters = np.zeros(batch, dtype=int)
         excess = np.zeros(batch)
         last_dx = np.full(batch, math.inf)
@@ -498,9 +526,11 @@ class _Circuit:
         raising = failed is None
         failed = {} if raising else failed
         svals = np.reshape(svals, (self.batch, -1))
-        zeros = np.zeros(len(self.cap_c))
+        vlimit = _vlimit(svals)
+        geq, i0 = np.zeros(len(self.cap_c)), np.zeros(self.n_lin)
         x = np.zeros((self.batch, self.n1))
-        iters, excess, bad = self.newton(x, svals, self.linear_part(zeros, zeros, 0.0),
+        iters, excess, bad = self.newton(x, svals, vlimit,
+                                         (*self.linear_part(geq, 0.0), i0),
                                          np.ones(self.batch, dtype=bool), label=" (dc)")
         if bad and opts.enable_gmin:
             retry = np.zeros(self.batch, dtype=bool)
@@ -510,7 +540,7 @@ class _Circuit:
             for s in range(opts.gmin_steps + 1):
                 shunt = opts.gmin * 10.0 ** (opts.gmin_steps - s)
                 it, exc, step_bad = self.newton(
-                    x, svals, self.linear_part(zeros, zeros, shunt), retry,
+                    x, svals, vlimit, (*self.linear_part(geq, shunt), i0), retry,
                     label=f" (gmin step {s})")
                 bad.update(step_bad)
                 retry[list(step_bad)] = False
@@ -587,28 +617,36 @@ def _lockstep(nets: list[Netlist], times: list[float], steps: list[float],
     ckt = _Circuit(nets, opts)
     batch, nv = ckt.batch, ckt.nv
     svals = ckt.source_values(times)
+    vlimits = _vlimit(svals)
     ca, cb, c = ckt.cap_a, ckt.cap_b, ckt.cap_c
     # every accepted point of every member, written in place step by step;
     # the waveforms are views into it
     sol = np.empty((len(times), batch, ckt.n1))
     excess = np.empty((batch, len(times)))
+    iters = np.empty((batch, len(times)), dtype=int)
     failed: dict[int, Exception] = {}
     live = np.ones(batch, dtype=bool)
 
-    x, total, excess[:, 0] = ckt.solve_dc(svals[0], failed)
+    x, iters[:, 0], excess[:, 0] = ckt.solve_dc(svals[0], failed)
     sol[0] = x
     flat = x.reshape(-1)
     cap_v, cap_i = flat[ca] - flat[cb], np.zeros(len(c))
+    h_lin = None
     for k in range(1, len(times)):
         if failed:  # members after the lowest failed one no longer matter
             live[min(failed):] = False
             if not live.any():
                 break
-        geq, ihist = cap_companion(c, cap_v, cap_i, steps[k - 1], opts.integration)
-        iters, excess[:, k], bad = ckt.newton(
-            x, svals[k], ckt.linear_part(geq, ihist, 0.0), live, t=times[k])
+        if k > 1:  # predictor: the line through the last two accepted points
+            last, prev = sol[k - 1, live], sol[k - 2, live]
+            x[live] = last + (steps[k - 1] / steps[k - 2]) * (last - prev)
+        h = steps[k - 1]
+        geq, ihist = cap_companion(c, cap_v, cap_i, h, opts.integration)
+        if h != h_lin:  # geq, and so g and the linear Jacobian, depend on h alone
+            h_lin, (g, jac) = h, ckt.linear_part(geq, 0.0)
+        iters[:, k], excess[:, k], bad = ckt.newton(
+            x, svals[k], vlimits[k], (g, jac, ckt.offsets(ihist)), live, t=times[k])
         failed.update(bad)
-        total += iters
         cap_v = flat[ca] - flat[cb]
         cap_i = geq * cap_v + ihist
         sol[k] = x
@@ -622,8 +660,8 @@ def _lockstep(nets: list[Netlist], times: list[float], steps: list[float],
                     for i, name in enumerate(ckt.node_names)}
         currents = {d.name: Waveform(tarr, sol[:, b, nv + j])
                     for j, d in enumerate(ckt.vsources)}
-        stats = RunStats(steps=len(times) - 1, newton_iterations=int(total[b]),
-                         kcl_excess=excess[b])
+        stats = RunStats(steps=len(times) - 1, newton_iterations=int(iters[b].sum()),
+                         kcl_excess=excess[b], newton_per_point=iters[b])
         wsets.append(WaveformSet(times=tarr, voltages=voltages,
                                  currents=currents, stats=stats))
     return wsets, failed

@@ -33,6 +33,7 @@ leading ``*`` line.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
@@ -100,6 +101,7 @@ class DcStimulus:
 @dataclass(frozen=True)
 class PwlStimulus:
     points: tuple[tuple[float, float], ...]
+    times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) < 1:
@@ -109,15 +111,17 @@ class PwlStimulus:
         for (t0, _), (t1, _) in zip(self.points, self.points[1:]):
             if not t1 > t0:
                 raise ValueError("PWL times must be strictly increasing")
+        object.__setattr__(self, "times", tuple(t for t, _ in self.points))
 
     def value_at(self, t: float) -> float:
         pts = self.points
-        if t <= pts[0][0]:
+        i = bisect.bisect_left(self.times, t)  # the first corner at or after t
+        if i == 0:
             return pts[0][1]
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return pts[-1][1]
+        if i == len(pts):
+            return pts[-1][1]
+        (t0, v0), (t1, v1) = pts[i - 1], pts[i]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     def breakpoints(self, tstop: float) -> tuple[float, ...]:
         return tuple(t for t, _ in self.points if 0.0 < t < tstop)

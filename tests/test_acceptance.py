@@ -110,7 +110,7 @@ def test_c3_technology_comparison(characterization):
 # Steps and Newton iterations of the default decoder runs.  A change that
 # only makes each iteration cheaper leaves them as they are; a change to
 # time stepping or convergence control updates them on purpose.
-NEWTON_WORK = {"cmos32": (2000, 3805), "gnrfet32": (2000, 2407)}
+NEWTON_WORK = {"cmos32": (2000, 2685), "gnrfet32": (2000, 2212)}
 
 
 def test_newton_work_pinned(characterization):

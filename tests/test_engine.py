@@ -108,6 +108,7 @@ def assert_same_run(a, b):
     assert a.stats.steps == b.stats.steps
     assert a.stats.newton_iterations == b.stats.newton_iterations
     assert np.array_equal(a.stats.kcl_excess, b.stats.kcl_excess)
+    assert np.array_equal(a.stats.newton_per_point, b.stats.newton_per_point)
 
 
 def groups_run(monkeypatch):
@@ -338,6 +339,18 @@ class TestTransient:
         assert np.max(ws.stats.kcl_excess) <= opts.abstol
         assert ws.stats.steps == len(ws.times) - 1
         assert ws.stats.newton_iterations >= ws.stats.steps
+
+    def test_ramp_takes_one_newton_update_per_step(self):
+        # on a ramp the line through the last two points is the next point,
+        # so the first update already meets both tests; started from the
+        # previous point, each 0.5-1 mV move costs a second update
+        net = parse("* ramp\nv1 a 0 pwl(0 0 1n 1)\nr1 a b 1k\nr2 b 0 1k\n"
+                    ".tran 1p 1n\n.end\n")
+        stats = transient(net).stats
+        per = stats.newton_per_point
+        assert len(per) == stats.steps + 1 == 1001
+        assert per.sum() == stats.newton_iterations
+        assert per[1] == 2 and np.all(per[2:] == 1)
 
     def test_convergence_error_carries_time_point(self):
         with pytest.raises(ConvergenceError) as ei:

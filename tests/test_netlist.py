@@ -83,6 +83,25 @@ class TestStimuli:
         s = PwlStimulus(((1.0, 3.0), (2.0, 5.0)))
         assert s.value_at(0.0) == 3.0
 
+    def test_pwl_bisection_matches_linear_scan(self):
+        def scan(pts, t):  # reference: the first corner at or after t
+            if t <= pts[0][0]:
+                return pts[0][1]
+            for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+                if t <= t1:
+                    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+            return pts[-1][1]
+
+        rng = random.Random(7)
+        times = sorted(rng.sample(range(1, 10**6), 200))
+        pts = tuple((t * 1e-15, rng.uniform(-1.5, 1.5)) for t in times)
+        probes = ([0.0, pts[0][0] * 0.5, pts[-1][0] * 2.0]
+                  + [t for t, _ in pts]
+                  + [rng.uniform(pts[0][0], pts[-1][0]) for _ in range(500)])
+        for stim in (PwlStimulus(pts), PwlStimulus(pts[:1]), PwlStimulus(pts[:2])):
+            for t in probes:
+                assert stim.value_at(t) == scan(stim.points, t)
+
     def test_pwl_breakpoints_interior_only(self):
         s = PwlStimulus(((0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.0)))
         assert s.breakpoints(2.5) == (1.0, 2.0)
