@@ -3,8 +3,10 @@
 The package bundles a small SPICE-like netlist dialect, a nonlinear
 DC / transient solver built on modified nodal analysis, a square-law
 FET model with two built-in technology cards, multi-valued-logic
-helpers, and generators for the voltage-level-converter, XOR, and
-quaternary-decoder cells the simulator is meant to characterize.
+helpers, generators for the voltage-level-converter, XOR, and
+quaternary-decoder cells the simulator is meant to characterize, and the
+characterization runs of the decoder (``mvlsim.characterize``).  The
+command-line front end, ``mvlsim.cli``, is not imported here.
 """
 
 from .cells import (
@@ -19,7 +21,7 @@ from .cells import (
     vlc_thresholds,
     with_dc_input,
 )
-from .cli import (
+from .characterize import (
     DecoderRun,
     RunConfig,
     improvement_pct,
@@ -31,20 +33,16 @@ from .devices import (
     FetModelCard,
     TechnologyCard,
     cap_companion,
-    fet_eval,
     preset,
     preset_names,
 )
 from .engine import (
     ConvergenceError,
-    MnaSystem,
     RunStats,
     SingularMatrixError,
     SolveOptions,
     WaveformSet,
     dc_operating_point,
-    mna_system,
-    solve_linear,
     transient,
     transient_batch,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "MeasureDirective",
     "MeasureError",
     "MeasureReport",
-    "MnaSystem",
     "Netlist",
     "NetlistError",
     "OperatingPoint",
@@ -120,13 +117,11 @@ __all__ = [
     "dc_operating_point",
     "emit",
     "fall_time",
-    "fet_eval",
     "figures",
     "gate_level_decode",
     "ideal_decode",
     "ideal_vlc",
     "improvement_pct",
-    "mna_system",
     "parse",
     "parse_value",
     "preset",
@@ -138,7 +133,6 @@ __all__ = [
     "rise_time",
     "run_decoder",
     "run_decoders",
-    "solve_linear",
     "staircase_points",
     "staircase_sample_times",
     "supply_power",

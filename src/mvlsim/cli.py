@@ -25,21 +25,25 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cells import (
-    CellSpec,
-    build_decoder,
-    build_inverter,
-    build_staircase_testbench,
-    build_vlc,
-    build_xor2,
-    staircase_sample_times,
+from .characterize import (
+    CELL_NAMES,
+    SWEEP_PARAMS,
+    DecoderRun,
+    RunConfig,
+    assemble_report,
+    build_cell,
+    evaluate_measures,
+    improvement_pct,
+    resolve_tech,
+    run_decoder,
+    run_decoders,
+    sweep_configs,
 )
-from .devices import TechnologyCard, preset, preset_names
+from .devices import preset_names
 from .engine import (
     ConvergenceError,
     SingularMatrixError,
@@ -47,32 +51,9 @@ from .engine import (
     WaveformSet,
     dc_operating_point,
     transient,
-    transient_batch,
 )
-from .measure import (
-    MeasureError,
-    MeasureReport,
-    Waveform,
-    fall_time,
-    figures,
-    prop_delay,
-    report_table,
-    rise_time,
-    supply_power,
-)
-from .mvl import Digit, LevelMap, ideal_decode, quantize
-from .netlist import (
-    Device,
-    MeasureDirective,
-    Netlist,
-    NetlistError,
-    OperatingPoint,
-    Transient,
-    device_line,
-    emit,
-    model_line,
-    parse,
-)
+from .measure import MeasureReport, report_table
+from .netlist import NetlistError, OperatingPoint, emit, model_line, parse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,125 +62,6 @@ EXIT_IO = 3
 EXIT_LOGIC = 4
 
 _FORMATS = ("table", "json", "csv")
-
-_SWEEP_PARAMS = ("vdd", "load", "hold", "vth_scale")
-
-_CELL_NAMES = ("vlc1", "vlc2", "vlc3", "inverter", "xor2", "decoder",
-               "testbench")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by the decoder-style subcommands."""
-
-    tech: str = "cmos32"
-    vdd: float = 1.2
-    hold: float = 5e-9
-    slew: float = 1e-10
-    load: float = 1e-15
-    dt: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.vdd <= 0.0:
-            raise ValueError("vdd must be positive")
-        if self.slew <= 0.0 or self.hold <= self.slew:
-            raise ValueError("need hold > slew > 0")
-        if self.load < 0.0:
-            raise ValueError("load must be >= 0")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-
-
-def resolve_tech(name: str) -> TechnologyCard:
-    """A built-in preset name, or a path to a file of two .model lines."""
-    if name in preset_names():
-        return preset(name)
-    path = Path(name)
-    if not path.exists():
-        raise ValueError(
-            f"unknown technology {name!r}: not a preset "
-            f"({', '.join(preset_names())}) and not a file"
-        )
-    net = parse(path.read_text())
-    nfets = [c for c in net.models.values() if c.polarity == "n"]
-    pfets = [c for c in net.models.values() if c.polarity == "p"]
-    if len(nfets) != 1 or len(pfets) != 1:
-        raise ValueError(
-            f"technology file {name!r} must define exactly one NFET "
-            f"and one PFET model"
-        )
-    return TechnologyCard(name=path.stem, nfet=nfets[0], pfet=pfets[0])
-
-
-def _node_waveform(wset: WaveformSet, node: str) -> Waveform:
-    if node == "0":
-        return Waveform(wset.times, np.zeros_like(wset.times))
-    return wset.voltage(node)
-
-
-def evaluate_measures(net: Netlist, wset: WaveformSet) -> dict[str, float | None]:
-    """Evaluate every .measure directive; unmeasurable ones map to None."""
-    out: dict[str, float | None] = {}
-    for m in net.measures:
-        try:
-            out[m.name] = _evaluate_one(net, wset, m)
-        except MeasureError:
-            out[m.name] = None
-    return out
-
-
-def _evaluate_one(net: Netlist, wset: WaveformSet, m: MeasureDirective) -> float:
-    if m.kind in ("rise", "fall"):
-        wf = _node_waveform(wset, m.targets[0])
-        lo = float(np.min(wf.values))
-        hi = float(np.max(wf.values))
-        if hi <= lo:
-            raise MeasureError(f"{m.name}: waveform has no swing")
-        if m.kind == "rise":
-            return rise_time(wf, lo, hi)
-        return fall_time(wf, lo, hi)
-    if m.kind == "delay":
-        win = _node_waveform(wset, m.targets[0])
-        wout = _node_waveform(wset, m.targets[1])
-        mid_in = 0.5 * (float(np.min(win.values)) + float(np.max(win.values)))
-        mid_out = 0.5 * (float(np.min(wout.values)) + float(np.max(wout.values)))
-        return prop_delay(win, wout, mid_in, mid_out)
-    # avgpower / peakpower measure the power delivered by a voltage source
-    src = net.device(m.targets[0])
-    v_wf = Waveform(
-        wset.times,
-        _node_waveform(wset, src.terminals[0]).values
-        - _node_waveform(wset, src.terminals[1]).values,
-    )
-    i_wf = wset.current(src.name)
-    avg, peak = supply_power(v_wf, i_wf)
-    return avg if m.kind == "avgpower" else peak
-
-
-def assemble_report(
-    label: str,
-    directives: tuple[MeasureDirective, ...],
-    results: dict[str, float | None],
-) -> MeasureReport | None:
-    """Worst case per measure kind; None unless every kind is represented."""
-    worst: dict[str, float] = {}
-    for m in directives:
-        val = results.get(m.name)
-        if val is None:
-            continue
-        if m.kind not in worst or val > worst[m.kind]:
-            worst[m.kind] = val
-    needed = ("rise", "fall", "delay", "avgpower", "peakpower")
-    if any(k not in worst for k in needed):
-        return None
-    return figures(
-        technology=label,
-        max_power=worst["peakpower"],
-        avg_power=worst["avgpower"],
-        rise=worst["rise"],
-        fall=worst["fall"],
-        delay=worst["delay"],
-    )
 
 
 def _report_dict(report: MeasureReport | None) -> dict[str, float | str] | None:
@@ -230,84 +92,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # decoder artifacts shared by decoder / compare / sweep
 
 
-@dataclass
-class DecoderRun:
-    tech: TechnologyCard
-    net: Netlist
-    wset: WaveformSet
-    observed: list[tuple[int | None, int | None]]
-    expected: list[tuple[int, int]]
-    logic_ok: bool
-    measures: dict[str, float | None]
-    report: MeasureReport | None
-    stimulus: str
-
-    @property
-    def doc(self) -> dict:
-        return {
-            "technology": self.tech.name,
-            "logic_ok": self.logic_ok,
-            "expected": [list(pair) for pair in self.expected],
-            "observed": [list(pair) for pair in self.observed],
-            "measures": self.measures,
-            "report": _report_dict(self.report),
-            "stimulus": self.stimulus,
-            "stimulus_sha256": hashlib.sha256(self.stimulus.encode()).hexdigest(),
-        }
-
-
-def run_decoders(cfgs: list[RunConfig],
-                 techs: list[TechnologyCard] | None = None) -> list[DecoderRun]:
-    """Decoder staircase runs of several configs, simulated as one batch.
-
-    techs, if given, replaces the cards the cfgs name.  A solver error
-    names the failing run by its index in ``member``.
-    """
-    techs = techs or [resolve_tech(cfg.tech) for cfg in cfgs]
-    nets = []
-    for cfg, tech in zip(cfgs, techs, strict=True):
-        spec = CellSpec(tech=tech, levels=LevelMap(4, cfg.vdd), load=cfg.load)
-        net = build_staircase_testbench(spec, hold=cfg.hold, slew=cfg.slew)
-        if cfg.dt is not None:
-            net = dataclasses.replace(
-                net,
-                analyses=[
-                    dataclasses.replace(a, dt=cfg.dt) if isinstance(a, Transient) else a
-                    for a in net.analyses
-                ],
-            )
-        nets.append(net)
-    wsets = transient_batch(nets)
-    return [_decoder_run(*args) for args in zip(cfgs, techs, nets, wsets)]
-
-
-def run_decoder(cfg: RunConfig, tech: TechnologyCard | None = None) -> DecoderRun:
-    return run_decoders([cfg], None if tech is None else [tech])[0]
-
-
-def _decoder_run(cfg: RunConfig, tech: TechnologyCard, net: Netlist,
-                 wset: WaveformSet) -> DecoderRun:
-    levels = LevelMap(4, cfg.vdd)
-    sample_times = staircase_sample_times(levels, hold=cfg.hold, slew=cfg.slew)
-    bits = LevelMap(2, cfg.vdd)
-    b1 = quantize(wset.voltage("b1"), bits, sample_times)
-    b0 = quantize(wset.voltage("b0"), bits, sample_times)
-    observed = list(zip(b1, b0))
-    expected = [ideal_decode(Digit(x, 4)) for x in range(4)]
-    logic_ok = observed == expected
-    results = evaluate_measures(net, wset)
-    report = assemble_report(tech.name, net.measures, results)
-    return DecoderRun(
-        tech=tech,
-        net=net,
-        wset=wset,
-        observed=observed,
-        expected=expected,
-        logic_ok=logic_ok,
-        measures=results,
-        report=report,
-        stimulus=device_line(net.device("vin")),
-    )
+def _run_doc(run: DecoderRun) -> dict:
+    return {
+        "technology": run.tech.name,
+        "logic_ok": run.logic_ok,
+        "expected": [list(pair) for pair in run.expected],
+        "observed": [list(pair) for pair in run.observed],
+        "measures": run.measures,
+        "report": _report_dict(run.report),
+        "stimulus": run.stimulus,
+        "stimulus_sha256": hashlib.sha256(run.stimulus.encode()).hexdigest(),
+    }
 
 
 def _config_doc(cfg: RunConfig) -> dict:
@@ -323,7 +118,7 @@ def _config_doc(cfg: RunConfig) -> dict:
 
 def _write_decoder_artifacts(outdir: Path, cfg: RunConfig, run: DecoderRun) -> None:
     doc = {"command": "decoder", "config": _config_doc(cfg)}
-    doc.update(run.doc)
+    doc.update(_run_doc(run))
     _write_text(outdir / f"decoder_{run.tech.name}.json", _json_text(doc))
     _write_text(outdir / f"decoder_{run.tech.name}.csv", run.wset.to_csv())
 
@@ -340,7 +135,7 @@ def _print_decoder(run: DecoderRun, formats: tuple[str, ...]) -> None:
                 print(f"{name} = {run.measures[name]}")
     if "json" in formats:
         doc = {"command": "decoder"}
-        doc.update(run.doc)
+        doc.update(_run_doc(run))
         sys.stdout.write(_json_text(doc))
     if "csv" in formats:
         sys.stdout.write(run.wset.to_csv())
@@ -406,26 +201,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_cell(name: str, spec: CellSpec, hold: float, slew: float) -> Netlist:
-    """One generated cell by CLI name; vlc indices are 1-based here."""
-    if name.startswith("vlc"):
-        return build_vlc(int(name[3:]) - 1, spec)
-    if name == "inverter":
-        return build_inverter(spec)
-    if name == "xor2":
-        return build_xor2(spec)
-    if name == "decoder":
-        return build_decoder(spec)
-    if name == "testbench":
-        return build_staircase_testbench(spec, hold=hold, slew=slew)
-    raise ValueError(f"unknown cell {name!r}; one of: {', '.join(_CELL_NAMES)}")
-
-
 def cmd_cell(args: argparse.Namespace) -> int:
     cfg = _cfg_from_args(args)
     tech = resolve_tech(cfg.tech)
-    spec = CellSpec(tech=tech, levels=LevelMap(4, cfg.vdd), load=cfg.load)
-    text = emit(build_cell(args.cell, spec, cfg.hold, cfg.slew))
+    text = emit(build_cell(args.cell, cfg, tech))
     _write_text(_out_dir(args) / f"{args.cell}_{tech.name}.sp", text)
     sys.stdout.write(text)
     return EXIT_OK
@@ -437,13 +216,6 @@ def cmd_decoder(args: argparse.Namespace) -> int:
     _write_decoder_artifacts(_out_dir(args), cfg, run)
     _print_decoder(run, tuple(args.format))
     return EXIT_OK if run.logic_ok else EXIT_LOGIC
-
-
-def improvement_pct(reference: float, other: float) -> float:
-    """Reduction of ``other`` relative to ``reference``, in percent."""
-    if reference == 0.0:
-        raise ValueError("reference figure is zero")
-    return (reference - other) / reference * 100.0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -472,7 +244,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     doc = {
         "command": "compare",
         "config": _config_doc(base),
-        "runs": {name: runs[name].doc for name in runs},
+        "runs": {name: _run_doc(runs[name]) for name in runs},
         "improvements_pct": improvements,
         "stimulus_sha256": hashlib.sha256(cm.stimulus.encode()).hexdigest(),
     }
@@ -493,31 +265,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_tech(cfg: RunConfig, param: str, value: float) -> TechnologyCard:
-    tech = resolve_tech(cfg.tech)
-    if param != "vth_scale":
-        return tech
-    return TechnologyCard(
-        name=tech.name,
-        nfet=dataclasses.replace(tech.nfet, vth=tech.nfet.vth * value),
-        pfet=dataclasses.replace(tech.pfet, vth=tech.pfet.vth * value),
-        note=tech.note,
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.param not in _SWEEP_PARAMS:
-        raise ValueError(
-            f"unknown sweep parameter {args.param!r}; "
-            f"choose from {', '.join(_SWEEP_PARAMS)}"
-        )
     if args.count < 1:
         raise ValueError("count must be >= 1")
-    base = _cfg_from_args(args)
     values = [float(v) for v in np.linspace(args.start, args.stop, args.count)]
-    cfgs = [dataclasses.replace(base, **{args.param: value})
-            if args.param in ("vdd", "load", "hold") else base for value in values]
-    techs = [_sweep_tech(cfg, args.param, value) for cfg, value in zip(cfgs, values)]
+    cfgs, techs = sweep_configs(_cfg_from_args(args), args.param, values)
     try:
         batch = run_decoders(cfgs, techs)
     except (ConvergenceError, SingularMatrixError) as exc:
@@ -608,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_cel = sub.add_parser("cell", help="emit a generated cell netlist")
-    p_cel.add_argument("cell", choices=_CELL_NAMES)
+    p_cel.add_argument("cell", choices=CELL_NAMES)
     _add_common(p_cel)
     p_cel.set_defaults(func=cmd_cell)
 
@@ -623,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="step one decoder parameter")
     p_swp.add_argument("--param", required=True,
-                       help=f"one of: {', '.join(_SWEEP_PARAMS)}")
+                       help=f"one of: {', '.join(SWEEP_PARAMS)}")
     p_swp.add_argument("--start", type=float, required=True)
     p_swp.add_argument("--stop", type=float, required=True)
     p_swp.add_argument("--count", type=int, required=True)

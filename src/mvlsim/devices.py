@@ -3,12 +3,12 @@
 The FET model is a symmetric SPICE level-1 square law.  A model card carries
 a signed threshold voltage, a transconductance factor k (A/V^2), a
 channel-length modulation term lambda (1/V) and two lumped capacitances:
-cg from gate to source and cd from drain to ground.  P-channel devices are
-evaluated by sign symmetry: flip the terminal voltages, evaluate the
-N-channel twin, flip the current.  For vds < 0 the drain and source roles
-swap, which keeps the current continuous through vds = 0.  One
-implementation, ``square_law``, serves single devices and the engine's
-element-wise pass over every FET of a circuit.
+cg from gate to source and cd from drain to ground.  ``square_law`` is the
+N-channel law, element-wise over every FET of a circuit; for vds < 0 the
+drain and source roles swap, which keeps the current continuous through
+vds = 0.  The engine evaluates P-channel devices by sign symmetry: flip the
+terminal voltages and the threshold, evaluate the N-channel law, flip the
+current.
 
 No minimum off-conductance is added here; the solver applies gmin shunts
 externally (see engine.SolveOptions).
@@ -76,19 +76,6 @@ def square_law(vth, k, lam, vgs, vds):
     gm = k * ve * cl
     gds = k * (vov - ve) * cl + kq * lam
     return np.where(rev, -i, i), np.where(rev, -gm, gm), np.where(rev, gm + gds, gds)
-
-
-def fet_eval(card: FetModelCard, vgs, vds):
-    """Evaluate a FET card at (vgs, vds), scalars or arrays.
-
-    The square law of the N-channel twin, by sign symmetry for P devices.
-    Returns (id, gm, gds) as in ``square_law``; numpy scalars for scalar
-    inputs.  The model is C1-continuous across the region boundaries.
-    """
-    s = 1.0 if card.polarity == "n" else -1.0
-    i, gm, gds = square_law(s * card.vth, card.k, card.lam,
-                            s * np.asarray(vgs), s * np.asarray(vds))
-    return (s * i)[()], gm[()], gds[()]
 
 
 def cap_companion(c, v_prev, i_prev, dt: float, rule: str):

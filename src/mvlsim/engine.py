@@ -9,7 +9,7 @@ into index arrays over three kinds of branch:
     node (so that fully cut-off stacks keep a DC path to ground) and the
     gmin-stepping shunts from every node to ground;
   * FET branches drain -> source, all evaluated by one element-wise
-    square-law pass (devices.square_law);
+    square-law pass (devices.square_law), P devices by sign symmetry;
   * voltage-source branches, whose currents are unknowns.
 
 Ground is index n, one past the last unknown: every solution vector carries
@@ -117,7 +117,6 @@ class SolveOptions:
     gmin: float = 1e-12         # S
     gmin_steps: int = 10
     integration: str = "backward_euler"  # or "trapezoidal"
-    enable_gmin: bool = True
 
     def __post_init__(self):
         for name in ("abstol", "reltol", "vtol", "gmin"):
@@ -127,17 +126,6 @@ class SolveOptions:
             raise ValueError("iteration counts must be >= 1")
         if self.integration not in ("backward_euler", "trapezoidal"):
             raise ValueError(f"unknown integration rule {self.integration!r}")
-
-
-@dataclass
-class MnaSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-    index: dict[str, int]  # unknown name -> row; nodes then "i(<source>)"
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rhs)
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,21 +206,6 @@ def _solve(a: np.ndarray, b: np.ndarray,
     return x, errors
 
 
-def solve_linear(system: MnaSystem) -> np.ndarray:
-    """Solve system.matrix @ x = system.rhs.
-
-    LAPACK solves; singular and near-singular systems go to a dense LU with
-    partial pivoting, which raises SingularMatrixError naming the pivot.
-    """
-    n = len(system.rhs)
-    x, errors = _solve(np.asarray(system.matrix, dtype=float)[None],
-                       np.asarray(system.rhs, dtype=float)[None],
-                       _probe_rhs(1, n))
-    if errors:
-        raise errors[0]
-    return x[0]
-
-
 @dataclass
 class RunStats:
     steps: int = 0
@@ -241,8 +214,8 @@ class RunStats:
     # kcl_excess[i] = max over nodes of (|residual| - reltol*scale) at point i;
     # every accepted point satisfies kcl_excess[i] <= abstol.
     newton_per_point: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    # Newton updates taken at point i (0: the DC solve); they sum to
-    # newton_iterations.
+    # Newton updates taken at point i (0: the DC solve, with a failed plain
+    # solve and every gmin step); they sum to newton_iterations.
 
 
 @dataclass
@@ -292,16 +265,11 @@ class _Circuit:
     index arrays over one flat unknown vector.
 
     Member b's unknowns sit at b*(n+1) .. b*(n+1) + n-1 and its ground at
-    b*(n+1) + n.  Compiled from one Netlist, the circuit has no batch axis:
-    linearize, solve_dc and source_values take and return the arrays of a
-    single circuit.  Compiled from a list, every such array gains a leading
-    batch axis.
+    b*(n+1) + n.  A single circuit is a batch of one.
     """
 
-    def __init__(self, nets: Netlist | list[Netlist], opts: SolveOptions):
+    def __init__(self, nets: list[Netlist], opts: SolveOptions):
         self.opts = opts
-        self.shape = () if isinstance(nets, Netlist) else (len(nets),)
-        nets = [nets] if isinstance(nets, Netlist) else list(nets)
         self.batch = len(nets)
         self.node_names = nets[0].nodes[1:]  # non-ground
         self.nv = nv = len(self.node_names)
@@ -309,7 +277,6 @@ class _Circuit:
         self.n = n = nv + len(self.vsources)
         self.n1 = n1 = n + 1
         src_names = [d.name for d in self.vsources]
-        gmin = opts.gmin if opts.enable_gmin else 0.0
         res, caps, fets, shunts, gmins, srcs, self.stimuli = ([] for _ in range(7))
         for b, net in enumerate(nets):
             net.validate()
@@ -347,7 +314,7 @@ class _Circuit:
         self.cap_branches = slice(len(res), len(res) + len(caps))
         # linear branches: resistors, capacitors, gmin shunts, stepping shunts
         self.g_res = _column(res, 2)
-        self.g_gmin = np.full(len(gmins), gmin)
+        self.g_gmin = np.full(len(gmins), opts.gmin)
         self.n_shunt = len(shunts)
         lin = res + caps + gmins + shunts
         self.n_lin = len(lin)
@@ -382,7 +349,7 @@ class _Circuit:
         for b, stims in enumerate(self.stimuli):
             for j, stim in enumerate(stims):
                 vals[:, b, j] = [stim.value_at(t) for t in times]
-        return vals.reshape((len(times),) + self.shape + vals.shape[2:])
+        return vals
 
     def linear_part(self, geq, shunt):
         """What stays fixed while the step size does: the linear-branch
@@ -432,20 +399,6 @@ class _Circuit:
                   np.concatenate((gm, gds, -gms, -gm, -gds, gms)))
         return jac.reshape(-1, self.n1, self.n1)[:, :self.n, :self.n]
 
-    def linearize(self, x, svals, geq, ihist, shunt):
-        """KCL residual F, per-node current scale and Jacobian dF/dx at x.
-
-        x carries the ground 0 at index n; geq and shunt are as in
-        linear_part, ihist as in offsets.
-        """
-        lin = (*self.linear_part(geq, shunt), self.offsets(ihist))
-        f, scale, gm, gds = self.residual(np.reshape(x, (self.batch, self.n1)),
-                                          lin, np.reshape(svals, (self.batch, -1)))
-        jac = self.jacobian(lin, gm, gds)
-        return (f.reshape(self.shape + f.shape[1:]),
-                scale.reshape(self.shape + scale.shape[1:]),
-                jac.reshape(self.shape + jac.shape[1:]))
-
     def newton(self, x, svals, vlimit, lin, live, t=None, label=""):
         """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
         criterion for the members where live is True.
@@ -455,8 +408,9 @@ class _Circuit:
         lin is linear_part's (g, jac) followed by offsets' i0.  t is the
         time point, None for a DC solve; label (DC only) names the solve in
         error messages.
-        Returns each member's Newton update count and KCL excess at its
-        solution and the error of each member that failed.
+        Returns each member's Newton update count (the linear solves made
+        for it, the failing one included), its KCL excess at its solution
+        and the error of each member that failed.
         """
         opts = self.opts
         n, nv = self.n, self.nv
@@ -492,6 +446,7 @@ class _Circuit:
                     break
                 pick = members
             if it == opts.max_newton_iters:
+                iters[members] = it
                 for b in members.tolist():
                     fail(b, diverged=False)
                 break
@@ -504,6 +459,7 @@ class _Circuit:
             if singular or not np.isfinite(xn).all():
                 ok = np.isfinite(xn).all(axis=1)
                 ok[list(singular)] = False
+                iters[members[~ok]] = it + 1
                 failed.update((int(members[j]), e) for j, e in singular.items())
                 for b in members[~ok].tolist():
                     if b not in failed:
@@ -518,21 +474,21 @@ class _Circuit:
         """DC solution with gmin-stepping fallback; caps are open.
 
         Returns the solutions (with ground 0), the Newton update counts of
-        the last solve and the KCL excesses.  The failure of each member
-        goes into the failed dict; without one, the lowest-index member's
-        failure is raised.
+        every solve made (a failed plain solve and each gmin step included)
+        and the KCL excesses.  The failure of each member goes into the
+        failed dict; without one, the lowest-index member's failure is
+        raised.
         """
         opts = self.opts
         raising = failed is None
         failed = {} if raising else failed
-        svals = np.reshape(svals, (self.batch, -1))
         vlimit = _vlimit(svals)
         geq, i0 = np.zeros(len(self.cap_c)), np.zeros(self.n_lin)
         x = np.zeros((self.batch, self.n1))
         iters, excess, bad = self.newton(x, svals, vlimit,
                                          (*self.linear_part(geq, 0.0), i0),
                                          np.ones(self.batch, dtype=bool), label=" (dc)")
-        if bad and opts.enable_gmin:
+        if bad:
             retry = np.zeros(self.batch, dtype=bool)
             retry[list(bad)] = True
             x[retry] = 0.0
@@ -544,41 +500,20 @@ class _Circuit:
                     label=f" (gmin step {s})")
                 bad.update(step_bad)
                 retry[list(step_bad)] = False
-                iters[retry], excess[retry] = it[retry], exc[retry]
+                iters += it
+                excess[retry] = exc[retry]
         failed.update(bad)
         if raising and failed:
             raise failed[min(failed)]
-        return (x.reshape(self.shape + (self.n1,)), iters.reshape(self.shape),
-                excess.reshape(self.shape))
-
-
-def mna_system(net: Netlist, t: float = 0.0, x: np.ndarray | None = None,
-               opts: SolveOptions | None = None) -> MnaSystem:
-    """The linearized MNA system at operating point x (zeros by default).
-
-    The matrix is the Jacobian J and the rhs is J x - F, so the solution is
-    the next Newton iterate.  For passive circuits this is the exact system;
-    for FET circuits it is one Newton iterate's matrix.  Useful for
-    inspection and tests.
-    """
-    opts = opts or SolveOptions()
-    ckt = _Circuit(net, opts)
-    xv = np.zeros(ckt.n) if x is None else np.asarray(x, dtype=float)
-    zeros = np.zeros(len(ckt.cap_c))
-    f, _scale, jac = ckt.linearize(np.append(xv, 0.0),
-                                   ckt.source_values([t])[0], zeros, zeros, 0.0)
-    index = {name: i for i, name in enumerate(ckt.node_names)}
-    for j, d in enumerate(ckt.vsources):
-        index[f"i({d.name})"] = ckt.nv + j
-    return MnaSystem(matrix=jac, rhs=jac @ xv - f, index=index)
+        return x, iters, excess
 
 
 def dc_operating_point(net: Netlist, opts: SolveOptions | None = None) -> dict[str, float]:
     """Node voltages of the DC operating point (sources at their t=0 values)."""
     opts = opts or SolveOptions()
-    ckt = _Circuit(net, opts)
+    ckt = _Circuit([net], opts)
     x, _iters, _excess = ckt.solve_dc(ckt.source_values([0.0])[0])
-    return {name: float(x[i]) for i, name in enumerate(ckt.node_names)}
+    return {name: float(x[0, i]) for i, name in enumerate(ckt.node_names)}
 
 
 def _segment_times(stimuli, analysis: Transient) -> tuple[list[float], list[float]]:

@@ -148,18 +148,6 @@ class MeasureReport:
         if abs(self.edp - self.pdp * self.prop_delay) > 1e-12 * abs(self.edp) + 1e-40:
             raise ValueError("edp must equal pdp * prop_delay")
 
-    def to_dict(self) -> dict:
-        return {
-            "technology": self.technology,
-            "max_power": self.max_power,
-            "avg_power": self.avg_power,
-            "rise_time": self.rise_time,
-            "fall_time": self.fall_time,
-            "prop_delay": self.prop_delay,
-            "pdp": self.pdp,
-            "edp": self.edp,
-        }
-
 
 def figures(technology: str, max_power: float, avg_power: float,
             rise: float, fall: float, delay: float) -> MeasureReport:

@@ -20,8 +20,8 @@ from mvlsim.cells import (
     staircase_sample_times,
     with_dc_input,
 )
-from mvlsim.cli import RunConfig, improvement_pct, run_decoder
-from mvlsim.devices import FetModelCard, fet_eval, preset, preset_names
+from mvlsim.characterize import RunConfig, improvement_pct, run_decoder
+from mvlsim.devices import FetModelCard, preset, preset_names, square_law
 from mvlsim.engine import SolveOptions, dc_operating_point, transient
 from mvlsim.measure import Waveform, rise_time
 from mvlsim.mvl import (
@@ -159,8 +159,12 @@ def test_c4_solver_accuracy(characterization):
         f"step-halving shift {dv * 1e3:.3f} mV <= 2 mV")
 
 
-def test_c5_fet_model_fidelity():
+def test_c5_fet_model_fidelity(one_fet):
     card = FetModelCard("n", 0.3, 1e-4, 0.05, 0.0, 0.0)
+
+    def law(vgs, vds):
+        return square_law(card.vth, card.k, card.lam, vgs, vds)
+
     rng = random.Random(20260814)
     h, worst_fd = 1e-6, 0.0
     for _ in range(400):
@@ -168,23 +172,26 @@ def test_c5_fet_model_fidelity():
         vds = rng.uniform(-1.5, 1.5)
         if min(abs(vgs - card.vth), abs(vds), abs(vgs - card.vth - vds)) < 1e-3:
             continue
-        i0, gm, gds = fet_eval(card, vgs, vds)
-        fd_gm = (fet_eval(card, vgs + h, vds)[0] - fet_eval(card, vgs - h, vds)[0]) / (2 * h)
-        fd_gds = (fet_eval(card, vgs, vds + h)[0] - fet_eval(card, vgs, vds - h)[0]) / (2 * h)
+        i0, gm, gds = law(vgs, vds)
+        fd_gm = (law(vgs + h, vds)[0] - law(vgs - h, vds)[0]) / (2 * h)
+        fd_gds = (law(vgs, vds + h)[0] - law(vgs, vds - h)[0]) / (2 * h)
         scale = max(abs(gm), abs(gds), 1e-9)
         worst_fd = max(worst_fd, abs(fd_gm - gm) / scale, abs(fd_gds - gds) / scale)
 
     # continuity of i at region boundaries
     vov = 0.9 - card.vth
     jumps = [
-        abs(fet_eval(card, 0.9, vov - 1e-12)[0] - fet_eval(card, 0.9, vov + 1e-12)[0]),
-        abs(fet_eval(card, 0.9, -1e-12)[0] - fet_eval(card, 0.9, 1e-12)[0]),
-        abs(fet_eval(card, card.vth - 1e-12, 0.5)[0]),
+        abs(law(0.9, vov - 1e-12)[0] - law(0.9, vov + 1e-12)[0]),
+        abs(law(0.9, -1e-12)[0] - law(0.9, 1e-12)[0]),
+        abs(law(card.vth - 1e-12, 0.5)[0]),
     ]
 
+    # the engine's p device: minus the n current, the same gm and gds
     pcard = FetModelCard("p", -0.3, 1e-4, 0.05, 0.0, 0.0)
+    p_fet, n_fet = one_fet(pcard), one_fet(card)
     mirror_ok = all(
-        fet_eval(pcard, -vgs, -vds) == tuple(s * q for s, q in zip((-1, 1, 1), fet_eval(card, vgs, vds)))
+        np.array_equal(p_fet(-vgs, -vds)[0], -n_fet(vgs, vds)[0])
+        and np.array_equal(p_fet(-vgs, -vds)[1], n_fet(vgs, vds)[1])
         for vgs in (0.0, 0.5, 1.0, 1.25) for vds in (0.25, 0.75, 1.25))
 
     ok = worst_fd <= 1e-6 and max(jumps) <= 1e-10 and mirror_ok

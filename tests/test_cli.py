@@ -12,7 +12,8 @@ import pytest
 
 from mvlsim import engine
 from mvlsim.cells import vlc_thresholds
-from mvlsim.cli import improvement_pct, main, resolve_tech
+from mvlsim.characterize import improvement_pct, resolve_tech
+from mvlsim.cli import main
 from mvlsim.devices import preset
 from mvlsim.mvl import LevelMap
 from mvlsim.netlist import parse

@@ -1,7 +1,9 @@
 """Device model unit tests.
 
 Expected currents and derivatives are frozen from hand evaluation of the
-square law, not from the code under test.
+square law, not from the code under test.  P-channel devices exist only
+inside the engine, which evaluates them by sign symmetry, so their tests
+go through the engine's residual and Jacobian (the one_fet fixture).
 """
 
 import numpy as np
@@ -11,24 +13,30 @@ from mvlsim.devices import (
     FetModelCard,
     TechnologyCard,
     cap_companion,
-    fet_eval,
     preset,
     preset_names,
+    square_law,
 )
 
 N = FetModelCard("n", 0.3, 1e-4, 0.05, 8e-17, 6e-17)
 P = FetModelCard("p", -0.3, 1e-4, 0.05, 8e-17, 6e-17)
 
 
+def nfet(card, vgs, vds):
+    """(id, gm, gds) of an N card by square_law; numpy scalars for scalars."""
+    out = square_law(card.vth, card.k, card.lam, np.asarray(vgs), np.asarray(vds))
+    return tuple(q[()] for q in out)
+
+
 class TestRegions:
     def test_cutoff_is_exactly_zero(self):
         for vgs in (0.3, 0.2, 0.0, -1.0):
-            assert fet_eval(N, vgs, 1.0) == (0.0, 0.0, 0.0)
+            assert nfet(N, vgs, 1.0) == (0.0, 0.0, 0.0)
 
     def test_saturation_oracle(self):
         # vov=0.6, cl=1.05: i = 0.5*1e-4*0.36*1.05, gm = 1e-4*0.6*1.05,
         # gds = 0.5*1e-4*0.36*0.05 (hand computed)
-        i, gm, gds = fet_eval(N, 0.9, 1.0)
+        i, gm, gds = nfet(N, 0.9, 1.0)
         assert i == pytest.approx(1.89e-5, rel=1e-12)
         assert gm == pytest.approx(6.3e-5, rel=1e-12)
         assert gds == pytest.approx(9e-7, rel=1e-12)
@@ -36,46 +44,47 @@ class TestRegions:
     def test_triode_oracle(self):
         # vov=0.6, vds=0.2, cl=1.01, q=0.1: i = 1e-4*0.1*1.01,
         # gm = 1e-4*0.2*1.01, gds = 1e-4*0.4*1.01 + 1e-4*0.1*0.05
-        i, gm, gds = fet_eval(N, 0.9, 0.2)
+        i, gm, gds = nfet(N, 0.9, 0.2)
         assert i == pytest.approx(1.01e-5, rel=1e-12)
         assert gm == pytest.approx(2.02e-5, rel=1e-12)
         assert gds == pytest.approx(4.09e-5, rel=1e-12)
 
     def test_saturation_without_lambda(self):
         card = FetModelCard("n", 0.3, 2e-4, 0.0, 0.0)
-        i, gm, gds = fet_eval(card, 1.2, 2.0)
+        i, gm, gds = nfet(card, 1.2, 2.0)
         assert i == pytest.approx(8.1e-5, rel=1e-12)
         assert gm == pytest.approx(1.8e-4, rel=1e-12)
         assert gds == 0.0
 
     def test_current_increases_with_vgs_and_vds(self):
-        i1 = fet_eval(N, 0.7, 0.6)[0]
-        i2 = fet_eval(N, 0.9, 0.6)[0]
-        i3 = fet_eval(N, 0.9, 1.1)[0]
+        i1 = nfet(N, 0.7, 0.6)[0]
+        i2 = nfet(N, 0.9, 0.6)[0]
+        i3 = nfet(N, 0.9, 1.1)[0]
         assert 0.0 < i1 < i2 < i3
 
 
 class TestSymmetries:
-    def test_p_mirrors_n_exactly(self):
+    def test_p_mirrors_n_exactly(self, one_fet):
+        # the p device at (vgs, vds) carries minus the current of the n
+        # device at (-vgs, -vds), with the same gm and gds
+        p_fet, n_fet = one_fet(P), one_fet(N)
         for vgs in (-1.2, -0.7, -0.4, 0.0, 0.5):
             for vds in (-1.2, -0.3, 0.0, 0.4, 1.0):
-                ip, gmp, gdsp = fet_eval(P, vgs, vds)
-                inn, gmn, gdsn = fet_eval(N, -vgs, -vds)
-                assert ip == -inn
-                assert gmp == gmn
-                assert gdsp == gdsn
+                fp, jp = p_fet(vgs, vds)
+                fn, jn = n_fet(-vgs, -vds)
+                assert np.array_equal(fp, -fn)
+                assert np.array_equal(jp, jn)
 
     def test_arrays_match_scalar_calls_bitwise(self):
         vgs, vds = np.meshgrid(np.linspace(-1.3, 1.3, 27),
                                np.concatenate((np.linspace(-1.2, 1.2, 25),
                                                [-1e-3, -0.0, 0.0, 1e-3])))
-        for card in (N, P):
-            arrays = fet_eval(card, vgs, vds)
-            for a, b in np.ndindex(vgs.shape):
-                scalar = fet_eval(card, float(vgs[a, b]), float(vds[a, b]))
-                for arr, value in zip(arrays, scalar):
-                    assert arr[a, b] == value
-                    assert np.signbit(arr[a, b]) == np.signbit(value)
+        arrays = nfet(N, vgs, vds)
+        for a, b in np.ndindex(vgs.shape):
+            scalar = nfet(N, float(vgs[a, b]), float(vds[a, b]))
+            for arr, value in zip(arrays, scalar):
+                assert arr[a, b] == value
+                assert np.signbit(arr[a, b]) == np.signbit(value)
 
     def test_reversed_conduction_is_antisymmetric(self):
         # swapping drain and source negates the current: the device with
@@ -83,20 +92,20 @@ class TestSymmetries:
         # dyadic voltages keep vgs - vds exact so the match is bitwise
         for vgs in (0.5, 1.0, 1.25):
             for vds in (0.25, 0.5, 1.0):
-                i_fwd, gm_fwd, gds_fwd = fet_eval(N, vgs, vds)
-                i_rev, gm_rev, gds_rev = fet_eval(N, vgs - vds, -vds)
+                i_fwd, gm_fwd, gds_fwd = nfet(N, vgs, vds)
+                i_rev, gm_rev, gds_rev = nfet(N, vgs - vds, -vds)
                 assert i_rev == -i_fwd
                 assert gm_rev == -gm_fwd
                 assert gds_rev == gm_fwd + gds_fwd
 
     def test_reverse_region_conducts(self):
-        i, _, _ = fet_eval(N, 0.9, -0.5)
+        i, _, _ = nfet(N, 0.9, -0.5)
         assert i < 0.0
 
     def test_continuity_through_vds_zero(self):
         eps = 1e-9
-        below = fet_eval(N, 0.9, -eps)[0]
-        above = fet_eval(N, 0.9, eps)[0]
+        below = nfet(N, 0.9, -eps)[0]
+        above = nfet(N, 0.9, eps)[0]
         assert abs(below - above) < 1e-12
 
 
@@ -105,8 +114,8 @@ class TestContinuity:
         vgs = 0.9
         vov = vgs - N.vth
         eps = 1e-9
-        tri = fet_eval(N, vgs, vov - eps)
-        sat = fet_eval(N, vgs, vov + eps)
+        tri = nfet(N, vgs, vov - eps)
+        sat = nfet(N, vgs, vov + eps)
         for a, b in zip(tri, sat):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-12)
 
@@ -114,7 +123,7 @@ class TestContinuity:
         # at vds == vov both region formulas coincide algebraically
         vgs, k, lam = 0.9, N.k, N.lam
         vov = vgs - N.vth
-        i, gm, gds = fet_eval(N, vgs, vov)
+        i, gm, gds = nfet(N, vgs, vov)
         cl = 1.0 + lam * vov
         assert i == pytest.approx(0.5 * k * vov * vov * cl, rel=1e-15)
         assert gm == pytest.approx(k * vov * cl, rel=1e-15)
@@ -122,15 +131,18 @@ class TestContinuity:
 
     def test_cutoff_boundary(self):
         eps = 1e-9
-        i_below = fet_eval(N, N.vth - eps, 0.8)[0]
-        i_above = fet_eval(N, N.vth + eps, 0.8)[0]
+        i_below = nfet(N, N.vth - eps, 0.8)[0]
+        i_above = nfet(N, N.vth + eps, 0.8)[0]
         assert i_below == 0.0
         assert abs(i_above) < 1e-12
 
 
 class TestDerivatives:
     @pytest.mark.parametrize("card", [N, P], ids=["nfet", "pfet"])
-    def test_finite_difference_agreement(self, card):
+    def test_finite_difference_agreement(self, card, one_fet):
+        # the drain row of the engine's Jacobian against central differences
+        # of its residual; both carry the drain's gmin shunt
+        fet = one_fet(card)
         rng = np.random.default_rng(20260814)
         h = 1e-6
         checked = 0
@@ -142,11 +154,9 @@ class TestDerivatives:
             # skip points near region boundaries where C1 but not C2
             if min(abs(vg - vth), abs(vd), abs(vg - vth - vd)) < 1e-3:
                 continue
-            _, gm, gds = fet_eval(card, vgs, vds)
-            fd_gm = (fet_eval(card, vgs + h, vds)[0]
-                     - fet_eval(card, vgs - h, vds)[0]) / (2 * h)
-            fd_gds = (fet_eval(card, vgs, vds + h)[0]
-                      - fet_eval(card, vgs, vds - h)[0]) / (2 * h)
+            gm, gds = fet(vgs, vds)[1][1, :2]
+            fd_gm = (fet(vgs + h, vds)[0][1] - fet(vgs - h, vds)[0][1]) / (2 * h)
+            fd_gds = (fet(vgs, vds + h)[0][1] - fet(vgs, vds - h)[0][1]) / (2 * h)
             assert gm == pytest.approx(fd_gm, rel=1e-6, abs=1e-12)
             assert gds == pytest.approx(fd_gds, rel=1e-6, abs=1e-12)
             checked += 1

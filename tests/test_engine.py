@@ -16,16 +16,16 @@ import pytest
 
 from mvlsim import engine
 from mvlsim.cells import CellSpec, build_staircase_testbench
-from mvlsim.devices import fet_eval, preset
+from mvlsim.devices import preset, square_law
 from mvlsim.engine import (
     ConvergenceError,
     SingularMatrixError,
     SolveOptions,
     _Circuit,
     _lu_solve,
+    _probe_rhs,
+    _solve,
     dc_operating_point,
-    mna_system,
-    solve_linear,
     transient,
     transient_batch,
 )
@@ -72,19 +72,48 @@ def alternating_pwl(corners, hold=2.5e-10, slew=1e-10):
             f"c1 out 0 10f\n.tran 10p {80 * hold!r}\n.end\n")
 
 
+def solve(a, b):
+    """x with a @ x = b, through the solver Newton uses; raises its
+    SingularMatrixError."""
+    x, errors = _solve(a[None], b[None], _probe_rhs(1, len(b)))
+    if errors:
+        raise errors[0]
+    return x[0]
+
+
+def linearize(ckt, x, svals, geq, ihist, shunt):
+    """KCL residual F, per-node current scale and Jacobian dF/dx of a batch
+    of one at x (ground 0 last), as a Newton iteration computes them; geq
+    and shunt as in linear_part, ihist as in offsets."""
+    lin = (*ckt.linear_part(geq, shunt), ckt.offsets(ihist))
+    f, scale, gm, gds = ckt.residual(x[None], lin, svals[None])
+    return f[0], scale[0], ckt.jacobian(lin, gm, gds)[0]
+
+
 def gnrfet32_linearization():
     """The gnrfet32 decoder testbench at a random point in mid-transient:
     the circuit and linearize's arguments."""
     spec = CellSpec(tech=preset("gnrfet32"), levels=LevelMap(4, 1.2))
-    ckt = _Circuit(build_staircase_testbench(spec), SolveOptions())
+    ckt = _Circuit([build_staircase_testbench(spec)], SolveOptions())
     rng = np.random.default_rng(7)
     x = np.append(np.concatenate((rng.uniform(-0.2, 1.4, ckt.nv),
                                   rng.uniform(-1e-4, 1e-4, ckt.n - ckt.nv))),
                   0.0)
-    svals = ckt.source_values([3e-9])[0]
+    svals = ckt.source_values([3e-9])[0, 0]
     geq = ckt.cap_c / 1e-12
     ihist = rng.uniform(-1e-5, 1e-5, len(geq))
     return ckt, (x, svals, geq, ihist, 1e-9)
+
+
+def divider_system():
+    """Jacobian J and residual F of the divider at x = 0 and t = 0, so that
+    J x = -F is its exact MNA system; unknowns in, mid, i(v1)."""
+    ckt = _Circuit([parse(DIVIDER)], SolveOptions())
+    assert ckt.node_names == ["in", "mid"] and [d.name for d in ckt.vsources] == ["v1"]
+    open_caps = np.zeros(len(ckt.cap_c))
+    f, _scale, jac = linearize(ckt, np.zeros(ckt.n1), ckt.source_values([0.0])[0, 0],
+                               open_caps, open_caps, 0.0)
+    return jac, f
 
 
 def staircase(tech="cmos32", hold=1e-9, vdd=1.2, load=1e-15, vth_scale=1.0):
@@ -142,91 +171,72 @@ def rc_exact(t, te=10e-12, tau=1e-9):
 
 class TestSolveLinear:
     def test_identity(self):
-        sys_ = mna_system(parse(DIVIDER))
-        n = sys_.dimension
-        sys_.matrix = np.eye(n)
-        sys_.rhs = np.arange(1.0, n + 1)
-        assert np.array_equal(solve_linear(sys_), np.arange(1.0, n + 1))
+        assert np.array_equal(solve(np.eye(3), np.arange(1.0, 4.0)),
+                              np.arange(1.0, 4.0))
 
     def test_two_by_two_oracle(self):
-        sys_ = mna_system(parse("* t\nr1 a 0 1\nr2 b 0 1\n.end\n"))
-        sys_.matrix = np.array([[2.0, 1.0], [1.0, 3.0]])
-        sys_.rhs = np.array([3.0, 5.0])
-        x = solve_linear(sys_)
+        x = solve(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([3.0, 5.0]))
         assert x == pytest.approx([0.8, 1.4], rel=1e-14)
 
     def test_pivoting_handles_zero_diagonal(self):
-        sys_ = mna_system(parse("* t\nr1 a 0 1\nr2 b 0 1\n.end\n"))
-        sys_.matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sys_.rhs = np.array([7.0, 9.0])
-        assert solve_linear(sys_) == pytest.approx([9.0, 7.0])
+        x = solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([7.0, 9.0]))
+        assert x == pytest.approx([9.0, 7.0])
 
     def test_random_dense_residual(self):
         rng = np.random.default_rng(42)
         n = 50
         a = rng.standard_normal((n, n)) + n * np.eye(n)
         b = rng.standard_normal(n)
-        sys_ = mna_system(parse("* t\nr1 a 0 1\n.end\n"))
-        sys_.matrix, sys_.rhs = a, b
-        x = solve_linear(sys_)
+        x = solve(a, b)
         assert np.max(np.abs(a @ x - b)) < 1e-9 * np.max(np.abs(b))
 
     def test_singular_reports_pivot(self):
-        sys_ = mna_system(parse("* t\nr1 a 0 1\nr2 b 0 1\n.end\n"))
-        sys_.matrix = np.array([[1.0, 2.0], [2.0, 4.0]])
-        sys_.rhs = np.array([1.0, 2.0])
         with pytest.raises(SingularMatrixError) as ei:
-            solve_linear(sys_)
+            solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 2.0]))
         assert ei.value.pivot == 1
 
     def test_tiny_nonzero_pivot_reports_pivot(self):
         # LAPACK solves this one cleanly to [1, 0]; the second pivot,
         # about 2e-15, is below the LU threshold of 1e-14 * |A|inf
-        sys_ = mna_system(parse("* t\nr1 a 0 1\nr2 b 0 1\n.end\n"))
-        sys_.matrix = np.array([[1.0, 2.0], [2.0, 4.0 * (1.0 + 1e-15)]])
-        sys_.rhs = np.array([1.0, 2.0])
         with pytest.raises(SingularMatrixError) as ei:
-            solve_linear(sys_)
+            solve(np.array([[1.0, 2.0], [2.0, 4.0 * (1.0 + 1e-15)]]),
+                  np.array([1.0, 2.0]))
         assert ei.value.pivot == 1
 
     def test_decoder_jacobian_matches_pivoting_lu(self, monkeypatch):
         ckt, args = gnrfet32_linearization()
-        f, _scale, jac = ckt.linearize(*args)
-        sys_ = mna_system(parse("* t\nr1 a 0 1\n.end\n"))
-        sys_.matrix, sys_.rhs = jac, -f
+        f, _scale, jac = linearize(ckt, *args)
         expect = _lu_solve(jac, -f)
 
         def no_fallback(a, b):
             raise AssertionError("well-conditioned system left LAPACK")
 
         monkeypatch.setattr(engine, "_lu_solve", no_fallback)
-        np.testing.assert_allclose(solve_linear(sys_), expect, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(solve(jac, -f), expect, rtol=1e-12, atol=0)
 
 
 class TestMnaSystem:
     def test_divider_stamps(self):
-        sys_ = mna_system(parse(DIVIDER))
-        assert sys_.index == {"in": 0, "mid": 1, "i(v1)": 2}
+        jac, f = divider_system()
         g = 1.0 / 1e3
         expect = np.array([
             [g, -g, 1.0],
             [-g, 2.0 * g, 0.0],
             [1.0, 0.0, 0.0],
         ])
-        assert np.array_equal(sys_.matrix, expect)
-        assert np.array_equal(sys_.rhs, np.array([0.0, 0.0, 2.0]))
+        assert np.array_equal(jac, expect)
+        assert np.array_equal(-f, np.array([0.0, 0.0, 2.0]))
 
     def test_resistive_block_is_symmetric(self):
-        sys_ = mna_system(parse(DIVIDER))
-        block = sys_.matrix[:2, :2]
+        block = divider_system()[0][:2, :2]
         assert np.array_equal(block, block.T)
 
     def test_divider_solution(self):
-        sys_ = mna_system(parse(DIVIDER))
-        x = solve_linear(sys_)
-        assert x[sys_.index["in"]] == pytest.approx(2.0, rel=1e-14)
-        assert x[sys_.index["mid"]] == pytest.approx(1.0, rel=1e-14)
-        assert x[sys_.index["i(v1)"]] == pytest.approx(-1e-3, rel=1e-12)
+        jac, f = divider_system()
+        x_in, x_mid, i_v1 = solve(jac, -f)
+        assert x_in == pytest.approx(2.0, rel=1e-14)
+        assert x_mid == pytest.approx(1.0, rel=1e-14)
+        assert i_v1 == pytest.approx(-1e-3, rel=1e-12)
 
 
 class TestDc:
@@ -247,8 +257,6 @@ class TestDc:
 
     def test_floating_node_needs_gmin(self):
         net = parse("* t\nv1 a 0 dc 1\nr1 a 0 1k\nc1 x 0 1p\n.end\n")
-        with pytest.raises(SingularMatrixError):
-            dc_operating_point(net, SolveOptions(enable_gmin=False))
         op = dc_operating_point(net)  # gmin stepping pulls x to ground
         assert op["x"] == pytest.approx(0.0, abs=1e-9)
 
@@ -351,6 +359,25 @@ class TestTransient:
         assert len(per) == stats.steps + 1 == 1001
         assert per.sum() == stats.newton_iterations
         assert per[1] == 2 and np.all(per[2:] == 1)
+
+    def test_newton_count_is_the_linear_solves_made(self, monkeypatch):
+        # node c floats at DC (the caps are open), so the plain DC solve is
+        # singular and gmin stepping takes over: the failed solve and every
+        # gmin step count towards newton_per_point[0]
+        solved = []
+        solve_stack = engine._solve
+
+        def counting(a, b, rhs):
+            solved.append(len(a))
+            return solve_stack(a, b, rhs)
+
+        monkeypatch.setattr(engine, "_solve", counting)
+        net = parse("* t\nv1 a 0 dc 1\nr1 a b 1k\nc1 b c 1p\nc2 c 0 1p\n"
+                    ".tran 10p 100p\n.end\n")
+        stats = transient(net).stats
+        assert stats.newton_iterations == sum(solved) == 1020
+        assert stats.newton_per_point.sum() == stats.newton_iterations
+        assert stats.newton_per_point[0] == 20  # the singular solve + 19 in gmin steps
 
     def test_convergence_error_carries_time_point(self):
         with pytest.raises(ConvergenceError) as ei:
@@ -477,7 +504,7 @@ class TestFetTransient:
 class TestLinearize:
     def test_jacobian_matches_finite_difference_of_residual(self):
         ckt, (x, svals, geq, ihist, shunt) = gnrfet32_linearization()
-        f0, scale, jac = ckt.linearize(x, svals, geq, ihist, shunt)
+        f0, scale, jac = linearize(ckt, x, svals, geq, ihist, shunt)
         assert jac.shape == (ckt.n, ckt.n) and scale.shape == (ckt.nv,)
         assert np.all(scale > 0.0)
         h = 1e-7
@@ -486,8 +513,8 @@ class TestLinearize:
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd[:, j] = (ckt.linearize(xp, svals, geq, ihist, shunt)[0]
-                        - ckt.linearize(xm, svals, geq, ihist, shunt)[0]) / (2 * h)
+            fd[:, j] = (linearize(ckt, xp, svals, geq, ihist, shunt)[0]
+                        - linearize(ckt, xm, svals, geq, ihist, shunt)[0]) / (2 * h)
         np.testing.assert_allclose(fd, jac, rtol=1e-6, atol=1e-12)
 
     def test_dc_residual_matches_per_device_loop(self):
@@ -495,12 +522,12 @@ class TestLinearize:
         spec = CellSpec(tech=preset("cmos32"), levels=LevelMap(4, 1.2))
         net = build_staircase_testbench(spec)
         opts = SolveOptions()
-        ckt = _Circuit(net, opts)
+        ckt = _Circuit([net], opts)
         rng = np.random.default_rng(3)
         x = np.append(rng.uniform(-0.2, 1.4, ckt.n), 0.0)
-        svals = ckt.source_values([3e-9])[0]
+        svals = ckt.source_values([3e-9])[0, 0]
         zeros = np.zeros(len(ckt.cap_c))
-        f, scale, _jac = ckt.linearize(x, svals, zeros, zeros, 0.0)
+        f, scale, _jac = linearize(ckt, x, svals, zeros, zeros, 0.0)
         v = {name: x[i] for i, name in enumerate(ckt.node_names)} | {"0": 0.0}
         res = dict.fromkeys(ckt.node_names, 0.0)
         big = dict.fromkeys(ckt.node_names, 0.0)
@@ -519,8 +546,10 @@ class TestLinearize:
                 cur = x[ckt.n - len(ckt.vsources) + ckt.vsources.index(d)]
             elif d.kind == "fet":
                 card = net.models[d.model]
-                card = dataclasses.replace(card, k=card.k * d.params.get("m", 1.0))
-                cur = fet_eval(card, v[t[1]] - v[t[2]], v[t[0]] - v[t[2]])[0]
+                sign = 1.0 if card.polarity == "n" else -1.0
+                cur = sign * square_law(sign * card.vth, card.k * d.params.get("m", 1.0),
+                                        card.lam, sign * (v[t[1]] - v[t[2]]),
+                                        sign * (v[t[0]] - v[t[2]]))[0]
                 shunted.update((t[0], t[2]))
             else:
                 continue
@@ -537,9 +566,11 @@ class TestLinearize:
             assert f[ckt.nv + j] == vp - vm - d.stimulus.value_at(3e-9)
 
     def test_mna_system_at_operating_point_is_a_fixed_point(self):
-        # rhs = J x - F, so at a converged x the linear solve returns x
+        # at a converged x the next Newton iterate x - J^-1 F is x again
         net = parse(INVERTER.format(vin=0.6))
-        ckt = _Circuit(net, SolveOptions())
-        x, _iters, _excess = ckt.solve_dc(ckt.source_values([0.0])[0])
-        sys_ = mna_system(net, x=x[:ckt.n])
-        assert solve_linear(sys_) == pytest.approx(x[:ckt.n], rel=1e-9, abs=1e-15)
+        ckt = _Circuit([net], SolveOptions())
+        svals = ckt.source_values([0.0])[0]
+        x = ckt.solve_dc(svals)[0][0]
+        open_caps = np.zeros(len(ckt.cap_c))
+        f, _scale, jac = linearize(ckt, x, svals[0], open_caps, open_caps, 0.0)
+        assert x[:ckt.n] + solve(jac, -f) == pytest.approx(x[:ckt.n], rel=1e-9, abs=1e-15)

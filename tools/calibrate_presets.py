@@ -25,7 +25,7 @@ import sys
 sys.path.insert(0, "src")
 
 from mvlsim.cells import CellSpec, build_inverter, with_dc_input  # noqa: E402
-from mvlsim.cli import RunConfig, run_decoder  # noqa: E402
+from mvlsim.characterize import RunConfig, run_decoder  # noqa: E402
 from mvlsim.devices import preset  # noqa: E402
 from mvlsim.engine import transient  # noqa: E402
 from mvlsim.measure import fall_time, rise_time  # noqa: E402
