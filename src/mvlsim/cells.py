@@ -205,9 +205,10 @@ def build_staircase_testbench(spec: CellSpec, hold: float = 5e-9,
                               slew: float = 1e-10) -> Netlist:
     """Decoder plus a staircase PWL input visiting every digit.
 
-    Includes a .tran card (dt from the tstop/1000 and slew/10 caps) and
-    measure directives for the output edges, the in->output delays and the
-    supply power.
+    Includes a .tran card (dt from the tstop/1000 and slew/10 caps, dtmax
+    hold/20, so that the step can grow through the settled part of each
+    hold) and measure directives for the output edges, the in->output
+    delays and the supply power.
     """
     net = build_decoder(spec)
     pts = staircase_points(spec.levels, hold, slew)
@@ -215,7 +216,7 @@ def build_staircase_testbench(spec: CellSpec, hold: float = 5e-9,
                               stimulus=PwlStimulus(pts)))
     tstop = spec.levels.radix * hold
     dt = min(tstop / 1000.0, slew / 10.0)
-    net.analyses.append(Transient(dt=dt, tstop=tstop))
+    net.analyses.append(Transient(dt=dt, tstop=tstop, dtmax=hold / 20.0))
     for out in ("b0", "b1"):
         net.measures.append(MeasureDirective(f"{out}_rise", "rise", (out,)))
         net.measures.append(MeasureDirective(f"{out}_fall", "fall", (out,)))

@@ -46,6 +46,7 @@ from .characterize import (
 from .devices import preset_names
 from .engine import (
     ConvergenceError,
+    RunStats,
     SingularMatrixError,
     SolveOptions,
     WaveformSet,
@@ -68,6 +69,17 @@ def _report_dict(report: MeasureReport | None) -> dict[str, float | str] | None:
     if report is None:
         return None
     return dataclasses.asdict(report)
+
+
+def _solver_dict(stats: RunStats) -> dict[str, int | float]:
+    """The deterministic solver counters of one transient."""
+    return {
+        "steps": stats.steps,
+        "rejected_lte": stats.rejected_lte,
+        "rejected_newton": stats.rejected_newton,
+        "newton_iterations": stats.newton_iterations,
+        "kcl_excess_max": float(stats.kcl_excess.max()),
+    }
 
 
 def _json_text(doc: object) -> str:
@@ -102,6 +114,7 @@ def _run_doc(run: DecoderRun) -> dict:
         "report": _report_dict(run.report),
         "stimulus": run.stimulus,
         "stimulus_sha256": hashlib.sha256(run.stimulus.encode()).hexdigest(),
+        "solver": _solver_dict(run.wset.stats),
     }
 
 
@@ -180,6 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "op": op,
         "measures": results,
         "report": _report_dict(report),
+        "solver": None if wset is None else _solver_dict(wset.stats),
     }
     stem = Path(args.netlist).stem
     _write_text(outdir / f"{stem}.json", _json_text(doc))
@@ -336,7 +350,7 @@ def _add_common(p: argparse.ArgumentParser, with_tech: bool = True) -> None:
     p.add_argument("--load", type=float, default=1e-15,
                    help="output load capacitance")
     p.add_argument("--dt", type=float, default=None,
-                   help="override the transient step")
+                   help="override the .tran dt, the finest transient step")
     _add_out(p)
 
 

@@ -78,14 +78,15 @@ def square_law(vth, k, lam, vgs, vds):
     return np.where(rev, -i, i), np.where(rev, -gm, gm), np.where(rev, gm + gds, gds)
 
 
-def cap_companion(c, v_prev, i_prev, dt: float, rule: str):
+def cap_companion(c, v_prev, i_prev, dt, rule: str):
     """Discrete companion of capacitor branches: i = geq*v + ihist.
 
-    Element-wise over scalars or arrays.  v_prev and i_prev are the branch
+    Element-wise over scalars or arrays, the step dt included, so that each
+    capacitor can take its own step.  v_prev and i_prev are the branch
     voltage and current at the previous accepted time point (i_prev is only
     used by the trapezoidal rule).
     """
-    if dt <= 0.0:
+    if not np.greater(dt, 0.0).all():
         raise ValueError("dt must be > 0")
     if rule == "backward_euler":
         geq = c / dt

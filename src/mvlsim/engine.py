@@ -1,4 +1,5 @@
-"""Modified nodal analysis: Newton DC operating point and fixed-step transient.
+"""Modified nodal analysis: Newton DC operating point and step-controlled
+transient.
 
 Unknowns are the non-ground node voltages followed by one branch current per
 voltage source (current into the + terminal).  Each circuit is compiled once
@@ -33,8 +34,11 @@ and divergence check, and a member that has converged is frozen, so its
 solution, iteration count and KCL excess are exactly those of a run alone.
 The members still iterating are solved together.  A member that fails drops
 out, and so do the members after it; the batch then raises the failure of
-its lowest-index failing member.  ``transient_batch`` groups its netlists by
-time grid and runs each group in lockstep; ``transient`` is a batch of one.
+its lowest-index failing member.  ``transient_batch`` runs netlists with the
+same nodes and sources as one batch, in lockstep rounds that try the next
+step of every member still running; each member keeps its own time, step,
+predictor and capacitor history and accept/reject decision, so its run is
+bitwise the one it gives alone.  ``transient`` is a batch of one.
 
 Each Newton step is one LAPACK solve (np.linalg.solve) of the stacked
 J dx = -F together with a fixed probe right-hand side.  For a member where
@@ -48,14 +52,33 @@ gmin * 10**(gmin_steps - s) from every node to ground for s = 0..gmin_steps,
 each solution seeding the next.  A DC solve sets the capacitor companions
 to zero, which leaves the capacitors open.
 
-Transient analysis marches a fixed step with forced breakpoints at PWL
-corners and PULSE edges; breakpoints closer together than a millionth of
-the step are merged.  The step is clamped to tstop/1000 and to a tenth of
-the shortest stimulus edge.  Every capacitor, the FETs' lumped cg and cd
-included, becomes a companion conductance/history-current pair; backward
-Euler is the default rule, trapezoidal is selectable.  The conductances and
-the Jacobian of the linear branches depend on the step alone and are built
-again only when it changes.
+Transient analysis forces a time point at every breakpoint: PWL corners
+and PULSE edges, merged where closer together than a millionth of the floor
+step.  The floor is the .tran dt clamped to tstop/1000, to dtmax and to a
+tenth of the shortest stimulus edge; the ceiling is the .tran dtmax if that
+exceeds dt, else the floor.  At the floor, the points are the uniform
+subdivision t0 + j*h of the segment between two breakpoints, or of what
+remains of it, into the fewest steps h <= floor, and every point is
+accepted.  Above the floor, the step is controlled by the local truncation
+error (Nagel, SPICE2, UCB/ERL M520, 1975), estimated as
+
+    err = max over the node voltages of |x_corrected - x_predicted|
+
+with the predictor below.  After each accepted point the next step is
+h * min(2, 0.9 * (lte_tol / err)**(1/(p+1))), p the order of the rule,
+capped at the ceiling, cut to land on the next breakpoint and never leaving
+a remainder shorter than the floor.  A step above the floor is rejected
+when err > lte_tol or Newton fails there; it is then retried shorter, by
+the same formula or by 8x after a Newton failure, but never below the
+floor.  At every breakpoint the step resets to the floor.  So a .tran
+without a dtmax above dt gives the uniform grid, and the settled stretches
+of a card with one cost a few steps each.
+
+Every capacitor, the FETs' lumped cg and cd included, becomes a companion
+conductance/history-current pair; backward Euler is the default rule,
+trapezoidal is selectable.  The conductances and the Jacobian of the linear
+branches depend on the steps alone and are built again only when one
+changes.
 
 Newton at each time point starts from a linear predictor through the last
 two accepted points (Nagel, SPICE2, UCB/ERL M520, 1975):
@@ -65,9 +88,8 @@ two accepted points (Nagel, SPICE2, UCB/ERL M520, 1975):
 with h[k] the step to point k; the first step after the DC point starts
 from the DC solution.  Where the waveform is locally linear the first
 update already meets the step test, so a step costs one solve, not two.
-The predictor is element-wise per member, so batching stays bitwise exact.
-Compared with the corrected solution, it is also the building block of a
-local truncation error estimate.
+The predictor is element-wise per member, so batching stays bitwise exact;
+compared with the corrected solution, it gives the error estimate above.
 """
 
 from __future__ import annotations
@@ -117,9 +139,13 @@ class SolveOptions:
     gmin: float = 1e-12         # S
     gmin_steps: int = 10
     integration: str = "backward_euler"  # or "trapezoidal"
+    # V, the largest local truncation error estimate (max |corrected -
+    # predicted| over the node voltages) a step above the .tran dt may
+    # leave; the step grows while the estimate stays below it
+    lte_tol: float = 1e-4
 
     def __post_init__(self):
-        for name in ("abstol", "reltol", "vtol", "gmin"):
+        for name in ("abstol", "reltol", "vtol", "gmin", "lte_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
         if self.max_newton_iters < 1 or self.gmin_steps < 1:
@@ -208,14 +234,17 @@ def _solve(a: np.ndarray, b: np.ndarray,
 
 @dataclass
 class RunStats:
-    steps: int = 0
+    steps: int = 0              # accepted steps
     newton_iterations: int = 0
+    rejected_lte: int = 0       # steps above the floor rejected by the LTE test
+    rejected_newton: int = 0    # ... and by a Newton failure
     kcl_excess: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # kcl_excess[i] = max over nodes of (|residual| - reltol*scale) at point i;
     # every accepted point satisfies kcl_excess[i] <= abstol.
     newton_per_point: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     # Newton updates taken at point i (0: the DC solve, with a failed plain
-    # solve and every gmin step); they sum to newton_iterations.
+    # solve and every gmin step; else those of the accepted attempt and of
+    # every rejected attempt before it); they sum to newton_iterations.
 
 
 @dataclass
@@ -241,8 +270,9 @@ class WaveformSet:
         return "\n".join(lines) + "\n"
 
 
-# Breakpoints closer together than this fraction of the step are merged, so
-# that no step is so short that the c/h companions swamp the matrix.
+# Breakpoints closer together than this fraction of the floor step are
+# merged, so that no step is so short that the c/h companions swamp the
+# matrix.
 _MIN_SEPARATION = 1e-6
 
 
@@ -254,10 +284,10 @@ def _vsources(net: Netlist) -> list:
     return [d for d in net.devices if d.kind == "vsource"]
 
 
-def _vlimit(svals: np.ndarray) -> np.ndarray:
+def _vlimit(vals) -> float:
     """Newton's clip on node-voltage updates: twice the largest |source
-    value| of each member (source values on the last axis), at least 1 V."""
-    return np.maximum(1.0, 2.0 * np.maximum.reduce(np.abs(svals), axis=-1, initial=0.0))
+    value| of one member, at least 1 V."""
+    return max(1.0, 2.0 * max(map(abs, vals), default=0.0))
 
 
 class _Circuit:
@@ -405,9 +435,9 @@ class _Circuit:
 
         x (batch x n+1) holds the initial guess and is updated in place;
         svals holds each member's source values and vlimit their _vlimit;
-        lin is linear_part's (g, jac) followed by offsets' i0.  t is the
-        time point, None for a DC solve; label (DC only) names the solve in
-        error messages.
+        lin is linear_part's (g, jac) followed by offsets' i0.  t holds
+        each member's time point, None for a DC solve; label (DC only) names
+        the solve in error messages.
         Returns each member's Newton update count (the linear solves made
         for it, the failing one included), its KCL excess at its solution
         and the error of each member that failed.
@@ -422,12 +452,13 @@ class _Circuit:
         failed: dict[int, Exception] = {}
 
         def fail(b, diverged):
-            where = label if t is None else f" at t={t:.6g}s"
+            tb = None if t is None else float(t[b])
+            where = label if tb is None else f" at t={tb:.6g}s"
             name = self.node_names[int(np.argmax(over[b]))] if nv else "?"
             message = (f"solution diverged{where}" if diverged else
                        f"Newton failed after {opts.max_newton_iters} iterations"
                        f"{where}; worst node {name!r} (KCL excess {err[b]:.3e} A)")
-            failed[b] = ConvergenceError(message, t=t, node=name, excess=float(err[b]),
+            failed[b] = ConvergenceError(message, t=tb, node=name, excess=float(err[b]),
                                          iteration=it + diverged)
 
         for it in range(opts.max_newton_iters + 1):
@@ -482,7 +513,7 @@ class _Circuit:
         opts = self.opts
         raising = failed is None
         failed = {} if raising else failed
-        vlimit = _vlimit(svals)
+        vlimit = np.array([_vlimit(vals) for vals in svals.tolist()])
         geq, i0 = np.zeros(len(self.cap_c)), np.zeros(self.n_lin)
         x = np.zeros((self.batch, self.n1))
         iters, excess, bad = self.newton(x, svals, vlimit,
@@ -516,87 +547,210 @@ def dc_operating_point(net: Netlist, opts: SolveOptions | None = None) -> dict[s
     return {name: float(x[0, i]) for i, name in enumerate(ckt.node_names)}
 
 
-def _segment_times(stimuli, analysis: Transient) -> tuple[list[float], list[float]]:
-    """Time points from 0 to tstop and the steps between them.
+class _Clock:
+    """Where one batch member is in time, and the step it tries next.
 
-    Breakpoints closer together than _MIN_SEPARATION * dt are merged first;
-    each segment between breakpoints is then cut into equal steps <= dt.
+    bps are the merged breakpoints from 0 to tstop; the member is in the
+    segment from bps[seg] to bps[seg + 1], its last accepted point at t.
+    The step of the next attempt is h, to the time point next.  At the
+    floor, grid = [anchor, h, nsub, j] is the uniform subdivision of
+    anchor .. bps[seg + 1] into nsub steps, point j of it at t; it is kept
+    while a step above the floor is tried from t, so that a rejected one
+    falls back onto it.
     """
-    tstop = analysis.tstop
-    dt = min(analysis.dt, tstop / 1000.0)
-    if analysis.dtmax is not None:
-        dt = min(dt, analysis.dtmax)
-    edges = [e for stim in stimuli if (e := stim.min_edge()) is not None]
-    if edges:
-        dt = min(dt, min(edges) / 10.0)
-    bps = {0.0, tstop}
-    for stim in stimuli:
-        bps.update(stim.breakpoints(tstop))
-    merged = [0.0]
-    for t in sorted(bps)[1:]:
-        if t - merged[-1] >= _MIN_SEPARATION * dt:
-            merged.append(t)
-    merged[-1] = tstop
-    times, steps = [0.0], []
-    for t0, t1 in zip(merged, merged[1:]):
-        nsub = max(1, int(math.ceil((t1 - t0) / dt - 1e-9)))
-        h = (t1 - t0) / nsub
-        times += [t0 + j * h for j in range(1, nsub)] + [t1]
-        steps += [h] * nsub
-    return times, steps
+
+    def __init__(self, stimuli, analysis: Transient):
+        tstop = analysis.tstop
+        floor = min(analysis.dt, tstop / 1000.0)
+        if analysis.dtmax is not None:
+            floor = min(floor, analysis.dtmax)
+        edges = [e for stim in stimuli if (e := stim.min_edge()) is not None]
+        if edges:
+            floor = min(floor, min(edges) / 10.0)
+        bps = {0.0, tstop}
+        for stim in stimuli:
+            bps.update(stim.breakpoints(tstop))
+        merged = [0.0]
+        for t in sorted(bps)[1:]:
+            if t - merged[-1] >= _MIN_SEPARATION * floor:
+                merged.append(t)
+        merged[-1] = tstop
+        # time points of the uniform floor grid, which a growing step undercuts
+        self.grid_points = 1 + sum(max(1, int(math.ceil((t1 - t0) / floor - 1e-9)))
+                                   for t0, t1 in zip(merged, merged[1:]))
+        grows = analysis.dtmax is not None and analysis.dtmax > analysis.dt
+        self.floor, self.ceiling = floor, analysis.dtmax if grows else floor
+        self.bps, self.seg, self.t = merged, 0, 0.0
+        self.grid, self.done = None, False
+        self._plan(0.0)
+
+    def _plan(self, h: float) -> None:
+        """Make the next attempt a step of h, or the floor subdivision's
+        next step if h, or what remains of the segment, is at the floor."""
+        t1 = self.bps[self.seg + 1]
+        rest = t1 - self.t
+        if h > self.floor:
+            if h < rest < h + self.floor:  # leave no remainder below the floor
+                h = 0.5 * rest
+            self.free = min(h, rest) > self.floor
+            if self.free:
+                self.h, self.next = (rest, t1) if h >= rest else (h, self.t + h)
+                return
+        self.free = False
+        if self.grid is None:
+            nsub = max(1, int(math.ceil(rest / self.floor - 1e-9)))
+            self.grid = [self.t, rest / nsub, nsub, 0]
+        anchor, self.h, nsub, j = self.grid
+        self.next = t1 if j + 1 == nsub else anchor + (j + 1) * self.h
+
+    def accept(self, grow: float) -> None:
+        """Move to the attempted point; the controller asks the step to
+        grow by the factor grow."""
+        self.t = self.next
+        if self.t == self.bps[self.seg + 1]:
+            self.seg += 1
+            self.grid = None
+            self.done = self.seg == len(self.bps) - 1
+            if not self.done:
+                self._plan(0.0)
+            return
+        if self.free:
+            self.grid = None
+        else:
+            self.grid[3] += 1
+        self._plan(min(self.h * grow, self.ceiling))
+
+    def reject(self, shrink: float) -> None:
+        """Retry from t with the step shrunk by the factor shrink."""
+        self._plan(self.h * shrink)
 
 
-def _lockstep(nets: list[Netlist], times: list[float], steps: list[float],
+def _lockstep(nets: list[Netlist], analyses: list[Transient],
               opts: SolveOptions) -> tuple[list[WaveformSet], dict[int, Exception]]:
-    """Transients of netlists that share one time grid, in lockstep."""
+    """Transients of netlists with the same nodes and sources, in lockstep
+    rounds: each round, every member still running tries its next step."""
     ckt = _Circuit(nets, opts)
     batch, nv = ckt.batch, ckt.nv
-    svals = ckt.source_values(times)
-    vlimits = _vlimit(svals)
+    clocks = [_Clock(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
     ca, cb, c = ckt.cap_a, ckt.cap_b, ckt.cap_c
-    # every accepted point of every member, written in place step by step;
-    # the waveforms are views into it
-    sol = np.empty((len(times), batch, ckt.n1))
-    excess = np.empty((batch, len(times)))
-    iters = np.empty((batch, len(times)), dtype=int)
-    failed: dict[int, Exception] = {}
-    live = np.ones(batch, dtype=bool)
+    cap_member = ca // ckt.n1
+    tol, order = opts.lte_tol, 1 if opts.integration == "backward_euler" else 2
 
-    x, iters[:, 0], excess[:, 0] = ckt.solve_dc(svals[0], failed)
-    sol[0] = x
+    def grow(err):
+        return 2.0 if err == 0.0 else min(2.0, 0.9 * (tol / err) ** (1.0 / (order + 1)))
+
+    failed: dict[int, Exception] = {}
+    svals = ckt.source_values([0.0])[0]
+    x, iters, excess = ckt.solve_dc(svals, failed)
+    # every accepted point of every member, its Newton updates and excess;
+    # the first len(times[b]) rows of sols[b] are in use, and it doubles if
+    # a run of steps around the floor outnumbers the uniform grid
+    times = [[0.0] for _ in range(batch)]
+    sols = [np.empty((clk.grid_points, ckt.n1)) for clk in clocks]
+    for b in range(batch):
+        sols[b][0] = x[b]
+    per_iters = [[int(i)] for i in iters]
+    per_excess = [[float(e)] for e in excess]
+    last, prev = x.copy(), x.copy()
+    h_last = np.zeros(batch)  # step to the last accepted point; 0 at DC
+    primed = False  # every member has accepted a step
     flat = x.reshape(-1)
     cap_v, cap_i = flat[ca] - flat[cb], np.zeros(len(c))
-    h_lin = None
-    for k in range(1, len(times)):
-        if failed:  # members after the lowest failed one no longer matter
-            live[min(failed):] = False
-            if not live.any():
+    h, t, vlimit = np.zeros(batch), [0.0] * batch, np.zeros(batch)
+    err = np.zeros(batch)  # stays 0 unless a member can grow its step
+    grows = any(clk.ceiling > clk.floor for clk in clocks)
+    pending = [0] * batch  # Newton updates of rejected attempts
+    rejected = [[0, 0] for _ in range(batch)]  # by LTE, by Newton failure
+    running = np.ones(batch, dtype=bool)
+    regroup = True
+    while True:
+        if regroup:  # members after the lowest failed one no longer matter
+            running[min(failed, default=batch):] = False
+            members = running.nonzero()[0].tolist()
+            if not members:
                 break
-        if k > 1:  # predictor: the line through the last two accepted points
-            last, prev = sol[k - 1, live], sol[k - 2, live]
-            x[live] = last + (steps[k - 1] / steps[k - 2]) * (last - prev)
-        h = steps[k - 1]
-        geq, ihist = cap_companion(c, cap_v, cap_i, h, opts.integration)
-        if h != h_lin:  # geq, and so g and the linear Jacobian, depend on h alone
-            h_lin, (g, jac) = h, ckt.linear_part(geq, 0.0)
-        iters[:, k], excess[:, k], bad = ckt.newton(
-            x, svals[k], vlimits[k], (g, jac, ckt.offsets(ihist)), live, t=times[k])
-        failed.update(bad)
-        cap_v = flat[ca] - flat[cb]
-        cap_i = geq * cap_v + ihist
-        sol[k] = x
+            regroup = False
+        new_h = False
+        for b in members:
+            clk = clocks[b]
+            if clk.h != h[b]:
+                h[b], new_h = clk.h, True
+            t[b] = clk.next
+            svals[b] = vals = [stim.value_at(clk.next) for stim in ckt.stimuli[b]]
+            vlimit[b] = _vlimit(vals)
+        # predictor: the line through the last two accepted points
+        if primed:
+            x[:] = last + (h / h_last)[:, None] * (last - prev)
+        else:
+            ext = [b for b in members if h_last[b] > 0.0]
+            x[members] = last[members]
+            x[ext] += (h[ext] / h_last[ext])[:, None] * (last[ext] - prev[ext])
+        if grows:
+            predicted = x[:, :nv].copy()
+        if new_h:
+            h_cap = h[cap_member]
+        geq, ihist = cap_companion(c, cap_v, cap_i, h_cap, opts.integration)
+        if new_h:  # geq, and so g and the linear Jacobian, depend on h alone
+            g, jac = ckt.linear_part(geq, 0.0)
+        it, exc, bad = ckt.newton(x, svals, vlimit, (g, jac, ckt.offsets(ihist)),
+                                  running, t=t)
+        if grows:
+            np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1, out=err)
+        accepted = []
+        for b in members:
+            clk = clocks[b]
+            pending[b] += int(it[b])
+            if b in bad or (clk.free and err[b] > tol):
+                if not clk.free:
+                    failed[b], regroup = bad[b], True
+                elif b in bad:
+                    rejected[b][1] += 1
+                    clk.reject(0.125)
+                else:
+                    rejected[b][0] += 1
+                    clk.reject(grow(err[b]))
+                continue
+            accepted.append(b)
+            if len(times[b]) == len(sols[b]):
+                sols[b] = np.concatenate((sols[b], np.empty_like(sols[b])))
+            sols[b][len(times[b])] = x[b]
+            times[b].append(clk.next)
+            per_iters[b].append(pending[b])
+            per_excess[b].append(float(exc[b]))
+            pending[b] = 0
+            clk.accept(grow(err[b]) if grows else 1.0)
+            if clk.done:
+                running[b], regroup = False, True
+        if len(accepted) == batch:
+            primed = True
+            prev, last = last, prev
+            last[:] = x
+            h_last[:] = h
+            cap_v = flat[ca] - flat[cb]
+            cap_i = geq * cap_v + ihist
+        elif accepted:
+            prev[accepted], last[accepted] = last[accepted], x[accepted]
+            h_last[accepted] = h[accepted]
+            primed = bool(h_last.all())
+            mine = np.isin(cap_member, accepted)
+            v = flat[ca] - flat[cb]
+            cap_i = np.where(mine, geq * v + ihist, cap_i)
+            cap_v = np.where(mine, v, cap_v)
     if failed:
         return [], failed
 
-    tarr = np.array(times)
     wsets = []
     for b in range(batch):
-        voltages = {name: Waveform(tarr, sol[:, b, i])
+        tarr = np.array(times[b])
+        sol = sols[b][:len(tarr)]
+        voltages = {name: Waveform(tarr, sol[:, i])
                     for i, name in enumerate(ckt.node_names)}
-        currents = {d.name: Waveform(tarr, sol[:, b, nv + j])
+        currents = {d.name: Waveform(tarr, sol[:, nv + j])
                     for j, d in enumerate(ckt.vsources)}
-        stats = RunStats(steps=len(times) - 1, newton_iterations=int(iters[b].sum()),
-                         kcl_excess=excess[b], newton_per_point=iters[b])
+        stats = RunStats(steps=len(tarr) - 1, newton_iterations=sum(per_iters[b]),
+                         rejected_lte=rejected[b][0], rejected_newton=rejected[b][1],
+                         kcl_excess=np.array(per_excess[b]),
+                         newton_per_point=np.array(per_iters[b]))
         wsets.append(WaveformSet(times=tarr, voltages=voltages,
                                  currents=currents, stats=stats))
     return wsets, failed
@@ -604,35 +758,31 @@ def _lockstep(nets: list[Netlist], times: list[float], steps: list[float],
 
 def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None = None,
                     opts: SolveOptions | None = None) -> list[WaveformSet]:
-    """Fixed-step transients of several netlists, each from its t=0
-    operating point.
+    """Transients of several netlists, each from its t=0 operating point.
 
-    analyses[i] (default: the first .tran card of nets[i]) sets the time
-    grid of nets[i]; netlists with the same nodes, sources and grid run in
-    lockstep as one batch.  Every WaveformSet is bitwise the one the netlist
-    gives alone.  If any netlist fails, the error of the lowest-index one is
-    raised, with that index in its ``member``.
+    analyses[i] (default: the first .tran card of nets[i]) sets the steps
+    of nets[i]; netlists with the same nodes and sources run in lockstep as
+    one batch, each at its own time points.  Every WaveformSet is bitwise
+    the one the netlist gives alone.  If any netlist fails, the error of
+    the lowest-index one is raised, with that index in its ``member``.
     """
     opts = opts or SolveOptions()
     nets = list(nets)
     analyses = [None] * len(nets) if analyses is None else list(analyses)
-    groups: dict[tuple, tuple[tuple, list[int]]] = {}
+    groups: dict[tuple, list[int]] = {}
     for b, (net, analysis) in enumerate(zip(nets, analyses, strict=True)):
         if analysis is None:
             trans = [a for a in net.analyses if isinstance(a, Transient)]
             if not trans:
                 raise ValueError("netlist has no .tran analysis")
-            analysis = trans[0]
-        net.validate()
-        sources = _vsources(net)
-        grid = _segment_times([d.stimulus for d in sources], analysis)
-        key = (tuple(net.nodes), tuple(d.name for d in sources),
-               tuple(grid[0]), tuple(grid[1]))
-        groups.setdefault(key, (grid, []))[1].append(b)
+            analyses[b] = trans[0]
+        key = (tuple(net.nodes), tuple(d.name for d in _vsources(net)))
+        groups.setdefault(key, []).append(b)
     wsets: list[WaveformSet] = [None] * len(nets)
     first: tuple[int, Exception] | None = None
-    for (times, steps), members in groups.values():
-        out, failed = _lockstep([nets[b] for b in members], times, steps, opts)
+    for members in groups.values():
+        out, failed = _lockstep([nets[b] for b in members],
+                                [analyses[b] for b in members], opts)
         if failed:
             j = min(failed)
             if first is None or members[j] < first[0]:
@@ -647,11 +797,13 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
 
 def transient(net: Netlist, analysis: Transient | None = None,
               opts: SolveOptions | None = None) -> WaveformSet:
-    """Fixed-step transient from the t=0 operating point: a batch of one.
+    """Transient from the t=0 operating point: a batch of one.
 
-    Stimulus breakpoints, merged where closer together than a millionth of
-    the step, are forced onto the time grid; each segment between
-    breakpoints is subdivided uniformly with steps no larger than the
-    clamped dt.  Identical inputs produce bit-identical WaveformSets.
+    Every stimulus breakpoint is a time point.  Between breakpoints the
+    step stays at the floor (dt, clamped as the module docstring says) and
+    the points are the segment's uniform subdivision, unless the .tran
+    dtmax exceeds dt: then the step grows up to dtmax while the local
+    truncation error estimate stays within opts.lte_tol.  Identical inputs
+    produce bit-identical WaveformSets.
     """
     return transient_batch([net], [analysis], opts)[0]

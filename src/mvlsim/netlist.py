@@ -21,6 +21,10 @@ Supported text format (line oriented, case-insensitive):
     .measure <name> avgpower|peakpower <vsource>
     .end
 
+``.tran``: dt is the step at every breakpoint (PWL corner, PULSE edge)
+and the finest step; dtmax (default dt) is the largest step the engine's
+step controller may grow to.  See ``engine`` for the clamps on dt.
+
 Numbers accept the engineering suffixes f p n u m k meg g.  Node and device
 names are case-insensitive and are stored lowercased; ``gnd`` is an alias
 for the ground node ``0``.  Anything outside this grammar raises

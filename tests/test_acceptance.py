@@ -1,7 +1,8 @@
 """Acceptance gate.
 
-Eight end-to-end criteria, one test each, and a pin of the solver's work
-on the characterization runs.  Every test prints a single verdict line
+Eight end-to-end criteria, one test each, a pin of the solver's work on
+the characterization runs and a guard that the step growth there leaves
+every figure where the fixed grid puts it.  Every test prints a single verdict line
 (run with ``pytest -s`` to see them) before asserting, so the printed
 PASS/FAIL always matches the pytest outcome.  Tolerances are pinned here;
 nothing is derived from the code under test.
@@ -20,7 +21,13 @@ from mvlsim.cells import (
     staircase_sample_times,
     with_dc_input,
 )
-from mvlsim.characterize import RunConfig, improvement_pct, run_decoder
+from mvlsim.characterize import (
+    RunConfig,
+    assemble_report,
+    evaluate_measures,
+    improvement_pct,
+    run_decoder,
+)
 from mvlsim.devices import FetModelCard, preset, preset_names, square_law
 from mvlsim.engine import SolveOptions, dc_operating_point, transient
 from mvlsim.measure import Waveform, rise_time
@@ -32,7 +39,7 @@ from mvlsim.mvl import (
     ideal_vlc,
     truth_table_csv,
 )
-from mvlsim.netlist import NetlistError, emit, parse, parse_value
+from mvlsim.netlist import NetlistError, Transient, emit, parse, parse_value
 
 RISE_WINDOW = (87.19e-12, 348.76e-12)  # 4x span centred on 174.38 ps
 
@@ -110,7 +117,7 @@ def test_c3_technology_comparison(characterization):
 # Steps and Newton iterations of the default decoder runs.  A change that
 # only makes each iteration cheaper leaves them as they are; a change to
 # time stepping or convergence control updates them on purpose.
-NEWTON_WORK = {"cmos32": (2000, 2685), "gnrfet32": (2000, 2212)}
+NEWTON_WORK = {"cmos32": (434, 1024), "gnrfet32": (153, 385)}
 
 
 def test_newton_work_pinned(characterization):
@@ -121,6 +128,24 @@ def test_newton_work_pinned(characterization):
         "; ".join(f"{name} {steps} steps, {iters} Newton iterations "
                   f"(pinned {NEWTON_WORK.get(name)})"
                   for name, (steps, iters) in work.items()))
+
+
+def test_step_growth_keeps_the_figures(characterization):
+    # the testbench lets the step grow to dtmax through each settled hold;
+    # every figure must stay within 0.1% of the run on the fixed dt grid
+    worst = {}
+    for name, run in characterization.items():
+        (tran,) = [a for a in run.net.analyses if isinstance(a, Transient)]
+        fixed = transient(run.net, dataclasses.replace(tran, dtmax=None))
+        ref = assemble_report(name, run.net.measures, evaluate_measures(run.net, fixed))
+        for field in ("rise_time", "fall_time", "prop_delay", "avg_power",
+                      "max_power", "pdp"):
+            shift = abs(getattr(run.report, field) / getattr(ref, field) - 1.0)
+            worst[f"{name} {field}"] = shift
+    key = max(worst, key=worst.get)
+    assert verdict(
+        "Figures with a grown step", worst[key] <= 1e-3,
+        f"worst shift from the fixed dt grid {worst[key] * 100:.4f}% ({key}) <= 0.1%")
 
 
 def test_c4_solver_accuracy(characterization):

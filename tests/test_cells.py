@@ -236,6 +236,7 @@ class TestStaircase:
         assert isinstance(tran, Transient)
         assert tran.tstop == 4 * 5e-9
         assert tran.dt == min(tran.tstop / 1000.0, 1e-10 / 10.0)
+        assert tran.dtmax == 5e-9 / 20.0  # the step grows through each hold
         got = {(m.name, m.kind, m.targets) for m in net.measures}
         assert got == {
             ("b0_rise", "rise", ("b0",)),

@@ -35,6 +35,8 @@ FAILED_RUN = re.compile(r"^error: run (\S+): t (dc|\S+ s), node '\w+', "
 
 REPORT_KEYS = {"technology", "max_power", "avg_power", "rise_time",
                "fall_time", "prop_delay", "pdp", "edp"}
+SOLVER_KEYS = {"steps", "rejected_lte", "rejected_newton", "newton_iterations",
+               "kcl_excess_max"}
 
 
 def read_json(path):
@@ -54,6 +56,8 @@ class TestRun:
         assert doc["measures"]["td"] == pytest.approx(0.688e-9, rel=0.02)
         csv = (out / "rc.csv").read_text().splitlines()
         assert csv[0] == "time,in,out,i(v1)"
+        assert doc["solver"]["steps"] == len(csv) - 2
+        assert doc["solver"]["rejected_lte"] == doc["solver"]["rejected_newton"] == 0
         assert "tr = " in capsys.readouterr().out
 
     def test_op_only_netlist(self, tmp_path, capsys):
@@ -62,6 +66,7 @@ class TestRun:
         assert main(["run", str(src), "--out", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "div.json")
         assert doc["op"]["b"] == pytest.approx(1.0, rel=1e-9)
+        assert doc["solver"] is None
         assert "v(b) = " in capsys.readouterr().out
 
     def test_parse_error_is_exit_1(self, tmp_path, capsys):
@@ -149,6 +154,11 @@ class TestDecoder:
         assert doc["measures"]["b1_fall"] is None  # b1 never falls: 0,0,1,1
         csv = (tmp_path / "decoder_cmos32.csv").read_text()
         assert csv.startswith("time,")
+        solver = doc["solver"]
+        assert set(solver) == SOLVER_KEYS
+        assert solver["steps"] == len(csv.splitlines()) - 2  # header, DC row
+        assert solver["newton_iterations"] >= solver["steps"]
+        assert 0.0 <= solver["kcl_excess_max"] <= engine.SolveOptions().abstol
         out = capsys.readouterr().out
         assert "logic ok" in out
         assert "Technology" in out
@@ -206,6 +216,8 @@ class TestCompare:
         for tech in ("cmos32", "gnrfet32"):
             assert (tmp_path / f"decoder_{tech}.json").exists()
             assert (tmp_path / f"decoder_{tech}.csv").exists()
+            assert runs[tech]["solver"] == read_json(
+                tmp_path / f"decoder_{tech}.json")["solver"]
 
     def test_solver_failure_names_the_card(self, tmp_path, capsys, monkeypatch):
         solve_options = engine.SolveOptions

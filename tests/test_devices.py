@@ -204,9 +204,19 @@ class TestCompanions:
     def test_zero_capacitance_is_open(self):
         assert cap_companion(0.0, 1.0, 1.0, 1e-9, "backward_euler") == (0.0, 0.0)
 
+    def test_per_capacitor_step(self):
+        c, v, i = np.array([1e-12, 2e-15]), np.array([0.5, -0.3]), np.array([1e-6, 0.0])
+        dt = np.array([1e-9, 3e-12])
+        for rule in ("backward_euler", "trapezoidal"):
+            geq, ihist = cap_companion(c, v, i, dt, rule)
+            for k in range(2):
+                assert (geq[k], ihist[k]) == cap_companion(c[k], v[k], i[k], dt[k], rule)
+
     def test_bad_dt_and_rule(self):
         with pytest.raises(ValueError):
             cap_companion(1e-12, 0.0, 0.0, 0.0, "backward_euler")
+        with pytest.raises(ValueError):
+            cap_companion(np.ones(2), 0.0, 0.0, np.array([1e-9, 0.0]), "backward_euler")
         with pytest.raises(ValueError):
             cap_companion(1e-12, 0.0, 0.0, 1e-9, "simpson")
 

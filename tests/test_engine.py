@@ -283,6 +283,8 @@ class TestDc:
             SolveOptions(max_newton_iters=0)
         with pytest.raises(ValueError):
             SolveOptions(integration="euler")
+        with pytest.raises(ValueError):
+            SolveOptions(lte_tol=0.0)
 
 
 class TestTransient:
@@ -444,13 +446,28 @@ class TestBatch:
         for net, wset in zip(nets, batch):
             assert_same_run(wset, transient(net))
 
-    def test_hold_sweep_splits_by_time_grid(self, monkeypatch):
+    def test_hold_sweep_runs_as_one_batch(self, monkeypatch):
         nets = [staircase(hold=h) for h in (1e-9, 1.5e-9, 1e-9)]
         sizes = groups_run(monkeypatch)
         batch = transient_batch(nets)
-        assert sizes == [2, 1]
+        assert sizes == [3]
         for net, wset in zip(nets, batch):
             assert_same_run(wset, transient(net))
+
+    def test_members_with_own_holds_and_dtmax_match_runs_alone(self, monkeypatch):
+        # a grown step, a fixed grid and a different card side by side, so
+        # the members' time points part after the first point
+        nets = [staircase(hold=1e-9), staircase(hold=1.5e-9),
+                staircase(tech="gnrfet32", hold=1.2e-9)]
+        trans = [net.analyses[0] for net in nets]
+        analyses = [trans[0], dataclasses.replace(trans[1], dtmax=None),
+                    dataclasses.replace(trans[2], dtmax=3e-11)]
+        sizes = groups_run(monkeypatch)
+        batch = transient_batch(nets, analyses)
+        assert sizes == [3]
+        assert len({len(wset.times) for wset in batch}) == 3
+        for net, analysis, wset in zip(nets, analyses, batch):
+            assert_same_run(wset, transient(net, analysis))
 
     def test_singular_member_reports_its_pivot(self):
         good = "* pair\nv1 a 0 dc 1\nv2 b 0 dc 1\nr1 a 0 1k\nr2 b 0 1k\n.tran 1p 1n\n.end\n"
@@ -478,6 +495,90 @@ class TestBatch:
         assert b.member == 0 and edge < b.t < edge + 2e-11
         assert (str(b), b.t, b.node, b.excess, b.iteration) == (
             str(a), a.t, a.node, a.excess, a.iteration)
+
+
+def uniform_grid(bps, floor):
+    """Time points of the fixed grid: each segment between breakpoints cut
+    into the fewest equal steps <= floor."""
+    times = [bps[0]]
+    for t0, t1 in zip(bps, bps[1:]):
+        nsub = math.ceil((t1 - t0) / floor - 1e-9)
+        h = (t1 - t0) / nsub
+        times += [t0 + j * h for j in range(1, nsub)] + [t1]
+    return times
+
+
+def attempts_failing_once_after(monkeypatch, t_fail):
+    """Record the time point of every transient Newton solve of a batch of
+    one; report the first one past t_fail as a Newton failure."""
+    attempts = []
+    newton = _Circuit.newton
+
+    def spy(self, x, svals, vlimit, lin, live, t=None, label=""):
+        iters, excess, failed = newton(self, x, svals, vlimit, lin, live, t, label)
+        if t is not None:
+            attempts.append(float(t[0]))
+            if t[0] > t_fail and sum(a > t_fail for a in attempts) == 1:
+                failed = {0: ConvergenceError("injected failure", t=float(t[0]))}
+        return iters, excess, failed
+
+    monkeypatch.setattr(_Circuit, "newton", spy)
+    return attempts
+
+
+class TestStepControl:
+    # the staircase at hold 1 ns: dt 4 ps (tstop/1000), dtmax 50 ps (hold/20)
+    def test_controlled_steps(self, monkeypatch):
+        net = staircase(hold=1e-9)
+        tran = net.analyses[0]
+        assert (tran.dt, tran.dtmax) == (4e-12, 5e-11)
+        attempts = attempts_failing_once_after(monkeypatch, 0.5e-9)
+        ws = transient(net)
+        times, steps, stats = ws.times.tolist(), np.diff(ws.times), ws.stats
+        bps = sorted({t for t, _ in net.device("vin").stimulus.points} | {tran.tstop})
+        assert set(bps) <= set(times)
+        for t0, t1 in zip(bps, bps[1:]):  # the step restarts at the floor
+            assert times[times.index(t0) + 1] == uniform_grid([t0, t1], tran.dt)[1]
+        assert np.max(steps) <= tran.dtmax * (1.0 + 1e-9)  # times round
+        assert stats.steps < len(uniform_grid(bps, tran.dt)) - 1  # the step grew
+        # a rejected attempt is retried shorter from the same point; those
+        # are exactly the attempts the next one does not pass, and they
+        # leave no point
+        assert stats.rejected_newton == 1 and stats.rejected_lte > 0
+        kept = [a for a, b in zip(attempts, attempts[1:] + [math.inf]) if b > a]
+        assert kept == times[1:]
+        assert len(attempts) - len(kept) == stats.rejected_lte + stats.rejected_newton
+        # every step up to dt is a step of the uniform subdivision of the
+        # segment, or of what remained of it where that run of steps began
+        floor = steps <= tran.dt * (1.0 + 1e-9)
+        k = 0
+        while k < len(steps):
+            if not floor[k]:
+                k += 1
+                continue
+            t1 = min(b for b in bps if b > times[k])
+            end = k + 1
+            while end < len(steps) and floor[end] and times[end] < t1:
+                end += 1
+            assert times[k:end + 1] == uniform_grid([times[k], t1], tran.dt)[:end + 1 - k]
+            k = end
+
+    # the last case: dt = dtmax = 20 ps, above the floor the 100 ps edge sets
+    @pytest.mark.parametrize("dt, dtmax, floor", [
+        (7e-12, None, 7e-12), (7e-12, 7e-12, 7e-12), (7e-12, 5e-12, 5e-12),
+        (2e-11, 2e-11, 1e-11)])
+    def test_no_dtmax_above_dt_keeps_the_uniform_grid(self, dt, dtmax, floor):
+        net = parse("* t\nv1 in 0 pwl(0 0 100p 1 1n 1 1.2n 0)\nr1 in out 1k\n"
+                    "c1 out 0 1p\n.end\n")
+        ws = transient(net, Transient(dt=dt, tstop=1e-8, dtmax=dtmax))
+        assert ws.times.tolist() == uniform_grid([0.0, 1e-10, 1e-9, 1.2e-9, 1e-8], floor)
+        assert ws.stats.rejected_lte == ws.stats.rejected_newton == 0
+
+    def test_tighter_tolerance_takes_more_steps(self):
+        net = staircase(hold=1e-9)
+        loose = transient(net, opts=SolveOptions(lte_tol=1e-3))
+        tight = transient(net, opts=SolveOptions(lte_tol=1e-5))
+        assert loose.stats.steps < transient(net).stats.steps < tight.stats.steps
 
 
 class TestFetTransient:
