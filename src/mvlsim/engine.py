@@ -65,14 +65,14 @@ error (Nagel, SPICE2, UCB/ERL M520, 1975), estimated as
     err = max over the node voltages of |x_corrected - x_predicted|
 
 with the predictor below.  After each accepted point the next step is
-h * min(2, 0.9 * (lte_tol / err)**(1/(p+1))), p the order of the rule,
-capped at the ceiling, cut to land on the next breakpoint and never leaving
-a remainder shorter than the floor.  A step above the floor is rejected
-when err > lte_tol or Newton fails there; it is then retried shorter, by
-the same formula or by 8x after a Newton failure, but never below the
-floor.  At every breakpoint the step resets to the floor.  So a .tran
-without a dtmax above dt gives the uniform grid, and the settled stretches
-of a card with one cost a few steps each.
+h * min(2, 0.9 * (tol / err)**(1/(p+1))), p the order of the rule and tol
+the fixed _LTE_TOL (0.1 mV), capped at the ceiling, cut to land on the next
+breakpoint and never leaving a remainder shorter than the floor.  A step
+above the floor is rejected when err > tol or Newton fails there; it is
+then retried shorter, by the same formula or by 8x after a Newton failure,
+but never below the floor.  At every breakpoint the step resets to the
+floor.  So a .tran without a dtmax above dt gives the uniform grid, and the
+settled stretches of a card with one cost a few steps each.
 
 Every capacitor, the FETs' lumped cg and cd included, becomes a companion
 conductance/history-current pair; backward Euler is the default rule,
@@ -139,13 +139,9 @@ class SolveOptions:
     gmin: float = 1e-12         # S
     gmin_steps: int = 10
     integration: str = "backward_euler"  # or "trapezoidal"
-    # V, the largest local truncation error estimate (max |corrected -
-    # predicted| over the node voltages) a step above the .tran dt may
-    # leave; the step grows while the estimate stays below it
-    lte_tol: float = 1e-4
 
     def __post_init__(self):
-        for name in ("abstol", "reltol", "vtol", "gmin", "lte_tol"):
+        for name in ("abstol", "reltol", "vtol", "gmin"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
         if self.max_newton_iters < 1 or self.gmin_steps < 1:
@@ -275,6 +271,11 @@ class WaveformSet:
 # matrix.
 _MIN_SEPARATION = 1e-6
 
+# V, the largest local truncation error estimate (max |corrected - predicted|
+# over the node voltages) that a step above the floor may leave; the step
+# grows while the estimate stays below it.
+_LTE_TOL = 1e-4
+
 
 def _column(rows, i, dtype=float) -> np.ndarray:
     return np.array([r[i] for r in rows], dtype=dtype)
@@ -284,10 +285,10 @@ def _vsources(net: Netlist) -> list:
     return [d for d in net.devices if d.kind == "vsource"]
 
 
-def _vlimit(vals) -> float:
+def _vlimit(svals: np.ndarray) -> np.ndarray:
     """Newton's clip on node-voltage updates: twice the largest |source
-    value| of one member, at least 1 V."""
-    return max(1.0, 2.0 * max(map(abs, vals), default=0.0))
+    value| of each member (batch x nsrc), at least 1 V."""
+    return 2.0 * np.maximum.reduce(np.abs(svals), axis=1, initial=0.5)
 
 
 class _Circuit:
@@ -373,13 +374,11 @@ class _Circuit:
         self.src_w = np.repeat([1.0, -1.0, 1.0, -1.0], len(sp))
         self.rhs = _probe_rhs(self.batch, n)
 
-    def source_values(self, times) -> np.ndarray:
-        """Source values, one row per time point, then the batch axis."""
-        vals = np.empty((len(times), self.batch, self.n - self.nv))
-        for b, stims in enumerate(self.stimuli):
-            for j, stim in enumerate(stims):
-                vals[:, b, j] = [stim.value_at(t) for t in times]
-        return vals
+    def source_values(self, ts) -> np.ndarray:
+        """Source values of each member b at its own time ts[b], batch x
+        nsrc."""
+        return np.array([stim.value_at(t) for stims, t in zip(self.stimuli, ts)
+                         for stim in stims]).reshape(self.batch, self.n - self.nv)
 
     def linear_part(self, geq, shunt):
         """What stays fixed while the step size does: the linear-branch
@@ -513,7 +512,7 @@ class _Circuit:
         opts = self.opts
         raising = failed is None
         failed = {} if raising else failed
-        vlimit = np.array([_vlimit(vals) for vals in svals.tolist()])
+        vlimit = _vlimit(svals)
         geq, i0 = np.zeros(len(self.cap_c)), np.zeros(self.n_lin)
         x = np.zeros((self.batch, self.n1))
         iters, excess, bad = self.newton(x, svals, vlimit,
@@ -543,7 +542,7 @@ def dc_operating_point(net: Netlist, opts: SolveOptions | None = None) -> dict[s
     """Node voltages of the DC operating point (sources at their t=0 values)."""
     opts = opts or SolveOptions()
     ckt = _Circuit([net], opts)
-    x, _iters, _excess = ckt.solve_dc(ckt.source_values([0.0])[0])
+    x, _iters, _excess = ckt.solve_dc(ckt.source_values([0.0]))
     return {name: float(x[0, i]) for i, name in enumerate(ckt.node_names)}
 
 
@@ -633,15 +632,19 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
     batch, nv = ckt.batch, ckt.nv
     clocks = [_Clock(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
     ca, cb, c = ckt.cap_a, ckt.cap_b, ckt.cap_c
-    cap_member = ca // ckt.n1
-    tol, order = opts.lte_tol, 1 if opts.integration == "backward_euler" else 2
+    cap_member = ca // ckt.n1  # ascending: each member's capacitors in a row
+    bounds = np.searchsorted(cap_member, np.arange(batch + 1)).tolist()
+    cap_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    order = 1 if opts.integration == "backward_euler" else 2
 
     def grow(err):
-        return 2.0 if err == 0.0 else min(2.0, 0.9 * (tol / err) ** (1.0 / (order + 1)))
+        if err == 0.0:
+            return 2.0
+        return min(2.0, 0.9 * (_LTE_TOL / err) ** (1.0 / (order + 1)))
 
     failed: dict[int, Exception] = {}
-    svals = ckt.source_values([0.0])[0]
-    x, iters, excess = ckt.solve_dc(svals, failed)
+    t = [0.0] * batch
+    x, iters, excess = ckt.solve_dc(ckt.source_values(t), failed)
     # every accepted point of every member, its Newton updates and excess;
     # the first len(times[b]) rows of sols[b] are in use, and it doubles if
     # a run of steps around the floor outnumbers the uniform grid
@@ -651,14 +654,10 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
         sols[b][0] = x[b]
     per_iters = [[int(i)] for i in iters]
     per_excess = [[float(e)] for e in excess]
-    last, prev = x.copy(), x.copy()
-    h_last = np.zeros(batch)  # step to the last accepted point; 0 at DC
-    primed = False  # every member has accepted a step
+    h = [0.0] * batch  # the step each member tries
+    h_last = [math.inf] * batch  # the step to its last accepted point; inf at DC
     flat = x.reshape(-1)
     cap_v, cap_i = flat[ca] - flat[cb], np.zeros(len(c))
-    h, t, vlimit = np.zeros(batch), [0.0] * batch, np.zeros(batch)
-    err = np.zeros(batch)  # stays 0 unless a member can grow its step
-    grows = any(clk.ceiling > clk.floor for clk in clocks)
     pending = [0] * batch  # Newton updates of rejected attempts
     rejected = [[0, 0] for _ in range(batch)]  # by LTE, by Newton failure
     running = np.ones(batch, dtype=bool)
@@ -676,31 +675,28 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
             if clk.h != h[b]:
                 h[b], new_h = clk.h, True
             t[b] = clk.next
-            svals[b] = vals = [stim.value_at(clk.next) for stim in ckt.stimuli[b]]
-            vlimit[b] = _vlimit(vals)
-        # predictor: the line through the last two accepted points
-        if primed:
-            x[:] = last + (h / h_last)[:, None] * (last - prev)
-        else:
-            ext = [b for b in members if h_last[b] > 0.0]
-            x[members] = last[members]
-            x[ext] += (h[ext] / h_last[ext])[:, None] * (last[ext] - prev[ext])
-        if grows:
-            predicted = x[:, :nv].copy()
+            # predictor: the line through the last two accepted points; at
+            # the DC point, last = prev and h/h_last = 0
+            k = len(times[b])
+            last, prev = sols[b][k - 1], sols[b][max(k - 2, 0)]
+            x[b] = last + (clk.h / h_last[b]) * (last - prev)
+        svals = ckt.source_values(t)
+        predicted = x[:, :nv].copy()
         if new_h:
-            h_cap = h[cap_member]
+            h_cap = np.array(h)[cap_member]
         geq, ihist = cap_companion(c, cap_v, cap_i, h_cap, opts.integration)
         if new_h:  # geq, and so g and the linear Jacobian, depend on h alone
             g, jac = ckt.linear_part(geq, 0.0)
-        it, exc, bad = ckt.newton(x, svals, vlimit, (g, jac, ckt.offsets(ihist)),
-                                  running, t=t)
-        if grows:
-            np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1, out=err)
-        accepted = []
+        it, exc, bad = ckt.newton(x, svals, _vlimit(svals),
+                                  (g, jac, ckt.offsets(ihist)), running, t=t)
+        err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
+                                initial=0.0).tolist()
+        v_now = flat[ca] - flat[cb]
+        i_now = geq * v_now + ihist
         for b in members:
             clk = clocks[b]
             pending[b] += int(it[b])
-            if b in bad or (clk.free and err[b] > tol):
+            if b in bad or (clk.free and err[b] > _LTE_TOL):
                 if not clk.free:
                     failed[b], regroup = bad[b], True
                 elif b in bad:
@@ -710,32 +706,18 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
                     rejected[b][0] += 1
                     clk.reject(grow(err[b]))
                 continue
-            accepted.append(b)
             if len(times[b]) == len(sols[b]):
                 sols[b] = np.concatenate((sols[b], np.empty_like(sols[b])))
             sols[b][len(times[b])] = x[b]
             times[b].append(clk.next)
             per_iters[b].append(pending[b])
             per_excess[b].append(float(exc[b]))
-            pending[b] = 0
-            clk.accept(grow(err[b]) if grows else 1.0)
+            pending[b], h_last[b] = 0, clk.h
+            rows = cap_rows[b]
+            cap_v[rows], cap_i[rows] = v_now[rows], i_now[rows]
+            clk.accept(grow(err[b]))
             if clk.done:
                 running[b], regroup = False, True
-        if len(accepted) == batch:
-            primed = True
-            prev, last = last, prev
-            last[:] = x
-            h_last[:] = h
-            cap_v = flat[ca] - flat[cb]
-            cap_i = geq * cap_v + ihist
-        elif accepted:
-            prev[accepted], last[accepted] = last[accepted], x[accepted]
-            h_last[accepted] = h[accepted]
-            primed = bool(h_last.all())
-            mine = np.isin(cap_member, accepted)
-            v = flat[ca] - flat[cb]
-            cap_i = np.where(mine, geq * v + ihist, cap_i)
-            cap_v = np.where(mine, v, cap_v)
     if failed:
         return [], failed
 
@@ -803,7 +785,7 @@ def transient(net: Netlist, analysis: Transient | None = None,
     step stays at the floor (dt, clamped as the module docstring says) and
     the points are the segment's uniform subdivision, unless the .tran
     dtmax exceeds dt: then the step grows up to dtmax while the local
-    truncation error estimate stays within opts.lte_tol.  Identical inputs
+    truncation error estimate stays within _LTE_TOL.  Identical inputs
     produce bit-identical WaveformSets.
     """
     return transient_batch([net], [analysis], opts)[0]
