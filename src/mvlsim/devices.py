@@ -6,9 +6,11 @@ channel-length modulation term lambda (1/V) and two lumped capacitances:
 cg from gate to source and cd from drain to ground.  ``square_law`` is the
 N-channel law, element-wise over every FET of a circuit; for vds < 0 the
 drain and source roles swap, which keeps the current continuous through
-vds = 0.  The engine evaluates P-channel devices by sign symmetry: flip the
-terminal voltages and the threshold, evaluate the N-channel law, flip the
-current.
+vds = 0.  The engine evaluates P-channel devices on the same law by sign
+symmetry: it gathers their terminal voltages with gate/drain and source
+swapped, flips the threshold and negates the current.  ``cap_companion``
+is the capacitor's companion pair; the engine takes its two halves,
+``cap_conductance`` when the step changes and ``cap_history`` at each step.
 
 No minimum off-conductance is added here; the solver applies gmin shunts
 externally (see engine.SolveOptions).
@@ -63,19 +65,21 @@ def square_law(vth, k, lam, vgs, vds):
 
     One clamped formula covers the three regions: with vov = max(vgs - vth, 0)
     and ve = min(vds, vov), id = k*ve*(vov - ve/2)*(1 + lambda*vds); ve = vds
-    in triode, vov in saturation and 0 in cutoff.
+    in triode, vov in saturation and 0 in cutoff.  The reversal needs no
+    select: vgs - min(vds, 0) is the gate voltage either way, id and gm
+    are multiplied by -1 and gds gains gm, all exact operations.
     """
     rev = vds < 0.0
-    vgs = np.where(rev, vgs - vds, vgs)
+    vgs = vgs - np.minimum(vds, 0.0)
     vds = np.abs(vds)
     vov = np.maximum(vgs - vth, 0.0)
     ve = np.minimum(vds, vov)
     cl = 1.0 + lam * vds
     kq = k * (ve * (vov - 0.5 * ve))
-    i = kq * cl
     gm = k * ve * cl
     gds = k * (vov - ve) * cl + kq * lam
-    return np.where(rev, -i, i), np.where(rev, -gm, gm), np.where(rev, gm + gds, gds)
+    sgn = np.where(rev, -1.0, 1.0)
+    return kq * cl * sgn, gm * sgn, gds + gm * rev
 
 
 def cap_companion(c, v_prev, i_prev, dt, rule: str):
@@ -86,15 +90,27 @@ def cap_companion(c, v_prev, i_prev, dt, rule: str):
     voltage and current at the previous accepted time point (i_prev is only
     used by the trapezoidal rule).
     """
+    geq = cap_conductance(c, dt, rule)
+    return geq, cap_history(geq, v_prev, i_prev, rule)
+
+
+def cap_conductance(c, dt, rule: str):
+    """The companion conductance geq of cap_companion, which depends on the
+    step alone."""
     if not np.greater(dt, 0.0).all():
         raise ValueError("dt must be > 0")
     if rule == "backward_euler":
-        geq = c / dt
-        return geq, -geq * v_prev
+        return c / dt
     if rule == "trapezoidal":
-        geq = 2.0 * c / dt
-        return geq, -geq * v_prev - i_prev
+        return 2.0 * c / dt
     raise ValueError(f"unknown integration rule {rule!r}")
+
+
+def cap_history(geq, v_prev, i_prev, rule: str):
+    """The companion history current ihist of cap_companion, given geq."""
+    if rule == "trapezoidal":
+        return -geq * v_prev - i_prev
+    return -geq * v_prev
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,20 @@ into index arrays over three kinds of branch:
     node (so that fully cut-off stacks keep a DC path to ground) and the
     gmin-stepping shunts from every node to ground;
   * FET branches drain -> source, all evaluated by one element-wise
-    square-law pass (devices.square_law), P devices by sign symmetry;
+    square-law pass (devices.square_law);
   * voltage-source branches, whose currents are unknowns.
 
 Ground is index n, one past the last unknown: every solution vector carries
-a trailing 0 there, so no stamp tests for ground, and row and column n are
-sliced off the scattered sums.  The branch currents are computed once and
-scattered (np.bincount) into the KCL residual F, the largest branch current
-at each node and, with the branch derivatives, the Jacobian dF/dx (Ho,
-Ruehli and Brennan, IEEE TCAS 1975).  Newton solves J dx = -F and converges
-when both a small update step and a small true KCL residual hold at every
-node:
+a trailing 0 there, so no stamp tests for ground; row n is sliced off the
+residual and the Jacobian's row and column n go to one spare slot.  Every
+branch voltage (FET vgs and vds included) and source current is one
+x[hi] - x[lo]; a P device's N-law voltages -(vg - vs) and -(vd - vs) are
+exactly vs - vg and vs - vd, so its hi and lo swap.  The branch currents
+are computed once and scattered (np.bincount) into the KCL residual F, the
+largest branch current at each node and, with the branch derivatives, the
+Jacobian dF/dx (Ho, Ruehli and Brennan, IEEE TCAS 1975).  Newton solves
+J dx = -F and converges when both a small update step and a small true KCL
+residual hold at every node:
 
     |sum of branch currents| <= abstol + reltol * max |branch current|
     |dx| <= vtol for every unknown
@@ -99,7 +102,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import cap_companion, square_law
+from .devices import cap_conductance, cap_history, square_law
 from .measure import Waveform
 from .netlist import Netlist, Transient
 
@@ -216,11 +219,12 @@ def _solve(a: np.ndarray, b: np.ndarray,
             each = [_solve(a[j:j + 1], b[j:j + 1], rhs[j:j + 1]) for j in range(len(a))]
             return (np.concatenate([x for x, _ in each]),
                     {j: e for j, (_, err) in enumerate(each) for e in err.values()})
-    top = np.maximum.reduce(np.abs(sol), axis=1, initial=0.0)
+    top = np.maximum.reduce(np.abs(sol), axis=1, initial=0.0).tolist()
     norm = np.maximum.reduce(np.add.reduce(np.abs(a), axis=2), axis=1, initial=0.0)
-    good = (top[:, 0] < math.inf) & (top[:, 1] * norm < _PROBE_KAPPA)  # |probe|inf <= 1
     x, errors = sol[:, :, 0], {}
-    for j in (~good).nonzero()[0].tolist():
+    for j, ((top_x, top_probe), a_norm) in enumerate(zip(top, norm.tolist())):
+        if top_x < math.inf and top_probe * a_norm < _PROBE_KAPPA:  # |probe|inf <= 1
+            continue
         try:
             x[j] = _lu_solve(a[j], b[j])
         except SingularMatrixError as err:
@@ -261,8 +265,9 @@ class WaveformSet:
         series = ([self.times] + [w.values for w in self.voltages.values()]
                   + [w.values for w in self.currents.values()])
         lines = [",".join(cols)]
-        for i in range(len(self.times)):
-            lines.append(",".join(repr(float(s[i])) for s in series))
+        for i in range(0, len(self.times), 256):  # blocks keep the peak memory down
+            block = np.column_stack([s[i:i + 256] for s in series])
+            lines += [",".join(map(repr, r.tolist())) for r in block]
         return "\n".join(lines) + "\n"
 
 
@@ -330,17 +335,23 @@ class _Circuit:
                     card = net.models[d.model]
                     m = d.params.get("m", 1.0)
                     sign = 1.0 if card.polarity == "n" else -1.0
-                    fets.append((t[0], t[1], t[2], sign, sign * card.vth,
+                    drain, gate, src = t[:3]
+                    # (vgs, vds) = x[hi] - x[lo], swapped for a P device
+                    hi, lo = (gate, drain), (src, src)
+                    if sign < 0.0:
+                        hi, lo = lo, hi
+                    fets.append((drain, gate, src, *hi, *lo, sign, sign * card.vth,
                                  card.k * m, card.lam))
-                    caps += [(t[1], t[2], card.cg * m), (t[0], ground, card.cd * m)]
-                    fet_nodes.update((t[0], t[2]))
+                    caps += [(gate, src, card.cg * m), (drain, ground, card.cd * m)]
+                    fet_nodes.update((drain, src))
             gmins += [(i, ground) for i in sorted(fet_nodes - {ground})]
             shunts += [(b * n1 + i, ground) for i in range(nv)]
             srcs += [(node_of[d.terminals[0]], node_of[d.terminals[1]],
-                      b * n1 + nv + j) for j, d in enumerate(sources)]
+                      b * n1 + nv + j, ground) for j, d in enumerate(sources)]
         caps = [cap for cap in caps if cap[2] > 0.0]
         idx = np.intp
-        self.cap_a, self.cap_b = _column(caps, 0, idx), _column(caps, 1, idx)
+        # ascending: each member's capacitors in a row
+        self.cap_member = _column(caps, 0, idx) // n1
         self.cap_c = _column(caps, 2)
         self.cap_branches = slice(len(res), len(res) + len(caps))
         # linear branches: resistors, capacitors, gmin shunts, stepping shunts
@@ -350,20 +361,25 @@ class _Circuit:
         lin = res + caps + gmins + shunts
         self.n_lin = len(lin)
         la, lb = _column(lin, 0, idx), _column(lin, 1, idx)
-        fd, fg, fs = (_column(fets, i, idx) for i in range(3))
+        fd, fg, fs, gs_hi, ds_hi, gs_lo, ds_lo = (_column(fets, i, idx)
+                                                  for i in range(7))
         self.sign, self.vth, self.k, self.lam = (_column(fets, i)
-                                                 for i in range(3, 7))
-        sp, sm, rows = (_column(srcs, i, idx) for i in range(3))
-        # one gather of x serves every branch; these slices cut it apart
-        parts = (la, lb, fg, fd, fs, rows, sp, sm)
-        self.gather = np.concatenate(parts)
-        cuts = np.cumsum([0] + [len(p) for p in parts]).tolist()
+                                                 for i in range(7, 11))
+        sp, sm, rows, grounds = (_column(srcs, i, idx) for i in range(4))
+        # one x[hi] - x[lo] serves every branch; these slices cut it apart
+        parts = ((la, lb), (gs_hi, gs_lo), (ds_hi, ds_lo), (sp, sm), (rows, grounds))
+        self.hi = np.concatenate([a for a, _ in parts])
+        self.lo = np.concatenate([b for _, b in parts])
+        cuts = np.cumsum([0] + [len(a) for a, _ in parts]).tolist()
         self.parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
         # branch currents run from these nodes (first half) to these (second)
         self.ends = np.concatenate((la, fd, sp, lb, fs, sm))
 
-        def flat(r, c):  # entry (r, c) of member r // n1's (n+1)^2 block
-            return r * n1 + c % n1
+        def flat(r, c):
+            """Entry (r, c) of member r // n1's n x n block; entries in a
+            ground row or column all go to one spare slot past the blocks."""
+            b, r, c = r // n1, r % n1, c % n1
+            return np.where((r == n) | (c == n), self.batch * n * n, (b * n + r) * n + c)
 
         # Jacobian entries: linear branches and sources are fixed per step,
         # the FETs' change every iteration
@@ -372,7 +388,10 @@ class _Circuit:
         self.flat_fet = flat(np.concatenate((fd, fd, fd, fs, fs, fs)),
                              np.concatenate((fg, fd, fs, fg, fd, fs)))
         self.src_w = np.repeat([1.0, -1.0, 1.0, -1.0], len(sp))
+        # the weights of (gm, gds, gm + gds) repeated twice in flat_fet
+        self.fet_w = np.repeat([1.0, 1.0, -1.0, -1.0, -1.0, 1.0], len(fd))
         self.rhs = _probe_rhs(self.batch, n)
+        self.i0 = np.zeros(self.n_lin)
 
     def source_values(self, ts) -> np.ndarray:
         """Source values of each member b at its own time ts[b], batch x
@@ -388,34 +407,35 @@ class _Circuit:
         g = np.concatenate((self.g_res, geq, self.g_gmin,
                             np.full(self.n_shunt, shunt)))
         jac = np.bincount(self.flat_lin, np.concatenate((g, -g, -g, g, self.src_w)),
-                          minlength=self.batch * self.n1 ** 2)
+                          minlength=self.batch * self.n ** 2 + 1)
         return g, jac
 
     def offsets(self, ihist):
         """The linear branches' offset currents i0: the capacitor history
-        currents ihist, zero elsewhere."""
-        i0 = np.zeros(self.n_lin)
-        i0[self.cap_branches] = ihist
-        return i0
+        currents ihist, zero elsewhere.  The array is the circuit's own,
+        which the next call overwrites."""
+        self.i0[self.cap_branches] = ihist
+        return self.i0
 
     def residual(self, x, lin, svals):
         """KCL residual F (batch x n) and per-node current scale (batch x nv)
         at x (batch x n+1, ground 0 last), and the FETs' gm and gds.
 
         The scale of a node is its largest |branch current|; F's source rows
-        hold the source constraints.
+        hold the source constraints.  The linear branches' voltages and
+        currents stay in branch_v and branch_i until the next call.
         """
         n, nv, n1 = self.n, self.nv, self.n1
         g, _jac, i0 = lin
-        xg = x.reshape(-1)[self.gather]
-        va, vb, vg, vd, vs, i_src, vp, vm = (xg[p] for p in self.parts)
-        s = self.sign
-        i_fet, gm, gds = square_law(self.vth, self.k, self.lam,
-                                    s * (vg - vs), s * (vd - vs))
-        cur = np.concatenate((g * (va - vb) + i0, s * i_fet, i_src))
+        flat = x.reshape(-1)
+        dv = flat[self.hi] - flat[self.lo]
+        v_lin, vgs, vds, v_src, i_src = (dv[p] for p in self.parts)
+        i_fet, gm, gds = square_law(self.vth, self.k, self.lam, vgs, vds)
+        self.branch_v, self.branch_i = v_lin, g * v_lin + i0
+        cur = np.concatenate((self.branch_i, self.sign * i_fet, i_src))
         cur = np.concatenate((cur, -cur))
         f = np.bincount(self.ends, cur, minlength=self.batch * n1).reshape(-1, n1)
-        f[:, nv:n] = (vp - vm).reshape(self.batch, n - nv) - svals
+        f[:, nv:n] = v_src.reshape(self.batch, n - nv) - svals
         scale = np.zeros(self.batch * n1)
         np.maximum.at(scale, self.ends, np.abs(cur))
         return f[:, :n], scale.reshape(-1, n1)[:, :nv], gm, gds
@@ -425,8 +445,8 @@ class _Circuit:
         gms = gm + gds
         jac = lin[1].copy()
         np.add.at(jac, self.flat_fet,
-                  np.concatenate((gm, gds, -gms, -gm, -gds, gms)))
-        return jac.reshape(-1, self.n1, self.n1)[:, :self.n, :self.n]
+                  np.concatenate((gm, gds, gms, gm, gds, gms)) * self.fet_w)
+        return jac[:-1].reshape(-1, self.n, self.n)
 
     def newton(self, x, svals, vlimit, lin, live, t=None, label=""):
         """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
@@ -444,10 +464,9 @@ class _Circuit:
         opts = self.opts
         n, nv = self.n, self.nv
         batch = self.batch
-        members = live.nonzero()[0]
-        iters = np.zeros(batch, dtype=int)
-        excess = np.zeros(batch)
-        last_dx = np.full(batch, math.inf)
+        members = live.nonzero()[0].tolist()
+        iters, excess = [0] * batch, [0.0] * batch
+        last_dx = [math.inf] * batch
         failed: dict[int, Exception] = {}
 
         def fail(b, diverged):
@@ -457,47 +476,56 @@ class _Circuit:
             message = (f"solution diverged{where}" if diverged else
                        f"Newton failed after {opts.max_newton_iters} iterations"
                        f"{where}; worst node {name!r} (KCL excess {err[b]:.3e} A)")
-            failed[b] = ConvergenceError(message, t=tb, node=name, excess=float(err[b]),
+            failed[b] = ConvergenceError(message, t=tb, node=name, excess=err[b],
                                          iteration=it + diverged)
 
+        # the rows of the members still iterating
+        pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
+        clip_hi, clip_lo = vlimit[:, None], -vlimit[:, None]
         for it in range(opts.max_newton_iters + 1):
-            if not len(members):
+            if not members:
                 break
             f, scale, gm, gds = self.residual(x, lin, svals)
             over = np.abs(f[:, :nv]) - opts.reltol * scale
-            err = np.maximum.reduce(over, axis=1) if nv else np.zeros(batch)
-            pick = slice(None) if len(members) == batch else members
-            done = (err[pick] <= opts.abstol) & (last_dx[pick] <= opts.vtol)
-            if done.any():
-                iters[members[done]] = it
-                excess[members[done]] = err[members[done]]
-                members = members[~done]
-                if not len(members):
+            err = np.maximum.reduce(over, axis=1).tolist() if nv else [0.0] * batch
+            going = []
+            for b in members:
+                if err[b] <= opts.abstol and last_dx[b] <= opts.vtol:
+                    iters[b], excess[b] = it, err[b]
+                else:
+                    going.append(b)
+            if len(going) < len(members):
+                members, pick = going, np.array(going, dtype=np.intp)
+                if not members:
                     break
-                pick = members
             if it == opts.max_newton_iters:
-                iters[members] = it
-                for b in members.tolist():
+                for b in members:
+                    iters[b] = it
                     fail(b, diverged=False)
                 break
             jac = self.jacobian(lin, gm, gds)
             dx, singular = _solve(jac[pick], -f[pick], self.rhs[:len(members)])
-            lim = vlimit[pick][:, None]
-            np.minimum(dx[:, :nv], lim, out=dx[:, :nv])
-            np.maximum(dx[:, :nv], -lim, out=dx[:, :nv])
+            dx_v = dx[:, :nv]
+            np.minimum(dx_v, clip_hi[pick], out=dx_v)
+            np.maximum(dx_v, clip_lo[pick], out=dx_v)
             xn = x[pick, :n] + dx
             if singular or not np.isfinite(xn).all():
                 ok = np.isfinite(xn).all(axis=1)
                 ok[list(singular)] = False
-                iters[members[~ok]] = it + 1
-                failed.update((int(members[j]), e) for j, e in singular.items())
-                for b in members[~ok].tolist():
-                    if b not in failed:
+                for j in (~ok).nonzero()[0].tolist():
+                    b = members[j]
+                    iters[b] = it + 1
+                    if j in singular:
+                        failed[b] = singular[j]
+                    else:
                         fail(b, diverged=True)
-                members = pick = members[ok]
+                members = [b for b, keep in zip(members, ok.tolist()) if keep]
+                pick = np.array(members, dtype=np.intp)
                 dx, xn = dx[ok], xn[ok]
             x[pick, :n] = xn
-            last_dx[pick] = np.maximum.reduce(np.abs(dx), axis=1, initial=0.0)
+            step = np.maximum.reduce(np.abs(dx), axis=1, initial=0.0).tolist()
+            for b, s in zip(members, step):
+                last_dx[b] = s
         return iters, excess, failed
 
     def solve_dc(self, svals, failed=None):
@@ -530,8 +558,9 @@ class _Circuit:
                     label=f" (gmin step {s})")
                 bad.update(step_bad)
                 retry[list(step_bad)] = False
-                iters += it
-                excess[retry] = exc[retry]
+                for b in retry.nonzero()[0].tolist():
+                    excess[b] = exc[b]
+                iters = [i + j for i, j in zip(iters, it)]
         failed.update(bad)
         if raising and failed:
             raise failed[min(failed)]
@@ -631,8 +660,7 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
     ckt = _Circuit(nets, opts)
     batch, nv = ckt.batch, ckt.nv
     clocks = [_Clock(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
-    ca, cb, c = ckt.cap_a, ckt.cap_b, ckt.cap_c
-    cap_member = ca // ckt.n1  # ascending: each member's capacitors in a row
+    c, caps, cap_member = ckt.cap_c, ckt.cap_branches, ckt.cap_member
     bounds = np.searchsorted(cap_member, np.arange(batch + 1)).tolist()
     cap_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     order = 1 if opts.integration == "backward_euler" else 2
@@ -652,12 +680,13 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
     sols = [np.empty((clk.grid_points, ckt.n1)) for clk in clocks]
     for b in range(batch):
         sols[b][0] = x[b]
-    per_iters = [[int(i)] for i in iters]
-    per_excess = [[float(e)] for e in excess]
+    per_iters = [[i] for i in iters]
+    per_excess = [[e] for e in excess]
     h = [0.0] * batch  # the step each member tries
     h_last = [math.inf] * batch  # the step to its last accepted point; inf at DC
-    flat = x.reshape(-1)
-    cap_v, cap_i = flat[ca] - flat[cb], np.zeros(len(c))
+    # the capacitors' voltages and currents at each member's last point; a
+    # solve's last residual was evaluated at every member's solution
+    cap_v, cap_i = ckt.branch_v[caps].copy(), np.zeros(len(c))
     pending = [0] * batch  # Newton updates of rejected attempts
     rejected = [[0, 0] for _ in range(batch)]  # by LTE, by Newton failure
     running = np.ones(batch, dtype=bool)
@@ -682,20 +711,17 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
             x[b] = last + (clk.h / h_last[b]) * (last - prev)
         svals = ckt.source_values(t)
         predicted = x[:, :nv].copy()
-        if new_h:
-            h_cap = np.array(h)[cap_member]
-        geq, ihist = cap_companion(c, cap_v, cap_i, h_cap, opts.integration)
         if new_h:  # geq, and so g and the linear Jacobian, depend on h alone
+            geq = cap_conductance(c, np.array(h)[cap_member], opts.integration)
             g, jac = ckt.linear_part(geq, 0.0)
-        it, exc, bad = ckt.newton(x, svals, _vlimit(svals),
-                                  (g, jac, ckt.offsets(ihist)), running, t=t)
+        i0 = ckt.offsets(cap_history(geq, cap_v, cap_i, opts.integration))
+        it, exc, bad = ckt.newton(x, svals, _vlimit(svals), (g, jac, i0), running, t=t)
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
                                 initial=0.0).tolist()
-        v_now = flat[ca] - flat[cb]
-        i_now = geq * v_now + ihist
+        v_now, i_now = ckt.branch_v[caps], ckt.branch_i[caps]
         for b in members:
             clk = clocks[b]
-            pending[b] += int(it[b])
+            pending[b] += it[b]
             if b in bad or (clk.free and err[b] > _LTE_TOL):
                 if not clk.free:
                     failed[b], regroup = bad[b], True
@@ -711,7 +737,7 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
             sols[b][len(times[b])] = x[b]
             times[b].append(clk.next)
             per_iters[b].append(pending[b])
-            per_excess[b].append(float(exc[b]))
+            per_excess[b].append(exc[b])
             pending[b], h_last[b] = 0, clk.h
             rows = cap_rows[b]
             cap_v[rows], cap_i[rows] = v_now[rows], i_now[rows]

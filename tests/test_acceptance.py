@@ -1,8 +1,9 @@
 """Acceptance gate.
 
-Eight end-to-end criteria, one test each, a pin of the solver's work on
-the characterization runs and a guard that the step growth there leaves
-every figure where the fixed grid puts it.  Every test prints a single verdict line
+Eight end-to-end criteria, one test each, pins of the solver's work on
+the characterization runs and on the same runs on the fixed dt grid, and a
+guard that the step growth there leaves every figure where the fixed grid
+puts it.  Every test prints a single verdict line
 (run with ``pytest -s`` to see them) before asserting, so the printed
 PASS/FAIL always matches the pytest outcome.  Tolerances are pinned here;
 nothing is derived from the code under test.
@@ -114,10 +115,22 @@ def test_c3_technology_comparison(characterization):
         + (f"; FAILED {failed}" if failed else ""))
 
 
-# Steps and Newton iterations of the default decoder runs.  A change that
-# only makes each iteration cheaper leaves them as they are; a change to
-# time stepping or convergence control updates them on purpose.
+# Steps and Newton iterations of the default decoder runs, and of the same
+# runs on the fixed dt grid (dtmax=None).  A change that only makes each
+# iteration cheaper leaves them as they are; a change to time stepping or
+# convergence control updates them on purpose.
 NEWTON_WORK = {"cmos32": (434, 1024), "gnrfet32": (153, 385)}
+FIXED_GRID_WORK = {"cmos32": (2000, 2685), "gnrfet32": (2000, 2212)}
+
+
+@pytest.fixture(scope="module")
+def fixed_grid(characterization):
+    """The characterization runs again on the fixed dt grid."""
+    out = {}
+    for name, run in characterization.items():
+        (tran,) = [a for a in run.net.analyses if isinstance(a, Transient)]
+        out[name] = transient(run.net, dataclasses.replace(tran, dtmax=None))
+    return out
 
 
 def test_newton_work_pinned(characterization):
@@ -130,14 +143,23 @@ def test_newton_work_pinned(characterization):
                   for name, (steps, iters) in work.items()))
 
 
-def test_step_growth_keeps_the_figures(characterization):
+def test_fixed_grid_newton_work_pinned(fixed_grid):
+    work = {name: (wset.stats.steps, wset.stats.newton_iterations)
+            for name, wset in fixed_grid.items()}
+    assert verdict(
+        "Newton work on the fixed dt grid", work == FIXED_GRID_WORK,
+        "; ".join(f"{name} {steps} steps, {iters} Newton iterations "
+                  f"(pinned {FIXED_GRID_WORK.get(name)})"
+                  for name, (steps, iters) in work.items()))
+
+
+def test_step_growth_keeps_the_figures(characterization, fixed_grid):
     # the testbench lets the step grow to dtmax through each settled hold;
     # every figure must stay within 0.1% of the run on the fixed dt grid
     worst = {}
     for name, run in characterization.items():
-        (tran,) = [a for a in run.net.analyses if isinstance(a, Transient)]
-        fixed = transient(run.net, dataclasses.replace(tran, dtmax=None))
-        ref = assemble_report(name, run.net.measures, evaluate_measures(run.net, fixed))
+        ref = assemble_report(name, run.net.measures,
+                              evaluate_measures(run.net, fixed_grid[name]))
         for field in ("rise_time", "fall_time", "prop_delay", "avg_power",
                       "max_power", "pdp"):
             shift = abs(getattr(run.report, field) / getattr(ref, field) - 1.0)

@@ -2,8 +2,9 @@
 
 Expected currents and derivatives are frozen from hand evaluation of the
 square law, not from the code under test.  P-channel devices exist only
-inside the engine, which evaluates them by sign symmetry, so their tests
-go through the engine's residual and Jacobian (the one_fet fixture).
+inside the engine, which evaluates them on the N-channel law with their
+terminals swapped, so their tests go through the engine's residual and
+Jacobian (the one_fet fixture).
 """
 
 import numpy as np
@@ -107,6 +108,53 @@ class TestSymmetries:
         below = nfet(N, 0.9, -eps)[0]
         above = nfet(N, 0.9, eps)[0]
         assert abs(below - above) < 1e-12
+
+
+def where_square_law(vth, k, lam, vgs, vds):
+    """The square law written with np.where on every reversed output: the
+    oracle for square_law's shorter form."""
+    rev = vds < 0.0
+    vgs = np.where(rev, vgs - vds, vgs)
+    vds = np.abs(vds)
+    vov = np.maximum(vgs - vth, 0.0)
+    ve = np.minimum(vds, vov)
+    cl = 1.0 + lam * vds
+    kq = k * (ve * (vov - 0.5 * ve))
+    i = kq * cl
+    gm = k * ve * cl
+    gds = k * (vov - ve) * cl + kq * lam
+    return np.where(rev, -i, i), np.where(rev, -gm, gm), np.where(rev, gm + gds, gds)
+
+
+class TestFormulation:
+    @staticmethod
+    def assert_bitwise(vth, k, lam, vgs, vds):
+        got = square_law(vth, k, lam, vgs, vds)
+        want = where_square_law(vth, k, lam, vgs, vds)
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_random_batches_match_the_where_form_bitwise(self):
+        rng = np.random.default_rng(20240517)
+        for _ in range(200):
+            m = 48
+            vth = rng.choice([0.3, 0.45, 0.0], m)
+            k = rng.uniform(1e-5, 1e-3, m)
+            lam = rng.choice([0.05, 0.0], m)
+            vgs = rng.uniform(-1.5, 1.5, m)
+            vds = rng.uniform(-1.5, 1.5, m)
+            vds[rng.random(m) < 0.1] = 0.0
+            vds[rng.random(m) < 0.1] = -0.0
+            vgs[rng.random(m) < 0.1] = -0.0
+            self.assert_bitwise(vth, k, lam, vgs, vds)
+
+    def test_edges_match_the_where_form_bitwise(self):
+        vth, k, lam = 0.3, 1e-4, 0.05
+        for vgs in (-0.0, 0.0, vth, 0.9, -0.9):
+            vov = max(vgs - vth, 0.0)
+            for vds in (0.0, -0.0, vov, -vov, 1e-3, -1e-3, 1.2, -1.2):
+                self.assert_bitwise(vth, k, lam, np.array([vgs]), np.array([vds]))
+                self.assert_bitwise(vth, k, lam, vgs, vds)
 
 
 class TestContinuity:

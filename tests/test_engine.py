@@ -428,6 +428,14 @@ class TestTransient:
         first = [float(v) for v in lines[1].split(",")]
         assert first == [0.0, 1.0, -1e-3]
 
+    def test_csv_is_repr_of_every_value(self):
+        # reference: the row loop, one repr(float) per value
+        ws = transient(parse(RC))
+        series = ([ws.times] + [w.values for w in ws.voltages.values()]
+                  + [w.values for w in ws.currents.values()])
+        rows = [",".join(repr(float(s[i])) for s in series) for i in range(len(ws.times))]
+        assert ws.to_csv() == "\n".join(["time,in,out,i(v1)"] + rows) + "\n"
+
 
 class TestBatch:
     @pytest.mark.parametrize("members", [
