@@ -32,7 +32,6 @@ from .characterize import (
 from .devices import (
     FetModelCard,
     TechnologyCard,
-    cap_companion,
     preset,
     preset_names,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "build_staircase_testbench",
     "build_vlc",
     "build_xor2",
-    "cap_companion",
     "dc_operating_point",
     "emit",
     "fall_time",

@@ -118,19 +118,8 @@ def _run_doc(run: DecoderRun) -> dict:
     }
 
 
-def _config_doc(cfg: RunConfig) -> dict:
-    return {
-        "tech": cfg.tech,
-        "vdd": cfg.vdd,
-        "hold": cfg.hold,
-        "slew": cfg.slew,
-        "load": cfg.load,
-        "dt": cfg.dt,
-    }
-
-
 def _write_decoder_artifacts(outdir: Path, cfg: RunConfig, run: DecoderRun) -> None:
-    doc = {"command": "decoder", "config": _config_doc(cfg)}
+    doc = {"command": "decoder", "config": dataclasses.asdict(cfg)}
     doc.update(_run_doc(run))
     _write_text(outdir / f"decoder_{run.tech.name}.json", _json_text(doc))
     _write_text(outdir / f"decoder_{run.tech.name}.csv", run.wset.to_csv())
@@ -159,14 +148,8 @@ def _print_decoder(run: DecoderRun, formats: tuple[str, ...]) -> None:
 
 
 def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        tech=args.tech,
-        vdd=args.vdd,
-        hold=args.hold,
-        slew=args.slew,
-        load=args.load,
-        dt=args.dt,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in dataclasses.fields(RunConfig)})
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -257,7 +240,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         }
     doc = {
         "command": "compare",
-        "config": _config_doc(base),
+        "config": dataclasses.asdict(base),
         "runs": {name: _run_doc(runs[name]) for name in runs},
         "improvements_pct": improvements,
         "stimulus_sha256": hashlib.sha256(cm.stimulus.encode()).hexdigest(),

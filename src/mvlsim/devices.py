@@ -8,9 +8,10 @@ N-channel law, element-wise over every FET of a circuit; for vds < 0 the
 drain and source roles swap, which keeps the current continuous through
 vds = 0.  The engine evaluates P-channel devices on the same law by sign
 symmetry: it gathers their terminal voltages with gate/drain and source
-swapped, flips the threshold and negates the current.  ``cap_companion``
-is the capacitor's companion pair; the engine takes its two halves,
-``cap_conductance`` when the step changes and ``cap_history`` at each step.
+swapped, flips the threshold and negates the current.  A capacitor
+becomes the companion i = geq*v + ihist in two halves: ``cap_conductance``
+gives geq, which the engine rebuilds only when a step changes, and
+``cap_history`` gives ihist at each step.
 
 No minimum off-conductance is added here; the solver applies gmin shunts
 externally (see engine.SolveOptions).
@@ -82,21 +83,13 @@ def square_law(vth, k, lam, vgs, vds):
     return kq * cl * sgn, gm * sgn, gds + gm * rev
 
 
-def cap_companion(c, v_prev, i_prev, dt, rule: str):
-    """Discrete companion of capacitor branches: i = geq*v + ihist.
+def cap_conductance(c, dt, rule: str):
+    """The conductance geq of the capacitor companion i = geq*v + ihist,
+    which depends on the step alone.
 
     Element-wise over scalars or arrays, the step dt included, so that each
-    capacitor can take its own step.  v_prev and i_prev are the branch
-    voltage and current at the previous accepted time point (i_prev is only
-    used by the trapezoidal rule).
+    capacitor can take its own step.
     """
-    geq = cap_conductance(c, dt, rule)
-    return geq, cap_history(geq, v_prev, i_prev, rule)
-
-
-def cap_conductance(c, dt, rule: str):
-    """The companion conductance geq of cap_companion, which depends on the
-    step alone."""
     if not np.greater(dt, 0.0).all():
         raise ValueError("dt must be > 0")
     if rule == "backward_euler":
@@ -107,7 +100,11 @@ def cap_conductance(c, dt, rule: str):
 
 
 def cap_history(geq, v_prev, i_prev, rule: str):
-    """The companion history current ihist of cap_companion, given geq."""
+    """The companion history current ihist, given geq from cap_conductance.
+
+    v_prev and i_prev are the branch voltage and current at the previous
+    accepted time point (i_prev is only used by the trapezoidal rule).
+    """
     if rule == "trapezoidal":
         return -geq * v_prev - i_prev
     return -geq * v_prev

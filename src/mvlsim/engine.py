@@ -59,23 +59,25 @@ Transient analysis forces a time point at every breakpoint: PWL corners
 and PULSE edges, merged where closer together than a millionth of the floor
 step.  The floor is the .tran dt clamped to tstop/1000, to dtmax and to a
 tenth of the shortest stimulus edge; the ceiling is the .tran dtmax if that
-exceeds dt, else the floor.  At the floor, the points are the uniform
-subdivision t0 + j*h of the segment between two breakpoints, or of what
-remains of it, into the fewest steps h <= floor, and every point is
-accepted.  Above the floor, the step is controlled by the local truncation
-error (Nagel, SPICE2, UCB/ERL M520, 1975), estimated as
+exceeds dt, else the floor.  One rule sets every step.  Each segment
+between two breakpoints starts at the floor.  The step asked for is held
+between the floor and the ceiling; it takes the rest of the segment if
+that is no longer than the step up to rounding (1e-9 relative), and half of
+it if the step would leave a remainder below the floor.  So a step below
+the floor is one of the last two of its segment, and with the ceiling at
+the floor the steps are the floor's.  After each accepted point the step
+asked for is h * min(2, 0.9 * (tol / err)**(1/(p+1))), p the order of the
+rule, tol the fixed _LTE_TOL (0.1 mV) and err the local truncation error
+estimate (Nagel, SPICE2, UCB/ERL M520, 1975)
 
     err = max over the node voltages of |x_corrected - x_predicted|
 
-with the predictor below.  After each accepted point the next step is
-h * min(2, 0.9 * (tol / err)**(1/(p+1))), p the order of the rule and tol
-the fixed _LTE_TOL (0.1 mV), capped at the ceiling, cut to land on the next
-breakpoint and never leaving a remainder shorter than the floor.  A step
-above the floor is rejected when err > tol or Newton fails there; it is
-then retried shorter, by the same formula or by 8x after a Newton failure,
-but never below the floor.  At every breakpoint the step resets to the
-floor.  So a .tran without a dtmax above dt gives the uniform grid, and the
-settled stretches of a card with one cost a few steps each.
+with the predictor below.  A step above the floor (beyond rounding) is
+rejected when err > tol or Newton fails there, and retried shorter: by the
+same formula, or by 8x after a Newton failure.  A step at or below the
+floor is never rejected; a Newton failure there fails the run.  So the
+settled stretches of a card with a dtmax above dt cost a few steps each,
+and a card without one never rejects a step.
 
 Every capacitor, the FETs' lumped cg and cd included, becomes a companion
 conductance/history-current pair; backward Euler is the default rule,
@@ -580,11 +582,8 @@ class _Clock:
 
     bps are the merged breakpoints from 0 to tstop; the member is in the
     segment from bps[seg] to bps[seg + 1], its last accepted point at t.
-    The step of the next attempt is h, to the time point next.  At the
-    floor, grid = [anchor, h, nsub, j] is the uniform subdivision of
-    anchor .. bps[seg + 1] into nsub steps, point j of it at t; it is kept
-    while a step above the floor is tried from t, so that a rejected one
-    falls back onto it.
+    The next attempt is a step of h to the time point next; it may be
+    rejected only if free, that is if h is above the floor.
     """
 
     def __init__(self, stimuli, analysis: Transient):
@@ -603,50 +602,37 @@ class _Clock:
             if t - merged[-1] >= _MIN_SEPARATION * floor:
                 merged.append(t)
         merged[-1] = tstop
-        # time points of the uniform floor grid, which a growing step undercuts
-        self.grid_points = 1 + sum(max(1, int(math.ceil((t1 - t0) / floor - 1e-9)))
-                                   for t0, t1 in zip(merged, merged[1:]))
         grows = analysis.dtmax is not None and analysis.dtmax > analysis.dt
         self.floor, self.ceiling = floor, analysis.dtmax if grows else floor
-        self.bps, self.seg, self.t = merged, 0, 0.0
-        self.grid, self.done = None, False
-        self._plan(0.0)
+        self.bps, self.seg, self.t, self.done = merged, 0, 0.0, False
+        self._plan(floor)
 
     def _plan(self, h: float) -> None:
-        """Make the next attempt a step of h, or the floor subdivision's
-        next step if h, or what remains of the segment, is at the floor."""
+        """Make the next attempt a step of h, held between the floor and
+        the ceiling: the rest of the segment if h covers it up to rounding,
+        half of it if a step of h would leave a remainder below the floor."""
+        h = min(max(h, self.floor), self.ceiling)
         t1 = self.bps[self.seg + 1]
         rest = t1 - self.t
-        if h > self.floor:
-            if h < rest < h + self.floor:  # leave no remainder below the floor
+        if rest <= h * (1.0 + 1e-9):
+            self.h, self.next = rest, t1
+        else:
+            if rest < h + self.floor:
                 h = 0.5 * rest
-            self.free = min(h, rest) > self.floor
-            if self.free:
-                self.h, self.next = (rest, t1) if h >= rest else (h, self.t + h)
-                return
-        self.free = False
-        if self.grid is None:
-            nsub = max(1, int(math.ceil(rest / self.floor - 1e-9)))
-            self.grid = [self.t, rest / nsub, nsub, 0]
-        anchor, self.h, nsub, j = self.grid
-        self.next = t1 if j + 1 == nsub else anchor + (j + 1) * self.h
+            self.h, self.next = h, self.t + h
+        self.free = self.h > self.floor * (1.0 + 1e-9)
 
     def accept(self, grow: float) -> None:
         """Move to the attempted point; the controller asks the step to
-        grow by the factor grow."""
+        grow by the factor grow.  At a breakpoint it restarts at the floor."""
         self.t = self.next
         if self.t == self.bps[self.seg + 1]:
             self.seg += 1
-            self.grid = None
             self.done = self.seg == len(self.bps) - 1
             if not self.done:
-                self._plan(0.0)
+                self._plan(self.floor)
             return
-        if self.free:
-            self.grid = None
-        else:
-            self.grid[3] += 1
-        self._plan(min(self.h * grow, self.ceiling))
+        self._plan(self.h * grow)
 
     def reject(self, shrink: float) -> None:
         """Retry from t with the step shrunk by the factor shrink."""
@@ -674,10 +660,10 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
     t = [0.0] * batch
     x, iters, excess = ckt.solve_dc(ckt.source_values(t), failed)
     # every accepted point of every member, its Newton updates and excess;
-    # the first len(times[b]) rows of sols[b] are in use, and it doubles if
-    # a run of steps around the floor outnumbers the uniform grid
+    # the first len(times[b]) rows of sols[b] are in use, and it doubles
+    # when full
     times = [[0.0] for _ in range(batch)]
-    sols = [np.empty((clk.grid_points, ckt.n1)) for clk in clocks]
+    sols = [np.empty((256, ckt.n1)) for _ in range(batch)]
     for b in range(batch):
         sols[b][0] = x[b]
     per_iters = [[i] for i in iters]
@@ -766,52 +752,47 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
 
 def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None = None,
                     opts: SolveOptions | None = None) -> list[WaveformSet]:
-    """Transients of several netlists, each from its t=0 operating point.
+    """Transients of netlists with the same nodes and sources, each from its
+    t=0 operating point, run in lockstep as one batch.
 
-    analyses[i] (default: the first .tran card of nets[i]) sets the steps
-    of nets[i]; netlists with the same nodes and sources run in lockstep as
-    one batch, each at its own time points.  Every WaveformSet is bitwise
-    the one the netlist gives alone.  If any netlist fails, the error of
+    analyses[i] (default: the .tran card of nets[i]) sets the steps of
+    nets[i], and each member keeps its own time points.  Every WaveformSet
+    is bitwise the one the netlist gives alone.  Netlists whose nodes or
+    sources differ raise ValueError.  If any netlist fails, the error of
     the lowest-index one is raised, with that index in its ``member``.
     """
     opts = opts or SolveOptions()
     nets = list(nets)
-    analyses = [None] * len(nets) if analyses is None else list(analyses)
-    groups: dict[tuple, list[int]] = {}
-    for b, (net, analysis) in enumerate(zip(nets, analyses, strict=True)):
-        if analysis is None:
-            trans = [a for a in net.analyses if isinstance(a, Transient)]
-            if not trans:
-                raise ValueError("netlist has no .tran analysis")
-            analyses[b] = trans[0]
-        key = (tuple(net.nodes), tuple(d.name for d in _vsources(net)))
-        groups.setdefault(key, []).append(b)
-    wsets: list[WaveformSet] = [None] * len(nets)
-    first: tuple[int, Exception] | None = None
-    for members in groups.values():
-        out, failed = _lockstep([nets[b] for b in members],
-                                [analyses[b] for b in members], opts)
-        if failed:
-            j = min(failed)
-            if first is None or members[j] < first[0]:
-                first = (members[j], failed[j])
-        for b, wset in zip(members, out):
-            wsets[b] = wset
-    if first is not None:
-        first[1].member = first[0]
-        raise first[1]
+    if analyses is None:
+        analyses = [None] * len(nets)
+    analyses = [_tran_card(net) if a is None else a
+                for net, a in zip(nets, analyses, strict=True)]
+    if not nets:
+        return []
+    wsets, failed = _lockstep(nets, analyses, opts)
+    if failed:
+        b = min(failed)
+        failed[b].member = b
+        raise failed[b]
     return wsets
+
+
+def _tran_card(net: Netlist) -> Transient:
+    for a in net.analyses:
+        if isinstance(a, Transient):
+            return a
+    raise ValueError("netlist has no .tran analysis")
 
 
 def transient(net: Netlist, analysis: Transient | None = None,
               opts: SolveOptions | None = None) -> WaveformSet:
     """Transient from the t=0 operating point: a batch of one.
 
-    Every stimulus breakpoint is a time point.  Between breakpoints the
-    step stays at the floor (dt, clamped as the module docstring says) and
-    the points are the segment's uniform subdivision, unless the .tran
-    dtmax exceeds dt: then the step grows up to dtmax while the local
-    truncation error estimate stays within _LTE_TOL.  Identical inputs
-    produce bit-identical WaveformSets.
+    Every stimulus breakpoint is a time point, and each segment between two
+    breakpoints starts at the floor step (dt, clamped as the module
+    docstring says).  The step then grows up to the .tran dtmax while the
+    local truncation error estimate stays within _LTE_TOL; without a dtmax
+    above dt it stays at the floor.  Identical inputs produce bit-identical
+    WaveformSets.
     """
     return transient_batch([net], [analysis], opts)[0]

@@ -23,7 +23,8 @@ Supported text format (line oriented, case-insensitive):
 
 ``.tran``: dt is the step at every breakpoint (PWL corner, PULSE edge)
 and the finest step; dtmax (default dt) is the largest step the engine's
-step controller may grow to.  See ``engine`` for the clamps on dt.
+step controller may grow to.  See ``engine`` for the clamps on dt.  A
+netlist has at most one ``.tran``.
 
 Numbers accept the engineering suffixes f p n u m k meg g.  Node and device
 names are case-insensitive and are stored lowercased; ``gnd`` is an alias
@@ -312,6 +313,8 @@ class Netlist:
                     raise NetlistError(f"{d.name}: multiplier m must be > 0")
                 if d.model is None or d.model not in self.models:
                     raise NetlistError(f"{d.name}: undeclared model {d.model!r}")
+        if sum(isinstance(a, Transient) for a in self.analyses) > 1:
+            raise NetlistError("only one .tran is allowed")
         nodes = set(self.nodes)
         vsources = {d.name for d in self.devices if d.kind == "vsource"}
         for m in self.measures:
@@ -536,6 +539,8 @@ def parse(text: str) -> Netlist:
                     raise NetlistError(f"duplicate model {name!r}", lineno)
                 net.models[name] = model
             elif card == ".tran":
+                if any(isinstance(a, Transient) for a in net.analyses):
+                    raise NetlistError("only one .tran is allowed", lineno)
                 if len(toks) not in (3, 4):
                     raise NetlistError(".tran needs <dt> <tstop> [<dtmax>]", lineno)
                 vals = [_value(t, lineno, c) for t, c in toks[1:]]

@@ -190,8 +190,8 @@ def test_c4_solver_accuracy(characterization):
                     for run in characterization.values())
 
     # (d) halving the decoder time step moves sampled outputs < 2 mV: the
-    # fine run takes a uniform grid at half the floor (dt), so it halves
-    # the grown steps as well
+    # fine run has no dtmax, so its step stays at half the floor (dt)
+    # everywhere and so halves the grown steps as well
     cfg = RunConfig(hold=1e-9)
     coarse = run_decoder(cfg)
     tran = next(a for a in coarse.net.analyses if isinstance(a, Transient))

@@ -75,6 +75,13 @@ class TestRun:
         assert main(["run", str(src)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_second_tran_is_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "rc2.sp"
+        src.write_text(RC.replace(".tran 10p 10n\n", ".tran 10p 10n\n.tran 10p 30n\n"))
+        assert main(["run", str(src), "--out", str(tmp_path)]) == 1
+        assert "(line 6)" in capsys.readouterr().err
+        assert not (tmp_path / "rc2.json").exists()
+
     def test_pulse_breakpoint_overflow_is_exit_1(self, tmp_path, capsys):
         src = tmp_path / "fast.sp"
         src.write_text("* fast pulse\nv1 a 0 pulse(0 1 0 1p 1p 1p 4p)\n"

@@ -13,7 +13,8 @@ import pytest
 from mvlsim.devices import (
     FetModelCard,
     TechnologyCard,
-    cap_companion,
+    cap_conductance,
+    cap_history,
     preset,
     preset_names,
     square_law,
@@ -240,39 +241,43 @@ class TestCardValidation:
 
 class TestCompanions:
     def test_backward_euler_values(self):
-        geq, ihist = cap_companion(1e-12, 0.5, 0.0, 1e-9, "backward_euler")
+        geq = cap_conductance(1e-12, 1e-9, "backward_euler")
         assert geq == 1e-12 / 1e-9
-        assert ihist == -geq * 0.5
+        assert cap_history(geq, 0.5, 0.0, "backward_euler") == -geq * 0.5
 
     def test_trapezoidal_values(self):
-        geq, ihist = cap_companion(1e-12, 0.5, 3e-6, 1e-9, "trapezoidal")
+        geq = cap_conductance(1e-12, 1e-9, "trapezoidal")
         assert geq == 2.0 * 1e-12 / 1e-9
-        assert ihist == -geq * 0.5 - 3e-6
+        assert cap_history(geq, 0.5, 3e-6, "trapezoidal") == -geq * 0.5 - 3e-6
 
     def test_zero_capacitance_is_open(self):
-        assert cap_companion(0.0, 1.0, 1.0, 1e-9, "backward_euler") == (0.0, 0.0)
+        geq = cap_conductance(0.0, 1e-9, "backward_euler")
+        assert (geq, cap_history(geq, 1.0, 1.0, "backward_euler")) == (0.0, 0.0)
 
     def test_per_capacitor_step(self):
         c, v, i = np.array([1e-12, 2e-15]), np.array([0.5, -0.3]), np.array([1e-6, 0.0])
         dt = np.array([1e-9, 3e-12])
         for rule in ("backward_euler", "trapezoidal"):
-            geq, ihist = cap_companion(c, v, i, dt, rule)
+            geq = cap_conductance(c, dt, rule)
+            ihist = cap_history(geq, v, i, rule)
             for k in range(2):
-                assert (geq[k], ihist[k]) == cap_companion(c[k], v[k], i[k], dt[k], rule)
+                geq_k = cap_conductance(c[k], dt[k], rule)
+                assert (geq[k], ihist[k]) == (geq_k, cap_history(geq_k, v[k], i[k], rule))
 
     def test_bad_dt_and_rule(self):
         with pytest.raises(ValueError):
-            cap_companion(1e-12, 0.0, 0.0, 0.0, "backward_euler")
+            cap_conductance(1e-12, 0.0, "backward_euler")
         with pytest.raises(ValueError):
-            cap_companion(np.ones(2), 0.0, 0.0, np.array([1e-9, 0.0]), "backward_euler")
+            cap_conductance(np.ones(2), np.array([1e-9, 0.0]), "backward_euler")
         with pytest.raises(ValueError):
-            cap_companion(1e-12, 0.0, 0.0, 1e-9, "simpson")
+            cap_conductance(1e-12, 1e-9, "simpson")
 
     def test_linear_ramp_current(self):
         # 1.2 fF ramped at 1 V/ns carries C*dv/dt = 1.2 uA
         c, dt = 1.2e-15, 1e-12
         v0, v1 = 0.2, 0.2 + 1e-3
-        geq, ihist = cap_companion(c, v0, 0.0, dt, "backward_euler")
+        geq = cap_conductance(c, dt, "backward_euler")
+        ihist = cap_history(geq, v0, 0.0, "backward_euler")
         assert geq * v1 + ihist == pytest.approx(1.2e-6, rel=1e-12)
 
     def test_trapezoidal_ramp_steady_state(self):
@@ -281,7 +286,8 @@ class TestCompanions:
         i_prev = c * slope
         v0 = 0.4
         v1 = v0 + slope * dt
-        geq, ihist = cap_companion(c, v0, i_prev, dt, "trapezoidal")
+        geq = cap_conductance(c, dt, "trapezoidal")
+        ihist = cap_history(geq, v0, i_prev, "trapezoidal")
         assert geq * v1 + ihist == pytest.approx(i_prev, rel=1e-12)
 
 

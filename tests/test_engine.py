@@ -140,19 +140,6 @@ def assert_same_run(a, b):
     assert np.array_equal(a.stats.newton_per_point, b.stats.newton_per_point)
 
 
-def groups_run(monkeypatch):
-    """Record the member count of every lockstep group transient_batch runs."""
-    sizes = []
-    lockstep = engine._lockstep
-
-    def spy(nets, *args):
-        sizes.append(len(nets))
-        return lockstep(nets, *args)
-
-    monkeypatch.setattr(engine, "_lockstep", spy)
-    return sizes
-
-
 def step_at(early):
     """RC driven by a 1 V step at 1 ns if early, else at 2 ns; both have the
     same breakpoints and so the same time grid."""
@@ -444,23 +431,19 @@ class TestBatch:
         [{"vth_scale": 0.9}, {"vth_scale": 1.1}],
         [{"tech": "cmos32"}, {"tech": "gnrfet32"}],
     ], ids=["load", "vdd", "vth_scale", "compare"])
-    def test_members_match_batches_of_one(self, members, monkeypatch):
+    def test_members_match_batches_of_one(self, members):
         nets = [staircase(**kw) for kw in members]
-        sizes = groups_run(monkeypatch)
         batch = transient_batch(nets)
-        assert sizes == [len(nets)]
         for net, wset in zip(nets, batch):
             assert_same_run(wset, transient(net))
 
-    def test_hold_sweep_runs_as_one_batch(self, monkeypatch):
+    def test_hold_sweep_runs_as_one_batch(self):
         nets = [staircase(hold=h) for h in (1e-9, 1.5e-9, 1e-9)]
-        sizes = groups_run(monkeypatch)
         batch = transient_batch(nets)
-        assert sizes == [3]
         for net, wset in zip(nets, batch):
             assert_same_run(wset, transient(net))
 
-    def test_members_with_own_holds_and_dtmax_match_runs_alone(self, monkeypatch):
+    def test_members_with_own_holds_and_dtmax_match_runs_alone(self):
         # a grown step, a fixed grid and a different card side by side, so
         # the members' time points part after the first point
         nets = [staircase(hold=1e-9), staircase(hold=1.5e-9),
@@ -468,12 +451,15 @@ class TestBatch:
         trans = [net.analyses[0] for net in nets]
         analyses = [trans[0], dataclasses.replace(trans[1], dtmax=None),
                     dataclasses.replace(trans[2], dtmax=3e-11)]
-        sizes = groups_run(monkeypatch)
         batch = transient_batch(nets, analyses)
-        assert sizes == [3]
         assert len({len(wset.times) for wset in batch}) == 3
         for net, analysis, wset in zip(nets, analyses, batch):
             assert_same_run(wset, transient(net, analysis))
+
+    def test_members_need_the_same_nodes(self):
+        other = parse(RC.replace("out", "mid"))
+        with pytest.raises(ValueError, match="same nodes and sources"):
+            transient_batch([parse(RC), other])
 
     def test_singular_member_reports_its_pivot(self):
         good = "* pair\nv1 a 0 dc 1\nv2 b 0 dc 1\nr1 a 0 1k\nr2 b 0 1k\n.tran 1p 1n\n.end\n"
@@ -503,15 +489,23 @@ class TestBatch:
             str(a), a.t, a.node, a.excess, a.iteration)
 
 
-def uniform_grid(bps, floor):
-    """Time points of the fixed grid: each segment between breakpoints cut
-    into the fewest equal steps <= floor."""
-    times = [bps[0]]
-    for t0, t1 in zip(bps, bps[1:]):
-        nsub = math.ceil((t1 - t0) / floor - 1e-9)
-        h = (t1 - t0) / nsub
-        times += [t0 + j * h for j in range(1, nsub)] + [t1]
-    return times
+def segment_steps(times, bps):
+    """The steps between each pair of adjacent breakpoints, every one of
+    which must be a time point."""
+    steps = np.diff(times)
+    at = [times.index(t) for t in bps]
+    return [steps[i:j] for i, j in zip(at, at[1:])]
+
+
+def assert_steps_start_and_end_at_the_floor(times, bps, floor):
+    """Each segment between breakpoints starts with a step of at most the
+    floor; a step below the floor is one of its last two, and no shorter
+    than half the floor unless the segment is."""
+    for seg in segment_steps(times, bps):
+        assert seg[0] <= floor * (1.0 + 1e-9)
+        short = (seg < floor * (1.0 - 1e-9)).nonzero()[0]
+        assert all(k >= len(seg) - 2 for k in short)
+        assert seg.min() >= min(0.5 * floor, seg.sum()) * (1.0 - 1e-9)
 
 
 def attempts_failing_once_after(monkeypatch, t_fail):
@@ -542,11 +536,11 @@ class TestStepControl:
         ws = transient(net)
         times, steps, stats = ws.times.tolist(), np.diff(ws.times), ws.stats
         bps = sorted({t for t, _ in net.device("vin").stimulus.points} | {tran.tstop})
-        assert set(bps) <= set(times)
-        for t0, t1 in zip(bps, bps[1:]):  # the step restarts at the floor
-            assert times[times.index(t0) + 1] == uniform_grid([t0, t1], tran.dt)[1]
+        assert_steps_start_and_end_at_the_floor(times, bps, tran.dt)
         assert np.max(steps) <= tran.dtmax * (1.0 + 1e-9)  # times round
-        assert stats.steps < len(uniform_grid(bps, tran.dt)) - 1  # the step grew
+        # the step grew: fewer steps than the floor alone would take
+        assert stats.steps < sum(math.ceil((t1 - t0) / tran.dt - 1e-9)
+                                 for t0, t1 in zip(bps, bps[1:]))
         # a rejected attempt is retried shorter from the same point; those
         # are exactly the attempts the next one does not pass, and they
         # leave no point
@@ -554,31 +548,38 @@ class TestStepControl:
         kept = [a for a, b in zip(attempts, attempts[1:] + [math.inf]) if b > a]
         assert kept == times[1:]
         assert len(attempts) - len(kept) == stats.rejected_lte + stats.rejected_newton
-        # every step up to dt is a step of the uniform subdivision of the
-        # segment, or of what remained of it where that run of steps began
-        floor = steps <= tran.dt * (1.0 + 1e-9)
-        k = 0
-        while k < len(steps):
-            if not floor[k]:
-                k += 1
-                continue
-            t1 = min(b for b in bps if b > times[k])
-            end = k + 1
-            while end < len(steps) and floor[end] and times[end] < t1:
-                end += 1
-            assert times[k:end + 1] == uniform_grid([times[k], t1], tran.dt)[:end + 1 - k]
-            k = end
 
     # the last case: dt = dtmax = 20 ps, above the floor the 100 ps edge sets
     @pytest.mark.parametrize("dt, dtmax, floor", [
         (7e-12, None, 7e-12), (7e-12, 7e-12, 7e-12), (7e-12, 5e-12, 5e-12),
         (2e-11, 2e-11, 1e-11)])
     def test_no_dtmax_above_dt_keeps_the_uniform_grid(self, dt, dtmax, floor):
+        # the ceiling is the floor: steps of the floor, the last two of a
+        # segment shorter where its length is no multiple of the floor
         net = parse("* t\nv1 in 0 pwl(0 0 100p 1 1n 1 1.2n 0)\nr1 in out 1k\n"
                     "c1 out 0 1p\n.end\n")
         ws = transient(net, Transient(dt=dt, tstop=1e-8, dtmax=dtmax))
-        assert ws.times.tolist() == uniform_grid([0.0, 1e-10, 1e-9, 1.2e-9, 1e-8], floor)
+        times, bps = ws.times.tolist(), [0.0, 1e-10, 1e-9, 1.2e-9, 1e-8]
         assert ws.stats.rejected_lte == ws.stats.rejected_newton == 0
+        for t0, t1, seg in zip(bps, bps[1:], segment_steps(times, bps)):
+            assert len(seg) == math.ceil((t1 - t0) / floor - 1e-9)
+            assert np.all(seg <= floor * (1.0 + 1e-9))
+        assert_steps_start_and_end_at_the_floor(times, bps, floor)
+
+    def test_step_within_rounding_of_the_floor_is_not_rejected(self):
+        # retried at the floor, a step that rounding left a hair above it
+        # would be the same step again, so it must not be rejectable
+        stim = parse(RC).device("v1").stimulus
+        clk = engine._Clock([stim], Transient(dt=1e-12, tstop=1e-9, dtmax=5e-11))
+        floor, t1 = clk.floor, clk.bps[1]
+        clk.t = t1 - floor * (1.0 + 1e-12)
+        clk.reject(0.125)
+        assert (clk.next, clk.free) == (t1, False)
+        clk.t = t1 - 5.0 * floor
+        clk.reject(0.125)
+        assert clk.h == floor and not clk.free
+        clk.accept(2.0)
+        assert clk.h == 2.0 * floor and clk.free
 
     def test_tighter_tolerance_takes_more_steps(self, monkeypatch):
         net = staircase(hold=1e-9)

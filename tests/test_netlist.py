@@ -290,6 +290,11 @@ class TestParseErrors:
     def test_unknown_element(self):
         self.check("* t\nq1 a b c 1k\n.end\n", line=2)
 
+    def test_second_tran(self):
+        err = self.check("* t\nr1 a 0 1k\n.tran 1p 1n\n.op\n.tran 1p 3n\n.end\n",
+                         line=5)
+        assert ".tran" in str(err)
+
     def test_unknown_card(self):
         self.check("* t\nr1 a 0 1k\n.noise\n.end\n", line=3)
 
@@ -456,6 +461,14 @@ class TestValidate:
         net = parse(DIVIDER)
         net.devices.append(Device("r9", "resistor", ("a",), {"resistance": 1.0}))
         with pytest.raises(NetlistError):
+            net.validate()
+
+    def test_validate_allows_one_tran(self):
+        net = parse(DIVIDER)
+        net.analyses += [Transient(1e-12, 1e-9), OperatingPoint()]
+        net.validate()
+        net.analyses.append(Transient(1e-12, 3e-9))
+        with pytest.raises(NetlistError, match=".tran"):
             net.validate()
 
     def test_validate_checks_terminal_names(self):

@@ -14,7 +14,9 @@ this script centers the geometric mean of the two times on the anchor,
 which maximizes margin on both sides.
 
 Run it after changing anything in the device or cell generators, then copy
-the printed k into devices.py (_CMOS32_K).
+the printed k into devices.py (_CMOS32_K).  It exits 1 if an edge lies
+outside the window or if k had to move off the preset's value, so that a
+check run catches a stale preset.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ def decoder_worst_rise(k: float) -> float:
     return max(rises)
 
 
-def main() -> None:
-    k = preset("cmos32").nfet.k
+def main() -> int:
+    k0 = k = preset("cmos32").nfet.k
     for it in range(6):
         inv_r, inv_f = inverter_edges(k)
         dec_r = decoder_worst_rise(k)
@@ -92,7 +94,10 @@ def main() -> None:
     print(f"window [{lo*1e12:.2f}, {hi*1e12:.2f}] ps: "
           f"{'all inside' if ok else 'OUT OF WINDOW'}")
     print(f"_CMOS32_K = {k:.6e}")
+    if k != k0:
+        print(f"k moved off the preset's {k0:.6e}: update _CMOS32_K")
+    return 0 if ok and k == k0 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
