@@ -48,7 +48,6 @@ from .engine import (
     ConvergenceError,
     RunStats,
     SingularMatrixError,
-    SolveOptions,
     WaveformSet,
     dc_operating_point,
     transient,
@@ -155,15 +154,14 @@ def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     text = Path(args.netlist).read_text()
     net = parse(text)
-    opts = SolveOptions()
     outdir = _out_dir(args)
     op: dict[str, float] | None = None
     wset: WaveformSet | None = None
     for analysis in net.analyses:
         if isinstance(analysis, OperatingPoint):
-            op = dc_operating_point(net, opts)
+            op = dc_operating_point(net)
         else:
-            wset = transient(net, analysis, opts)
+            wset = transient(net, analysis)
     results: dict[str, float | None] = {}
     report = None
     if wset is not None:
@@ -322,17 +320,18 @@ def _solver_failure(exc: ConvergenceError | SingularMatrixError,
 
 
 def _add_common(p: argparse.ArgumentParser, with_tech: bool = True) -> None:
+    default = RunConfig()
     if with_tech:
-        p.add_argument("--tech", default="cmos32",
-                       help="preset name or .model file (default cmos32)")
-    p.add_argument("--vdd", type=float, default=1.2, help="supply voltage")
-    p.add_argument("--hold", type=float, default=5e-9,
+        p.add_argument("--tech", default=default.tech,
+                       help=f"preset name or .model file (default {default.tech})")
+    p.add_argument("--vdd", type=float, default=default.vdd, help="supply voltage")
+    p.add_argument("--hold", type=float, default=default.hold,
                    help="time spent at each input level")
-    p.add_argument("--slew", type=float, default=1e-10,
+    p.add_argument("--slew", type=float, default=default.slew,
                    help="input ramp time between levels")
-    p.add_argument("--load", type=float, default=1e-15,
+    p.add_argument("--load", type=float, default=default.load,
                    help="output load capacitance")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=float, default=default.dt,
                    help="override the .tran dt, the finest transient step")
     _add_out(p)
 
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="decoder under cmos32 and gnrfet32")
     _add_common(p_cmp, with_tech=False)
-    p_cmp.set_defaults(func=cmd_compare, tech="cmos32")
+    p_cmp.set_defaults(func=cmd_compare, tech=RunConfig().tech)
 
     p_swp = sub.add_parser("sweep", help="step one decoder parameter")
     p_swp.add_argument("--param", required=True,

@@ -14,7 +14,7 @@ gives geq, which the engine rebuilds only when a step changes, and
 ``cap_history`` gives ihist at each step.
 
 No minimum off-conductance is added here; the solver applies gmin shunts
-externally (see engine.SolveOptions).
+externally (see engine._GMIN).
 
 Two built-in technology cards are shipped, ``cmos32`` and ``gnrfet32``.
 Their numbers are calibrated behavioural values, not foundry extractions;

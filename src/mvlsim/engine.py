@@ -25,8 +25,10 @@ Jacobian dF/dx (Ho, Ruehli and Brennan, IEEE TCAS 1975).  Newton solves
 J dx = -F and converges when both a small update step and a small true KCL
 residual hold at every node:
 
-    |sum of branch currents| <= abstol + reltol * max |branch current|
-    |dx| <= vtol for every unknown
+    |sum of branch currents| <= _ABSTOL + _RELTOL * max |branch current|
+    |dx| <= _VTOL for every unknown
+
+and fails if it has not converged after _MAX_NEWTON_ITERS updates.
 
 A batch of B netlists with the same nodes and sources is compiled as the
 disjoint union of its members' branches: member b's unknowns and its own
@@ -51,7 +53,7 @@ instead: it decides whether the matrix is singular and names the pivot in
 SingularMatrixError.
 
 If the plain DC solve fails, it is retried with gmin stepping: shunts of
-gmin * 10**(gmin_steps - s) from every node to ground for s = 0..gmin_steps,
+_GMIN * 10**(_GMIN_STEPS - s) from every node to ground for s = 0.._GMIN_STEPS,
 each solution seeding the next.  A DC solve sets the capacitor companions
 to zero, which leaves the capacitors open.
 
@@ -137,20 +139,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SolveOptions:
-    abstol: float = 1e-9        # A, KCL residual floor
-    reltol: float = 1e-4        # scales the largest branch current per node
-    vtol: float = 1e-6          # V, Newton update tolerance
-    max_newton_iters: int = 100
-    gmin: float = 1e-12         # S
-    gmin_steps: int = 10
+    """A transient's integration rule; Newton's tolerances and gmin are the
+    module constants _ABSTOL to _GMIN_STEPS."""
+
     integration: str = "backward_euler"  # or "trapezoidal"
 
     def __post_init__(self):
-        for name in ("abstol", "reltol", "vtol", "gmin"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.max_newton_iters < 1 or self.gmin_steps < 1:
-            raise ValueError("iteration counts must be >= 1")
         if self.integration not in ("backward_euler", "trapezoidal"):
             raise ValueError(f"unknown integration rule {self.integration!r}")
 
@@ -241,8 +235,8 @@ class RunStats:
     rejected_lte: int = 0       # steps above the floor rejected by the LTE test
     rejected_newton: int = 0    # ... and by a Newton failure
     kcl_excess: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # kcl_excess[i] = max over nodes of (|residual| - reltol*scale) at point i;
-    # every accepted point satisfies kcl_excess[i] <= abstol.
+    # kcl_excess[i] = max over nodes of (|residual| - _RELTOL*scale) at point
+    # i; every accepted point satisfies kcl_excess[i] <= _ABSTOL.
     newton_per_point: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     # Newton updates taken at point i (0: the DC solve, with a failed plain
     # solve and every gmin step; else those of the accepted attempt and of
@@ -283,6 +277,19 @@ _MIN_SEPARATION = 1e-6
 # grows while the estimate stays below it.
 _LTE_TOL = 1e-4
 
+# Newton's convergence test (module docstring): A, the KCL residual floor;
+# the share of a node's largest branch current added to it; V, the update
+# tolerance; and the updates allowed per solve
+_ABSTOL = 1e-9
+_RELTOL = 1e-4
+_VTOL = 1e-6
+_MAX_NEWTON_ITERS = 100
+
+# S, the FET drain/source shunt and the last gmin-stepping shunt, and the
+# decades that gmin stepping starts above it
+_GMIN = 1e-12
+_GMIN_STEPS = 10
+
 
 def _column(rows, i, dtype=float) -> np.ndarray:
     return np.array([r[i] for r in rows], dtype=dtype)
@@ -306,8 +313,7 @@ class _Circuit:
     b*(n+1) + n.  A single circuit is a batch of one.
     """
 
-    def __init__(self, nets: list[Netlist], opts: SolveOptions):
-        self.opts = opts
+    def __init__(self, nets: list[Netlist]):
         self.batch = len(nets)
         self.node_names = nets[0].nodes[1:]  # non-ground
         self.nv = nv = len(self.node_names)
@@ -358,7 +364,7 @@ class _Circuit:
         self.cap_branches = slice(len(res), len(res) + len(caps))
         # linear branches: resistors, capacitors, gmin shunts, stepping shunts
         self.g_res = _column(res, 2)
-        self.g_gmin = np.full(len(gmins), opts.gmin)
+        self.g_gmin = np.full(len(gmins), _GMIN)
         self.n_shunt = len(shunts)
         lin = res + caps + gmins + shunts
         self.n_lin = len(lin)
@@ -463,7 +469,6 @@ class _Circuit:
         for it, the failing one included), its KCL excess at its solution
         and the error of each member that failed.
         """
-        opts = self.opts
         n, nv = self.n, self.nv
         batch = self.batch
         members = live.nonzero()[0].tolist()
@@ -476,7 +481,7 @@ class _Circuit:
             where = label if tb is None else f" at t={tb:.6g}s"
             name = self.node_names[int(np.argmax(over[b]))] if nv else "?"
             message = (f"solution diverged{where}" if diverged else
-                       f"Newton failed after {opts.max_newton_iters} iterations"
+                       f"Newton failed after {_MAX_NEWTON_ITERS} iterations"
                        f"{where}; worst node {name!r} (KCL excess {err[b]:.3e} A)")
             failed[b] = ConvergenceError(message, t=tb, node=name, excess=err[b],
                                          iteration=it + diverged)
@@ -484,15 +489,15 @@ class _Circuit:
         # the rows of the members still iterating
         pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
         clip_hi, clip_lo = vlimit[:, None], -vlimit[:, None]
-        for it in range(opts.max_newton_iters + 1):
+        for it in range(_MAX_NEWTON_ITERS + 1):
             if not members:
                 break
             f, scale, gm, gds = self.residual(x, lin, svals)
-            over = np.abs(f[:, :nv]) - opts.reltol * scale
+            over = np.abs(f[:, :nv]) - _RELTOL * scale
             err = np.maximum.reduce(over, axis=1).tolist() if nv else [0.0] * batch
             going = []
             for b in members:
-                if err[b] <= opts.abstol and last_dx[b] <= opts.vtol:
+                if err[b] <= _ABSTOL and last_dx[b] <= _VTOL:
                     iters[b], excess[b] = it, err[b]
                 else:
                     going.append(b)
@@ -500,7 +505,7 @@ class _Circuit:
                 members, pick = going, np.array(going, dtype=np.intp)
                 if not members:
                     break
-            if it == opts.max_newton_iters:
+            if it == _MAX_NEWTON_ITERS:
                 for b in members:
                     iters[b] = it
                     fail(b, diverged=False)
@@ -530,50 +535,43 @@ class _Circuit:
                 last_dx[b] = s
         return iters, excess, failed
 
-    def solve_dc(self, svals, failed=None):
+    def solve_dc(self, svals):
         """DC solution with gmin-stepping fallback; caps are open.
 
         Returns the solutions (with ground 0), the Newton update counts of
-        every solve made (a failed plain solve and each gmin step included)
-        and the KCL excesses.  The failure of each member goes into the
-        failed dict; without one, the lowest-index member's failure is
-        raised.
+        every solve made (a failed plain solve and each gmin step included),
+        the KCL excesses and the error of each member that failed.
         """
-        opts = self.opts
-        raising = failed is None
-        failed = {} if raising else failed
         vlimit = _vlimit(svals)
         geq, i0 = np.zeros(len(self.cap_c)), np.zeros(self.n_lin)
         x = np.zeros((self.batch, self.n1))
-        iters, excess, bad = self.newton(x, svals, vlimit,
-                                         (*self.linear_part(geq, 0.0), i0),
-                                         np.ones(self.batch, dtype=bool), label=" (dc)")
-        if bad:
+        iters, excess, failed = self.newton(x, svals, vlimit,
+                                            (*self.linear_part(geq, 0.0), i0),
+                                            np.ones(self.batch, dtype=bool), label=" (dc)")
+        if failed:
             retry = np.zeros(self.batch, dtype=bool)
-            retry[list(bad)] = True
+            retry[list(failed)] = True
             x[retry] = 0.0
-            bad = {}
-            for s in range(opts.gmin_steps + 1):
-                shunt = opts.gmin * 10.0 ** (opts.gmin_steps - s)
-                it, exc, step_bad = self.newton(
+            failed = {}
+            for s in range(_GMIN_STEPS + 1):
+                shunt = _GMIN * 10.0 ** (_GMIN_STEPS - s)
+                it, exc, bad = self.newton(
                     x, svals, vlimit, (*self.linear_part(geq, shunt), i0), retry,
                     label=f" (gmin step {s})")
-                bad.update(step_bad)
-                retry[list(step_bad)] = False
+                failed.update(bad)
+                retry[list(bad)] = False
                 for b in retry.nonzero()[0].tolist():
                     excess[b] = exc[b]
                 iters = [i + j for i, j in zip(iters, it)]
-        failed.update(bad)
-        if raising and failed:
-            raise failed[min(failed)]
-        return x, iters, excess
+        return x, iters, excess, failed
 
 
-def dc_operating_point(net: Netlist, opts: SolveOptions | None = None) -> dict[str, float]:
+def dc_operating_point(net: Netlist) -> dict[str, float]:
     """Node voltages of the DC operating point (sources at their t=0 values)."""
-    opts = opts or SolveOptions()
-    ckt = _Circuit([net], opts)
-    x, _iters, _excess = ckt.solve_dc(ckt.source_values([0.0]))
+    ckt = _Circuit([net])
+    x, _iters, _excess, failed = ckt.solve_dc(ckt.source_values([0.0]))
+    if failed:
+        raise failed[min(failed)]
     return {name: float(x[0, i]) for i, name in enumerate(ckt.node_names)}
 
 
@@ -640,25 +638,25 @@ class _Clock:
 
 
 def _lockstep(nets: list[Netlist], analyses: list[Transient],
-              opts: SolveOptions) -> tuple[list[WaveformSet], dict[int, Exception]]:
+              rule: str) -> tuple[list[WaveformSet], dict[int, Exception]]:
     """Transients of netlists with the same nodes and sources, in lockstep
-    rounds: each round, every member still running tries its next step."""
-    ckt = _Circuit(nets, opts)
+    rounds: each round, every member still running tries its next step by
+    the integration rule rule."""
+    ckt = _Circuit(nets)
     batch, nv = ckt.batch, ckt.nv
     clocks = [_Clock(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
     c, caps, cap_member = ckt.cap_c, ckt.cap_branches, ckt.cap_member
     bounds = np.searchsorted(cap_member, np.arange(batch + 1)).tolist()
     cap_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    order = 1 if opts.integration == "backward_euler" else 2
+    order = 1 if rule == "backward_euler" else 2
 
     def grow(err):
         if err == 0.0:
             return 2.0
         return min(2.0, 0.9 * (_LTE_TOL / err) ** (1.0 / (order + 1)))
 
-    failed: dict[int, Exception] = {}
     t = [0.0] * batch
-    x, iters, excess = ckt.solve_dc(ckt.source_values(t), failed)
+    x, iters, excess, failed = ckt.solve_dc(ckt.source_values(t))
     # every accepted point of every member, its Newton updates and excess;
     # the first len(times[b]) rows of sols[b] are in use, and it doubles
     # when full
@@ -698,9 +696,9 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
         svals = ckt.source_values(t)
         predicted = x[:, :nv].copy()
         if new_h:  # geq, and so g and the linear Jacobian, depend on h alone
-            geq = cap_conductance(c, np.array(h)[cap_member], opts.integration)
+            geq = cap_conductance(c, np.array(h)[cap_member], rule)
             g, jac = ckt.linear_part(geq, 0.0)
-        i0 = ckt.offsets(cap_history(geq, cap_v, cap_i, opts.integration))
+        i0 = ckt.offsets(cap_history(geq, cap_v, cap_i, rule))
         it, exc, bad = ckt.newton(x, svals, _vlimit(svals), (g, jac, i0), running, t=t)
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
                                 initial=0.0).tolist()
@@ -769,7 +767,7 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
                 for net, a in zip(nets, analyses, strict=True)]
     if not nets:
         return []
-    wsets, failed = _lockstep(nets, analyses, opts)
+    wsets, failed = _lockstep(nets, analyses, opts.integration)
     if failed:
         b = min(failed)
         failed[b].member = b

@@ -36,13 +36,8 @@ class Waveform:
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
             raise ValueError("waveform samples must be finite")
 
-    @classmethod
-    def from_samples(cls, samples) -> "Waveform":
-        arr = np.asarray(list(samples), dtype=float)
-        return cls(arr[:, 0], arr[:, 1])
-
-    def value_at(self, t: float, strict: bool = True) -> float:
-        if strict and not (self.times[0] <= t <= self.times[-1]):
+    def value_at(self, t: float) -> float:
+        if not (self.times[0] <= t <= self.times[-1]):
             raise ValueError(f"sample time {t} outside waveform span "
                              f"[{self.times[0]}, {self.times[-1]}]")
         return float(np.interp(t, self.times, self.values))
@@ -64,36 +59,34 @@ def _crossings(wf: Waveform, level: float, rising: bool) -> np.ndarray:
     return t0 + (level - a[idx]) * dt / (b[idx] - a[idx])
 
 
-def rise_time(wf: Waveform, v_lo: float, v_hi: float) -> float:
-    """10-90% rise time of the first complete rising transition."""
+def _edge_time(wf: Waveform, v_lo: float, v_hi: float, rising: bool) -> float:
+    """10-90% time of the first complete edge in one direction: from the
+    latest crossing of the 10% (rising) or 90% (falling) level before the
+    first crossing of the other level that has one."""
+    name, edge = ("rise_time", "rising") if rising else ("fall_time", "falling")
     if not v_hi > v_lo:
-        raise MeasureError("rise_time needs v_hi > v_lo")
+        raise MeasureError(f"{name} needs v_hi > v_lo")
     swing = v_hi - v_lo
     lo = v_lo + 0.1 * swing
     hi = v_lo + 0.9 * swing
-    t_hi = _crossings(wf, hi, rising=True)
-    t_lo = _crossings(wf, lo, rising=True)
-    for th in t_hi:
-        before = t_lo[t_lo <= th]
+    start, end = (lo, hi) if rising else (hi, lo)
+    t_end = _crossings(wf, end, rising)
+    t_start = _crossings(wf, start, rising)
+    for te in t_end:
+        before = t_start[t_start <= te]
         if len(before):
-            return float(th - before[-1])
-    raise MeasureError("no complete rising transition found")
+            return float(te - before[-1])
+    raise MeasureError(f"no complete {edge} transition found")
+
+
+def rise_time(wf: Waveform, v_lo: float, v_hi: float) -> float:
+    """10-90% rise time of the first complete rising transition."""
+    return _edge_time(wf, v_lo, v_hi, rising=True)
 
 
 def fall_time(wf: Waveform, v_lo: float, v_hi: float) -> float:
     """90-10% fall time of the first complete falling transition."""
-    if not v_hi > v_lo:
-        raise MeasureError("fall_time needs v_hi > v_lo")
-    swing = v_hi - v_lo
-    lo = v_lo + 0.1 * swing
-    hi = v_lo + 0.9 * swing
-    t_lo = _crossings(wf, lo, rising=False)
-    t_hi = _crossings(wf, hi, rising=False)
-    for tl in t_lo:
-        before = t_hi[t_hi <= tl]
-        if len(before):
-            return float(tl - before[-1])
-    raise MeasureError("no complete falling transition found")
+    return _edge_time(wf, v_lo, v_hi, rising=False)
 
 
 def prop_delay(in_wf: Waveform, out_wf: Waveform,

@@ -100,7 +100,7 @@ def quantize(wf: Waveform, levels: LevelMap, sample_times) -> list[int | None]:
     """
     out = []
     for t in sample_times:
-        v = wf.value_at(float(t), strict=True)
+        v = wf.value_at(float(t))
         out.append(levels.digit_of(v))
     return out
 

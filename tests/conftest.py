@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvlsim.engine import SolveOptions, _Circuit
+from mvlsim.engine import _Circuit
 from mvlsim.netlist import model_line, parse
 
 
@@ -17,7 +17,7 @@ def one_fet():
     def make(card):
         net = parse(f"* one fet\n{model_line('q', card)}\nvg g 0 dc 0\n"
                     "vd d 0 dc 0\nm1 d g 0 0 q\n.end\n")
-        ckt = _Circuit([net], SolveOptions())
+        ckt = _Circuit([net])
         assert ckt.node_names == ["g", "d"]
         open_caps = np.zeros(len(ckt.cap_c))
         lin = (*ckt.linear_part(open_caps, 0.0), ckt.offsets(open_caps))

@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from mvlsim import engine
 from mvlsim.cells import (
     CellSpec,
     build_vlc,
@@ -30,7 +31,7 @@ from mvlsim.characterize import (
     run_decoder,
 )
 from mvlsim.devices import FetModelCard, preset, preset_names, square_law
-from mvlsim.engine import SolveOptions, dc_operating_point, transient
+from mvlsim.engine import dc_operating_point, transient
 from mvlsim.measure import Waveform, rise_time
 from mvlsim.mvl import (
     Digit,
@@ -185,7 +186,7 @@ def test_c4_solver_accuracy(characterization):
                  for t in (1e-9, 2e-9, 3e-9))
 
     # (c) every accepted decoder time point satisfies the KCL criterion
-    abstol = SolveOptions().abstol
+    abstol = engine._ABSTOL
     worst_kcl = max(float(run.wset.stats.kcl_excess.max())
                     for run in characterization.values())
 

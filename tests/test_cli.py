@@ -12,8 +12,8 @@ import pytest
 
 from mvlsim import engine
 from mvlsim.cells import vlc_thresholds
-from mvlsim.characterize import improvement_pct, resolve_tech
-from mvlsim.cli import main
+from mvlsim.characterize import RunConfig, improvement_pct, resolve_tech
+from mvlsim.cli import _cfg_from_args, build_parser, main
 from mvlsim.devices import preset
 from mvlsim.mvl import LevelMap
 from mvlsim.netlist import parse
@@ -145,6 +145,9 @@ class TestCell:
 
 
 class TestDecoder:
+    def test_parser_defaults_are_run_config_defaults(self):
+        assert _cfg_from_args(build_parser().parse_args(["decoder"])) == RunConfig()
+
     def test_json_schema_and_logic(self, tmp_path, capsys):
         code = main(["decoder", "--hold", "1e-9", "--out", str(tmp_path)])
         assert code == 0
@@ -165,7 +168,7 @@ class TestDecoder:
         assert set(solver) == SOLVER_KEYS
         assert solver["steps"] == len(csv.splitlines()) - 2  # header, DC row
         assert solver["newton_iterations"] >= solver["steps"]
-        assert 0.0 <= solver["kcl_excess_max"] <= engine.SolveOptions().abstol
+        assert 0.0 <= solver["kcl_excess_max"] <= engine._ABSTOL
         out = capsys.readouterr().out
         assert "logic ok" in out
         assert "Technology" in out
@@ -227,9 +230,7 @@ class TestCompare:
                 tmp_path / f"decoder_{tech}.json")["solver"]
 
     def test_solver_failure_names_the_card(self, tmp_path, capsys, monkeypatch):
-        solve_options = engine.SolveOptions
-        monkeypatch.setattr(engine, "SolveOptions",
-                            lambda: solve_options(max_newton_iters=3))
+        monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 3)
         assert main(["compare", "--hold", "1e-9", "--out", str(tmp_path)]) == 2
         match = FAILED_RUN.search(capsys.readouterr().err)
         assert match and match[1] == "cmos32" and match[3] == "3"
@@ -271,9 +272,7 @@ class TestSweep:
                 assert rows[name] == val
 
     def test_solver_failure_names_the_value(self, tmp_path, capsys, monkeypatch):
-        solve_options = engine.SolveOptions
-        monkeypatch.setattr(engine, "SolveOptions",
-                            lambda: solve_options(max_newton_iters=3))
+        monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 3)
         assert main(["sweep", "--param", "vdd", "--start", "1.2", "--stop",
                      "1.0", "--count", "2", "--hold", "1e-9",
                      "--out", str(tmp_path)]) == 2
