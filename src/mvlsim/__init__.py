@@ -50,7 +50,6 @@ from .measure import (
     MeasureReport,
     Waveform,
     fall_time,
-    figures,
     prop_delay,
     report_table,
     rise_time,
@@ -115,7 +114,6 @@ __all__ = [
     "dc_operating_point",
     "emit",
     "fall_time",
-    "figures",
     "gate_level_decode",
     "ideal_decode",
     "ideal_vlc",

@@ -201,8 +201,8 @@ def staircase_sample_times(levels: LevelMap, hold: float, slew: float):
     return out
 
 
-def build_staircase_testbench(spec: CellSpec, hold: float = 5e-9,
-                              slew: float = 1e-10) -> Netlist:
+def build_staircase_testbench(spec: CellSpec, *, hold: float,
+                              slew: float) -> Netlist:
     """Decoder plus a staircase PWL input visiting every digit.
 
     Includes a .tran card (dt from the tstop/1000 and slew/10 caps, dtmax

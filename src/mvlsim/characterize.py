@@ -32,7 +32,6 @@ from .measure import (
     MeasureReport,
     Waveform,
     fall_time,
-    figures,
     prop_delay,
     rise_time,
     supply_power,
@@ -155,6 +154,11 @@ def _evaluate_one(net: Netlist, wset: WaveformSet, m: MeasureDirective) -> float
     return avg if m.kind == "avgpower" else peak
 
 
+# the MeasureReport field that the worst case of each .measure kind fills
+_REPORT_FIELDS = {"peakpower": "max_power", "avgpower": "avg_power",
+                  "rise": "rise_time", "fall": "fall_time", "delay": "prop_delay"}
+
+
 def assemble_report(
     label: str,
     directives: tuple[MeasureDirective, ...],
@@ -168,17 +172,10 @@ def assemble_report(
             continue
         if m.kind not in worst or val > worst[m.kind]:
             worst[m.kind] = val
-    needed = ("rise", "fall", "delay", "avgpower", "peakpower")
-    if any(k not in worst for k in needed):
+    if any(kind not in worst for kind in _REPORT_FIELDS):
         return None
-    return figures(
-        technology=label,
-        max_power=worst["peakpower"],
-        avg_power=worst["avgpower"],
-        rise=worst["rise"],
-        fall=worst["fall"],
-        delay=worst["delay"],
-    )
+    return MeasureReport(label, **{name: worst[kind]
+                                   for kind, name in _REPORT_FIELDS.items()})
 
 
 def improvement_pct(reference: float, other: float) -> float:

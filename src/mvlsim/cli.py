@@ -213,6 +213,11 @@ def cmd_decoder(args: argparse.Namespace) -> int:
     return EXIT_OK if run.logic_ok else EXIT_LOGIC
 
 
+# compare's improvement lines, in order: each figure and its wording
+_IMPROVEMENTS = {"avg_power": "decrease in power", "rise_time": "improvement in rise time",
+                 "fall_time": "improvement in fall time", "pdp": "decrease in PDP"}
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     base = _cfg_from_args(args)
     outdir = _out_dir(args)
@@ -230,12 +235,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("stimulus mismatch between technology runs")
     improvements: dict[str, float] | None = None
     if cm.report is not None and gn.report is not None:
-        improvements = {
-            "avg_power": improvement_pct(cm.report.avg_power, gn.report.avg_power),
-            "rise_time": improvement_pct(cm.report.rise_time, gn.report.rise_time),
-            "fall_time": improvement_pct(cm.report.fall_time, gn.report.fall_time),
-            "pdp": improvement_pct(cm.report.pdp, gn.report.pdp),
-        }
+        improvements = {name: improvement_pct(getattr(cm.report, name),
+                                              getattr(gn.report, name))
+                        for name in _IMPROVEMENTS}
     doc = {
         "command": "compare",
         "config": dataclasses.asdict(base),
@@ -249,10 +251,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if reports:
             print(report_table(reports, include_delay=False))
         if improvements is not None:
-            print(f"{improvements['avg_power']:.2f}% decrease in power")
-            print(f"{improvements['rise_time']:.2f}% improvement in rise time")
-            print(f"{improvements['fall_time']:.2f}% improvement in fall time")
-            print(f"{improvements['pdp']:.2f}% decrease in PDP")
+            for name, wording in _IMPROVEMENTS.items():
+                print(f"{improvements[name]:.2f}% {wording}")
     if "json" in args.format:
         sys.stdout.write(_json_text(doc))
     if not (cm.logic_ok and gn.logic_ok):
@@ -277,9 +277,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if val is not None:
                 rows.append((value, idx, name, val))
         if run.report is not None:
-            for field in ("max_power", "avg_power", "rise_time",
-                          "fall_time", "prop_delay", "pdp", "edp"):
-                rows.append((value, idx, field, getattr(run.report, field)))
+            for f in dataclasses.fields(run.report)[1:]:  # the figures
+                rows.append((value, idx, f.name, getattr(run.report, f.name)))
     lines = [f"{args.param},run,metric,value"]
     for value, idx, metric, val in rows:
         lines.append(f"{value!r},{idx},{metric},{val!r}")

@@ -41,8 +41,9 @@ The members still iterating are solved together.  A member that fails drops
 out, and so do the members after it; the batch then raises the failure of
 its lowest-index failing member.  ``transient_batch`` runs netlists with the
 same nodes and sources as one batch, in lockstep rounds that try the next
-step of every member still running; each member keeps its own time, step,
-predictor and capacitor history and accept/reject decision, so its run is
+step of every member still running.  Each member keeps its clock (time,
+step and accept/reject decision), its accepted points and its counters in
+one record, and its own predictor and capacitor history, so its run is
 bitwise the one it gives alone.  ``transient`` is a batch of one.
 
 Each Newton step is one LAPACK solve (np.linalg.solve) of the stacked
@@ -575,13 +576,17 @@ def dc_operating_point(net: Netlist) -> dict[str, float]:
     return {name: float(x[0, i]) for i, name in enumerate(ckt.node_names)}
 
 
-class _Clock:
-    """Where one batch member is in time, and the step it tries next.
+class _Member:
+    """One batch member: where it is in time, the step it tries next, and
+    its accepted points and counters.
 
     bps are the merged breakpoints from 0 to tstop; the member is in the
-    segment from bps[seg] to bps[seg + 1], its last accepted point at t.
-    The next attempt is a step of h to the time point next; it may be
-    rejected only if free, that is if h is above the floor.
+    segment from bps[seg] to bps[seg + 1], its last accepted point at t,
+    reached by a step of h_last (inf at the DC point).  The next attempt is
+    a step of h to the time point next; it may be rejected only if free,
+    that is if h is above the floor.  times, rows (solutions, ground 0
+    last), iters (Newton updates) and excess (KCL excess) hold one entry per
+    accepted point; pending counts the updates since the last one.
     """
 
     def __init__(self, stimuli, analysis: Transient):
@@ -603,6 +608,9 @@ class _Clock:
         grows = analysis.dtmax is not None and analysis.dtmax > analysis.dt
         self.floor, self.ceiling = floor, analysis.dtmax if grows else floor
         self.bps, self.seg, self.t, self.done = merged, 0, 0.0, False
+        self.h_last = math.inf
+        self.times, self.rows, self.iters, self.excess = [], [], [], []
+        self.pending = self.rejected_lte = self.rejected_newton = 0
         self._plan(floor)
 
     def _plan(self, h: float) -> None:
@@ -623,7 +631,7 @@ class _Clock:
     def accept(self, grow: float) -> None:
         """Move to the attempted point; the controller asks the step to
         grow by the factor grow.  At a breakpoint it restarts at the floor."""
-        self.t = self.next
+        self.h_last, self.t = self.h, self.next
         if self.t == self.bps[self.seg + 1]:
             self.seg += 1
             self.done = self.seg == len(self.bps) - 1
@@ -636,15 +644,60 @@ class _Clock:
         """Retry from t with the step shrunk by the factor shrink."""
         self._plan(self.h * shrink)
 
+    def predict(self) -> np.ndarray:
+        """Newton's start at next: the line through the last two accepted
+        points; at the DC point, last = prev and h/h_last = 0."""
+        last, prev = self.rows[-1], self.rows[max(len(self.rows) - 2, 0)]
+        return last + (self.h / self.h_last) * (last - prev)
 
-def _lockstep(nets: list[Netlist], analyses: list[Transient],
-              rule: str) -> tuple[list[WaveformSet], dict[int, Exception]]:
-    """Transients of netlists with the same nodes and sources, in lockstep
-    rounds: each round, every member still running tries its next step by
-    the integration rule rule."""
+    def record(self, x: np.ndarray, excess: float) -> None:
+        """Keep the solution x at t, the point just accepted, with its KCL
+        excess and the pending Newton updates."""
+        self.times.append(self.t)
+        self.rows.append(x.copy())
+        self.iters.append(self.pending)
+        self.excess.append(excess)
+        self.pending = 0
+
+    def waveforms(self, ckt: _Circuit) -> WaveformSet:
+        """The accepted points as waveforms of ckt's nodes and sources."""
+        times, sol = np.array(self.times), np.array(self.rows)
+        voltages = {name: Waveform(times, sol[:, i])
+                    for i, name in enumerate(ckt.node_names)}
+        currents = {d.name: Waveform(times, sol[:, ckt.nv + j])
+                    for j, d in enumerate(ckt.vsources)}
+        stats = RunStats(steps=len(times) - 1, newton_iterations=sum(self.iters),
+                         rejected_lte=self.rejected_lte,
+                         rejected_newton=self.rejected_newton,
+                         kcl_excess=np.array(self.excess),
+                         newton_per_point=np.array(self.iters))
+        return WaveformSet(times=times, voltages=voltages, currents=currents,
+                           stats=stats)
+
+
+def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None = None,
+                    opts: SolveOptions | None = None) -> list[WaveformSet]:
+    """Transients of netlists with the same nodes and sources, each from its
+    t=0 operating point, run in lockstep as one batch: each round, every
+    member still running tries its next step.
+
+    analyses[i] (default: the .tran card of nets[i]) sets the steps of
+    nets[i], and each member keeps its own time points.  Every WaveformSet
+    is bitwise the one the netlist gives alone.  Netlists whose nodes or
+    sources differ raise ValueError.  If any netlist fails, the error of
+    the lowest-index one is raised, with that index in its ``member``.
+    """
+    rule = (opts or SolveOptions()).integration
+    nets = list(nets)
+    if analyses is None:
+        analyses = [None] * len(nets)
+    analyses = [_tran_card(net) if a is None else a
+                for net, a in zip(nets, analyses, strict=True)]
+    if not nets:
+        return []
     ckt = _Circuit(nets)
     batch, nv = ckt.batch, ckt.nv
-    clocks = [_Clock(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
+    members = [_Member(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
     c, caps, cap_member = ckt.cap_c, ckt.cap_branches, ckt.cap_member
     bounds = np.searchsorted(cap_member, np.arange(batch + 1)).tolist()
     cap_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -655,47 +708,31 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
             return 2.0
         return min(2.0, 0.9 * (_LTE_TOL / err) ** (1.0 / (order + 1)))
 
-    t = [0.0] * batch
-    x, iters, excess, failed = ckt.solve_dc(ckt.source_values(t))
-    # every accepted point of every member, its Newton updates and excess;
-    # the first len(times[b]) rows of sols[b] are in use, and it doubles
-    # when full
-    times = [[0.0] for _ in range(batch)]
-    sols = [np.empty((256, ckt.n1)) for _ in range(batch)]
-    for b in range(batch):
-        sols[b][0] = x[b]
-    per_iters = [[i] for i in iters]
-    per_excess = [[e] for e in excess]
-    h = [0.0] * batch  # the step each member tries
-    h_last = [math.inf] * batch  # the step to its last accepted point; inf at DC
+    x, iters, excess, failed = ckt.solve_dc(ckt.source_values([0.0] * batch))
+    for m, xb, it, e in zip(members, x, iters, excess):
+        m.pending = it
+        m.record(xb, e)
     # the capacitors' voltages and currents at each member's last point; a
     # solve's last residual was evaluated at every member's solution
     cap_v, cap_i = ckt.branch_v[caps].copy(), np.zeros(len(c))
-    pending = [0] * batch  # Newton updates of rejected attempts
-    rejected = [[0, 0] for _ in range(batch)]  # by LTE, by Newton failure
+    steps = None  # the steps the linear part was built for
     running = np.ones(batch, dtype=bool)
     regroup = True
     while True:
         if regroup:  # members after the lowest failed one no longer matter
             running[min(failed, default=batch):] = False
-            members = running.nonzero()[0].tolist()
-            if not members:
+            live = running.nonzero()[0].tolist()
+            if not live:
                 break
             regroup = False
-        new_h = False
-        for b in members:
-            clk = clocks[b]
-            if clk.h != h[b]:
-                h[b], new_h = clk.h, True
-            t[b] = clk.next
-            # predictor: the line through the last two accepted points; at
-            # the DC point, last = prev and h/h_last = 0
-            k = len(times[b])
-            last, prev = sols[b][k - 1], sols[b][max(k - 2, 0)]
-            x[b] = last + (clk.h / h_last[b]) * (last - prev)
+        for b in live:
+            x[b] = members[b].predict()
+        t = [m.next for m in members]
         svals = ckt.source_values(t)
         predicted = x[:, :nv].copy()
-        if new_h:  # geq, and so g and the linear Jacobian, depend on h alone
+        h = [m.h for m in members]
+        if h != steps:  # geq, and so g and the linear Jacobian, depend on h alone
+            steps = h
             geq = cap_conductance(c, np.array(h)[cap_member], rule)
             g, jac = ckt.linear_part(geq, 0.0)
         i0 = ckt.offsets(cap_history(geq, cap_v, cap_i, rule))
@@ -703,76 +740,30 @@ def _lockstep(nets: list[Netlist], analyses: list[Transient],
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
                                 initial=0.0).tolist()
         v_now, i_now = ckt.branch_v[caps], ckt.branch_i[caps]
-        for b in members:
-            clk = clocks[b]
-            pending[b] += it[b]
-            if b in bad or (clk.free and err[b] > _LTE_TOL):
-                if not clk.free:
+        for b in live:
+            m = members[b]
+            m.pending += it[b]
+            if b in bad or (m.free and err[b] > _LTE_TOL):
+                if not m.free:
                     failed[b], regroup = bad[b], True
                 elif b in bad:
-                    rejected[b][1] += 1
-                    clk.reject(0.125)
+                    m.rejected_newton += 1
+                    m.reject(0.125)
                 else:
-                    rejected[b][0] += 1
-                    clk.reject(grow(err[b]))
+                    m.rejected_lte += 1
+                    m.reject(grow(err[b]))
                 continue
-            if len(times[b]) == len(sols[b]):
-                sols[b] = np.concatenate((sols[b], np.empty_like(sols[b])))
-            sols[b][len(times[b])] = x[b]
-            times[b].append(clk.next)
-            per_iters[b].append(pending[b])
-            per_excess[b].append(exc[b])
-            pending[b], h_last[b] = 0, clk.h
             rows = cap_rows[b]
             cap_v[rows], cap_i[rows] = v_now[rows], i_now[rows]
-            clk.accept(grow(err[b]))
-            if clk.done:
+            m.accept(grow(err[b]))
+            m.record(x[b], exc[b])
+            if m.done:
                 running[b], regroup = False, True
-    if failed:
-        return [], failed
-
-    wsets = []
-    for b in range(batch):
-        tarr = np.array(times[b])
-        sol = sols[b][:len(tarr)]
-        voltages = {name: Waveform(tarr, sol[:, i])
-                    for i, name in enumerate(ckt.node_names)}
-        currents = {d.name: Waveform(tarr, sol[:, nv + j])
-                    for j, d in enumerate(ckt.vsources)}
-        stats = RunStats(steps=len(tarr) - 1, newton_iterations=sum(per_iters[b]),
-                         rejected_lte=rejected[b][0], rejected_newton=rejected[b][1],
-                         kcl_excess=np.array(per_excess[b]),
-                         newton_per_point=np.array(per_iters[b]))
-        wsets.append(WaveformSet(times=tarr, voltages=voltages,
-                                 currents=currents, stats=stats))
-    return wsets, failed
-
-
-def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None = None,
-                    opts: SolveOptions | None = None) -> list[WaveformSet]:
-    """Transients of netlists with the same nodes and sources, each from its
-    t=0 operating point, run in lockstep as one batch.
-
-    analyses[i] (default: the .tran card of nets[i]) sets the steps of
-    nets[i], and each member keeps its own time points.  Every WaveformSet
-    is bitwise the one the netlist gives alone.  Netlists whose nodes or
-    sources differ raise ValueError.  If any netlist fails, the error of
-    the lowest-index one is raised, with that index in its ``member``.
-    """
-    opts = opts or SolveOptions()
-    nets = list(nets)
-    if analyses is None:
-        analyses = [None] * len(nets)
-    analyses = [_tran_card(net) if a is None else a
-                for net, a in zip(nets, analyses, strict=True)]
-    if not nets:
-        return []
-    wsets, failed = _lockstep(nets, analyses, opts.integration)
     if failed:
         b = min(failed)
         failed[b].member = b
         raise failed[b]
-    return wsets
+    return [m.waveforms(ckt) for m in members]
 
 
 def _tran_card(net: Netlist) -> Transient:

@@ -5,12 +5,14 @@ All measures interpolate linearly between samples.  Rise and fall times are
 propagation delay is 50%-to-50%, pairing each input crossing with the first
 output crossing at or after it and returning the worst pair.  Supply power
 uses p(t) = -v(t)*i(t) with the MNA branch-current convention (current into
-the + terminal), so a delivering source has positive power.
+the + terminal), so a delivering source has positive power.  A
+MeasureReport derives its PDP (avg_power * prop_delay) and EDP
+(PDP * prop_delay) from the measured figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,9 +43,6 @@ class Waveform:
             raise ValueError(f"sample time {t} outside waveform span "
                              f"[{self.times[0]}, {self.times[-1]}]")
         return float(np.interp(t, self.times, self.values))
-
-    def shifted(self, dt: float) -> "Waveform":
-        return Waveform(self.times + dt, self.values.copy())
 
 
 def _crossings(wf: Waveform, level: float, rising: bool) -> np.ndarray:
@@ -122,40 +121,24 @@ def supply_power(v_wf: Waveform, i_wf: Waveform) -> tuple[float, float]:
 
 @dataclass
 class MeasureReport:
+    """The figures of merit of one run, one per field after technology;
+    pdp and edp are derived from avg_power and prop_delay."""
+
     technology: str
     max_power: float
     avg_power: float
     rise_time: float
     fall_time: float
     prop_delay: float
-    pdp: float
-    edp: float
+    pdp: float = field(init=False)
+    edp: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("max_power", "avg_power", "rise_time", "fall_time",
-                     "prop_delay", "pdp", "edp"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if abs(self.pdp - self.avg_power * self.prop_delay) > 1e-12 * abs(self.pdp) + 1e-30:
-            raise ValueError("pdp must equal avg_power * prop_delay")
-        if abs(self.edp - self.pdp * self.prop_delay) > 1e-12 * abs(self.edp) + 1e-40:
-            raise ValueError("edp must equal pdp * prop_delay")
-
-
-def figures(technology: str, max_power: float, avg_power: float,
-            rise: float, fall: float, delay: float) -> MeasureReport:
-    """Assemble the derived figures of merit from one run's measures."""
-    pdp = avg_power * delay
-    return MeasureReport(
-        technology=technology,
-        max_power=max_power,
-        avg_power=avg_power,
-        rise_time=rise,
-        fall_time=fall,
-        prop_delay=delay,
-        pdp=pdp,
-        edp=pdp * delay,
-    )
+        self.pdp = self.avg_power * self.prop_delay
+        self.edp = self.pdp * self.prop_delay
+        for f in fields(self)[1:]:
+            if getattr(self, f.name) < 0.0:
+                raise ValueError(f"{f.name} must be non-negative")
 
 
 REPORT_COLUMNS = ("Technology", "Max power (W)", "Avg power (W)", "Rise (s)",
@@ -169,15 +152,13 @@ def report_table(reports: list[MeasureReport], include_delay: bool = True) -> st
     side-by-side technology tables where only edge figures are compared.
     """
     header = list(REPORT_COLUMNS)
+    names = [f.name for f in fields(MeasureReport)[1:]]
     if not include_delay:
         header.remove("Delay (s)")
+        names.remove("prop_delay")
     rows = [header]
     for r in reports:
-        vals = [r.max_power, r.avg_power, r.rise_time, r.fall_time,
-                r.prop_delay, r.pdp, r.edp]
-        if not include_delay:
-            del vals[4]
-        rows.append([r.technology] + ["%.6g" % v for v in vals])
+        rows.append([r.technology] + ["%.6g" % getattr(r, name) for name in names])
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]

@@ -223,7 +223,9 @@ class Transient:
 
 Analysis = OperatingPoint | Transient
 
-_MEASURE_KINDS = ("rise", "fall", "delay", "avgpower", "peakpower")
+# the kinds measured on node voltages, then those on a voltage source
+_NODE_KINDS = ("rise", "fall", "delay")
+_MEASURE_KINDS = _NODE_KINDS + ("avgpower", "peakpower")
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,7 @@ class Netlist:
         nodes = set(self.nodes)
         vsources = {d.name for d in self.devices if d.kind == "vsource"}
         for m in self.measures:
-            if m.kind in ("rise", "fall", "delay"):
+            if m.kind in _NODE_KINDS:
                 for t in m.targets:
                     if t not in nodes:
                         raise NetlistError(
@@ -502,7 +504,7 @@ def _parse_measure(toks, lineno) -> MeasureDirective:
         raise NetlistError(f"unknown measure kind {toks[2][0]!r}", lineno, toks[2][1])
     targets = []
     for tok, col in toks[3:]:
-        if kind in ("rise", "fall", "delay"):
+        if kind in _NODE_KINDS:
             m = re.fullmatch(r"(?i)v\((\w+)\)", tok)
             if not m:
                 raise NetlistError(f"expected v(<node>), got {tok!r}", lineno, col)
@@ -610,7 +612,7 @@ def device_line(d: Device) -> str:
 
 
 def _measure_line(m: MeasureDirective) -> str:
-    if m.kind in ("rise", "fall", "delay"):
+    if m.kind in _NODE_KINDS:
         targets = " ".join(f"v({t})" for t in m.targets)
     else:
         targets = m.targets[0]

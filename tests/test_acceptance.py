@@ -265,7 +265,7 @@ def test_c6_measurement_functions():
     rc = Waveform(tt, 1.0 - np.exp(-tt / tau))
     err_rc = abs(rise_time(rc, 0.0, 1.0) / (math.log(9.0) * tau) - 1.0)
 
-    shifted = rise_time(ramp.shifted(3.0), 0.0, 1.0)
+    shifted = rise_time(Waveform(ramp.times + 3.0, ramp.values), 0.0, 1.0)
     affine = rise_time(Waveform(t, 5.0 * t - 2.0), -2.0, 3.0)
     err_inv = max(abs(shifted - r0), abs(affine - r0))
 

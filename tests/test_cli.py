@@ -213,12 +213,15 @@ class TestCompare:
         header = out.splitlines()[0]
         assert header.startswith("Technology")
         assert "Delay" not in header
-        for phrase in ("% decrease in power", "% improvement in rise time",
-                       "% improvement in fall time", "% decrease in PDP"):
-            assert phrase in out
         doc = read_json(tmp_path / "compare.json")
         assert set(doc["improvements_pct"]) == {
             "avg_power", "rise_time", "fall_time", "pdp"}
+        pct = doc["improvements_pct"]
+        assert out.splitlines()[-4:] == [
+            f"{pct['avg_power']:.2f}% decrease in power",
+            f"{pct['rise_time']:.2f}% improvement in rise time",
+            f"{pct['fall_time']:.2f}% improvement in fall time",
+            f"{pct['pdp']:.2f}% decrease in PDP"]
         assert all(v > 0.0 for v in doc["improvements_pct"].values())
         runs = doc["runs"]
         assert runs["cmos32"]["stimulus"] == runs["gnrfet32"]["stimulus"]
@@ -270,6 +273,10 @@ class TestSweep:
         for name, val in doc["measures"].items():
             if val is not None:
                 assert rows[name] == val
+        measured = sorted(name for name, val in doc["measures"].items()
+                          if val is not None)
+        assert list(rows) == ["logic_ok", *measured, "max_power", "avg_power",
+                              "rise_time", "fall_time", "prop_delay", "pdp", "edp"]
 
     def test_solver_failure_names_the_value(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 3)

@@ -16,6 +16,7 @@ import pytest
 
 from mvlsim import engine
 from mvlsim.cells import CellSpec, build_staircase_testbench
+from mvlsim.characterize import RunConfig
 from mvlsim.devices import preset, square_law
 from mvlsim.engine import (
     ConvergenceError,
@@ -31,6 +32,9 @@ from mvlsim.engine import (
 )
 from mvlsim.mvl import LevelMap
 from mvlsim.netlist import Transient, parse
+
+# the testbench settings the decoder commands default to
+DEFAULT = RunConfig()
 
 DIVIDER = """* divider
 v1 in 0 dc 2.0
@@ -94,7 +98,8 @@ def gnrfet32_linearization():
     """The gnrfet32 decoder testbench at a random point in mid-transient:
     the circuit and linearize's arguments."""
     spec = CellSpec(tech=preset("gnrfet32"), levels=LevelMap(4, 1.2))
-    ckt = _Circuit([build_staircase_testbench(spec)])
+    ckt = _Circuit([build_staircase_testbench(spec, hold=DEFAULT.hold,
+                                              slew=DEFAULT.slew)])
     rng = np.random.default_rng(7)
     x = np.append(np.concatenate((rng.uniform(-0.2, 1.4, ckt.nv),
                                   rng.uniform(-1e-4, 1e-4, ckt.n - ckt.nv))),
@@ -123,7 +128,7 @@ def staircase(tech="cmos32", hold=1e-9, vdd=1.2, load=1e-15, vth_scale=1.0):
         card, nfet=dataclasses.replace(card.nfet, vth=card.nfet.vth * vth_scale),
         pfet=dataclasses.replace(card.pfet, vth=card.pfet.vth * vth_scale))
     spec = CellSpec(tech=card, levels=LevelMap(4, vdd), load=load)
-    return build_staircase_testbench(spec, hold=hold)
+    return build_staircase_testbench(spec, hold=hold, slew=DEFAULT.slew)
 
 
 def assert_same_run(a, b):
@@ -564,7 +569,7 @@ class TestStepControl:
         # retried at the floor, a step that rounding left a hair above it
         # would be the same step again, so it must not be rejectable
         stim = parse(RC).device("v1").stimulus
-        clk = engine._Clock([stim], Transient(dt=1e-12, tstop=1e-9, dtmax=5e-11))
+        clk = engine._Member([stim], Transient(dt=1e-12, tstop=1e-9, dtmax=5e-11))
         floor, t1 = clk.floor, clk.bps[1]
         clk.t = t1 - floor * (1.0 + 1e-12)
         clk.reject(0.125)
@@ -624,7 +629,7 @@ class TestLinearize:
     def test_dc_residual_matches_per_device_loop(self):
         # reference: stamp every branch current device by device
         spec = CellSpec(tech=preset("cmos32"), levels=LevelMap(4, 1.2))
-        net = build_staircase_testbench(spec)
+        net = build_staircase_testbench(spec, hold=DEFAULT.hold, slew=DEFAULT.slew)
         ckt = _Circuit([net])
         rng = np.random.default_rng(3)
         x = np.append(rng.uniform(-0.2, 1.4, ckt.n), 0.0)
