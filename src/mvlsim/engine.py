@@ -78,7 +78,8 @@ estimate (Nagel, SPICE2, UCB/ERL M520, 1975)
 with the predictor below.  A step above the floor (beyond rounding) is
 rejected when err > tol or Newton fails there, and retried shorter: by the
 same formula, or by 8x after a Newton failure.  A step at or below the
-floor is never rejected; a Newton failure there fails the run.  So the
+floor is never rejected; a Newton failure there fails the run, and so
+does a retry that is not shorter than the step rejected.  So the
 settled stretches of a card with a dtmax above dt cost a few steps each,
 and a card without one never rejects a step.
 
@@ -746,12 +747,19 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
             if b in bad or (m.free and err[b] > _LTE_TOL):
                 if not m.free:
                     failed[b], regroup = bad[b], True
-                elif b in bad:
+                    continue
+                rejected = m.h
+                if b in bad:
                     m.rejected_newton += 1
                     m.reject(0.125)
                 else:
                     m.rejected_lte += 1
                     m.reject(grow(err[b]))
+                if not m.h < rejected:  # a step rule defect: it would loop here
+                    failed[b] = ConvergenceError(
+                        f"rejected step of {rejected:.6g}s at t={m.t:.6g}s was not "
+                        "shortened", t=m.t)
+                    regroup = True
                 continue
             rows = cap_rows[b]
             cap_v[rows], cap_i[rows] = v_now[rows], i_now[rows]

@@ -28,8 +28,12 @@ netlist has at most one ``.tran``.
 
 Numbers accept the engineering suffixes f p n u m k meg g.  Node and device
 names are case-insensitive and are stored lowercased; ``gnd`` is an alias
-for the ground node ``0``.  Anything outside this grammar raises
-NetlistError with the offending line (and column where it is meaningful).
+for the ground node ``0``.  Anything outside this grammar, a number that
+overflows a double included, raises NetlistError: a syntax error with its
+line (and column where it is meaningful); once the whole text has parsed,
+the first broken structural rule (names, values, duplicates, models,
+measure targets, one ``.tran``: all stated in ``Netlist.validate`` alone)
+with the line of the statement at fault.  So syntax errors come first.
 
 ``emit`` produces canonical text that ``parse`` maps back to an equal
 Netlist: names lowercased, numbers in full repr precision, the title on a
@@ -82,6 +86,8 @@ def parse_value(token: str) -> float:
     v = float(m.group(1))
     if m.group(2):
         v *= _SUFFIXES[m.group(2).lower()]
+    if not math.isfinite(v):
+        raise ValueError(f"number out of range {token!r}")
     return v
 
 
@@ -213,8 +219,8 @@ class Transient:
     dtmax: float | None = None
 
     def __post_init__(self):
-        if not self.tstop > 0.0:
-            raise ValueError("tstop must be > 0")
+        if not 0.0 < self.tstop < math.inf:
+            raise ValueError("tstop must be finite and > 0")
         if not 0.0 < self.dt <= self.tstop:
             raise ValueError("dt must satisfy 0 < dt <= tstop")
         if self.dtmax is not None and self.dtmax <= 0.0:
@@ -286,62 +292,63 @@ class Netlist:
 
     def validate(self) -> None:
         """Check structural invariants; raises NetlistError."""
+        if problem := self._first_problem():
+            raise NetlistError(problem[1])
+
+    def _first_problem(self) -> tuple[Device | Analysis | MeasureDirective, str] | None:
+        """The first broken structural rule as (statement at fault, message),
+        or None.  Of two devices with one name, or two .tran cards, the
+        later is at fault."""
         seen_names: set[str] = set()
         for d in self.devices:
             if not _NAME_RE.match(d.name):
-                raise NetlistError(f"bad device name {d.name!r}")
+                return d, f"bad device name {d.name!r}"
             if d.name in seen_names:
-                raise NetlistError(f"duplicate device name {d.name!r}")
+                return d, f"duplicate device name {d.name!r}"
             seen_names.add(d.name)
             if d.kind not in _TERMINAL_COUNT:
-                raise NetlistError(f"unknown device kind {d.kind!r}")
+                return d, f"unknown device kind {d.kind!r}"
             if len(d.terminals) != _TERMINAL_COUNT[d.kind]:
-                raise NetlistError(
-                    f"{d.name}: {d.kind} needs {_TERMINAL_COUNT[d.kind]} terminals")
+                return d, f"{d.name}: {d.kind} needs {_TERMINAL_COUNT[d.kind]} terminals"
             for t in d.terminals:
                 if not _NAME_RE.match(t):
-                    raise NetlistError(f"{d.name}: bad node name {t!r}")
+                    return d, f"{d.name}: bad node name {t!r}"
             if d.kind == "resistor":
                 if not d.params.get("resistance", 0.0) > 0.0:
-                    raise NetlistError(f"{d.name}: resistance must be > 0")
+                    return d, f"{d.name}: resistance must be > 0"
             elif d.kind == "capacitor":
                 if d.params.get("capacitance", -1.0) < 0.0:
-                    raise NetlistError(f"{d.name}: capacitance must be >= 0")
+                    return d, f"{d.name}: capacitance must be >= 0"
             elif d.kind == "vsource":
                 if d.stimulus is None:
-                    raise NetlistError(f"{d.name}: voltage source needs a stimulus")
+                    return d, f"{d.name}: voltage source needs a stimulus"
             elif d.kind == "fet":
                 if not d.params.get("m", 1.0) > 0.0:
-                    raise NetlistError(f"{d.name}: multiplier m must be > 0")
+                    return d, f"{d.name}: multiplier m must be > 0"
                 if d.model is None or d.model not in self.models:
-                    raise NetlistError(f"{d.name}: undeclared model {d.model!r}")
-        if sum(isinstance(a, Transient) for a in self.analyses) > 1:
-            raise NetlistError("only one .tran is allowed")
+                    return d, f"{d.name}: undeclared model {d.model!r}"
+        trans = [a for a in self.analyses if isinstance(a, Transient)]
+        if len(trans) > 1:
+            return trans[1], "only one .tran is allowed"
         nodes = set(self.nodes)
         vsources = {d.name for d in self.devices if d.kind == "vsource"}
         for m in self.measures:
             if m.kind in _NODE_KINDS:
                 for t in m.targets:
                     if t not in nodes:
-                        raise NetlistError(
-                            f"measure {m.name}: undeclared node {t!r}")
-            else:
-                if m.targets[0] not in vsources:
-                    raise NetlistError(
-                        f"measure {m.name}: {m.targets[0]!r} is not a voltage source")
+                        return m, f"measure {m.name}: undeclared node {t!r}"
+            elif m.targets[0] not in vsources:
+                return m, f"measure {m.name}: {m.targets[0]!r} is not a voltage source"
+        return None
 
 
 # --------------------------------------------------------------------------
 # parser
 
 
-def _node(token: str, lineno: int, col: int) -> str:
+def _node(token: str) -> str:
     low = token.lower()
-    if low == "gnd":
-        return "0"
-    if not _NAME_RE.match(low):
-        raise NetlistError(f"bad node name {token!r}", lineno, col)
-    return low
+    return "0" if low == "gnd" else low
 
 
 def _value(token: str, lineno: int, col: int) -> float:
@@ -386,8 +393,7 @@ def _logical_lines(raw: list[str], start: int) -> list[tuple[int, str]]:
 def _parse_vsource(name, toks, line, lineno) -> Device:
     if len(toks) < 4:
         raise NetlistError("voltage source needs: Vname n+ n- <spec>", lineno)
-    p = _node(toks[1][0], lineno, toks[1][1])
-    n = _node(toks[2][0], lineno, toks[2][1])
+    p, n = _node(toks[1][0]), _node(toks[2][0])
     tail = line[toks[3][1] - 1:]
     tcol = toks[3][1]
     try:
@@ -416,31 +422,22 @@ def _parse_vsource(name, toks, line, lineno) -> Device:
 def _parse_device(lineno: int, line: str) -> Device:
     toks = _tokens(line)
     name = toks[0][0].lower()
-    if not _NAME_RE.match(name):
-        raise NetlistError(f"bad device name {toks[0][0]!r}", lineno, 1)
     letter = name[0]
     if letter == "v":
         return _parse_vsource(name, toks, line, lineno)
     if letter in "rc":
         if len(toks) != 4:
             raise NetlistError(f"{name}: expected two nodes and a value", lineno)
-        a = _node(toks[1][0], lineno, toks[1][1])
-        b = _node(toks[2][0], lineno, toks[2][1])
+        a, b = _node(toks[1][0]), _node(toks[2][0])
         v = _value(toks[3][0], lineno, toks[3][1])
         if letter == "r":
-            if not v > 0.0:
-                raise NetlistError(f"{name}: resistance must be > 0",
-                                   lineno, toks[3][1])
             return Device(name, "resistor", (a, b), {"resistance": v})
-        if v < 0.0:
-            raise NetlistError(f"{name}: capacitance must be >= 0",
-                               lineno, toks[3][1])
         return Device(name, "capacitor", (a, b), {"capacitance": v})
     if letter == "m":
         if len(toks) not in (6, 7):
             raise NetlistError(
                 f"{name}: expected Mname nd ng ns nb <model> [m=<mult>]", lineno)
-        terms = tuple(_node(t, lineno, c) for t, c in toks[1:5])
+        terms = tuple(_node(t) for t, _ in toks[1:5])
         model = toks[5][0].lower()
         if not _NAME_RE.match(model):
             raise NetlistError(f"bad model name {toks[5][0]!r}", lineno, toks[5][1])
@@ -450,9 +447,6 @@ def _parse_device(lineno: int, line: str) -> Device:
             if not mm:
                 raise NetlistError(f"{name}: expected m=<mult>", lineno, toks[6][1])
             mult = _value(mm.group(1), lineno, toks[6][1])
-            if not mult > 0.0:
-                raise NetlistError(f"{name}: multiplier m must be > 0",
-                                   lineno, toks[6][1])
         return Device(name, "fet", terms, {"m": mult}, model=model)
     raise NetlistError(f"unknown element {toks[0][0]!r}", lineno, 1)
 
@@ -500,15 +494,13 @@ def _parse_measure(toks, lineno) -> MeasureDirective:
     if not _NAME_RE.match(name):
         raise NetlistError(f"bad measure name {toks[1][0]!r}", lineno, toks[1][1])
     kind = toks[2][0].lower()
-    if kind not in _MEASURE_KINDS:
-        raise NetlistError(f"unknown measure kind {toks[2][0]!r}", lineno, toks[2][1])
     targets = []
     for tok, col in toks[3:]:
         if kind in _NODE_KINDS:
             m = re.fullmatch(r"(?i)v\((\w+)\)", tok)
             if not m:
                 raise NetlistError(f"expected v(<node>), got {tok!r}", lineno, col)
-            targets.append(_node(m.group(1), lineno, col))
+            targets.append(_node(m.group(1)))
         else:
             targets.append(tok.lower())
     try:
@@ -527,8 +519,7 @@ def parse(text: str) -> Netlist:
     raw = text.splitlines()
     title, start = _split_title(raw)
     net = Netlist(title=title)
-    seen_devices: set[str] = set()
-    fet_lines: list[tuple[Device, int]] = []
+    lines: dict[int, int] = {}  # id of each statement -> its line
     for lineno, line in _logical_lines(raw, start):
         if line.startswith("."):
             toks = _tokens(line)
@@ -540,37 +531,32 @@ def parse(text: str) -> Netlist:
                 if name in net.models:
                     raise NetlistError(f"duplicate model {name!r}", lineno)
                 net.models[name] = model
-            elif card == ".tran":
-                if any(isinstance(a, Transient) for a in net.analyses):
-                    raise NetlistError("only one .tran is allowed", lineno)
+                continue
+            if card == ".tran":
                 if len(toks) not in (3, 4):
                     raise NetlistError(".tran needs <dt> <tstop> [<dtmax>]", lineno)
                 vals = [_value(t, lineno, c) for t, c in toks[1:]]
                 try:
-                    net.analyses.append(Transient(vals[0], vals[1],
-                                                  vals[2] if len(vals) > 2 else None))
+                    stmt = Transient(*vals)
                 except ValueError as e:
                     raise NetlistError(str(e), lineno) from None
+                net.analyses.append(stmt)
             elif card == ".op":
                 if len(toks) != 1:
                     raise NetlistError(".op takes no arguments", lineno)
-                net.analyses.append(OperatingPoint())
+                stmt = OperatingPoint()
+                net.analyses.append(stmt)
             elif card == ".measure":
-                net.measures.append(_parse_measure(toks, lineno))
+                stmt = _parse_measure(toks, lineno)
+                net.measures.append(stmt)
             else:
                 raise NetlistError(f"unknown card {toks[0][0]!r}", lineno, 1)
         else:
-            dev = _parse_device(lineno, line)
-            if dev.name in seen_devices:
-                raise NetlistError(f"duplicate device name {dev.name!r}", lineno)
-            seen_devices.add(dev.name)
-            net.devices.append(dev)
-            if dev.kind == "fet":
-                fet_lines.append((dev, lineno))
-    for dev, lineno in fet_lines:
-        if dev.model not in net.models:
-            raise NetlistError(f"{dev.name}: undeclared model {dev.model!r}", lineno)
-    net.validate()
+            stmt = _parse_device(lineno, line)
+            net.devices.append(stmt)
+        lines[id(stmt)] = lineno
+    if problem := net._first_problem():
+        raise NetlistError(problem[1], lines[id(problem[0])])
     return net
 
 

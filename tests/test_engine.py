@@ -580,6 +580,19 @@ class TestStepControl:
         clk.accept(2.0)
         assert clk.h == 2.0 * floor and clk.free
 
+    def test_rejected_step_that_is_not_shortened_fails(self, monkeypatch):
+        calls = []
+
+        def keep_step(self, shrink):  # a step rule defect: retry the same step
+            calls.append(self.t)
+            if len(calls) > 1000:
+                raise AssertionError("the same step was retried 1000 times")
+
+        monkeypatch.setattr(engine._Member, "reject", keep_step)
+        with pytest.raises(ConvergenceError) as ei:
+            transient(staircase(hold=1e-9))
+        assert len(calls) == 1 and ei.value.t == calls[0] > 0.0
+
     def test_tighter_tolerance_takes_more_steps(self, monkeypatch):
         net = staircase(hold=1e-9)
         steps = []

@@ -58,7 +58,8 @@ class TestValues:
         assert parse_value("1m") == 1e-3
 
     def test_malformed(self):
-        for bad in ("", "k", "1.2.3", "1kk", "1 k", "--1", "1e", "x5"):
+        for bad in ("", "k", "1.2.3", "1kk", "1 k", "--1", "1e", "x5",
+                    "1e400", "1e308k"):
             with pytest.raises(ValueError):
                 parse_value(bad)
 
@@ -165,6 +166,8 @@ class TestAnalyses:
             Transient(2e-9, 1e-9)
         with pytest.raises(ValueError):
             Transient(1e-12, 0.0)
+        with pytest.raises(ValueError):
+            Transient(1e-12, math.inf)
         with pytest.raises(ValueError):
             Transient(1e-12, 1e-9, dtmax=0.0)
 
@@ -280,12 +283,23 @@ class TestParseErrors:
         err = self.check("* t\nr1 a 0 1x\n.end\n", line=2)
         assert err.column == 8
 
+    def test_overflowing_number_has_location(self):
+        err = self.check("* t\nv1 a 0 dc 1\nr1 a b 1k\nc1 b 0 1p\n"
+                         ".tran 1p 1e400\n.end\n", line=5)
+        assert err.column == 10
+
+    def test_syntax_error_comes_before_structural_error(self):
+        self.check("* t\nr1 a 0 1k\nr1 b 0 1k\nr2 a 0 1x\n.end\n", line=4)
+
     def test_duplicate_device(self):
         self.check("* t\nr1 a 0 1k\nr1 b 0 1k\n.end\n", line=3)
 
     def test_duplicate_model(self):
         self.check("* t\n.model x NFET vth=0 k=1 lambda=0 cg=0\n"
                    ".model x NFET vth=0 k=1 lambda=0 cg=0\n.end\n", line=3)
+
+    def test_bad_node_name(self):
+        self.check("* t\nr1 a-b 0 1k\n.end\n", line=2)
 
     def test_unknown_element(self):
         self.check("* t\nq1 a b c 1k\n.end\n", line=2)
@@ -299,11 +313,11 @@ class TestParseErrors:
         self.check("* t\nr1 a 0 1k\n.noise\n.end\n", line=3)
 
     def test_negative_resistance(self):
-        self.check("* t\nr1 a 0 -5\n.end\n")
-        self.check("* t\nr1 a 0 0\n.end\n")
+        self.check("* t\nr1 a 0 -5\n.end\n", line=2)
+        self.check("* t\nr1 a 0 0\n.end\n", line=2)
 
     def test_negative_capacitance(self):
-        self.check("* t\nc1 a 0 -1p\n.end\n")
+        self.check("* t\nc1 a 0 -1p\n.end\n", line=2)
 
     def test_vsource_without_spec(self):
         self.check("* t\nv1 a 0\n.end\n")
@@ -335,10 +349,10 @@ class TestParseErrors:
         self.check("* t\n.model pp PFET vth=0.1 k=1 lambda=0 cg=0\n.end\n")
 
     def test_measure_unknown_node(self):
-        self.check("* t\nr1 a 0 1k\n.measure tr rise v(zz)\n.end\n")
+        self.check("* t\nr1 a 0 1k\n.measure tr rise v(zz)\n.end\n", line=3)
 
     def test_measure_power_needs_vsource(self):
-        self.check("* t\nr1 a 0 1k\n.measure pa avgpower r1\n.end\n")
+        self.check("* t\nr1 a 0 1k\n.measure pa avgpower r1\n.end\n", line=3)
 
     def test_tran_bad_args(self):
         self.check("* t\nr1 a 0 1k\n.tran 1p\n.end\n")
@@ -352,7 +366,7 @@ class TestParseErrors:
 
     def test_fet_bad_multiplier(self):
         self.check("* t\n.model nn NFET vth=0.1 k=1 lambda=0 cg=0\n"
-                   "m1 d g 0 0 nn m=0\nv1 d 0 dc 1\n.end\n")
+                   "m1 d g 0 0 nn m=0\nv1 d 0 dc 1\n.end\n", line=3)
 
     def test_nonstring_input(self):
         with pytest.raises(NetlistError):
