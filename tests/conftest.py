@@ -24,7 +24,7 @@ def one_fet():
 
         def at(vgs, vds):
             x = np.array([[vgs, vds, 0.0, 0.0, 0.0]])
-            f, _scale, gm, gds = ckt.residual(x, lin, np.array([[vgs, vds]]))
+            f, gm, gds = ckt.residual(x, lin, np.array([[vgs, vds]]))
             return f[0], ckt.jacobian(lin, gm, gds)[0]
         return at
     return make

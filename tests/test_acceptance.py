@@ -120,8 +120,8 @@ def test_c3_technology_comparison(characterization):
 # runs on the fixed dt grid (dtmax=None).  A change that only makes each
 # iteration cheaper leaves them as they are; a change to time stepping or
 # convergence control updates them on purpose.
-NEWTON_WORK = {"cmos32": (434, 1024), "gnrfet32": (153, 385)}
-FIXED_GRID_WORK = {"cmos32": (2000, 2685), "gnrfet32": (2000, 2212)}
+NEWTON_WORK = {"cmos32": (434, 776), "gnrfet32": (153, 283)}
+FIXED_GRID_WORK = {"cmos32": (2000, 2336), "gnrfet32": (2000, 2121)}
 
 
 @pytest.fixture(scope="module")
