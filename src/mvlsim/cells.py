@@ -201,21 +201,22 @@ def staircase_sample_times(levels: LevelMap, hold: float, slew: float):
     return out
 
 
-def build_staircase_testbench(spec: CellSpec, *, hold: float,
-                              slew: float) -> Netlist:
+def build_staircase_testbench(spec: CellSpec, *, hold: float, slew: float,
+                              dt: float | None = None) -> Netlist:
     """Decoder plus a staircase PWL input visiting every digit.
 
-    Includes a .tran card (dt from the tstop/1000 and slew/10 caps, dtmax
-    hold/20, so that the step can grow through the settled part of each
-    hold) and measure directives for the output edges, the in->output
-    delays and the supply power.
+    Includes a .tran card (dt as given, by default the smaller of tstop/1000
+    and slew/10; dtmax hold/20, so that the step can grow through the
+    settled part of each hold) and measure directives for the output edges,
+    the in->output delays and the supply power.
     """
     net = build_decoder(spec)
     pts = staircase_points(spec.levels, hold, slew)
     net.devices.append(Device("vin", "vsource", ("in", "0"),
                               stimulus=PwlStimulus(pts)))
     tstop = spec.levels.radix * hold
-    dt = min(tstop / 1000.0, slew / 10.0)
+    if dt is None:
+        dt = min(tstop / 1000.0, slew / 10.0)
     net.analyses.append(Transient(dt=dt, tstop=tstop, dtmax=hold / 20.0))
     for out in ("b0", "b1"):
         net.measures.append(MeasureDirective(f"{out}_rise", "rise", (out,)))

@@ -37,7 +37,7 @@ from .measure import (
     supply_power,
 )
 from .mvl import Digit, LevelMap, ideal_decode, quantize
-from .netlist import MeasureDirective, Netlist, Transient, device_line, parse
+from .netlist import MeasureDirective, Netlist, device_line, parse
 
 CELL_NAMES = ("vlc1", "vlc2", "vlc3", "inverter", "xor2", "decoder",
               "testbench")
@@ -90,7 +90,7 @@ def resolve_tech(name: str) -> TechnologyCard:
 
 def build_cell(name: str, cfg: RunConfig, tech: TechnologyCard) -> Netlist:
     """One generated cell by CLI name, with cfg's supply and load and, for
-    the testbench, its hold and slew; vlc indices are 1-based here."""
+    the testbench, its hold, slew and dt; vlc indices are 1-based here."""
     spec = CellSpec(tech=tech, levels=LevelMap(4, cfg.vdd), load=cfg.load)
     if name.startswith("vlc"):
         return build_vlc(int(name[3:]) - 1, spec)
@@ -101,7 +101,7 @@ def build_cell(name: str, cfg: RunConfig, tech: TechnologyCard) -> Netlist:
     if name == "decoder":
         return build_decoder(spec)
     if name == "testbench":
-        return build_staircase_testbench(spec, hold=cfg.hold, slew=cfg.slew)
+        return build_staircase_testbench(spec, hold=cfg.hold, slew=cfg.slew, dt=cfg.dt)
     raise ValueError(f"unknown cell {name!r}; one of: {', '.join(CELL_NAMES)}")
 
 
@@ -210,18 +210,8 @@ def run_decoders(cfgs: list[RunConfig],
     names the failing run by its index in ``member``.
     """
     techs = techs or [resolve_tech(cfg.tech) for cfg in cfgs]
-    nets = []
-    for cfg, tech in zip(cfgs, techs, strict=True):
-        net = build_cell("testbench", cfg, tech)
-        if cfg.dt is not None:
-            net = dataclasses.replace(
-                net,
-                analyses=[
-                    dataclasses.replace(a, dt=cfg.dt) if isinstance(a, Transient) else a
-                    for a in net.analyses
-                ],
-            )
-        nets.append(net)
+    nets = [build_cell("testbench", cfg, tech)
+            for cfg, tech in zip(cfgs, techs, strict=True)]
     wsets = transient_batch(nets)
     return [_decoder_run(*args) for args in zip(cfgs, techs, nets, wsets)]
 

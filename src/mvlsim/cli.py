@@ -48,12 +48,11 @@ from .engine import (
     ConvergenceError,
     RunStats,
     SingularMatrixError,
-    WaveformSet,
     dc_operating_point,
     transient,
 )
 from .measure import MeasureReport, report_table
-from .netlist import NetlistError, OperatingPoint, emit, model_line, parse
+from .netlist import NetlistError, OperatingPoint, Transient, emit, model_line, parse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,13 +154,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     text = Path(args.netlist).read_text()
     net = parse(text)
     outdir = _out_dir(args)
+    kinds = {type(a) for a in net.analyses}
+    wset = transient(net) if Transient in kinds else None
     op: dict[str, float] | None = None
-    wset: WaveformSet | None = None
-    for analysis in net.analyses:
-        if isinstance(analysis, OperatingPoint):
-            op = dc_operating_point(net)
-        else:
-            wset = transient(net, analysis)
+    if OperatingPoint in kinds:
+        # a transient starts from the operating point: read it there
+        op = (dc_operating_point(net) if wset is None else
+              {name: float(w.values[0]) for name, w in wset.voltages.items()})
     results: dict[str, float | None] = {}
     report = None
     if wset is not None:
@@ -303,12 +302,12 @@ def _solver_failure(exc: ConvergenceError | SingularMatrixError,
                     run: str | None = None) -> int:
     """Print a solver error and its fields, naming the failing run if known."""
     print(f"error: {exc}", file=sys.stderr)
+    fields = ["t dc" if exc.t is None else f"t {exc.t!r} s"]
     if isinstance(exc, SingularMatrixError):
-        fields = [f"pivot {exc.pivot}"]
+        fields.append(f"pivot {exc.pivot}")
     else:
-        fields = ["t dc" if exc.t is None else f"t {exc.t!r} s",
-                  f"node {exc.node!r}", f"KCL excess {exc.excess!r} A",
-                  f"iteration {exc.iteration}"]
+        fields += [f"node {exc.node!r}", f"KCL excess {exc.excess!r} A",
+                   f"iteration {exc.iteration}"]
     where = "" if run is None else f"run {run}: "
     print(f"error: {where}{', '.join(fields)}", file=sys.stderr)
     return EXIT_SOLVER

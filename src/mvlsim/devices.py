@@ -7,11 +7,11 @@ cg from gate to source and cd from drain to ground.  ``square_law`` is the
 N-channel law, element-wise over every FET of a circuit; for vds < 0 the
 drain and source roles swap, which keeps the current continuous through
 vds = 0.  The engine evaluates P-channel devices on the same law by sign
-symmetry: it gathers their terminal voltages with gate/drain and source
-swapped, flips the threshold and negates the current.  A capacitor
-becomes the companion i = geq*v + ihist in two halves: ``cap_conductance``
-gives geq, which the engine rebuilds only when a step changes, and
-``cap_history`` gives ihist at each step.
+symmetry: it takes vgs = vs - vg and vds = vs - vd, flips the threshold
+and swaps the device's ends, so its current runs source -> drain and
+needs no sign.  A capacitor becomes the companion i = geq*v + ihist in
+two halves: ``cap_conductance`` gives geq, which the engine rebuilds only
+when a step changes, and ``cap_history`` gives ihist at each step.
 
 No minimum off-conductance is added here; the solver applies gmin shunts
 externally (see engine._GMIN).

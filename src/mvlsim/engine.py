@@ -3,25 +3,29 @@ transient.
 
 Unknowns are the non-ground node voltages followed by one branch current per
 voltage source (current into the + terminal).  Each circuit is compiled once
-into index arrays over three kinds of branch:
+into index arrays over two forms of branch, both a current from end p to q:
 
-  * linear branches a -> b carrying i = g*(v[a] - v[b]) + i0: resistors,
-    capacitor companions, a constant gmin shunt on every FET drain/source
-    node (so that fully cut-off stacks keep a DC path to ground) and the
-    gmin-stepping shunts from every node to ground;
-  * FET branches drain -> source, all evaluated by one element-wise
-    square-law pass (devices.square_law);
-  * voltage-source branches, whose currents are unknowns.
+  * linear branches, g*(x[c] - x[d]) + i0: resistors, capacitor companions,
+    a constant gmin shunt on every FET drain/source node (so that fully
+    cut-off stacks keep a DC path to ground) and the gmin-stepping shunts
+    from every node to ground, all with (c, d) = (p, q).  A voltage source
+    is two with g = 1: its current x[row] from + to -, and its constraint
+    x[+] - x[-] - value into its own row;
+  * FET branches drain -> source, the N-channel square law of
+    vgs = x[gate] - x[source] and vds = x[p] - x[q], evaluated in one
+    element-wise pass (devices.square_law).  A P device's N-law voltages
+    -(vg - vs) and -(vd - vs) are exactly vs - vg and vs - vd, so it swaps
+    its ends and its gate pair, and its current needs no sign.
 
 Ground is index n, one past the last unknown: every solution vector carries
 a trailing 0 there, so no stamp tests for ground; row n is sliced off the
-residual and the Jacobian's row and column n go to one spare slot.  Every
-branch voltage (FET vgs and vds included) and source current is one
-x[hi] - x[lo]; a P device's N-law voltages -(vg - vs) and -(vd - vs) are
-exactly vs - vg and vs - vd, so its hi and lo swap.  The branch currents
-are computed once and scattered (np.bincount) into the KCL residual F, the
-largest branch current at each node and, with the branch derivatives, the
-Jacobian dF/dx (Ho, Ruehli and Brennan, IEEE TCAS 1975).  Newton solves
+residual and the Jacobian's row and column n go to one spare slot.  One
+gather x[hi] - x[lo] gives every control voltage; the branch currents are
+scattered (np.bincount) into the KCL residual F and the largest branch
+current at each node.  One stamp gives every Jacobian entry: a derivative w
+by x[c] - x[d] adds w, -w, -w, w at (p, c), (p, d), (q, c), (q, d), once
+per linear branch and per FET once for gm and once for gds
+(Ho, Ruehli and Brennan, IEEE TCAS 1975).  Newton solves
 J dx = -F and converges when both a small update step and a small true KCL
 residual hold at every node:
 
@@ -122,9 +126,11 @@ from .netlist import Netlist, Transient
 
 
 class SingularMatrixError(RuntimeError):
-    """A linear solve met a zero pivot.  member is set by transient_batch to
-    the index of the failing netlist."""
+    """A linear solve met a zero pivot.  t is set by Newton to the time
+    point (None for a DC solve); member is set by transient_batch to the
+    index of the failing netlist."""
 
+    t: float | None = None
     member: int | None = None
 
     def __init__(self, pivot: int):
@@ -316,6 +322,12 @@ def _vlimit(svals: np.ndarray) -> np.ndarray:
     return 2.0 * np.maximum.reduce(np.abs(svals), axis=1, initial=0.5)
 
 
+def _stamped(w):
+    """Branch derivatives w as the weights w, -w, -w, w of the Jacobian
+    slots (p, c), (p, d), (q, c), (q, d) that _Circuit's stamp lists."""
+    return np.concatenate((w, -w, -w, w))
+
+
 class _Circuit:
     """Netlists with the same nodes and sources, compiled once into branch
     index arrays over one flat unknown vector.
@@ -332,7 +344,7 @@ class _Circuit:
         self.n = n = nv + len(self.vsources)
         self.n1 = n1 = n + 1
         src_names = [d.name for d in self.vsources]
-        res, caps, fets, shunts, gmins, srcs, self.stimuli = ([] for _ in range(7))
+        res, caps, fets, gmins, shunts, src_i, src_v, self.stimuli = ([] for _ in range(8))
         for b, net in enumerate(nets):
             net.validate()
             sources = _vsources(net)
@@ -347,76 +359,67 @@ class _Circuit:
             for d in net.devices:
                 t = [node_of[name] for name in d.terminals]
                 if d.kind == "resistor":
-                    res.append((t[0], t[1], 1.0 / d.params["resistance"]))
+                    res.append((*t, *t, 1.0 / d.params["resistance"]))
                 elif d.kind == "capacitor":
                     caps.append((t[0], t[1], d.params["capacitance"]))
                 elif d.kind == "fet":
                     card = net.models[d.model]
                     m = d.params.get("m", 1.0)
-                    sign = 1.0 if card.polarity == "n" else -1.0
                     drain, gate, src = t[:3]
-                    # (vgs, vds) = x[hi] - x[lo], swapped for a P device
-                    hi, lo = (gate, drain), (src, src)
-                    if sign < 0.0:
-                        hi, lo = lo, hi
-                    fets.append((drain, gate, src, *hi, *lo, sign, sign * card.vth,
-                                 card.k * m, card.lam))
+                    ends, ctrl, vth = (drain, src), (gate, src), card.vth
+                    if card.polarity == "p":  # the N law with both pairs swapped
+                        ends, ctrl, vth = ends[::-1], ctrl[::-1], -vth
+                    fets.append((*ends, *ctrl, vth, card.k * m, card.lam))
                     caps += [(gate, src, card.cg * m), (drain, ground, card.cd * m)]
                     fet_nodes.update((drain, src))
-            gmins += [(i, ground) for i in sorted(fet_nodes - {ground})]
-            shunts += [(b * n1 + i, ground) for i in range(nv)]
-            srcs += [(node_of[d.terminals[0]], node_of[d.terminals[1]],
-                      b * n1 + nv + j, ground) for j, d in enumerate(sources)]
-        caps = [cap for cap in caps if cap[2] > 0.0]
+            gmins += [(i, ground, i, ground, _GMIN) for i in sorted(fet_nodes - {ground})]
+            shunts += [(b * n1 + i, ground, b * n1 + i, ground) for i in range(nv)]
+            for j, d in enumerate(sources):
+                p, q = (node_of[name] for name in d.terminals)
+                row = b * n1 + nv + j
+                src_i.append((p, q, row, ground, 1.0))  # the current x[row]
+                src_v.append((row, ground, p, q, 1.0))  # x[p] - x[q] - value
+        caps = [(p, q, p, q, c) for p, q, c in caps if c > 0.0]
         idx = np.intp
         # ascending: each member's capacitors in a row
         self.cap_member = _column(caps, 0, idx) // n1
-        self.cap_c = _column(caps, 2)
-        self.cap_branches = slice(len(res), len(res) + len(caps))
-        # linear branches: resistors, capacitors, gmin shunts, stepping shunts
-        self.g_res = _column(res, 2)
-        self.g_gmin = np.full(len(gmins), _GMIN)
+        self.cap_c = _column(caps, 4)
+        # linear branches: fixed conductances, capacitors, stepping shunts
+        fixed = res + src_v + src_i + gmins
+        self.src_branches = slice(len(res), len(res) + len(src_v))
+        self.cap_branches = slice(len(fixed), len(fixed) + len(caps))
+        self.g_fixed = _column(fixed, 4)
         self.n_shunt = len(shunts)
-        lin = res + caps + gmins + shunts
-        self.n_lin = len(lin)
-        la, lb = _column(lin, 0, idx), _column(lin, 1, idx)
-        fd, fg, fs, gs_hi, ds_hi, gs_lo, ds_lo = (_column(fets, i, idx)
-                                                  for i in range(7))
-        self.sign, self.vth, self.k, self.lam = (_column(fets, i)
-                                                 for i in range(7, 11))
-        sp, sm, rows, grounds = (_column(srcs, i, idx) for i in range(4))
-        # one x[hi] - x[lo] serves every branch; these slices cut it apart
-        parts = ((la, lb), (gs_hi, gs_lo), (ds_hi, ds_lo), (sp, sm), (rows, grounds))
-        self.hi = np.concatenate([a for a, _ in parts])
-        self.lo = np.concatenate([b for _, b in parts])
-        cuts = np.cumsum([0] + [len(a) for a, _ in parts]).tolist()
-        self.parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        lin = fixed + caps + shunts
+        nl, nf = len(lin), len(fets)
+        lp, lq, lc, ld = (_column(lin, i, idx) for i in range(4))
+        fp, fq, fc, fd = (_column(fets, i, idx) for i in range(4))
+        self.vth, self.k, self.lam = (_column(fets, i) for i in range(4, 7))
+        # one x[hi] - x[lo] gives every control voltage: the linear
+        # branches', the FETs' vgs, their vds = x[p] - x[q]
+        self.hi, self.lo = np.concatenate((lc, fc, fp)), np.concatenate((ld, fd, fq))
+        self.parts = [slice(0, nl), slice(nl, nl + nf), slice(nl + nf, nl + 2 * nf)]
         # branch currents run from these nodes (first half) to these (second)
-        self.ends = np.concatenate((la, fd, sp, lb, fs, sm))
+        self.ends = np.concatenate((lp, fp, lq, fq))
 
-        def flat(r, c):
-            """Entry (r, c) of member r // n1's n x n block; entries in a
-            ground row or column all go to one spare slot past the blocks."""
+        def stamp(p, q, c, d):
+            """The flat Jacobian slots of _stamped's weights; those in a
+            ground row or column go to one spare slot past the blocks."""
+            r, c = np.concatenate((p, p, q, q)), np.concatenate((c, d, c, d))
             b, r, c = r // n1, r % n1, c % n1
             return np.where((r == n) | (c == n), self.batch * n * n, (b * n + r) * n + c)
 
-        # Jacobian entries: linear branches and sources are fixed per step,
-        # the FETs' change every iteration
-        self.flat_lin = flat(np.concatenate((la, la, lb, lb, sp, sm, rows, rows)),
-                             np.concatenate((la, lb, la, lb, rows, rows, sp, sm)))
-        self.flat_fet = flat(np.concatenate((fd, fd, fd, fs, fs, fs)),
-                             np.concatenate((fg, fd, fs, fg, fd, fs)))
-        self.src_w = np.repeat([1.0, -1.0, 1.0, -1.0], len(sp))
-        # the weights of (gm, gds, gm + gds) repeated twice in flat_fet
-        self.fet_w = np.repeat([1.0, 1.0, -1.0, -1.0, -1.0, 1.0], len(fd))
+        # the linear branches' entries are fixed per step, the FETs' (gm on
+        # vgs, then gds on vds) change every iteration
+        self.flat_lin = stamp(lp, lq, lc, ld)
+        self.flat_fet = stamp(np.tile(fp, 2), np.tile(fq, 2),
+                              np.concatenate((fc, fp)), np.concatenate((fd, fq)))
         self.rhs = _probe_rhs(self.batch, n)
-        self.i0 = np.zeros(self.n_lin)
-        # residual's branch currents in the order of ends: linear, FET and
-        # source branches, then the same negated
+        self.i0 = np.zeros(nl)
+        # residual's branch currents in the order of ends: linear and FET
+        # branches, then the same negated
         self.cur = np.zeros(len(self.ends))
-        half = len(self.ends) // 2
-        cuts = np.cumsum([0, self.n_lin, len(fd), len(sp), half]).tolist()
-        self.cur_parts = [self.cur[a:b] for a, b in zip(cuts, cuts[1:])]
+        self.cur_parts = [self.cur[:nl], self.cur[nl:nl + nf], self.cur[nl + nf:]]
 
     def source_values(self, ts) -> np.ndarray:
         """Source values of each member b at its own time ts[b], batch x
@@ -426,46 +429,43 @@ class _Circuit:
 
     def linear_part(self, geq, shunt):
         """What stays fixed while the step size does: the linear-branch
-        conductances and the flat Jacobian of the linear branches and the
-        sources.  geq are the capacitor companion conductances (zeros for
-        DC), shunt the gmin-stepping conductance from every node to ground."""
-        g = np.concatenate((self.g_res, geq, self.g_gmin,
-                            np.full(self.n_shunt, shunt)))
-        jac = np.bincount(self.flat_lin, np.concatenate((g, -g, -g, g, self.src_w)),
+        conductances and their flat Jacobian.  geq are the capacitor
+        companion conductances (zeros for DC), shunt the gmin-stepping
+        conductance from every node to ground."""
+        g = np.concatenate((self.g_fixed, geq, np.full(self.n_shunt, shunt)))
+        jac = np.bincount(self.flat_lin, _stamped(g),
                           minlength=self.batch * self.n ** 2 + 1)
         return g, jac
 
-    def offsets(self, ihist):
+    def offsets(self, ihist, svals):
         """The linear branches' offset currents i0: the capacitor history
-        currents ihist, zero elsewhere.  The array is the circuit's own,
-        which the next call overwrites."""
+        currents ihist, minus the source values svals (batch x nsrc) on
+        the source constraints, zero elsewhere.  The array is the
+        circuit's own, which the next call overwrites."""
         self.i0[self.cap_branches] = ihist
+        self.i0[self.src_branches] = -svals.reshape(-1)
         return self.i0
 
-    def residual(self, x, lin, svals):
+    def residual(self, x, lin):
         """KCL residual F (batch x n) at x (batch x n+1, ground 0 last), and
         the FETs' gm and gds.
 
-        F's source rows hold the source constraints.  The branch currents
-        stay in cur, the linear branches' voltages and currents in branch_v
-        and branch_i, until the next call.
+        The branch currents stay in cur, the linear branches' voltages and
+        currents in branch_v and branch_i, until the next call.
         """
-        n, nv, n1 = self.n, self.nv, self.n1
         g, _jac, i0 = lin
         flat = x.reshape(-1)
         dv = flat[self.hi] - flat[self.lo]
-        v_lin, vgs, vds, v_src, i_src = (dv[p] for p in self.parts)
+        v_lin, vgs, vds = (dv[p] for p in self.parts)
         i_fet, gm, gds = square_law(self.vth, self.k, self.lam, vgs, vds)
-        lin_i, fet_i, src_i, negated = self.cur_parts
+        lin_i, fet_i, negated = self.cur_parts
         np.multiply(g, v_lin, out=lin_i)
         lin_i += i0
-        np.multiply(self.sign, i_fet, out=fet_i)
-        src_i[:] = i_src
+        fet_i[:] = i_fet
         np.negative(self.cur[:len(negated)], out=negated)
         self.branch_v, self.branch_i = v_lin, lin_i
-        f = np.bincount(self.ends, self.cur, minlength=self.batch * n1).reshape(-1, n1)
-        f[:, nv:n] = v_src.reshape(self.batch, n - nv) - svals
-        return f[:, :n], gm, gds
+        f = np.bincount(self.ends, self.cur, minlength=self.batch * self.n1)
+        return f.reshape(-1, self.n1)[:, :self.n], gm, gds
 
     def scale(self):
         """Each node's largest |branch current| at residual's last x, batch
@@ -476,21 +476,19 @@ class _Circuit:
 
     def jacobian(self, lin, gm, gds):
         """dF/dx, batch x n x n: linear_part's Jacobian plus the FETs'."""
-        gms = gm + gds
         jac = lin[1].copy()
-        np.add.at(jac, self.flat_fet,
-                  np.concatenate((gm, gds, gms, gm, gds, gms)) * self.fet_w)
+        np.add.at(jac, self.flat_fet, _stamped(np.concatenate((gm, gds))))
         return jac[:-1].reshape(-1, self.n, self.n)
 
-    def newton(self, x, svals, vlimit, lin, live, t=None, label=""):
+    def newton(self, x, vlimit, lin, live, t=None, label=""):
         """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
         criterion for the members where live is True.
 
         x (batch x n+1) holds the initial guess and is updated in place;
-        svals holds each member's source values and vlimit their _vlimit;
-        lin is linear_part's (g, jac) followed by offsets' i0.  t holds
-        each member's time point, None for a DC solve; label (DC only) names
-        the solve in error messages.
+        vlimit holds each member's _vlimit; lin is linear_part's (g, jac)
+        followed by offsets' i0.  t holds each member's time point, None
+        for a DC solve, which errors carry; label (DC only) names the solve
+        in error messages.
         Returns each member's Newton update count (the linear solves made
         for it, the failing one included), its KCL excess at its solution
         and the error of each member that failed.
@@ -501,6 +499,7 @@ class _Circuit:
         iters, excess = [0] * batch, [0.0] * batch
         last_dx = [math.inf] * batch
         failed: dict[int, Exception] = {}
+        times = [None] * batch if t is None else [float(tb) for tb in t]
 
         def kcl():
             """Each node's KCL excess |F| - _RELTOL * scale at this
@@ -513,7 +512,7 @@ class _Circuit:
 
         def fail(b, diverged):
             kcl()
-            tb = None if t is None else float(t[b])
+            tb = times[b]
             where = label if tb is None else f" at t={tb:.6g}s"
             name = self.node_names[int(np.argmax(over[b]))] if nv else "?"
             message = (f"solution diverged{where}" if diverged else
@@ -528,7 +527,7 @@ class _Circuit:
         for it in range(_MAX_NEWTON_ITERS + 1):
             if not members:
                 break
-            f, gm, gds = self.residual(x, lin, svals)
+            f, gm, gds = self.residual(x, lin)
             over = err = None  # kcl() evaluates them when first needed
             going = []
             for b in members:  # only a member whose update met _VTOL can converge
@@ -559,6 +558,7 @@ class _Circuit:
                     iters[b] = it + 1
                     if j in singular:
                         failed[b] = singular[j]
+                        failed[b].t = times[b]
                     else:
                         fail(b, diverged=True)
                 members = [b for b, keep in zip(members, ok.tolist()) if keep]
@@ -577,11 +577,10 @@ class _Circuit:
         every solve made (a failed plain solve and each gmin step included),
         the KCL excesses and the error of each member that failed.
         """
-        vlimit = _vlimit(svals)
-        geq, i0 = np.zeros(len(self.cap_c)), np.zeros(self.n_lin)
+        vlimit, geq = _vlimit(svals), np.zeros(len(self.cap_c))
+        i0 = self.offsets(geq, svals)  # no capacitor history either
         x = np.zeros((self.batch, self.n1))
-        iters, excess, failed = self.newton(x, svals, vlimit,
-                                            (*self.linear_part(geq, 0.0), i0),
+        iters, excess, failed = self.newton(x, vlimit, (*self.linear_part(geq, 0.0), i0),
                                             np.ones(self.batch, dtype=bool), label=" (dc)")
         if failed:
             retry = np.zeros(self.batch, dtype=bool)
@@ -591,7 +590,7 @@ class _Circuit:
             for s in range(_GMIN_STEPS + 1):
                 shunt = _GMIN * 10.0 ** (_GMIN_STEPS - s)
                 it, exc, bad = self.newton(
-                    x, svals, vlimit, (*self.linear_part(geq, shunt), i0), retry,
+                    x, vlimit, (*self.linear_part(geq, shunt), i0), retry,
                     label=f" (gmin step {s})")
                 failed.update(bad)
                 retry[list(bad)] = False
@@ -769,8 +768,8 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
             steps = h
             geq = cap_conductance(c, np.array(h)[cap_member], rule)
             g, jac = ckt.linear_part(geq, 0.0)
-        i0 = ckt.offsets(cap_history(geq, cap_v, cap_i, rule))
-        it, exc, bad = ckt.newton(x, svals, _vlimit(svals), (g, jac, i0), running, t=t)
+        i0 = ckt.offsets(cap_history(geq, cap_v, cap_i, rule), svals)
+        it, exc, bad = ckt.newton(x, _vlimit(svals), (g, jac, i0), running, t=t)
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
                                 initial=0.0).tolist()
         v_now, i_now = ckt.branch_v[caps], ckt.branch_i[caps]

@@ -96,7 +96,24 @@ class TestRun:
         src = tmp_path / "sing.sp"
         src.write_text("* s\nv1 a 0 dc 1\nv2 a 0 dc 2\nr1 a 0 1k\n.op\n.end\n")
         assert main(["run", str(src), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.endswith("\nerror: pivot 2\n")
+        assert capsys.readouterr().err.endswith("\nerror: t dc, pivot 2\n")
+
+    def test_op_is_the_transient_start(self, tmp_path, monkeypatch):
+        # one DC solve serves both .op and .tran, bitwise
+        solved = []
+        solve_dc = engine._Circuit.solve_dc
+
+        def counting(self, svals):
+            solved.append(svals)
+            return solve_dc(self, svals)
+
+        monkeypatch.setattr(engine._Circuit, "solve_dc", counting)
+        src = tmp_path / "rc.sp"
+        src.write_text(RC.replace("pwl(0 0 ", "pwl(0 0.5 ").replace(".end", ".op\n.end"))
+        assert main(["run", str(src), "--out", str(tmp_path)]) == 0
+        assert len(solved) == 1
+        op = read_json(tmp_path / "rc.json")["op"]
+        assert op == engine.dc_operating_point(parse(src.read_text()))
 
     def test_unwritable_out_is_exit_3(self, tmp_path):
         src = tmp_path / "rc.sp"
@@ -131,6 +148,17 @@ class TestCell:
         doc = read_json(tmp_path / "testbench_cmos32.json")
         assert set(doc["report"]) == REPORT_KEYS
         assert doc["measures"]["b0_rise"] > 0.0
+
+    def test_testbench_dt_matches_decoder(self, tmp_path, capsys):
+        flags = ["--hold", "1e-9", "--dt", "2e-12", "--out", str(tmp_path)]
+        assert main(["cell", "testbench", *flags]) == 0
+        assert ".tran 2e-12 4e-09 5e-11" in capsys.readouterr().out
+        assert main(["run", str(tmp_path / "testbench_cmos32.sp"), *flags[-2:]]) == 0
+        assert main(["decoder", *flags]) == 0
+        ran = read_json(tmp_path / "testbench_cmos32.json")
+        decoded = read_json(tmp_path / "decoder_cmos32.json")
+        assert ran["measures"] == decoded["measures"]
+        assert ran["solver"] == decoded["solver"]
 
     def test_unknown_cell_is_exit_1(self, capsys):
         assert main(["cell", "nand3"]) == 1

@@ -89,8 +89,8 @@ def linearize(ckt, x, svals, geq, ihist, shunt):
     """KCL residual F, per-node current scale and Jacobian dF/dx of a batch
     of one at x (ground 0 last), as a Newton iteration computes them; geq
     and shunt as in linear_part, ihist as in offsets."""
-    lin = (*ckt.linear_part(geq, shunt), ckt.offsets(ihist))
-    f, gm, gds = ckt.residual(x[None], lin, svals[None])
+    lin = (*ckt.linear_part(geq, shunt), ckt.offsets(ihist, svals[None]))
+    f, gm, gds = ckt.residual(x[None], lin)
     return f[0], ckt.scale()[0], ckt.jacobian(lin, gm, gds)[0]
 
 
@@ -252,6 +252,18 @@ class TestDc:
         op = dc_operating_point(net)  # gmin stepping pulls x to ground
         assert op["x"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_source_between_two_nodes(self):
+        # a 1 V source from a to b across 1k (a to ground) and 3k (b to
+        # ground): 0.25 mA flows from b through both resistors into a
+        net = parse("* floating source\nv1 a b dc 1\nr1 a 0 1k\nr2 b 0 3k\n"
+                    ".tran 10p 100p\n.end\n")
+        op = dc_operating_point(net)
+        assert op["a"] == pytest.approx(0.25, rel=1e-12)
+        assert op["b"] == pytest.approx(-0.75, rel=1e-12)
+        ws = transient(net)
+        assert ws.current("v1").values == pytest.approx(-0.25e-3, rel=1e-12)
+        assert ws.voltage("a").values - ws.voltage("b").values == pytest.approx(1.0)
+
     def test_conflicting_sources_stay_singular(self):
         net = parse("* t\nv1 a 0 dc 1\nv2 a 0 dc 2\nr1 a 0 1k\n.end\n")
         with pytest.raises(SingularMatrixError):
@@ -404,6 +416,29 @@ class TestTransient:
         assert err.t > 0.0 and f" at t={err.t:.6g}s;" in str(err)
         assert err.iteration == 1 and err.node in ("in", "out")
 
+    def test_singular_matrix_carries_time_point(self, monkeypatch):
+        # every step of RC is a floor step, so a singular matrix at the
+        # third time point fails the run there
+        attempts = []
+        newton, solve_stack = _Circuit.newton, engine._solve
+
+        def spy(self, x, vlimit, lin, live, t=None, label=""):
+            if t is not None:
+                attempts.append(float(t[0]))
+            return newton(self, x, vlimit, lin, live, t, label)
+
+        def singular_at_third_point(a, b, rhs):
+            if len(attempts) < 3:
+                return solve_stack(a, b, rhs)
+            return np.zeros(b.shape), {0: SingularMatrixError(1)}
+
+        monkeypatch.setattr(_Circuit, "newton", spy)
+        monkeypatch.setattr(engine, "_solve", singular_at_third_point)
+        with pytest.raises(SingularMatrixError) as ei:
+            transient(parse(RC))
+        assert len(attempts) == 3 and attempts[2] > attempts[1] > 0.0
+        assert ei.value.t == attempts[2] and ei.value.member == 0
+
     def test_bit_identical_reruns(self):
         a = transient(parse(RC))
         b = transient(parse(RC))
@@ -545,8 +580,8 @@ def attempts_failing_once_after(monkeypatch, t_fail):
     attempts = []
     newton = _Circuit.newton
 
-    def spy(self, x, svals, vlimit, lin, live, t=None, label=""):
-        iters, excess, failed = newton(self, x, svals, vlimit, lin, live, t, label)
+    def spy(self, x, vlimit, lin, live, t=None, label=""):
+        iters, excess, failed = newton(self, x, vlimit, lin, live, t, label)
         if t is not None:
             attempts.append(float(t[0]))
             if t[0] > t_fail and sum(a > t_fail for a in attempts) == 1:
