@@ -38,9 +38,17 @@ update test is 100 uV, ten times tighter than SPICE2's 1e-3*|v| + 1 uV at
 quadratically: an update below 100 uV leaves an error far below it.  On
 the decoder's fixed grid a run at a hundredth of it keeps the same time
 points and moves no node by more than 0.5 uV; at 1 mV nodes move 14 uV.
-The KCL test, with its per-node scale, is evaluated only when a member's
-last update has met the update test, at the last iteration allowed and for
-a member that fails, whose error names its worst node.
+
+Each iteration evaluates one residual, at the iterate x_k, and solves for
+x_k+1 = x_k + dx.  x_k+1 is accepted when dx meets the update test and the
+KCL test held at x_k, as SPICE3 accepts an iterate on its update and the
+last device load, with no device evaluated at the accepted point.  If dx
+meets the update test but KCL failed at x_k, the next iteration tests KCL
+at x_k+1 before it solves, and accepts x_k+1 if it holds.  The recorded
+KCL excess is that of the iterate the test ran on, x_k or x_k+1, at most
+_ABSTOL either way.  The KCL test, with its per-node scale, is evaluated
+only when a member's update has met the update test, at the last iteration
+allowed and for a member that fails, whose error names its worst node.
 
 A batch of B netlists with the same nodes and sources is compiled as the
 disjoint union of its members' branches: member b's unknowns and its own
@@ -59,11 +67,15 @@ one record, and its own predictor and capacitor history, so its run is
 bitwise the one it gives alone.  ``transient`` is a batch of one.
 
 Each Newton step is one LAPACK solve (np.linalg.solve) of the stacked
-J dx = -F together with a fixed probe right-hand side.  For a member where
-LAPACK fails, dx is not finite or the probe's solution shows a near-zero
-pivot, the dense LU with partial pivoting (_lu_solve) solves the step
-instead: it decides whether the matrix is singular and names the pivot in
-SingularMatrixError.
+J dx = -F together with a probe right-hand side D p, p fixed and D = diag(r),
+r_i the sum of |J_ij| over row i.  LAPACK sees J unchanged; the probe's
+solution z is that of the row-equilibrated D^-1 J z = p (Golub and Van
+Loan, Matrix Computations, sec. 3.5), and |D^-1 J|inf = 1, so |z|inf
+estimates the condition of D^-1 J.  Where LAPACK fails, dx is not finite
+or |z|inf reaches _PROBE_KAPPA, _lu_solve solves the step instead: a dense
+LU with partial pivoting of D^-1 J whose pivot threshold, 1e-14 *
+|D^-1 J|inf, makes it judge the matrix the probe judged.  It decides
+whether the matrix is singular and names the pivot in SingularMatrixError.
 
 If the plain DC solve fails, it is retried with gmin stepping: shunts of
 _GMIN * 10**(_GMIN_STEPS - s) from every node to ground for s = 0.._GMIN_STEPS,
@@ -99,7 +111,10 @@ Every capacitor, the FETs' lumped cg and cd included, becomes a companion
 conductance/history-current pair; backward Euler is the default rule,
 trapezoidal is selectable.  The conductances and the Jacobian of the linear
 branches depend on the steps alone and are built again only when one
-changes.
+changes, the fixed branches' part of that Jacobian once per circuit.
+Newton's last residual is at the iterate before its solution, so one
+gather after each solve takes each capacitor's voltage x[c] - x[d] and
+current geq * v + ihist at the accepted point, the next step's history.
 
 Newton at each time point starts from a linear predictor through the last
 two accepted points (Nagel, SPICE2, UCB/ERL M520, 1975):
@@ -115,6 +130,7 @@ compared with the corrected solution, it gives the error estimate above.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -166,14 +182,19 @@ class SolveOptions:
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense LU with partial pivoting; raises SingularMatrixError."""
+    """Dense LU with partial pivoting of the row-equilibrated system
+    D^-1 a x = D^-1 b, D = diag(sum of |a_ij| over row i); raises
+    SingularMatrixError at a pivot of at most 1e-14 = 1e-14 * |D^-1 a|inf."""
     a = np.array(a, dtype=float)
     x = np.array(b, dtype=float)
     n = a.shape[0]
     if n == 0:
         return x
-    norm = float(np.max(np.sum(np.abs(a), axis=1)))
-    thresh = 1e-14 * norm
+    r = np.sum(np.abs(a), axis=1)
+    r[r == 0.0] = 1.0  # a zero row stays zero and meets a zero pivot
+    a /= r[:, None]
+    x /= r
+    thresh = 1e-14
     for k in range(n - 1):
         p = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[p, k]) <= thresh:
@@ -191,22 +212,28 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-# Partial pivoting keeps |l_ij| <= 1, so a pivot d of _lu_solve bounds the
-# smallest singular value by n*d, and a pivot at its threshold of
-# 1e-14*|A|inf drives |z|inf*|A|inf/|p|inf for the probe p towards 1e14,
-# less a factor n**1.5 and the probe's share along the near-null direction.
-# Falling back from 1e8 leaves six decades for those two factors.  The
-# decoder's transient Jacobians stay below 1e6; its DC Jacobians, whose
-# cut-off nodes hang on gmin alone, exceed 1e12 and take the fallback.
+# Partial pivoting keeps |l_ij| <= 1, so a pivot d of _lu_solve on the
+# row-equilibrated B = D^-1 A, |B|inf = 1, bounds the smallest singular
+# value of B by n*d, and a pivot at the threshold of 1e-14 drives
+# |z|inf/|p|inf, z = B^-1 p for the probe p, towards 1e14, less a factor
+# n**1.5 and the probe's share along the near-null direction.  Falling back
+# from 1e8 leaves six decades for those two factors.  The decoder's cut-off
+# nodes hang on gmin alone at DC, which row scaling makes a row like any
+# other: its |z|inf reach 2.1e7 at DC and 1.2e3 in a transient.
 _PROBE_KAPPA = 1e8
 
 
+@functools.cache
+def _probe(n: int) -> np.ndarray:
+    """The fixed probe cos(1..n), read-only."""
+    p = np.cos(np.arange(1.0, n + 1.0))
+    p.flags.writeable = False
+    return p
+
+
 def _probe_rhs(batch: int, n: int) -> np.ndarray:
-    """A batch x n x 2 right-hand side buffer; column 1 of each system holds
-    the probe cos(1..n)."""
-    rhs = np.empty((batch, n, 2))
-    rhs[:, :, 1] = np.cos(np.arange(1.0, n + 1.0))
-    return rhs
+    """A batch x n x 2 right-hand side buffer for _solve."""
+    return np.empty((batch, n, 2))
 
 
 def _solve(a: np.ndarray, b: np.ndarray,
@@ -214,14 +241,17 @@ def _solve(a: np.ndarray, b: np.ndarray,
     """Solve the stack a[j] @ x[j] = b[j] by one LAPACK call; _lu_solve
     decides doubtful systems.
 
-    b is copied into column 0 of rhs (from _probe_rhs) and solved together
-    with the probes.  Where LAPACK fails, x is not finite or the probe's
-    solution is as large as a pivot near _lu_solve's threshold would make
-    it, the system is solved again by _lu_solve, which rejects every system
-    it would reject on its own.  Returns x and the SingularMatrixError of
-    each rejected system j; x[j] is then undefined.
+    b goes to column 0 of rhs (from _probe_rhs) and the probe p times each
+    row's sum of |a_ij| to column 1, and both are solved together: the
+    probe's solution z is that of the row-equilibrated system
+    D^-1 a z = p, |D^-1 a|inf = 1.  Where LAPACK fails, x is not finite or
+    |z|inf reaches _PROBE_KAPPA, the system is solved again by _lu_solve,
+    which rejects every system it would reject on its own.  Returns x and
+    the SingularMatrixError of each rejected system j; x[j] is then
+    undefined.
     """
     rhs[:, :, 0] = b
+    np.multiply(_probe(b.shape[1]), np.add.reduce(np.abs(a), axis=2), out=rhs[:, :, 1])
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:  # one singular system fails a whole stack
@@ -231,17 +261,24 @@ def _solve(a: np.ndarray, b: np.ndarray,
             each = [_solve(a[j:j + 1], b[j:j + 1], rhs[j:j + 1]) for j in range(len(a))]
             return (np.concatenate([x for x, _ in each]),
                     {j: e for j, (_, err) in enumerate(each) for e in err.values()})
-    top = np.maximum.reduce(np.abs(sol), axis=1, initial=0.0).tolist()
-    norm = np.maximum.reduce(np.add.reduce(np.abs(a), axis=2), axis=1, initial=0.0)
     x, errors = sol[:, :, 0], {}
-    for j, ((top_x, top_probe), a_norm) in enumerate(zip(top, norm.tolist())):
-        if top_x < math.inf and top_probe * a_norm < _PROBE_KAPPA:  # |probe|inf <= 1
+    # the stack's largest |x| and |z| first: a per-system look only on doubt
+    if _trusted(np.maximum.reduce(np.abs(sol), axis=(0, 1)).tolist()):
+        return x, errors
+    for j, top in enumerate(np.maximum.reduce(np.abs(sol), axis=1).tolist()):
+        if _trusted(top):
             continue
         try:
             x[j] = _lu_solve(a[j], b[j])
         except SingularMatrixError as err:
             errors[j] = err
     return x, errors
+
+
+def _trusted(top) -> bool:
+    """Whether a solve with largest |x| and probe |z| top[0] and top[1]
+    stays with LAPACK; NaN, which np.maximum propagates, fails both tests."""
+    return top[0] < math.inf and top[1] < _PROBE_KAPPA
 
 
 @dataclass
@@ -251,8 +288,10 @@ class RunStats:
     rejected_lte: int = 0       # steps above the floor rejected by the LTE test
     rejected_newton: int = 0    # ... and by a Newton failure
     kcl_excess: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # kcl_excess[i] = max over nodes of (|residual| - _RELTOL*scale) at point
-    # i; every accepted point satisfies kcl_excess[i] <= _ABSTOL.
+    # kcl_excess[i] = max over nodes of (|residual| - _RELTOL*scale) at the
+    # iterate whose KCL test accepted point i: the solution itself, or the
+    # iterate one update (of at most _VTOL) before it.  Every accepted point
+    # satisfies kcl_excess[i] <= _ABSTOL.
     newton_per_point: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     # Newton updates taken at point i (0: the DC solve, with a failed plain
     # solve and every gmin step; else those of the accepted attempt and of
@@ -388,7 +427,6 @@ class _Circuit:
         fixed = res + src_v + src_i + gmins
         self.src_branches = slice(len(res), len(res) + len(src_v))
         self.cap_branches = slice(len(fixed), len(fixed) + len(caps))
-        self.g_fixed = _column(fixed, 4)
         self.n_shunt = len(shunts)
         lin = fixed + caps + shunts
         nl, nf = len(lin), len(fets)
@@ -409,9 +447,21 @@ class _Circuit:
             b, r, c = r // n1, r % n1, c % n1
             return np.where((r == n) | (c == n), self.batch * n * n, (b * n + r) * n + c)
 
-        # the linear branches' entries are fixed per step, the FETs' (gm on
-        # vgs, then gds on vds) change every iteration
-        self.flat_lin = stamp(lp, lq, lc, ld)
+        # the fixed branches' Jacobian is built here (as floats: a netlist
+        # of capacitors alone has none, and np.bincount of no weights gives
+        # int64), the capacitors' and shunts' when the step or the shunt
+        # changes, and the FETs' (gm on vgs, then gds on vds) every
+        # iteration; size is the flat length, B blocks and the spare slot
+        self.size = self.batch * n * n + 1
+        fixed_branches = slice(0, len(fixed))
+        self.g_fixed = _column(fixed, 4)
+        self.jac_fixed = np.bincount(
+            stamp(*(v[fixed_branches] for v in (lp, lq, lc, ld))),
+            _stamped(self.g_fixed), minlength=self.size).astype(float)
+        self.flat_cap, self.flat_shunt = (
+            stamp(*(v[part] for v in (lp, lq, lc, ld)))
+            for part in (self.cap_branches, slice(self.cap_branches.stop, nl)))
+        self.cap_hi, self.cap_lo = lc[self.cap_branches], ld[self.cap_branches]
         self.flat_fet = stamp(np.tile(fp, 2), np.tile(fq, 2),
                               np.concatenate((fc, fp)), np.concatenate((fd, fq)))
         self.rhs = _probe_rhs(self.batch, n)
@@ -432,9 +482,12 @@ class _Circuit:
         conductances and their flat Jacobian.  geq are the capacitor
         companion conductances (zeros for DC), shunt the gmin-stepping
         conductance from every node to ground."""
-        g = np.concatenate((self.g_fixed, geq, np.full(self.n_shunt, shunt)))
-        jac = np.bincount(self.flat_lin, _stamped(g),
-                          minlength=self.batch * self.n ** 2 + 1)
+        shunts = np.full(self.n_shunt, shunt)
+        g = np.concatenate((self.g_fixed, geq, shunts))
+        jac = self.jac_fixed + np.bincount(self.flat_cap, _stamped(geq),
+                                           minlength=self.size)
+        if shunt:
+            jac += np.bincount(self.flat_shunt, _stamped(shunts), minlength=self.size)
         return g, jac
 
     def offsets(self, ihist, svals):
@@ -450,8 +503,7 @@ class _Circuit:
         """KCL residual F (batch x n) at x (batch x n+1, ground 0 last), and
         the FETs' gm and gds.
 
-        The branch currents stay in cur, the linear branches' voltages and
-        currents in branch_v and branch_i, until the next call.
+        The branch currents stay in cur until the next call.
         """
         g, _jac, i0 = lin
         flat = x.reshape(-1)
@@ -463,7 +515,6 @@ class _Circuit:
         lin_i += i0
         fet_i[:] = i_fet
         np.negative(self.cur[:len(negated)], out=negated)
-        self.branch_v, self.branch_i = v_lin, lin_i
         f = np.bincount(self.ends, self.cur, minlength=self.batch * self.n1)
         return f.reshape(-1, self.n1)[:, :self.n], gm, gds
 
@@ -475,10 +526,16 @@ class _Circuit:
         return scale.reshape(-1, self.n1)[:, :self.nv]
 
     def jacobian(self, lin, gm, gds):
-        """dF/dx, batch x n x n: linear_part's Jacobian plus the FETs'."""
-        jac = lin[1].copy()
-        np.add.at(jac, self.flat_fet, _stamped(np.concatenate((gm, gds))))
+        """dF/dx, batch x n x n: linear_part's Jacobian plus the FETs'.
+        Added out of place: without FETs np.bincount returns int64."""
+        jac = lin[1] + np.bincount(self.flat_fet, _stamped(np.concatenate((gm, gds))),
+                                   minlength=self.size)
         return jac[:-1].reshape(-1, self.n, self.n)
+
+    def cap_voltages(self, x):
+        """The capacitor branches' voltages x[c] - x[d] at x (batch x n+1)."""
+        flat = x.reshape(-1)
+        return flat[self.cap_hi] - flat[self.cap_lo]
 
     def newton(self, x, vlimit, lin, live, t=None, label=""):
         """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
@@ -490,8 +547,8 @@ class _Circuit:
         for a DC solve, which errors carry; label (DC only) names the solve
         in error messages.
         Returns each member's Newton update count (the linear solves made
-        for it, the failing one included), its KCL excess at its solution
-        and the error of each member that failed.
+        for it, the failing one included), its KCL excess at the iterate
+        its test ran on and the error of each member that failed.
         """
         n, nv = self.n, self.nv
         batch = self.batch
@@ -500,6 +557,7 @@ class _Circuit:
         last_dx = [math.inf] * batch
         failed: dict[int, Exception] = {}
         times = [None] * batch if t is None else [float(tb) for tb in t]
+        clip = float(np.min(vlimit))  # no update below it needs clipping
 
         def kcl():
             """Each node's KCL excess |F| - _RELTOL * scale at this
@@ -521,24 +579,30 @@ class _Circuit:
             failed[b] = ConvergenceError(message, t=tb, node=name, excess=err[b],
                                          iteration=it + diverged)
 
-        # the rows of the members still iterating
-        pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
-        clip_hi, clip_lo = vlimit[:, None], -vlimit[:, None]
-        for it in range(_MAX_NEWTON_ITERS + 1):
-            if not members:
-                break
-            f, gm, gds = self.residual(x, lin)
-            over = err = None  # kcl() evaluates them when first needed
+        def converge(it):
+            """Drop the members whose last update met _VTOL and whose KCL
+            test holds at this iteration's x; they took it updates."""
+            nonlocal members, pick
             going = []
-            for b in members:  # only a member whose update met _VTOL can converge
+            for b in members:
                 if last_dx[b] <= _VTOL and kcl()[b] <= _ABSTOL:
                     iters[b], excess[b] = it, err[b]
                 else:
                     going.append(b)
             if len(going) < len(members):
                 members, pick = going, np.array(going, dtype=np.intp)
-                if not members:
-                    break
+
+        # the rows of the members still iterating
+        pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
+        for it in range(_MAX_NEWTON_ITERS + 1):
+            if not members:
+                break
+            f, gm, gds = self.residual(x, lin)
+            over = err = None  # kcl() evaluates them when first needed
+            # x_k + dx met _VTOL but KCL failed at x_k: test KCL at x_k + dx
+            converge(it)
+            if not members:
+                break
             if it == _MAX_NEWTON_ITERS:
                 for b in members:
                     iters[b] = it
@@ -546,28 +610,35 @@ class _Circuit:
                 break
             jac = self.jacobian(lin, gm, gds)
             dx, singular = _solve(jac[pick], -f[pick], self.rhs[:len(members)])
-            dx_v = dx[:, :nv]
-            np.minimum(dx_v, clip_hi[pick], out=dx_v)
-            np.maximum(dx_v, clip_lo[pick], out=dx_v)
-            xn = x[pick, :n] + dx
-            if singular or not np.isfinite(xn).all():
-                ok = np.isfinite(xn).all(axis=1)
-                ok[list(singular)] = False
-                for j in (~ok).nonzero()[0].tolist():
-                    b = members[j]
+            step = np.maximum.reduce(np.abs(dx), axis=1, initial=0.0)
+            if (step > clip).any():  # clip the node-voltage updates
+                lim = vlimit[pick, None]
+                dx_v = dx[:, :nv]
+                np.minimum(dx_v, lim, out=dx_v)
+                np.maximum(dx_v, -lim, out=dx_v)
+                step = np.maximum.reduce(np.abs(dx), axis=1, initial=0.0)
+            step = step.tolist()
+            # NaN propagates through np.maximum: a non-finite update has a
+            # step that is not below inf
+            if singular or not all(s < math.inf for s in step):
+                keep = [j not in singular and s < math.inf for j, s in enumerate(step)]
+                for j, b in enumerate(members):
+                    if keep[j]:
+                        continue
                     iters[b] = it + 1
                     if j in singular:
                         failed[b] = singular[j]
                         failed[b].t = times[b]
                     else:
                         fail(b, diverged=True)
-                members = [b for b, keep in zip(members, ok.tolist()) if keep]
+                members = [b for b, k in zip(members, keep) if k]
                 pick = np.array(members, dtype=np.intp)
-                dx, xn = dx[ok], xn[ok]
-            x[pick, :n] = xn
-            step = np.maximum.reduce(np.abs(dx), axis=1, initial=0.0).tolist()
+                dx, step = dx[keep], [s for s, k in zip(step, keep) if k]
+            x[pick, :n] += dx
             for b, s in zip(members, step):
                 last_dx[b] = s
+            # x_k + dx is accepted when dx met _VTOL and KCL held at x_k
+            converge(it + 1)
         return iters, excess, failed
 
     def solve_dc(self, svals):
@@ -731,7 +802,7 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     ckt = _Circuit(nets)
     batch, nv = ckt.batch, ckt.nv
     members = [_Member(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
-    c, caps, cap_member = ckt.cap_c, ckt.cap_branches, ckt.cap_member
+    c, cap_member = ckt.cap_c, ckt.cap_member
     bounds = np.searchsorted(cap_member, np.arange(batch + 1)).tolist()
     cap_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     order = 1 if rule == "backward_euler" else 2
@@ -745,9 +816,8 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     for m, xb, it, e in zip(members, x, iters, excess):
         m.pending = it
         m.record(xb, e)
-    # the capacitors' voltages and currents at each member's last point; a
-    # solve's last residual was evaluated at every member's solution
-    cap_v, cap_i = ckt.branch_v[caps].copy(), np.zeros(len(c))
+    # the capacitors' voltages and currents at each member's last point
+    cap_v, cap_i = ckt.cap_voltages(x), np.zeros(len(c))
     steps = None  # the steps the linear part was built for
     running = np.ones(batch, dtype=bool)
     regroup = True
@@ -768,11 +838,14 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
             steps = h
             geq = cap_conductance(c, np.array(h)[cap_member], rule)
             g, jac = ckt.linear_part(geq, 0.0)
-        i0 = ckt.offsets(cap_history(geq, cap_v, cap_i, rule), svals)
+        ihist = cap_history(geq, cap_v, cap_i, rule)
+        i0 = ckt.offsets(ihist, svals)
         it, exc, bad = ckt.newton(x, _vlimit(svals), (g, jac, i0), running, t=t)
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
                                 initial=0.0).tolist()
-        v_now, i_now = ckt.branch_v[caps], ckt.branch_i[caps]
+        # Newton's last residual was at the iterate before its solution
+        v_now = ckt.cap_voltages(x)
+        i_now = geq * v_now + ihist
         for b in live:
             m = members[b]
             m.pending += it[b]

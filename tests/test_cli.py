@@ -98,6 +98,16 @@ class TestRun:
         assert main(["run", str(src), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.endswith("\nerror: t dc, pivot 2\n")
 
+    def test_gmin_node_beside_milliohm_resistor_is_exit_0(self, tmp_path, capsys):
+        # node x hangs on gmin alone beside 1e3 S: not a singular matrix
+        src = tmp_path / "gmin.sp"
+        src.write_text("* gmin node\n"
+                       ".model nfet NFET vth=0.3 k=3.35e-5 lambda=0.05 cg=8e-17 cd=6e-17\n"
+                       "v1 in 0 dc 1.0\nr1 in out 1m\nr2 out 0 1k\nrg g 0 1k\n"
+                       "mn x g 0 0 nfet\n.op\n.end\n")
+        assert main(["run", str(src), "--out", str(tmp_path)]) == 0
+        assert "v(out) = 0.999999" in capsys.readouterr().out
+
     def test_op_is_the_transient_start(self, tmp_path, monkeypatch):
         # one DC solve serves both .op and .tran, bitwise
         solved = []

@@ -55,6 +55,19 @@ cl out 0 1f
 .end
 """
 
+# x, the cut-off FET's drain, hangs on gmin (1e-12 S) alone in a matrix
+# whose largest entries are the 1 mOhm resistor's 1e3 S
+GMIN_NODE = """* gmin node beside a 1 mOhm resistor
+.model nfet NFET vth=0.3 k=3.35e-5 lambda=0.05 cg=8e-17 cd=6e-17
+v1 in 0 dc 1.0
+r1 in out 1m
+r2 out 0 1k
+rg g 0 1k
+mn x g 0 0 nfet
+.op
+.end
+"""
+
 RC = """* rc lowpass
 v1 in 0 pwl(0 0 10p 1)
 r1 in out 1k
@@ -83,6 +96,14 @@ def solve(a, b):
     if errors:
         raise errors[0]
     return x[0]
+
+
+def forbid_lu_fallback(monkeypatch):
+    """Make every solve that leaves LAPACK for _lu_solve fail the test."""
+    def no_fallback(a, b):
+        raise AssertionError("a solve left LAPACK for _lu_solve")
+
+    monkeypatch.setattr(engine, "_lu_solve", no_fallback)
 
 
 def linearize(ckt, x, svals, geq, ihist, shunt):
@@ -264,6 +285,32 @@ class TestDc:
         assert ws.current("v1").values == pytest.approx(-0.25e-3, rel=1e-12)
         assert ws.voltage("a").values - ws.voltage("b").values == pytest.approx(1.0)
 
+    def test_gmin_node_beside_milliohm_resistor(self, monkeypatch):
+        # the row-equilibrated probe sees the gmin row as any other: the
+        # plain DC solve stays in LAPACK and needs no gmin stepping
+        solves = []
+        newton = _Circuit.newton
+
+        def spy(self, x, vlimit, lin, live, t=None, label=""):
+            solves.append(label)
+            return newton(self, x, vlimit, lin, live, t, label)
+
+        monkeypatch.setattr(_Circuit, "newton", spy)
+        forbid_lu_fallback(monkeypatch)
+        op = dc_operating_point(parse(GMIN_NODE))
+        assert solves == [" (dc)"]
+        assert op["out"] == pytest.approx(1.0 / (1.0 + 1e-6), rel=0, abs=1e-12)
+        assert op["x"] == 0.0
+
+    def test_decoder_stays_in_lapack(self, monkeypatch):
+        # both cards' staircases at the compare defaults: every DC and
+        # transient Jacobian passes the probe
+        forbid_lu_fallback(monkeypatch)
+        nets = [staircase(tech, hold=DEFAULT.hold) for tech in ("cmos32", "gnrfet32")]
+        for net in nets:
+            dc_operating_point(net)
+        transient_batch(nets)
+
     def test_conflicting_sources_stay_singular(self):
         net = parse("* t\nv1 a 0 dc 1\nv2 a 0 dc 2\nr1 a 0 1k\n.end\n")
         with pytest.raises(SingularMatrixError):
@@ -407,6 +454,30 @@ class TestTransient:
         assert stats.newton_iterations == sum(solved) == 1018
         assert stats.newton_per_point.sum() == stats.newton_iterations
         assert stats.newton_per_point[0] == 18  # the singular solve + 17 in gmin steps
+
+    def test_one_residual_per_solve(self, monkeypatch):
+        # an update that meets _VTOL after KCL held at the iterate it
+        # started from is accepted without a residual at the new point, so
+        # there are fewer residuals than updates plus accepted points
+        residuals, solved = [], []
+        residual, solve_stack = _Circuit.residual, engine._solve
+
+        def count_residual(self, x, lin):
+            residuals.append(len(x))
+            return residual(self, x, lin)
+
+        def count_solve(a, b, rhs):
+            solved.append(len(a))
+            return solve_stack(a, b, rhs)
+
+        monkeypatch.setattr(_Circuit, "residual", count_residual)
+        monkeypatch.setattr(engine, "_solve", count_solve)
+        ws = transient(staircase("cmos32", hold=DEFAULT.hold))
+        updates = ws.stats.newton_iterations
+        # test_acceptance's NEWTON_WORK pin for this run
+        assert (ws.stats.steps, updates) == (434, 776)
+        assert sum(solved) == updates
+        assert updates <= len(residuals) < updates + len(ws.times)
 
     def test_convergence_error_carries_time_point(self, monkeypatch):
         monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 1)
