@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -48,6 +47,7 @@ from .engine import (
     ConvergenceError,
     RunStats,
     SingularMatrixError,
+    WaveformSet,
     dc_operating_point,
     transient,
 )
@@ -89,6 +89,19 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _write_csv(path: Path, wset: WaveformSet) -> None:
+    """The waveform CSV, streamed to the file block by block."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        wset.to_csv(fh)
+
+
+def _sha256(text: str) -> str:
+    # imported here: hashlib loads OpenSSL, which only decoder and compare need
+    import hashlib
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -111,7 +124,7 @@ def _run_doc(run: DecoderRun) -> dict:
         "measures": run.measures,
         "report": _report_dict(run.report),
         "stimulus": run.stimulus,
-        "stimulus_sha256": hashlib.sha256(run.stimulus.encode()).hexdigest(),
+        "stimulus_sha256": _sha256(run.stimulus),
         "solver": _solver_dict(run.wset.stats),
     }
 
@@ -120,7 +133,7 @@ def _write_decoder_artifacts(outdir: Path, cfg: RunConfig, run: DecoderRun) -> N
     doc = {"command": "decoder", "config": dataclasses.asdict(cfg)}
     doc.update(_run_doc(run))
     _write_text(outdir / f"decoder_{run.tech.name}.json", _json_text(doc))
-    _write_text(outdir / f"decoder_{run.tech.name}.csv", run.wset.to_csv())
+    _write_csv(outdir / f"decoder_{run.tech.name}.csv", run.wset)
 
 
 def _print_decoder(run: DecoderRun, formats: tuple[str, ...]) -> None:
@@ -138,7 +151,7 @@ def _print_decoder(run: DecoderRun, formats: tuple[str, ...]) -> None:
         doc.update(_run_doc(run))
         sys.stdout.write(_json_text(doc))
     if "csv" in formats:
-        sys.stdout.write(run.wset.to_csv())
+        run.wset.to_csv(sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     stem = Path(args.netlist).stem
     _write_text(outdir / f"{stem}.json", _json_text(doc))
     if wset is not None:
-        _write_text(outdir / f"{stem}.csv", wset.to_csv())
+        _write_csv(outdir / f"{stem}.csv", wset)
     if "table" in args.format:
         if op is not None:
             for node in net.nodes:
@@ -191,7 +204,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if "json" in args.format:
         sys.stdout.write(_json_text(doc))
     if "csv" in args.format and wset is not None:
-        sys.stdout.write(wset.to_csv())
+        wset.to_csv(sys.stdout)
     return EXIT_OK
 
 
@@ -242,7 +255,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "config": dataclasses.asdict(base),
         "runs": {name: _run_doc(runs[name]) for name in runs},
         "improvements_pct": improvements,
-        "stimulus_sha256": hashlib.sha256(cm.stimulus.encode()).hexdigest(),
+        "stimulus_sha256": _sha256(cm.stimulus),
     }
     _write_text(outdir / "compare.json", _json_text(doc))
     if "table" in args.format:

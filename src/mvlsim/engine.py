@@ -131,8 +131,10 @@ compared with the corrected solution, it gives the error estimate above.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -298,6 +300,11 @@ class RunStats:
     # every rejected attempt before it); they sum to newton_iterations.
 
 
+# rows per block: of the waveform rows to_csv gathers into one array at a
+# time, and of the accepted solutions a _Member keeps in one array
+_BLOCK = 256
+
+
 @dataclass
 class WaveformSet:
     times: np.ndarray
@@ -311,15 +318,23 @@ class WaveformSet:
     def current(self, source: str) -> Waveform:
         return self.currents[source.lower()]
 
-    def to_csv(self) -> str:
-        cols = ["time"] + list(self.voltages) + [f"i({n})" for n in self.currents]
+    def to_csv(self, out: TextIO | None = None) -> str | None:
+        """Write the waveforms as CSV to the text stream out: a header
+        (time, each node, i(<source>) for each source), then one row per
+        time point with the repr of every value.  The rows are gathered
+        _BLOCK at a time into one array, then formatted and written one by
+        one, so the memory taken grows with the number of columns, not with
+        the points, and a long run's peak memory is the solver's, not its
+        artifact's.  Without out, the text is built in memory and returned."""
+        buf = io.StringIO() if out is None else out
         series = ([self.times] + [w.values for w in self.voltages.values()]
                   + [w.values for w in self.currents.values()])
-        lines = [",".join(cols)]
-        for i in range(0, len(self.times), 256):  # blocks keep the peak memory down
-            block = np.column_stack([s[i:i + 256] for s in series])
-            lines += [",".join(map(repr, r.tolist())) for r in block]
-        return "\n".join(lines) + "\n"
+        cols = ["time"] + list(self.voltages) + [f"i({n})" for n in self.currents]
+        buf.write(",".join(cols) + "\n")
+        for i in range(0, len(self.times), _BLOCK):
+            for r in np.column_stack([s[i:i + _BLOCK] for s in series]):
+                buf.write(",".join(map(repr, r.tolist())) + "\n")
+        return buf.getvalue() if out is None else None
 
 
 # Breakpoints closer together than this fraction of the floor step are
@@ -688,9 +703,10 @@ class _Member:
     segment from bps[seg] to bps[seg + 1], its last accepted point at t,
     reached by a step of h_last (inf at the DC point).  The next attempt is
     a step of h to the time point next; it may be rejected only if free,
-    that is if h is above the floor.  times, rows (solutions, ground 0
-    last), iters (Newton updates) and excess (KCL excess) hold one entry per
-    accepted point; pending counts the updates since the last one.
+    that is if h is above the floor.  times, iters (Newton updates) and
+    excess (KCL excess) hold one entry per accepted point, and blocks its
+    solutions (ground 0 last), _BLOCK rows to an array rather than one
+    array each; pending counts the updates since the last one.
     """
 
     def __init__(self, stimuli, analysis: Transient):
@@ -713,7 +729,8 @@ class _Member:
         self.floor, self.ceiling = floor, analysis.dtmax if grows else floor
         self.bps, self.seg, self.t, self.done = merged, 0, 0.0, False
         self.h_last = math.inf
-        self.times, self.rows, self.iters, self.excess = [], [], [], []
+        self.times, self.iters, self.excess = [], [], []
+        self.blocks: list[np.ndarray] = []
         self.pending = self.rejected_lte = self.rejected_newton = 0
         self._plan(floor)
 
@@ -751,21 +768,28 @@ class _Member:
     def predict(self) -> np.ndarray:
         """Newton's start at next: the line through the last two accepted
         points; at the DC point, last = prev and h/h_last = 0."""
-        last, prev = self.rows[-1], self.rows[max(len(self.rows) - 2, 0)]
+        k = len(self.times) - 1
+        last, prev = (self.blocks[i // _BLOCK][i % _BLOCK] for i in (k, max(k - 1, 0)))
         return last + (self.h / self.h_last) * (last - prev)
 
     def record(self, x: np.ndarray, excess: float) -> None:
         """Keep the solution x at t, the point just accepted, with its KCL
         excess and the pending Newton updates."""
+        k = len(self.times)
+        if k % _BLOCK == 0:
+            self.blocks.append(np.empty((_BLOCK, len(x))))
+        self.blocks[-1][k % _BLOCK] = x
         self.times.append(self.t)
-        self.rows.append(x.copy())
         self.iters.append(self.pending)
         self.excess.append(excess)
         self.pending = 0
 
     def waveforms(self, ckt: _Circuit) -> WaveformSet:
-        """The accepted points as waveforms of ckt's nodes and sources."""
-        times, sol = np.array(self.times), np.array(self.rows)
+        """The accepted points as waveforms of ckt's nodes and sources; the
+        blocks are dropped."""
+        times = np.array(self.times)
+        sol = np.concatenate(self.blocks)[:len(times)]
+        self.blocks = []
         voltages = {name: Waveform(times, sol[:, i])
                     for i, name in enumerate(ckt.node_names)}
         currents = {d.name: Waveform(times, sol[:, ckt.nv + j])

@@ -330,6 +330,9 @@ class Netlist:
         trans = [a for a in self.analyses if isinstance(a, Transient)]
         if len(trans) > 1:
             return trans[1], "only one .tran is allowed"
+        if len(self.nodes) == 1 and (self.devices or self.analyses):
+            # nothing to solve for: blamed on the first device, else analysis
+            return (self.devices or self.analyses)[0], "netlist has no node but ground"
         nodes = set(self.nodes)
         vsources = {d.name for d in self.devices if d.kind == "vsource"}
         for m in self.measures:

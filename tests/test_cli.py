@@ -12,7 +12,7 @@ import pytest
 
 from mvlsim import engine
 from mvlsim.cells import vlc_thresholds
-from mvlsim.characterize import RunConfig, improvement_pct, resolve_tech
+from mvlsim.characterize import RunConfig, improvement_pct, resolve_tech, run_decoder
 from mvlsim.cli import _cfg_from_args, build_parser, main
 from mvlsim.devices import preset
 from mvlsim.mvl import LevelMap
@@ -88,6 +88,23 @@ class TestRun:
                        "r1 a 0 1k\n.tran 1p 1u\n.end\n")
         assert main(["run", str(src), "--out", str(tmp_path)]) == 1
         assert "breakpoints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["r1 0 0 1k\n.op\n", "r1 0 0 1k\n.tran 1p 1n\n",
+                                      ".op\n"], ids=["op", "tran", "op_alone"])
+    def test_no_node_but_ground_is_exit_1(self, tmp_path, capsys, body):
+        src = tmp_path / "ground.sp"
+        src.write_text(f"* ground alone\n{body}.end\n")
+        assert main(["run", str(src), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: netlist has no node but ground (line 2)\n"
+
+    def test_csv_artifact_stdout_and_to_csv_agree(self, tmp_path, capsys):
+        src = tmp_path / "rc.sp"
+        src.write_text(RC)
+        assert main(["run", str(src), "--out", str(tmp_path), "--format", "csv"]) == 0
+        text = engine.transient(parse(RC)).to_csv()
+        assert len(text.splitlines()) > 3 * engine._BLOCK
+        assert (tmp_path / "rc.csv").read_bytes() == text.encode()
+        assert capsys.readouterr().out == text
 
     def test_missing_file_is_exit_3(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.sp")]) == 3
@@ -210,6 +227,13 @@ class TestDecoder:
         out = capsys.readouterr().out
         assert "logic ok" in out
         assert "Technology" in out
+
+    def test_csv_artifact_stdout_and_to_csv_agree(self, tmp_path, capsys):
+        code = main(["decoder", "--hold", "1e-9", "--out", str(tmp_path), "--format", "csv"])
+        assert code == 0
+        text = run_decoder(RunConfig(hold=1e-9)).wset.to_csv()
+        assert (tmp_path / "decoder_cmos32.csv").read_bytes() == text.encode()
+        assert capsys.readouterr().out == text
 
     def test_low_vdd_mismatch_is_exit_4(self, tmp_path):
         code = main(["decoder", "--vdd", "0.3", "--hold", "1e-9",

@@ -10,6 +10,8 @@ Analytic oracles used here:
 
 import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,16 +22,20 @@ from mvlsim.characterize import RunConfig
 from mvlsim.devices import preset, square_law
 from mvlsim.engine import (
     ConvergenceError,
+    RunStats,
     SingularMatrixError,
     SolveOptions,
+    WaveformSet,
     _Circuit,
     _lu_solve,
+    _Member,
     _probe_rhs,
     _solve,
     dc_operating_point,
     transient,
     transient_batch,
 )
+from mvlsim.measure import Waveform
 from mvlsim.mvl import LevelMap
 from mvlsim.netlist import Transient, parse
 
@@ -560,6 +566,27 @@ class TestTransient:
         rows = [",".join(repr(float(s[i])) for s in series) for i in range(len(ws.times))]
         assert ws.to_csv() == "\n".join(["time,in,out,i(v1)"] + rows) + "\n"
 
+    def test_csv_to_a_stream_keeps_memory_flat(self, tmp_path):
+        # 20001 points of 23 columns, about 8.7 MB of text: written in
+        # blocks of rows, it never sits in memory whole
+        rng = np.random.default_rng(0)
+        times = np.linspace(0.0, 2e-8, 20001)
+        voltages = {f"n{i}": Waveform(times, rng.uniform(0.0, 1.2, len(times)))
+                    for i in range(21)}
+        currents = {"v1": Waveform(times, rng.uniform(-1e-4, 1e-4, len(times)))}
+        ws = WaveformSet(times, voltages, currents, RunStats())
+        path = tmp_path / "big.csv"
+        with path.open("w") as fh:
+            tracemalloc.start()
+            try:
+                assert ws.to_csv(fh) is None
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1e6
+        assert path.stat().st_size > 8e6
+        assert path.read_text() == ws.to_csv()
+
 
 class TestBatch:
     @pytest.mark.parametrize("members", [
@@ -569,10 +596,34 @@ class TestBatch:
         [{"tech": "cmos32"}, {"tech": "gnrfet32"}],
     ], ids=["load", "vdd", "vth_scale", "compare"])
     def test_members_match_batches_of_one(self, members):
+        # every case has members of different point counts (181 to 733),
+        # all but compare's gnrfet32 past a block of engine._BLOCK rows
         nets = [staircase(**kw) for kw in members]
         batch = transient_batch(nets)
         for net, wset in zip(nets, batch):
             assert_same_run(wset, transient(net))
+
+    def test_member_rows_cross_blocks(self):
+        # predict() reads the last two rows record() kept and waveforms()
+        # returns them all, across the boundaries of the blocks that hold
+        # them; a batch run alone could not tell a wrong row from a right one
+        rng = np.random.default_rng(1)
+        m = _Member([], Transient(1e-12, 1e-9))
+        rows = [rng.uniform(size=3)]
+        m.record(rows[0], 0.0)
+        for _ in range(2 * engine._BLOCK + 5):
+            last, prev = rows[-1], rows[max(len(rows) - 2, 0)]
+            assert np.array_equal(m.predict(), last + (m.h / m.h_last) * (last - prev))
+            m.accept(1.0)
+            rows.append(rng.uniform(size=3))
+            m.record(rows[-1], 0.0)
+        ckt = SimpleNamespace(node_names=["a", "b"], nv=2,
+                              vsources=[SimpleNamespace(name="v1")])
+        wset = m.waveforms(ckt)
+        sol = np.array(rows)
+        assert np.array_equal(wset.times, m.times)
+        assert np.array_equal(wset.voltage("b").values, sol[:, 1])
+        assert np.array_equal(wset.current("v1").values, sol[:, 2])
 
     def test_hold_sweep_runs_as_one_batch(self):
         nets = [staircase(hold=h) for h in (1e-9, 1.5e-9, 1e-9)]

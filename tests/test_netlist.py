@@ -368,6 +368,20 @@ class TestParseErrors:
         self.check("* t\n.model nn NFET vth=0.1 k=1 lambda=0 cg=0\n"
                    "m1 d g 0 0 nn m=0\nv1 d 0 dc 1\n.end\n", line=3)
 
+    @pytest.mark.parametrize("text, line", [
+        ("* t\nr1 0 0 1k\n.op\n.end\n", 2),
+        ("* t\n.tran 1p 1n\nr1 0 gnd 1k\n.end\n", 3),
+        ("* t\n* nothing to solve for\n.op\n.end\n", 3),
+    ], ids=["device", "device_after_tran", "analysis_alone"])
+    def test_no_node_but_ground(self, text, line):
+        # at the first device, else at the first analysis
+        err = self.check(text, line=line)
+        assert "no node but ground" in str(err)
+
+    def test_text_with_nothing_to_simulate_is_valid(self):
+        net = parse("* t\n.end\n")
+        assert net.devices == net.analyses == []
+
     def test_nonstring_input(self):
         with pytest.raises(NetlistError):
             parse(None)

@@ -25,6 +25,16 @@ def test_import_leaves_the_cli_out():
     assert out == "[]\n"
 
 
+def test_cli_import_leaves_openssl_out():
+    # hashlib loads OpenSSL (about 3 MB resident); the CLI imports it only
+    # where decoder and compare hash their stimulus
+    code = "import sys, mvlsim.cli; print('_hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_calibration_tool_imports(monkeypatch):
     # imported as a module, without running main, so its imports are checked
     monkeypatch.setattr(sys, "path", list(sys.path))
