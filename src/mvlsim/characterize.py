@@ -11,6 +11,7 @@ directives into a ``MeasureReport`` of worst-case figures of merit.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,10 @@ class RunConfig:
     dt: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("vdd", "hold", "slew", "load", "dt"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.vdd <= 0.0:
             raise ValueError("vdd must be positive")
         if self.slew <= 0.0 or self.hold <= self.slew:

@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .engine import (
     dc_operating_point,
     transient,
 )
-from .measure import MeasureReport, report_table
+from .measure import report_table
 from .netlist import NetlistError, OperatingPoint, Transient, emit, model_line, parse
 
 EXIT_OK = 0
@@ -62,11 +64,25 @@ EXIT_LOGIC = 4
 
 _FORMATS = ("table", "json", "csv")
 
+# An output is a waveform set (its CSV, streamed by WaveformSet.to_csv), a
+# JSON document or text.  A command returns its exit code, the artifacts to
+# write under the output directory by file name, and its output per stdout
+# format; main writes the one and prints the other.
+Output = WaveformSet | dict | str
+Result = tuple[int, dict[str, Output], dict[str, Output]]
 
-def _report_dict(report: MeasureReport | None) -> dict[str, float | str] | None:
-    if report is None:
-        return None
-    return dataclasses.asdict(report)
+
+def _put(output: Output, fh: TextIO) -> None:
+    if isinstance(output, WaveformSet):
+        output.to_csv(fh)
+    elif isinstance(output, dict):
+        fh.write(json.dumps(output, indent=2, sort_keys=True) + "\n")
+    else:
+        fh.write(output)
+
+
+def _lines(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _solver_dict(stats: RunStats) -> dict[str, int | float]:
@@ -80,22 +96,6 @@ def _solver_dict(stats: RunStats) -> dict[str, int | float]:
     }
 
 
-def _json_text(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _write_csv(path: Path, wset: WaveformSet) -> None:
-    """The waveform CSV, streamed to the file block by block."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        wset.to_csv(fh)
-
-
 def _sha256(text: str) -> str:
     # imported here: hashlib loads OpenSSL, which only decoder and compare need
     import hashlib
@@ -103,16 +103,11 @@ def _sha256(text: str) -> str:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    env = os.environ.get("MVLSIM_OUT")
-    if env:
-        return Path(env)
-    return Path(".")
+    return Path(args.out if args.out is not None else os.environ.get("MVLSIM_OUT") or ".")
 
 
 # ---------------------------------------------------------------------------
-# decoder artifacts shared by decoder / compare / sweep
+# decoder artifacts shared by decoder / compare
 
 
 def _run_doc(run: DecoderRun) -> dict:
@@ -122,36 +117,18 @@ def _run_doc(run: DecoderRun) -> dict:
         "expected": [list(pair) for pair in run.expected],
         "observed": [list(pair) for pair in run.observed],
         "measures": run.measures,
-        "report": _report_dict(run.report),
+        "report": None if run.report is None else dataclasses.asdict(run.report),
         "stimulus": run.stimulus,
         "stimulus_sha256": _sha256(run.stimulus),
         "solver": _solver_dict(run.wset.stats),
     }
 
 
-def _write_decoder_artifacts(outdir: Path, cfg: RunConfig, run: DecoderRun) -> None:
-    doc = {"command": "decoder", "config": dataclasses.asdict(cfg)}
-    doc.update(_run_doc(run))
-    _write_text(outdir / f"decoder_{run.tech.name}.json", _json_text(doc))
-    _write_csv(outdir / f"decoder_{run.tech.name}.csv", run.wset)
-
-
-def _print_decoder(run: DecoderRun, formats: tuple[str, ...]) -> None:
-    if "table" in formats:
-        for x, (exp, obs) in enumerate(zip(run.expected, run.observed)):
-            print(f"x={x} expected b1b0={exp[0]}{exp[1]} observed={obs[0]}{obs[1]}")
-        print(f"logic {'ok' if run.logic_ok else 'MISMATCH'}")
-        if run.report is not None:
-            print(report_table([run.report]))
-        else:
-            for name in sorted(run.measures):
-                print(f"{name} = {run.measures[name]}")
-    if "json" in formats:
-        doc = {"command": "decoder"}
-        doc.update(_run_doc(run))
-        sys.stdout.write(_json_text(doc))
-    if "csv" in formats:
-        run.wset.to_csv(sys.stdout)
+def _decoder_files(cfg: RunConfig, run: DecoderRun) -> dict[str, Output]:
+    """decoder_<tech>.json and decoder_<tech>.csv of one run."""
+    stem = f"decoder_{run.tech.name}"
+    doc = {"command": "decoder", "config": dataclasses.asdict(cfg), **_run_doc(run)}
+    return {f"{stem}.json": doc, f"{stem}.csv": run.wset}
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +140,9 @@ def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
                         for f in dataclasses.fields(RunConfig)})
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    text = Path(args.netlist).read_text()
-    net = parse(text)
-    outdir = _out_dir(args)
+def cmd_run(args: argparse.Namespace) -> Result:
+    path = Path(args.netlist)
+    net = parse(path.read_text())
     kinds = {type(a) for a in net.analyses}
     wset = transient(net) if Transient in kinds else None
     op: dict[str, float] | None = None
@@ -174,55 +150,49 @@ def cmd_run(args: argparse.Namespace) -> int:
         # a transient starts from the operating point: read it there
         op = (dc_operating_point(net) if wset is None else
               {name: float(w.values[0]) for name, w in wset.voltages.items()})
-    results: dict[str, float | None] = {}
-    report = None
-    if wset is not None:
-        results = evaluate_measures(net, wset)
-        report = assemble_report(Path(args.netlist).stem, net.measures, results)
+    results = {} if wset is None else evaluate_measures(net, wset)
+    report = assemble_report(path.stem, net.measures, results)
     doc = {
         "command": "run",
-        "netlist": Path(args.netlist).name,
+        "netlist": path.name,
         "title": net.title,
         "op": op,
         "measures": results,
-        "report": _report_dict(report),
+        "report": None if report is None else dataclasses.asdict(report),
         "solver": None if wset is None else _solver_dict(wset.stats),
     }
-    stem = Path(args.netlist).stem
-    _write_text(outdir / f"{stem}.json", _json_text(doc))
+    table = [] if op is None else [f"v({node}) = {op[node]!r}" for node in net.nodes[1:]]
+    table += [f"{name} = {results[name]}" for name in sorted(results)]
+    if report is not None:
+        table.append(report_table([report]))
+    files: dict[str, Output] = {f"{path.stem}.json": doc}
+    shown: dict[str, Output] = {"table": _lines(table), "json": doc}
     if wset is not None:
-        _write_csv(outdir / f"{stem}.csv", wset)
-    if "table" in args.format:
-        if op is not None:
-            for node in net.nodes:
-                if node != "0":
-                    print(f"v({node}) = {op[node]!r}")
-        for name in sorted(results):
-            print(f"{name} = {results[name]}")
-        if report is not None:
-            print(report_table([report]))
-    if "json" in args.format:
-        sys.stdout.write(_json_text(doc))
-    if "csv" in args.format and wset is not None:
-        wset.to_csv(sys.stdout)
-    return EXIT_OK
+        files[f"{path.stem}.csv"] = shown["csv"] = wset
+    return EXIT_OK, files, shown
 
 
-def cmd_cell(args: argparse.Namespace) -> int:
+def cmd_cell(args: argparse.Namespace) -> Result:
     cfg = _cfg_from_args(args)
     tech = resolve_tech(cfg.tech)
     text = emit(build_cell(args.cell, cfg, tech))
-    _write_text(_out_dir(args) / f"{args.cell}_{tech.name}.sp", text)
-    sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_OK, {f"{args.cell}_{tech.name}.sp": text}, {"table": text}
 
 
-def cmd_decoder(args: argparse.Namespace) -> int:
+def cmd_decoder(args: argparse.Namespace) -> Result:
     cfg = _cfg_from_args(args)
     run = run_decoder(cfg)
-    _write_decoder_artifacts(_out_dir(args), cfg, run)
-    _print_decoder(run, tuple(args.format))
-    return EXIT_OK if run.logic_ok else EXIT_LOGIC
+    files = _decoder_files(cfg, run)
+    table = [f"x={x} expected b1b0={exp[0]}{exp[1]} observed={obs[0]}{obs[1]}"
+             for x, (exp, obs) in enumerate(zip(run.expected, run.observed))]
+    table.append(f"logic {'ok' if run.logic_ok else 'MISMATCH'}")
+    if run.report is not None:
+        table.append(report_table([run.report]))
+    else:
+        table += [f"{name} = {run.measures[name]}" for name in sorted(run.measures)]
+    shown = {"table": _lines(table), "json": files[f"decoder_{run.tech.name}.json"],
+             "csv": run.wset}
+    return EXIT_OK if run.logic_ok else EXIT_LOGIC, files, shown
 
 
 # compare's improvement lines, in order: each figure and its wording
@@ -230,19 +200,15 @@ _IMPROVEMENTS = {"avg_power": "decrease in power", "rise_time": "improvement in 
                  "fall_time": "improvement in fall time", "pdp": "decrease in PDP"}
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> Result:
     base = _cfg_from_args(args)
-    outdir = _out_dir(args)
     names = ("cmos32", "gnrfet32")
     cfgs = [dataclasses.replace(base, tech=name) for name in names]
     try:
         batch = run_decoders(cfgs)
     except (ConvergenceError, SingularMatrixError) as exc:
-        return _solver_failure(exc, names[exc.member])
-    runs = dict(zip(names, batch))
-    for cfg, run in zip(cfgs, batch):
-        _write_decoder_artifacts(outdir, cfg, run)
-    cm, gn = runs["cmos32"], runs["gnrfet32"]
+        return _solver_failure(exc, names[exc.member]), {}, {}
+    cm, gn = batch
     if cm.stimulus != gn.stimulus:
         raise ValueError("stimulus mismatch between technology runs")
     improvements: dict[str, float] | None = None
@@ -253,62 +219,56 @@ def cmd_compare(args: argparse.Namespace) -> int:
     doc = {
         "command": "compare",
         "config": dataclasses.asdict(base),
-        "runs": {name: _run_doc(runs[name]) for name in runs},
+        "runs": {name: _run_doc(run) for name, run in zip(names, batch)},
         "improvements_pct": improvements,
         "stimulus_sha256": _sha256(cm.stimulus),
     }
-    _write_text(outdir / "compare.json", _json_text(doc))
-    if "table" in args.format:
-        reports = [r.report for r in (cm, gn) if r.report is not None]
-        if reports:
-            print(report_table(reports, include_delay=False))
-        if improvements is not None:
-            for name, wording in _IMPROVEMENTS.items():
-                print(f"{improvements[name]:.2f}% {wording}")
-    if "json" in args.format:
-        sys.stdout.write(_json_text(doc))
-    if not (cm.logic_ok and gn.logic_ok):
-        return EXIT_LOGIC
-    return EXIT_OK
+    files: dict[str, Output] = {}
+    for cfg, run in zip(cfgs, batch):
+        files.update(_decoder_files(cfg, run))
+    files["compare.json"] = doc
+    reports = [r.report for r in (cm, gn) if r.report is not None]
+    table = [report_table(reports, include_delay=False)] if reports else []
+    if improvements is not None:
+        table += [f"{improvements[name]:.2f}% {wording}"
+                  for name, wording in _IMPROVEMENTS.items()]
+    code = EXIT_OK if cm.logic_ok and gn.logic_ok else EXIT_LOGIC
+    return code, files, {"table": _lines(table), "json": doc}
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Result:
     if args.count < 1:
         raise ValueError("count must be >= 1")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise ValueError("start and stop must be finite")
     values = [float(v) for v in np.linspace(args.start, args.stop, args.count)]
     cfgs, techs = sweep_configs(_cfg_from_args(args), args.param, values)
     try:
         batch = run_decoders(cfgs, techs)
     except (ConvergenceError, SingularMatrixError) as exc:
-        return _solver_failure(exc, f"{args.param}={values[exc.member]!r}")
-    rows: list[tuple[float, int, str, float]] = []
-    for idx, (value, run) in enumerate(zip(values, batch)):
-        rows.append((value, idx, "logic_ok", 1.0 if run.logic_ok else 0.0))
-        for name in sorted(run.measures):
-            val = run.measures[name]
-            if val is not None:
-                rows.append((value, idx, name, val))
-        if run.report is not None:
-            for f in dataclasses.fields(run.report)[1:]:  # the figures
-                rows.append((value, idx, f.name, getattr(run.report, f.name)))
+        return _solver_failure(exc, f"{args.param}={values[exc.member]!r}"), {}, {}
     lines = [f"{args.param},run,metric,value"]
-    for value, idx, metric, val in rows:
-        lines.append(f"{value!r},{idx},{metric},{val!r}")
-    text = "\n".join(lines) + "\n"
-    _write_text(_out_dir(args) / f"sweep_{args.param}.csv", text)
-    if "csv" in args.format or "table" in args.format:
-        sys.stdout.write(text)
-    return EXIT_OK
+    for idx, (value, run) in enumerate(zip(values, batch)):
+        rows = [("logic_ok", 1.0 if run.logic_ok else 0.0)]
+        rows += [(name, run.measures[name]) for name in sorted(run.measures)
+                 if run.measures[name] is not None]
+        if run.report is not None:
+            rows += [(f.name, getattr(run.report, f.name))
+                     for f in dataclasses.fields(run.report)[1:]]  # the figures
+        lines += [f"{value!r},{idx},{metric},{val!r}" for metric, val in rows]
+    # the long-format CSV is the table too
+    text = _lines(lines)
+    return EXIT_OK, {f"sweep_{args.param}.csv": text}, {"table": text, "csv": text}
 
 
-def cmd_dump_models(args: argparse.Namespace) -> int:
+def cmd_dump_models(args: argparse.Namespace) -> Result:
     names = [args.tech] if args.tech else list(preset_names())
+    lines = []
     for name in names:
         tech = resolve_tech(name)
-        print(f"* {tech.name}: {tech.note}" if tech.note else f"* {tech.name}")
-        print(model_line("nfet", tech.nfet))
-        print(model_line("pfet", tech.pfet))
-    return EXIT_OK
+        lines += [f"* {tech.name}: {tech.note}" if tech.note else f"* {tech.name}",
+                  model_line("nfet", tech.nfet), model_line("pfet", tech.pfet)]
+    return EXIT_OK, {}, {"table": _lines(lines)}
 
 
 def _solver_failure(exc: ConvergenceError | SingularMatrixError,
@@ -330,7 +290,8 @@ def _solver_failure(exc: ConvergenceError | SingularMatrixError,
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, with_tech: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...],
+                with_tech: bool = True) -> None:
     default = RunConfig()
     if with_tech:
         p.add_argument("--tech", default=default.tech,
@@ -344,13 +305,14 @@ def _add_common(p: argparse.ArgumentParser, with_tech: bool = True) -> None:
                    help="output load capacitance")
     p.add_argument("--dt", type=float, default=default.dt,
                    help="override the .tran dt, the finest transient step")
-    _add_out(p)
+    _add_out(p, formats)
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
+def _add_out(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    """--out, and --format with the formats the command prints."""
     p.add_argument("--out", default=None,
                    help="output directory (default $MVLSIM_OUT or .)")
-    p.add_argument("--format", action="append", choices=_FORMATS, default=None,
+    p.add_argument("--format", action="append", choices=formats, default=None,
                    help="stdout format, repeatable (default table)")
 
 
@@ -363,21 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a netlist file")
     p_run.add_argument("netlist", help="path to a netlist file")
-    _add_out(p_run)
+    _add_out(p_run, _FORMATS)
     p_run.set_defaults(func=cmd_run)
 
     p_cel = sub.add_parser("cell", help="emit a generated cell netlist")
     p_cel.add_argument("cell", choices=CELL_NAMES)
-    _add_common(p_cel)
+    _add_common(p_cel, ("table",))
     p_cel.set_defaults(func=cmd_cell)
 
     p_dec = sub.add_parser("decoder", help="run the quaternary decoder")
-    _add_common(p_dec)
+    _add_common(p_dec, _FORMATS)
     p_dec.set_defaults(func=cmd_decoder)
 
     p_cmp = sub.add_parser("compare",
                            help="decoder under cmos32 and gnrfet32")
-    _add_common(p_cmp, with_tech=False)
+    _add_common(p_cmp, ("table", "json"), with_tech=False)
     p_cmp.set_defaults(func=cmd_compare, tech=RunConfig().tech)
 
     p_swp = sub.add_parser("sweep", help="step one decoder parameter")
@@ -386,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--start", type=float, required=True)
     p_swp.add_argument("--stop", type=float, required=True)
     p_swp.add_argument("--count", type=int, required=True)
-    _add_common(p_swp)
+    _add_common(p_swp, ("table", "csv"))
     p_swp.set_defaults(func=cmd_sweep)
 
     p_dmp = sub.add_parser("dump-models", help="print model cards")
@@ -405,12 +367,20 @@ def main(argv: list[str] | None = None) -> int:
         # so 2 stays reserved for solver failures.
         code = exc.code if isinstance(exc.code, int) else 1
         return EXIT_OK if code == 0 else EXIT_USAGE
-    if getattr(args, "format", None) is not None:
-        args.format = tuple(dict.fromkeys(args.format))
-    elif hasattr(args, "format"):
-        args.format = ("table",)
+    formats = getattr(args, "format", None) or ("table",)
     try:
-        return args.func(args)
+        code, files, shown = args.func(args)
+        for name, output in files.items():
+            path = _out_dir(args) / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with path.open("w") as fh:
+                _put(output, fh)
+        # in the order table, json, csv; one output shown twice (sweep's
+        # table is its CSV) prints once
+        printed = {id(shown[f]): shown[f] for f in _FORMATS if f in formats and f in shown}
+        for output in printed.values():
+            _put(output, sys.stdout)
+        return code
     except NetlistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

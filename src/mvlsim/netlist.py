@@ -314,17 +314,17 @@ class Netlist:
                 if not _NAME_RE.match(t):
                     return d, f"{d.name}: bad node name {t!r}"
             if d.kind == "resistor":
-                if not d.params.get("resistance", 0.0) > 0.0:
-                    return d, f"{d.name}: resistance must be > 0"
+                if not 0.0 < d.params.get("resistance", 0.0) < math.inf:
+                    return d, f"{d.name}: resistance must be finite and > 0"
             elif d.kind == "capacitor":
-                if d.params.get("capacitance", -1.0) < 0.0:
-                    return d, f"{d.name}: capacitance must be >= 0"
+                if not 0.0 <= d.params.get("capacitance", -1.0) < math.inf:
+                    return d, f"{d.name}: capacitance must be finite and >= 0"
             elif d.kind == "vsource":
                 if d.stimulus is None:
                     return d, f"{d.name}: voltage source needs a stimulus"
             elif d.kind == "fet":
-                if not d.params.get("m", 1.0) > 0.0:
-                    return d, f"{d.name}: multiplier m must be > 0"
+                if not 0.0 < d.params.get("m", 1.0) < math.inf:
+                    return d, f"{d.name}: multiplier m must be finite and > 0"
                 if d.model is None or d.model not in self.models:
                     return d, f"{d.name}: undeclared model {d.model!r}"
         trans = [a for a in self.analyses if isinstance(a, Transient)]

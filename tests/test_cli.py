@@ -5,12 +5,13 @@ failure, 3 I/O failure, 4 decoder logic mismatch.  All artifacts must be
 byte deterministic, so reruns are compared as raw file contents.
 """
 
+import collections
 import json
 import re
 
 import pytest
 
-from mvlsim import engine
+from mvlsim import cli, engine
 from mvlsim.cells import vlc_thresholds
 from mvlsim.characterize import RunConfig, improvement_pct, resolve_tech, run_decoder
 from mvlsim.cli import _cfg_from_args, build_parser, main
@@ -149,6 +150,31 @@ class TestRun:
         blocker.write_text("a file, not a directory")
         assert main(["run", str(src), "--out", str(blocker / "sub")]) == 3
 
+    def test_calls_the_names_the_benchmark_traces(self, tmp_path, monkeypatch):
+        # perfbench/tracing.py times these calls by wrapping mvlsim.cli's
+        # names and WaveformSet.to_csv; a call moved off them reads 0 there
+        calls = collections.Counter()
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("parse", "transient", "dc_operating_point"):
+            count(cli, name)
+        count(engine.WaveformSet, "to_csv")
+        tran, op = tmp_path / "rc.sp", tmp_path / "div.sp"
+        tran.write_text(RC)
+        op.write_text("* d\nv1 a 0 dc 2\nr1 a b 1k\nr2 b 0 1k\n.op\n.end\n")
+        assert main(["run", str(tran), "--out", str(tmp_path)]) == 0
+        assert calls == {"parse": 1, "transient": 1, "to_csv": 1}
+        calls.clear()
+        assert main(["run", str(op), "--out", str(tmp_path)]) == 0
+        assert calls == {"parse": 1, "dc_operating_point": 1}
+
 
 class TestCell:
     def test_decoder_netlist_emitted(self, tmp_path, capsys):
@@ -247,6 +273,26 @@ class TestDecoder:
         assert main(["decoder", "--vdd", "-1", "--out", str(tmp_path)]) == 1
         assert main(["decoder", "--tech", "sige90",
                      "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field", ["vdd", "hold", "slew", "load", "dt"])
+    def test_non_finite_config_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            RunConfig(**{field: float(value)})
+
+    @pytest.mark.parametrize("argv", [
+        ["decoder", "--load", "nan"],
+        ["decoder", "--load", "inf"],
+        ["cell", "testbench", "--load", "nan"],
+        ["sweep", "--param", "load", "--start", "nan", "--stop", "2e-15", "--count", "2"],
+        ["sweep", "--param", "vth_scale", "--start", "1", "--stop", "inf", "--count", "2"],
+    ], ids=["decoder_nan", "decoder_inf", "cell_nan", "sweep_load_nan", "sweep_vth_inf"])
+    def test_non_finite_flag_is_exit_1(self, tmp_path, capsys, argv):
+        assert main([*argv, "--hold", "1e-9", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.match(r"^error: (load|start and stop) must be finite", err)
+        assert not list(tmp_path.iterdir())
 
     def test_dt_override_recorded(self, tmp_path):
         code = main(["decoder", "--hold", "1e-9", "--dt", "5e-12",
@@ -359,6 +405,44 @@ class TestSweep:
         assert code == 0
         text = (tmp_path / "sweep_vth_scale.csv").read_text()
         assert "logic_ok,1.0" in text
+
+
+class TestFormats:
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--format", "csv"],
+        ["sweep", "--param", "load", "--start", "1e-15", "--stop", "2e-15",
+         "--count", "2", "--format", "json"],
+        ["cell", "decoder", "--format", "json"],
+        ["cell", "decoder", "--format", "csv"],
+    ], ids=["compare_csv", "sweep_json", "cell_json", "cell_csv"])
+    def test_format_not_printed_is_exit_1(self, tmp_path, capsys, argv):
+        assert main([*argv, "--hold", "1e-9", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--format: invalid choice" in err
+        assert not list(tmp_path.iterdir())
+
+    SWEEP = ["sweep", "--param", "load", "--start", "1e-15", "--stop", "2e-15",
+             "--count", "2", "--hold", "1e-9"]
+
+    @pytest.mark.parametrize("argv, artifact", [
+        (["run", "{rc}", "--format", "json"], "rc.json"),
+        (["run", "{rc}", "--format", "csv"], "rc.csv"),
+        (["decoder", "--hold", "1e-9", "--format", "json"], "decoder_cmos32.json"),
+        (["compare", "--hold", "1e-9", "--format", "json"], "compare.json"),
+        (SWEEP, "sweep_load.csv"),
+        (SWEEP + ["--format", "csv"], "sweep_load.csv"),
+        (SWEEP + ["--format", "csv", "--format", "table"], "sweep_load.csv"),
+        (["cell", "testbench"], "testbench_cmos32.sp"),
+    ], ids=["run_json", "run_csv", "decoder_json", "compare_json", "sweep_table",
+            "sweep_csv", "sweep_both", "cell"])
+    def test_stdout_is_the_artifact(self, tmp_path, capsys, argv, artifact):
+        src = tmp_path / "rc.sp"
+        src.write_text(RC)
+        out = tmp_path / "out"
+        argv = [arg.format(rc=src) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == (out / artifact).read_bytes()
 
 
 class TestDumpModels:

@@ -499,6 +499,21 @@ class TestValidate:
         with pytest.raises(NetlistError, match=".tran"):
             net.validate()
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("capacitor", "capacitance", math.nan),
+        ("capacitor", "capacitance", math.inf),
+        ("resistor", "resistance", math.inf),
+        ("fet", "m", math.inf),
+    ], ids=["nan_capacitance", "inf_capacitance", "inf_resistance", "inf_m"])
+    def test_validate_rejects_non_finite_values(self, kind, field, value):
+        net = parse(DIVIDER)
+        net.models["nn"] = FetModelCard("n", 0.1, 1e-4, 0.0, 0.0)
+        ends = ("mid", "in", "0", "0") if kind == "fet" else ("mid", "0")
+        net.devices.append(Device("x9", kind, ends, {field: value},
+                                  model="nn" if kind == "fet" else None))
+        with pytest.raises(NetlistError, match=f"^x9: .*{field} must be finite"):
+            net.validate()
+
     def test_validate_checks_terminal_names(self):
         net = parse(DIVIDER)
         net.devices.append(
