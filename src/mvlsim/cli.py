@@ -370,6 +370,13 @@ def main(argv: list[str] | None = None) -> int:
     formats = getattr(args, "format", None) or ("table",)
     try:
         code, files, shown = args.func(args)
+        # refused before anything is written; a command that failed has
+        # printed its own error and shows nothing
+        missing = [f for f in formats if f not in shown]
+        if missing and code == EXIT_OK:
+            print(f"error: {args.command} has no {', '.join(missing)} output "
+                  "for this input", file=sys.stderr)
+            return EXIT_USAGE
         for name, output in files.items():
             path = _out_dir(args) / name
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Device evaluation: square-law FETs, capacitor companions, technology cards.
+"""Device evaluation: square-law FETs and their technology cards.
 
 The FET model is a symmetric SPICE level-1 square law.  A model card carries
 a signed threshold voltage, a transconductance factor k (A/V^2), a
@@ -9,9 +9,7 @@ drain and source roles swap, which keeps the current continuous through
 vds = 0.  The engine evaluates P-channel devices on the same law by sign
 symmetry: it takes vgs = vs - vg and vds = vs - vd, flips the threshold
 and swaps the device's ends, so its current runs source -> drain and
-needs no sign.  A capacitor becomes the companion i = geq*v + ihist in
-two halves: ``cap_conductance`` gives geq, which the engine rebuilds only
-when a step changes, and ``cap_history`` gives ihist at each step.
+needs no sign.
 
 No minimum off-conductance is added here; the solver applies gmin shunts
 externally (see engine._GMIN).
@@ -23,6 +21,7 @@ see ``preset`` and tools/calibrate_presets.py for how they were chosen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,9 @@ class FetModelCard:
     def __post_init__(self):
         if self.polarity not in ("n", "p"):
             raise ValueError(f"polarity must be 'n' or 'p', got {self.polarity!r}")
+        for name in ("vth", "k", "lam", "cg", "cd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.k > 0.0:
             raise ValueError("k must be > 0")
         if self.lam < 0.0:
@@ -81,33 +83,6 @@ def square_law(vth, k, lam, vgs, vds):
     gds = k * (vov - ve) * cl + kq * lam
     sgn = np.where(rev, -1.0, 1.0)
     return kq * cl * sgn, gm * sgn, gds + gm * rev
-
-
-def cap_conductance(c, dt, rule: str):
-    """The conductance geq of the capacitor companion i = geq*v + ihist,
-    which depends on the step alone.
-
-    Element-wise over scalars or arrays, the step dt included, so that each
-    capacitor can take its own step.
-    """
-    if not np.greater(dt, 0.0).all():
-        raise ValueError("dt must be > 0")
-    if rule == "backward_euler":
-        return c / dt
-    if rule == "trapezoidal":
-        return 2.0 * c / dt
-    raise ValueError(f"unknown integration rule {rule!r}")
-
-
-def cap_history(geq, v_prev, i_prev, rule: str):
-    """The companion history current ihist, given geq from cap_conductance.
-
-    v_prev and i_prev are the branch voltage and current at the previous
-    accepted time point (i_prev is only used by the trapezoidal rule).
-    """
-    if rule == "trapezoidal":
-        return -geq * v_prev - i_prev
-    return -geq * v_prev
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ The members still iterating are solved together.  A member that fails drops
 out, and so do the members after it; the batch then raises the failure of
 its lowest-index failing member.  ``transient_batch`` runs netlists with the
 same nodes and sources as one batch, in lockstep rounds that try the next
-step of every member still running.  Each member keeps its clock (time,
+step of every member still live.  Each member keeps its clock (time,
 step and accept/reject decision), its accepted points and its counters in
 one record, and its own predictor and capacitor history, so its run is
 bitwise the one it gives alone.  ``transient`` is a batch of one.
@@ -107,14 +107,22 @@ does a retry that is not shorter than the step rejected.  So the
 settled stretches of a card with a dtmax above dt cost a few steps each,
 and a card without one never rejects a step.
 
-Every capacitor, the FETs' lumped cg and cd included, becomes a companion
-conductance/history-current pair; backward Euler is the default rule,
-trapezoidal is selectable.  The conductances and the Jacobian of the linear
-branches depend on the steps alone and are built again only when one
-changes, the fixed branches' part of that Jacobian once per circuit.
-Newton's last residual is at the iterate before its solution, so one
-gather after each solve takes each capacitor's voltage x[c] - x[d] and
-current geq * v + ihist at the accepted point, the next step's history.
+Every capacitor C, the FETs' lumped cg and cd included, becomes the
+companion i = geq*v + ihist of its branch voltage v over a step h, in
+SPICE2's forms (Nagel, UCB/ERL M520, 1975).  transient_batch reads the rule
+once from SolveOptions:
+
+    backward Euler (the default, p = 1):  geq = C/h,   ihist = -geq*v_prev
+    trapezoidal (p = 2):                  geq = 2C/h,  ihist = -geq*v_prev - i_prev
+
+with v_prev and i_prev the capacitor's voltage and current at the last
+accepted point.  The conductances and the Jacobian of the linear branches
+depend on the steps alone and are built again only when one changes, the
+fixed branches' part of that Jacobian once per circuit.  Newton's last
+residual is at the iterate before its solution, so one gather after each
+solve takes each capacitor's voltage x[c] - x[d] at the accepted point and,
+under the trapezoidal rule, its current geq * v + ihist: the next step's
+history.
 
 Newton at each time point starts from a linear predictor through the last
 two accepted points (Nagel, SPICE2, UCB/ERL M520, 1975):
@@ -131,14 +139,13 @@ compared with the corrected solution, it gives the error estimate above.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
 
-from .devices import cap_conductance, cap_history, square_law
+from .devices import square_law
 from .measure import Waveform
 from .netlist import Netlist, Transient
 
@@ -233,17 +240,12 @@ def _probe(n: int) -> np.ndarray:
     return p
 
 
-def _probe_rhs(batch: int, n: int) -> np.ndarray:
-    """A batch x n x 2 right-hand side buffer for _solve."""
-    return np.empty((batch, n, 2))
-
-
 def _solve(a: np.ndarray, b: np.ndarray,
            rhs: np.ndarray) -> tuple[np.ndarray, dict[int, SingularMatrixError]]:
     """Solve the stack a[j] @ x[j] = b[j] by one LAPACK call; _lu_solve
     decides doubtful systems.
 
-    b goes to column 0 of rhs (from _probe_rhs) and the probe p times each
+    b goes to column 0 of rhs (batch x n x 2) and the probe p times each
     row's sum of |a_ij| to column 1, and both are solved together: the
     probe's solution z is that of the row-equilibrated system
     D^-1 a z = p, |D^-1 a|inf = 1.  Where LAPACK fails, x is not finite or
@@ -264,9 +266,6 @@ def _solve(a: np.ndarray, b: np.ndarray,
             return (np.concatenate([x for x, _ in each]),
                     {j: e for j, (_, err) in enumerate(each) for e in err.values()})
     x, errors = sol[:, :, 0], {}
-    # the stack's largest |x| and |z| first: a per-system look only on doubt
-    if _trusted(np.maximum.reduce(np.abs(sol), axis=(0, 1)).tolist()):
-        return x, errors
     for j, top in enumerate(np.maximum.reduce(np.abs(sol), axis=1).tolist()):
         if _trusted(top):
             continue
@@ -318,23 +317,21 @@ class WaveformSet:
     def current(self, source: str) -> Waveform:
         return self.currents[source.lower()]
 
-    def to_csv(self, out: TextIO | None = None) -> str | None:
+    def to_csv(self, out: TextIO) -> None:
         """Write the waveforms as CSV to the text stream out: a header
         (time, each node, i(<source>) for each source), then one row per
         time point with the repr of every value.  The rows are gathered
         _BLOCK at a time into one array, then formatted and written one by
         one, so the memory taken grows with the number of columns, not with
         the points, and a long run's peak memory is the solver's, not its
-        artifact's.  Without out, the text is built in memory and returned."""
-        buf = io.StringIO() if out is None else out
+        artifact's."""
         series = ([self.times] + [w.values for w in self.voltages.values()]
                   + [w.values for w in self.currents.values()])
         cols = ["time"] + list(self.voltages) + [f"i({n})" for n in self.currents]
-        buf.write(",".join(cols) + "\n")
+        out.write(",".join(cols) + "\n")
         for i in range(0, len(self.times), _BLOCK):
             for r in np.column_stack([s[i:i + _BLOCK] for s in series]):
-                buf.write(",".join(map(repr, r.tolist())) + "\n")
-        return buf.getvalue() if out is None else None
+                out.write(",".join(map(repr, r.tolist())) + "\n")
 
 
 # Breakpoints closer together than this fraction of the floor step are
@@ -479,7 +476,7 @@ class _Circuit:
         self.cap_hi, self.cap_lo = lc[self.cap_branches], ld[self.cap_branches]
         self.flat_fet = stamp(np.tile(fp, 2), np.tile(fq, 2),
                               np.concatenate((fc, fp)), np.concatenate((fd, fq)))
-        self.rhs = _probe_rhs(self.batch, n)
+        self.rhs = np.empty((self.batch, n, 2))  # _solve's right-hand sides
         self.i0 = np.zeros(nl)
         # residual's branch currents in the order of ends: linear and FET
         # branches, then the same negated
@@ -554,7 +551,7 @@ class _Circuit:
 
     def newton(self, x, vlimit, lin, live, t=None, label=""):
         """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
-        criterion for the members where live is True.
+        criterion for the members listed, ascending, in live.
 
         x (batch x n+1) holds the initial guess and is updated in place;
         vlimit holds each member's _vlimit; lin is linear_part's (g, jac)
@@ -567,7 +564,7 @@ class _Circuit:
         """
         n, nv = self.n, self.nv
         batch = self.batch
-        members = live.nonzero()[0].tolist()
+        members = list(live)
         iters, excess = [0] * batch, [0.0] * batch
         last_dx = [math.inf] * batch
         failed: dict[int, Exception] = {}
@@ -667,10 +664,9 @@ class _Circuit:
         i0 = self.offsets(geq, svals)  # no capacitor history either
         x = np.zeros((self.batch, self.n1))
         iters, excess, failed = self.newton(x, vlimit, (*self.linear_part(geq, 0.0), i0),
-                                            np.ones(self.batch, dtype=bool), label=" (dc)")
+                                            range(self.batch), label=" (dc)")
         if failed:
-            retry = np.zeros(self.batch, dtype=bool)
-            retry[list(failed)] = True
+            retry = sorted(failed)
             x[retry] = 0.0
             failed = {}
             for s in range(_GMIN_STEPS + 1):
@@ -679,8 +675,8 @@ class _Circuit:
                     x, vlimit, (*self.linear_part(geq, shunt), i0), retry,
                     label=f" (gmin step {s})")
                 failed.update(bad)
-                retry[list(bad)] = False
-                for b in retry.nonzero()[0].tolist():
+                retry = [b for b in retry if b not in bad]
+                for b in retry:
                     excess[b] = exc[b]
                 iters = [i + j for i, j in zip(iters, it)]
         return x, iters, excess, failed
@@ -807,7 +803,8 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
                     opts: SolveOptions | None = None) -> list[WaveformSet]:
     """Transients of netlists with the same nodes and sources, each from its
     t=0 operating point, run in lockstep as one batch: each round, every
-    member still running tries its next step.
+    member still live tries its next step.  A member is live until it is
+    done, or until it or a member before it fails.
 
     analyses[i] (default: the .tran card of nets[i]) sets the steps of
     nets[i], and each member keeps its own time points.  Every WaveformSet
@@ -815,7 +812,10 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     sources differ raise ValueError.  If any netlist fails, the error of
     the lowest-index one is raised, with that index in its ``member``.
     """
-    rule = (opts or SolveOptions()).integration
+    # the rule's one flag: the companion forms and the order p of the
+    # step controller's exponent 1/(p+1) (module docstring)
+    trap = (opts or SolveOptions()).integration == "trapezoidal"
+    expo = 1.0 / 3.0 if trap else 0.5
     nets = list(nets)
     if analyses is None:
         analyses = [None] * len(nets)
@@ -829,29 +829,25 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     c, cap_member = ckt.cap_c, ckt.cap_member
     bounds = np.searchsorted(cap_member, np.arange(batch + 1)).tolist()
     cap_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    order = 1 if rule == "backward_euler" else 2
 
     def grow(err):
         if err == 0.0:
             return 2.0
-        return min(2.0, 0.9 * (_LTE_TOL / err) ** (1.0 / (order + 1)))
+        return min(2.0, 0.9 * (_LTE_TOL / err) ** expo)
 
     x, iters, excess, failed = ckt.solve_dc(ckt.source_values([0.0] * batch))
     for m, xb, it, e in zip(members, x, iters, excess):
         m.pending = it
         m.record(xb, e)
-    # the capacitors' voltages and currents at each member's last point
+    # the capacitors' voltages and currents at each member's last point;
+    # backward Euler keeps no current, so its cap_i stays zero
     cap_v, cap_i = ckt.cap_voltages(x), np.zeros(len(c))
     steps = None  # the steps the linear part was built for
-    running = np.ones(batch, dtype=bool)
-    regroup = True
     while True:
-        if regroup:  # members after the lowest failed one no longer matter
-            running[min(failed, default=batch):] = False
-            live = running.nonzero()[0].tolist()
-            if not live:
-                break
-            regroup = False
+        # members after the lowest failed one no longer matter
+        live = [b for b in range(min(failed, default=batch)) if not members[b].done]
+        if not live:
+            break
         for b in live:
             x[b] = members[b].predict()
         t = [m.next for m in members]
@@ -860,22 +856,22 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
         h = [m.h for m in members]
         if h != steps:  # geq, and so g and the linear Jacobian, depend on h alone
             steps = h
-            geq = cap_conductance(c, np.array(h)[cap_member], rule)
+            geq = (2.0 if trap else 1.0) * c / np.array(h)[cap_member]
             g, jac = ckt.linear_part(geq, 0.0)
-        ihist = cap_history(geq, cap_v, cap_i, rule)
+        ihist = -geq * cap_v - cap_i
         i0 = ckt.offsets(ihist, svals)
-        it, exc, bad = ckt.newton(x, _vlimit(svals), (g, jac, i0), running, t=t)
+        it, exc, bad = ckt.newton(x, _vlimit(svals), (g, jac, i0), live, t=t)
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
                                 initial=0.0).tolist()
         # Newton's last residual was at the iterate before its solution
         v_now = ckt.cap_voltages(x)
-        i_now = geq * v_now + ihist
+        i_now = geq * v_now + ihist if trap else cap_i
         for b in live:
             m = members[b]
             m.pending += it[b]
             if b in bad or (m.free and err[b] > _LTE_TOL):
                 if not m.free:
-                    failed[b], regroup = bad[b], True
+                    failed[b] = bad[b]
                     continue
                 rejected = m.h
                 if b in bad:
@@ -888,14 +884,11 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
                     failed[b] = ConvergenceError(
                         f"rejected step of {rejected:.6g}s at t={m.t:.6g}s was not "
                         "shortened", t=m.t)
-                    regroup = True
                 continue
             rows = cap_rows[b]
             cap_v[rows], cap_i[rows] = v_now[rows], i_now[rows]
             m.accept(grow(err[b]))
             m.record(x[b], exc[b])
-            if m.done:
-                running[b], regroup = False, True
     if failed:
         b = min(failed)
         failed[b].member = b

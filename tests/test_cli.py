@@ -6,6 +6,7 @@ byte deterministic, so reruns are compared as raw file contents.
 """
 
 import collections
+import io
 import json
 import re
 
@@ -102,7 +103,9 @@ class TestRun:
         src = tmp_path / "rc.sp"
         src.write_text(RC)
         assert main(["run", str(src), "--out", str(tmp_path), "--format", "csv"]) == 0
-        text = engine.transient(parse(RC)).to_csv()
+        buf = io.StringIO()
+        engine.transient(parse(RC)).to_csv(buf)
+        text = buf.getvalue()
         assert len(text.splitlines()) > 3 * engine._BLOCK
         assert (tmp_path / "rc.csv").read_bytes() == text.encode()
         assert capsys.readouterr().out == text
@@ -257,7 +260,9 @@ class TestDecoder:
     def test_csv_artifact_stdout_and_to_csv_agree(self, tmp_path, capsys):
         code = main(["decoder", "--hold", "1e-9", "--out", str(tmp_path), "--format", "csv"])
         assert code == 0
-        text = run_decoder(RunConfig(hold=1e-9)).wset.to_csv()
+        buf = io.StringIO()
+        run_decoder(RunConfig(hold=1e-9)).wset.to_csv(buf)
+        text = buf.getvalue()
         assert (tmp_path / "decoder_cmos32.csv").read_bytes() == text.encode()
         assert capsys.readouterr().out == text
 
@@ -421,6 +426,32 @@ class TestFormats:
         assert out == ""
         assert "--format: invalid choice" in err
         assert not list(tmp_path.iterdir())
+
+    OP_ONLY = "* op only\nv1 a 0 dc 2\nr1 a b 1k\nr2 b 0 1k\n.op\n.end\n"
+
+    def test_format_with_no_output_is_exit_1(self, tmp_path, capsys):
+        # .op without .tran gives no waveforms, so no csv
+        src = tmp_path / "op.sp"
+        src.write_text(self.OP_ONLY)
+        out = tmp_path / "out"
+        assert main(["run", str(src), "--out", str(out), "--format", "csv"]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and "csv" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_op_only_run_prints_table_and_json(self, tmp_path, capsys, fmt):
+        src = tmp_path / "op.sp"
+        src.write_text(self.OP_ONLY)
+        out = tmp_path / "out"
+        assert main(["run", str(src), "--out", str(out), "--format", fmt]) == 0
+        stdout = capsys.readouterr().out
+        if fmt == "table":
+            assert stdout == "v(a) = 2.0\nv(b) = 1.0\n"
+        else:
+            assert json.loads(stdout)["op"] == {"a": 2.0, "b": 1.0}
+        assert (out / "op.json").is_file()
 
     SWEEP = ["sweep", "--param", "load", "--start", "1e-15", "--stop", "2e-15",
              "--count", "2", "--hold", "1e-9"]

@@ -4,8 +4,11 @@ Expected currents and derivatives are frozen from hand evaluation of the
 square law, not from the code under test.  P-channel devices exist only
 inside the engine, which evaluates them on the N-channel law with their
 terminals swapped, so their tests go through the engine's residual and
-Jacobian (the one_fet fixture).
+Jacobian (the one_fet fixture).  Capacitor companions exist only inside
+the engine's transient too, so TestCompanions reads them off its waveforms.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,12 +16,12 @@ import pytest
 from mvlsim.devices import (
     FetModelCard,
     TechnologyCard,
-    cap_conductance,
-    cap_history,
     preset,
     preset_names,
     square_law,
 )
+from mvlsim.engine import SolveOptions, transient
+from mvlsim.netlist import parse
 
 N = FetModelCard("n", 0.3, 1e-4, 0.05, 8e-17, 6e-17)
 P = FetModelCard("p", -0.3, 1e-4, 0.05, 8e-17, 6e-17)
@@ -234,61 +237,72 @@ class TestCardValidation:
         with pytest.raises(ValueError):
             FetModelCard("n", 0.3, 1e-4, 0.0, 0.0, -1e-18)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["vth", "k", "lam", "cg", "cd"])
+    def test_non_finite_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            dataclasses.replace(N, **{field: value})
+
     def test_technology_card_needs_both_polarities(self):
         with pytest.raises(ValueError):
             TechnologyCard("t", nfet=N, pfet=N)
 
 
+def ramp_run(rule, pwl, load, tran):
+    """Transient under rule of the source v1 (in to ground) on pwl into load."""
+    net = parse(f"* ramp\nv1 in 0 pwl({pwl})\n{load}{tran}\n.end\n")
+    return transient(net, opts=SolveOptions(integration=rule))
+
+
+def assert_rc_follows_the_recurrence(rule):
+    """An RC driven by a PWL ramp, with a 0 F capacitor across its resistor,
+    on steps that grow and shrink between 3 ps and 30 ps: at each accepted
+    point, KCL at out with the companion of the rule on that point's step h,
+    geq = C/h (2C/h) and ihist = -geq*v_prev (less i_prev); the 0 F
+    capacitor adds nothing."""
+    r, c, trap = 1e3, 1e-12, rule == "trapezoidal"
+    ws = ramp_run(rule, "0 0 1n 1 3n 1", "r1 in out 1k\nc1 out 0 1p\nc0 in out 0\n",
+                  ".tran 10p 3n 200p")
+    t, out = ws.times, ws.voltage("out").values
+    assert len(t) > 200 and np.ptp(np.diff(t)) > 2e-11
+    v_in = np.interp(t, [0.0, 1e-9, 3e-9], [0.0, 1.0, 1.0])
+    v, i = 0.0, 0.0  # the DC point: the capacitor at 0 V carries no current
+    assert out[0] == v
+    for k in range(1, len(t)):
+        geq = (2.0 if trap else 1.0) * c / (t[k] - t[k - 1])
+        ihist = -geq * v - (i if trap else 0.0)
+        v = (v_in[k] / r - ihist) / (1.0 / r + geq)
+        i = geq * v + ihist
+        assert out[k] == pytest.approx(v, rel=1e-12), (rule, k)
+
+
 class TestCompanions:
     def test_backward_euler_values(self):
-        geq = cap_conductance(1e-12, 1e-9, "backward_euler")
-        assert geq == 1e-12 / 1e-9
-        assert cap_history(geq, 0.5, 0.0, "backward_euler") == -geq * 0.5
+        assert_rc_follows_the_recurrence("backward_euler")
 
     def test_trapezoidal_values(self):
-        geq = cap_conductance(1e-12, 1e-9, "trapezoidal")
-        assert geq == 2.0 * 1e-12 / 1e-9
-        assert cap_history(geq, 0.5, 3e-6, "trapezoidal") == -geq * 0.5 - 3e-6
-
-    def test_zero_capacitance_is_open(self):
-        geq = cap_conductance(0.0, 1e-9, "backward_euler")
-        assert (geq, cap_history(geq, 1.0, 1.0, "backward_euler")) == (0.0, 0.0)
-
-    def test_per_capacitor_step(self):
-        c, v, i = np.array([1e-12, 2e-15]), np.array([0.5, -0.3]), np.array([1e-6, 0.0])
-        dt = np.array([1e-9, 3e-12])
-        for rule in ("backward_euler", "trapezoidal"):
-            geq = cap_conductance(c, dt, rule)
-            ihist = cap_history(geq, v, i, rule)
-            for k in range(2):
-                geq_k = cap_conductance(c[k], dt[k], rule)
-                assert (geq[k], ihist[k]) == (geq_k, cap_history(geq_k, v[k], i[k], rule))
-
-    def test_bad_dt_and_rule(self):
-        with pytest.raises(ValueError):
-            cap_conductance(1e-12, 0.0, "backward_euler")
-        with pytest.raises(ValueError):
-            cap_conductance(np.ones(2), np.array([1e-9, 0.0]), "backward_euler")
-        with pytest.raises(ValueError):
-            cap_conductance(1e-12, 1e-9, "simpson")
+        assert_rc_follows_the_recurrence("trapezoidal")
 
     def test_linear_ramp_current(self):
-        # 1.2 fF ramped at 1 V/ns carries C*dv/dt = 1.2 uA
-        c, dt = 1.2e-15, 1e-12
-        v0, v1 = 0.2, 0.2 + 1e-3
-        geq = cap_conductance(c, dt, "backward_euler")
-        ihist = cap_history(geq, v0, 0.0, "backward_euler")
-        assert geq * v1 + ihist == pytest.approx(1.2e-6, rel=1e-12)
+        # 1.2 fF ramped at 1 V/ns carries C*dv/dt = 1.2 uA on every backward
+        # Euler step of the ramp, and nothing once the source holds
+        ws = ramp_run("backward_euler", "0 0 1n 1 3n 1", "c1 in 0 1.2f\n",
+                      ".tran 10p 3n 200p")
+        t, i = ws.times, -ws.current("v1").values
+        ramp = (t > 0.0) & (t <= 1e-9)
+        assert np.count_nonzero(ramp) > 10
+        assert i[ramp] == pytest.approx(np.full(np.count_nonzero(ramp), 1.2e-6), rel=1e-12)
+        assert np.all(i[~ramp] == 0.0)
 
     def test_trapezoidal_ramp_steady_state(self):
-        # seeded with the exact ramp current, trapezoidal keeps it constant
-        c, dt, slope = 1e-15, 1e-12, 1e9
-        i_prev = c * slope
-        v0 = 0.4
-        v1 = v0 + slope * dt
-        geq = cap_conductance(c, dt, "trapezoidal")
-        ihist = cap_history(geq, v0, i_prev, "trapezoidal")
-        assert geq * v1 + ihist == pytest.approx(i_prev, rel=1e-12)
+        # an RC (tau = 50 ps) on a 1 V/ns ramp settles to the ramp current
+        # C*dv/dt = 1 mA, which the trapezoidal companion then keeps exactly
+        ws = ramp_run("trapezoidal", "0 0 3n 3", "r1 in out 50\nc1 out 0 1p\n",
+                      ".tran 10p 3n 30p")
+        t, i = ws.times, -ws.current("v1").values
+        settled = t >= 1.5e-9
+        assert np.count_nonzero(settled) > 40
+        assert i[settled] == pytest.approx(np.full(np.count_nonzero(settled), 1e-3), rel=1e-12)
 
 
 class TestPresets:

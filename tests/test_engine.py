@@ -9,6 +9,7 @@ Analytic oracles used here:
 """
 
 import dataclasses
+import io
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -29,7 +30,6 @@ from mvlsim.engine import (
     _Circuit,
     _lu_solve,
     _Member,
-    _probe_rhs,
     _solve,
     dc_operating_point,
     transient,
@@ -98,10 +98,17 @@ def alternating_pwl(corners, hold=2.5e-10, slew=1e-10):
 def solve(a, b):
     """x with a @ x = b, through the solver Newton uses; raises its
     SingularMatrixError."""
-    x, errors = _solve(a[None], b[None], _probe_rhs(1, len(b)))
+    x, errors = _solve(a[None], b[None], np.empty((1, len(b), 2)))
     if errors:
         raise errors[0]
     return x[0]
+
+
+def csv_text(ws):
+    """The waveform CSV that WaveformSet.to_csv writes, as a string."""
+    buf = io.StringIO()
+    ws.to_csv(buf)
+    return buf.getvalue()
 
 
 def forbid_lu_fallback(monkeypatch):
@@ -351,6 +358,26 @@ class TestDc:
             SolveOptions(integration="euler")
 
 
+# an RC driven by a PWL ramp, with a 0 F capacitor across its resistor
+RC_RAMP = """* rc ramp
+v1 in 0 pwl(0 0 1n 1 3n 1)
+r1 in out 1k
+c1 out 0 1p
+c0 in out 0
+.tran 10p 3n 200p
+.end
+"""
+
+
+class TestCompanions:
+    @pytest.mark.parametrize("rule", ["backward_euler", "trapezoidal"])
+    def test_zero_capacitance_is_open(self, rule):
+        opts = SolveOptions(integration=rule)
+        without = RC_RAMP.replace("c0 in out 0\n", "")
+        assert_same_run(transient(parse(RC_RAMP), opts=opts),
+                        transient(parse(without), opts=opts))
+
+
 class TestTransient:
     def test_rc_tracks_exact_solution_to_one_percent(self):
         ws = transient(parse(RC))
@@ -552,7 +579,7 @@ class TestTransient:
 
     def test_csv_layout(self):
         ws = transient(parse("* t\nv1 a 0 dc 1\nr1 a 0 1k\n.tran 1n 10n\n.end\n"))
-        lines = ws.to_csv().splitlines()
+        lines = csv_text(ws).splitlines()
         assert lines[0] == "time,a,i(v1)"
         assert len(lines) == len(ws.times) + 1
         first = [float(v) for v in lines[1].split(",")]
@@ -564,7 +591,7 @@ class TestTransient:
         series = ([ws.times] + [w.values for w in ws.voltages.values()]
                   + [w.values for w in ws.currents.values()])
         rows = [",".join(repr(float(s[i])) for s in series) for i in range(len(ws.times))]
-        assert ws.to_csv() == "\n".join(["time,in,out,i(v1)"] + rows) + "\n"
+        assert csv_text(ws) == "\n".join(["time,in,out,i(v1)"] + rows) + "\n"
 
     def test_csv_to_a_stream_keeps_memory_flat(self, tmp_path):
         # 20001 points of 23 columns, about 8.7 MB of text: written in
@@ -585,7 +612,7 @@ class TestTransient:
                 tracemalloc.stop()
         assert peak < 1e6
         assert path.stat().st_size > 8e6
-        assert path.read_text() == ws.to_csv()
+        assert path.read_text() == csv_text(ws)
 
 
 class TestBatch:

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mvlsim
 from mvlsim import characterize
 
@@ -59,3 +61,22 @@ def test_scripts_import_names_that_exist():
                             for alias in node.names
                             if not hasattr(module, alias.name)]
     assert not missing
+
+
+def test_reference_generator_runs_the_trapezoidal_rule(monkeypatch):
+    # perfbench/reference.py is the one caller of the trapezoidal rule and
+    # of transient(net, analysis, opts); run_at writes nothing.  At 10 ps
+    # its figures sit within 0.2% of the committed 0.5 ps reference, where
+    # backward Euler's are 3% off.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        import common
+        import reference
+        net, wset, cost = reference.run_at("cmos32", 1e-11, "trapezoidal")
+        figures = common.figures_of(net, wset)
+        committed = common.reference_figures()["cmos32"]
+    finally:
+        for name in ("common", "reference"):
+            sys.modules.pop(name, None)
+    assert (cost["steps"], cost["newton_iters"]) == (443, 780)
+    assert figures == pytest.approx(committed, rel=2e-3)
