@@ -60,9 +60,6 @@ class _NetBuilder:
         self.spec = spec
 
     def model(self, name: str, card: FetModelCard) -> str:
-        existing = self.net.models.get(name)
-        if existing is not None and existing != card:
-            raise ValueError(f"conflicting model definition {name!r}")
         self.net.models[name] = card
         return name
 

@@ -77,7 +77,7 @@ def resolve_tech(name: str) -> TechnologyCard:
     if name in preset_names():
         return preset(name)
     path = Path(name)
-    if not path.exists():
+    if not path.is_file():
         raise ValueError(
             f"unknown technology {name!r}: not a preset "
             f"({', '.join(preset_names())}) and not a file"
@@ -120,12 +120,13 @@ def _node_waveform(wset: WaveformSet, node: str) -> Waveform:
     return wset.voltage(node)
 
 
-def evaluate_measures(net: Netlist, wset: WaveformSet) -> dict[str, float | None]:
-    """Evaluate every .measure directive; unmeasurable ones map to None."""
+def evaluate_measures(net: Netlist, wset: WaveformSet | None) -> dict[str, float | None]:
+    """Evaluate every .measure directive on wset; unmeasurable ones, and all
+    of them without a waveform (wset None), map to None."""
     out: dict[str, float | None] = {}
     for m in net.measures:
         try:
-            out[m.name] = _evaluate_one(net, wset, m)
+            out[m.name] = None if wset is None else _evaluate_one(net, wset, m)
         except MeasureError:
             out[m.name] = None
     return out

@@ -150,7 +150,7 @@ def cmd_run(args: argparse.Namespace) -> Result:
         # a transient starts from the operating point: read it there
         op = (dc_operating_point(net) if wset is None else
               {name: float(w.values[0]) for name, w in wset.voltages.items()})
-    results = {} if wset is None else evaluate_measures(net, wset)
+    results = evaluate_measures(net, wset)
     report = assemble_report(path.stem, net.measures, results)
     doc = {
         "command": "run",

@@ -240,20 +240,20 @@ def _probe(n: int) -> np.ndarray:
     return p
 
 
-def _solve(a: np.ndarray, b: np.ndarray,
-           rhs: np.ndarray) -> tuple[np.ndarray, dict[int, SingularMatrixError]]:
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, SingularMatrixError]]:
     """Solve the stack a[j] @ x[j] = b[j] by one LAPACK call; _lu_solve
     decides doubtful systems.
 
-    b goes to column 0 of rhs (batch x n x 2) and the probe p times each
-    row's sum of |a_ij| to column 1, and both are solved together: the
-    probe's solution z is that of the row-equilibrated system
+    b goes to column 0 of the right-hand sides (batch x n x 2) and the
+    probe p times each row's sum of |a_ij| to column 1, and both are solved
+    together: the probe's solution z is that of the row-equilibrated system
     D^-1 a z = p, |D^-1 a|inf = 1.  Where LAPACK fails, x is not finite or
     |z|inf reaches _PROBE_KAPPA, the system is solved again by _lu_solve,
     which rejects every system it would reject on its own.  Returns x and
     the SingularMatrixError of each rejected system j; x[j] is then
     undefined.
     """
+    rhs = np.empty((*b.shape, 2))
     rhs[:, :, 0] = b
     np.multiply(_probe(b.shape[1]), np.add.reduce(np.abs(a), axis=2), out=rhs[:, :, 1])
     try:
@@ -262,24 +262,19 @@ def _solve(a: np.ndarray, b: np.ndarray,
         if len(a) == 1:
             sol = np.full(rhs.shape, math.nan)
         else:
-            each = [_solve(a[j:j + 1], b[j:j + 1], rhs[j:j + 1]) for j in range(len(a))]
+            each = [_solve(a[j:j + 1], b[j:j + 1]) for j in range(len(a))]
             return (np.concatenate([x for x, _ in each]),
                     {j: e for j, (_, err) in enumerate(each) for e in err.values()})
     x, errors = sol[:, :, 0], {}
-    for j, top in enumerate(np.maximum.reduce(np.abs(sol), axis=1).tolist()):
-        if _trusted(top):
+    for j, (top_x, top_z) in enumerate(np.maximum.reduce(np.abs(sol), axis=1).tolist()):
+        # NaN, which np.maximum propagates, fails both tests
+        if top_x < math.inf and top_z < _PROBE_KAPPA:
             continue
         try:
             x[j] = _lu_solve(a[j], b[j])
         except SingularMatrixError as err:
             errors[j] = err
     return x, errors
-
-
-def _trusted(top) -> bool:
-    """Whether a solve with largest |x| and probe |z| top[0] and top[1]
-    stays with LAPACK; NaN, which np.maximum propagates, fails both tests."""
-    return top[0] < math.inf and top[1] < _PROBE_KAPPA
 
 
 @dataclass
@@ -363,16 +358,6 @@ def _column(rows, i, dtype=float) -> np.ndarray:
     return np.array([r[i] for r in rows], dtype=dtype)
 
 
-def _vsources(net: Netlist) -> list:
-    return [d for d in net.devices if d.kind == "vsource"]
-
-
-def _vlimit(svals: np.ndarray) -> np.ndarray:
-    """Newton's clip on node-voltage updates: twice the largest |source
-    value| of each member (batch x nsrc), at least 1 V."""
-    return 2.0 * np.maximum.reduce(np.abs(svals), axis=1, initial=0.5)
-
-
 def _stamped(w):
     """Branch derivatives w as the weights w, -w, -w, w of the Jacobian
     slots (p, c), (p, d), (q, c), (q, d) that _Circuit's stamp lists."""
@@ -381,7 +366,10 @@ def _stamped(w):
 
 class _Circuit:
     """Netlists with the same nodes and sources, compiled once into branch
-    index arrays over one flat unknown vector.
+    index arrays over one flat unknown vector, and the linearization Newton
+    iterates on: the linear branches' conductances g and their Jacobian
+    (set_conductances), their offset currents i0 and Newton's update clip
+    (set_sources).
 
     Member b's unknowns sit at b*(n+1) .. b*(n+1) + n-1 and its ground at
     b*(n+1) + n.  A single circuit is a batch of one.
@@ -391,26 +379,27 @@ class _Circuit:
         self.batch = len(nets)
         self.node_names = nets[0].nodes[1:]  # non-ground
         self.nv = nv = len(self.node_names)
-        self.vsources = _vsources(nets[0])
+        self.vsources = [d for d in nets[0].devices if d.kind == "vsource"]
         self.n = n = nv + len(self.vsources)
         self.n1 = n1 = n + 1
         src_names = [d.name for d in self.vsources]
         res, caps, fets, gmins, shunts, src_i, src_v, self.stimuli = ([] for _ in range(8))
         for b, net in enumerate(nets):
             net.validate()
-            sources = _vsources(net)
-            if (net.nodes[1:] != self.node_names
-                    or [d.name for d in sources] != src_names):
-                raise ValueError("batched netlists need the same nodes and sources")
-            self.stimuli.append([d.stimulus for d in sources])
             ground = b * n1 + n
             node_of = {name: b * n1 + i - 1 for i, name in enumerate(net.nodes)}
             node_of["0"] = ground
-            fet_nodes = set()
+            fet_nodes, names, stimuli = set(), [], []
             for d in net.devices:
                 t = [node_of[name] for name in d.terminals]
                 if d.kind == "resistor":
                     res.append((*t, *t, 1.0 / d.params["resistance"]))
+                elif d.kind == "vsource":
+                    row = b * n1 + nv + len(names)
+                    src_i.append((*t, row, ground, 1.0))  # the current x[row]
+                    src_v.append((row, ground, *t, 1.0))  # x[p] - x[q] - value
+                    names.append(d.name)
+                    stimuli.append(d.stimulus)
                 elif d.kind == "capacitor":
                     caps.append((t[0], t[1], d.params["capacitance"]))
                 elif d.kind == "fet":
@@ -423,13 +412,11 @@ class _Circuit:
                     fets.append((*ends, *ctrl, vth, card.k * m, card.lam))
                     caps += [(gate, src, card.cg * m), (drain, ground, card.cd * m)]
                     fet_nodes.update((drain, src))
+            if net.nodes[1:] != self.node_names or names != src_names:
+                raise ValueError("batched netlists need the same nodes and sources")
+            self.stimuli.append(stimuli)
             gmins += [(i, ground, i, ground, _GMIN) for i in sorted(fet_nodes - {ground})]
             shunts += [(b * n1 + i, ground, b * n1 + i, ground) for i in range(nv)]
-            for j, d in enumerate(sources):
-                p, q = (node_of[name] for name in d.terminals)
-                row = b * n1 + nv + j
-                src_i.append((p, q, row, ground, 1.0))  # the current x[row]
-                src_v.append((row, ground, p, q, 1.0))  # x[p] - x[q] - value
         caps = [(p, q, p, q, c) for p, q, c in caps if c > 0.0]
         idx = np.intp
         # ascending: each member's capacitors in a row
@@ -476,7 +463,6 @@ class _Circuit:
         self.cap_hi, self.cap_lo = lc[self.cap_branches], ld[self.cap_branches]
         self.flat_fet = stamp(np.tile(fp, 2), np.tile(fq, 2),
                               np.concatenate((fc, fp)), np.concatenate((fd, fq)))
-        self.rhs = np.empty((self.batch, n, 2))  # _solve's right-hand sides
         self.i0 = np.zeros(nl)
         # residual's branch currents in the order of ends: linear and FET
         # branches, then the same negated
@@ -489,42 +475,42 @@ class _Circuit:
         return np.array([stim.value_at(t) for stims, t in zip(self.stimuli, ts)
                          for stim in stims]).reshape(self.batch, self.n - self.nv)
 
-    def linear_part(self, geq, shunt):
-        """What stays fixed while the step size does: the linear-branch
-        conductances and their flat Jacobian.  geq are the capacitor
+    def set_conductances(self, geq, shunt):
+        """Set what stays fixed while the step size does: the linear-branch
+        conductances g and their flat Jacobian.  geq are the capacitor
         companion conductances (zeros for DC), shunt the gmin-stepping
         conductance from every node to ground."""
         shunts = np.full(self.n_shunt, shunt)
-        g = np.concatenate((self.g_fixed, geq, shunts))
-        jac = self.jac_fixed + np.bincount(self.flat_cap, _stamped(geq),
-                                           minlength=self.size)
+        self.g = np.concatenate((self.g_fixed, geq, shunts))
+        self.jac_lin = self.jac_fixed + np.bincount(self.flat_cap, _stamped(geq),
+                                                    minlength=self.size)
         if shunt:
-            jac += np.bincount(self.flat_shunt, _stamped(shunts), minlength=self.size)
-        return g, jac
+            self.jac_lin += np.bincount(self.flat_shunt, _stamped(shunts),
+                                        minlength=self.size)
 
-    def offsets(self, ihist, svals):
-        """The linear branches' offset currents i0: the capacitor history
-        currents ihist, minus the source values svals (batch x nsrc) on
-        the source constraints, zero elsewhere.  The array is the
-        circuit's own, which the next call overwrites."""
+    def set_sources(self, ihist, svals):
+        """Set the linear branches' offset currents i0: the capacitor
+        history currents ihist, minus the source values svals (batch x
+        nsrc) on the source constraints, zero elsewhere; and Newton's clip
+        on node-voltage updates: twice each member's largest |source value|,
+        at least 1 V."""
         self.i0[self.cap_branches] = ihist
         self.i0[self.src_branches] = -svals.reshape(-1)
-        return self.i0
+        self.vlimit = 2.0 * np.maximum.reduce(np.abs(svals), axis=1, initial=0.5)
 
-    def residual(self, x, lin):
+    def residual(self, x):
         """KCL residual F (batch x n) at x (batch x n+1, ground 0 last), and
         the FETs' gm and gds.
 
         The branch currents stay in cur until the next call.
         """
-        g, _jac, i0 = lin
         flat = x.reshape(-1)
         dv = flat[self.hi] - flat[self.lo]
         v_lin, vgs, vds = (dv[p] for p in self.parts)
         i_fet, gm, gds = square_law(self.vth, self.k, self.lam, vgs, vds)
         lin_i, fet_i, negated = self.cur_parts
-        np.multiply(g, v_lin, out=lin_i)
-        lin_i += i0
+        np.multiply(self.g, v_lin, out=lin_i)
+        lin_i += self.i0
         fet_i[:] = i_fet
         np.negative(self.cur[:len(negated)], out=negated)
         f = np.bincount(self.ends, self.cur, minlength=self.batch * self.n1)
@@ -537,11 +523,11 @@ class _Circuit:
         np.maximum.at(scale, self.ends, np.abs(self.cur))
         return scale.reshape(-1, self.n1)[:, :self.nv]
 
-    def jacobian(self, lin, gm, gds):
-        """dF/dx, batch x n x n: linear_part's Jacobian plus the FETs'.
-        Added out of place: without FETs np.bincount returns int64."""
-        jac = lin[1] + np.bincount(self.flat_fet, _stamped(np.concatenate((gm, gds))),
-                                   minlength=self.size)
+    def jacobian(self, gm, gds):
+        """dF/dx, batch x n x n: the linear branches' Jacobian plus the
+        FETs'.  Added out of place: without FETs np.bincount returns int64."""
+        jac = self.jac_lin + np.bincount(self.flat_fet, _stamped(np.concatenate((gm, gds))),
+                                         minlength=self.size)
         return jac[:-1].reshape(-1, self.n, self.n)
 
     def cap_voltages(self, x):
@@ -549,15 +535,14 @@ class _Circuit:
         flat = x.reshape(-1)
         return flat[self.cap_hi] - flat[self.cap_lo]
 
-    def newton(self, x, vlimit, lin, live, t=None, label=""):
+    def newton(self, x, live, t=None, label=""):
         """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
-        criterion for the members listed, ascending, in live.
+        criterion for the members listed, ascending, in live, on the
+        linearization that set_conductances and set_sources last set.
 
-        x (batch x n+1) holds the initial guess and is updated in place;
-        vlimit holds each member's _vlimit; lin is linear_part's (g, jac)
-        followed by offsets' i0.  t holds each member's time point, None
-        for a DC solve, which errors carry; label (DC only) names the solve
-        in error messages.
+        x (batch x n+1) holds the initial guess and is updated in place.
+        t holds each member's time point, None for a DC solve, which errors
+        carry; label (DC only) names the solve in error messages.
         Returns each member's Newton update count (the linear solves made
         for it, the failing one included), its KCL excess at the iterate
         its test ran on and the error of each member that failed.
@@ -569,7 +554,7 @@ class _Circuit:
         last_dx = [math.inf] * batch
         failed: dict[int, Exception] = {}
         times = [None] * batch if t is None else [float(tb) for tb in t]
-        clip = float(np.min(vlimit))  # no update below it needs clipping
+        clip = float(np.min(self.vlimit))  # no update below it needs clipping
 
         def kcl():
             """Each node's KCL excess |F| - _RELTOL * scale at this
@@ -609,7 +594,7 @@ class _Circuit:
         for it in range(_MAX_NEWTON_ITERS + 1):
             if not members:
                 break
-            f, gm, gds = self.residual(x, lin)
+            f, gm, gds = self.residual(x)
             over = err = None  # kcl() evaluates them when first needed
             # x_k + dx met _VTOL but KCL failed at x_k: test KCL at x_k + dx
             converge(it)
@@ -620,11 +605,11 @@ class _Circuit:
                     iters[b] = it
                     fail(b, diverged=False)
                 break
-            jac = self.jacobian(lin, gm, gds)
-            dx, singular = _solve(jac[pick], -f[pick], self.rhs[:len(members)])
+            jac = self.jacobian(gm, gds)
+            dx, singular = _solve(jac[pick], -f[pick])
             step = np.maximum.reduce(np.abs(dx), axis=1, initial=0.0)
             if (step > clip).any():  # clip the node-voltage updates
-                lim = vlimit[pick, None]
+                lim = self.vlimit[pick, None]
                 dx_v = dx[:, :nv]
                 np.minimum(dx_v, lim, out=dx_v)
                 np.maximum(dx_v, -lim, out=dx_v)
@@ -660,20 +645,18 @@ class _Circuit:
         every solve made (a failed plain solve and each gmin step included),
         the KCL excesses and the error of each member that failed.
         """
-        vlimit, geq = _vlimit(svals), np.zeros(len(self.cap_c))
-        i0 = self.offsets(geq, svals)  # no capacitor history either
+        geq = np.zeros(len(self.cap_c))
+        self.set_conductances(geq, 0.0)
+        self.set_sources(geq, svals)  # no capacitor history either
         x = np.zeros((self.batch, self.n1))
-        iters, excess, failed = self.newton(x, vlimit, (*self.linear_part(geq, 0.0), i0),
-                                            range(self.batch), label=" (dc)")
+        iters, excess, failed = self.newton(x, range(self.batch), label=" (dc)")
         if failed:
             retry = sorted(failed)
             x[retry] = 0.0
             failed = {}
             for s in range(_GMIN_STEPS + 1):
-                shunt = _GMIN * 10.0 ** (_GMIN_STEPS - s)
-                it, exc, bad = self.newton(
-                    x, vlimit, (*self.linear_part(geq, shunt), i0), retry,
-                    label=f" (gmin step {s})")
+                self.set_conductances(geq, _GMIN * 10.0 ** (_GMIN_STEPS - s))
+                it, exc, bad = self.newton(x, retry, label=f" (gmin step {s})")
                 failed.update(bad)
                 retry = [b for b in retry if b not in bad]
                 for b in retry:
@@ -842,7 +825,7 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     # the capacitors' voltages and currents at each member's last point;
     # backward Euler keeps no current, so its cap_i stays zero
     cap_v, cap_i = ckt.cap_voltages(x), np.zeros(len(c))
-    steps = None  # the steps the linear part was built for
+    steps = None  # the steps the conductances were set for
     while True:
         # members after the lowest failed one no longer matter
         live = [b for b in range(min(failed, default=batch)) if not members[b].done]
@@ -851,16 +834,15 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
         for b in live:
             x[b] = members[b].predict()
         t = [m.next for m in members]
-        svals = ckt.source_values(t)
         predicted = x[:, :nv].copy()
         h = [m.h for m in members]
         if h != steps:  # geq, and so g and the linear Jacobian, depend on h alone
             steps = h
             geq = (2.0 if trap else 1.0) * c / np.array(h)[cap_member]
-            g, jac = ckt.linear_part(geq, 0.0)
+            ckt.set_conductances(geq, 0.0)
         ihist = -geq * cap_v - cap_i
-        i0 = ckt.offsets(ihist, svals)
-        it, exc, bad = ckt.newton(x, _vlimit(svals), (g, jac, i0), live, t=t)
+        ckt.set_sources(ihist, ckt.source_values(t))
+        it, exc, bad = ckt.newton(x, live, t=t)
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
                                 initial=0.0).tolist()
         # Newton's last residual was at the iterate before its solution

@@ -20,12 +20,12 @@ def one_fet():
         ckt = _Circuit([net])
         assert ckt.node_names == ["g", "d"]
         open_caps = np.zeros(len(ckt.cap_c))
-        linear = ckt.linear_part(open_caps, 0.0)
+        ckt.set_conductances(open_caps, 0.0)
 
         def at(vgs, vds):
             x = np.array([[vgs, vds, 0.0, 0.0, 0.0]])
-            lin = (*linear, ckt.offsets(open_caps, np.array([[vgs, vds]])))
-            f, gm, gds = ckt.residual(x, lin)
-            return f[0], ckt.jacobian(lin, gm, gds)[0]
+            ckt.set_sources(open_caps, np.array([[vgs, vds]]))
+            f, gm, gds = ckt.residual(x)
+            return f[0], ckt.jacobian(gm, gds)[0]
         return at
     return make

@@ -453,6 +453,21 @@ class TestFormats:
             assert json.loads(stdout)["op"] == {"a": 2.0, "b": 1.0}
         assert (out / "op.json").is_file()
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_op_only_run_keeps_its_measures(self, tmp_path, capsys, fmt):
+        # without .tran there is no waveform to measure: each directive
+        # maps to None, as an unmeasurable one does under .tran
+        src = tmp_path / "op.sp"
+        src.write_text(self.OP_ONLY.replace(".end", ".measure m1 rise v(b)\n.end"))
+        out = tmp_path / "out"
+        assert main(["run", str(src), "--out", str(out), "--format", fmt]) == 0
+        stdout = capsys.readouterr().out
+        if fmt == "table":
+            assert stdout == "v(a) = 2.0\nv(b) = 1.0\nm1 = None\n"
+        else:
+            assert json.loads(stdout)["measures"] == {"m1": None}
+        assert json.loads((out / "op.json").read_text())["measures"] == {"m1": None}
+
     SWEEP = ["sweep", "--param", "load", "--start", "1e-15", "--stop", "2e-15",
              "--count", "2", "--hold", "1e-9"]
 
@@ -516,3 +531,11 @@ class TestResolveTech:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="preset"):
             resolve_tech("does-not-exist")
+
+    @pytest.mark.parametrize("name", ["", "{tmp}"], ids=["empty", "directory"])
+    def test_empty_name_or_directory_is_exit_1(self, tmp_path, capsys, name):
+        # Path("") is ".": neither it nor any directory is a technology file
+        assert main(["decoder", "--tech", name.format(tmp=tmp_path), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert "not a preset (cmos32, gnrfet32) and not a file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

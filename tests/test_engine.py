@@ -98,7 +98,7 @@ def alternating_pwl(corners, hold=2.5e-10, slew=1e-10):
 def solve(a, b):
     """x with a @ x = b, through the solver Newton uses; raises its
     SingularMatrixError."""
-    x, errors = _solve(a[None], b[None], np.empty((1, len(b), 2)))
+    x, errors = _solve(a[None], b[None])
     if errors:
         raise errors[0]
     return x[0]
@@ -122,10 +122,11 @@ def forbid_lu_fallback(monkeypatch):
 def linearize(ckt, x, svals, geq, ihist, shunt):
     """KCL residual F, per-node current scale and Jacobian dF/dx of a batch
     of one at x (ground 0 last), as a Newton iteration computes them; geq
-    and shunt as in linear_part, ihist as in offsets."""
-    lin = (*ckt.linear_part(geq, shunt), ckt.offsets(ihist, svals[None]))
-    f, gm, gds = ckt.residual(x[None], lin)
-    return f[0], ckt.scale()[0], ckt.jacobian(lin, gm, gds)[0]
+    and shunt as in set_conductances, ihist as in set_sources."""
+    ckt.set_conductances(geq, shunt)
+    ckt.set_sources(ihist, svals[None])
+    f, gm, gds = ckt.residual(x[None])
+    return f[0], ckt.scale()[0], ckt.jacobian(gm, gds)[0]
 
 
 def gnrfet32_linearization():
@@ -304,9 +305,9 @@ class TestDc:
         solves = []
         newton = _Circuit.newton
 
-        def spy(self, x, vlimit, lin, live, t=None, label=""):
+        def spy(self, x, live, t=None, label=""):
             solves.append(label)
-            return newton(self, x, vlimit, lin, live, t, label)
+            return newton(self, x, live, t, label)
 
         monkeypatch.setattr(_Circuit, "newton", spy)
         forbid_lu_fallback(monkeypatch)
@@ -341,7 +342,7 @@ class TestDc:
     def test_divergence_is_reported(self, monkeypatch):
         # every update is NaN: the plain solve and gmin step 0 diverge at
         # their first update, reported at the iterate it started from
-        def nan_update(a, b, rhs):
+        def nan_update(a, b):
             return np.full(b.shape, math.nan), {}
 
         monkeypatch.setattr(engine, "_solve", nan_update)
@@ -476,9 +477,9 @@ class TestTransient:
         solved = []
         solve_stack = engine._solve
 
-        def counting(a, b, rhs):
+        def counting(a, b):
             solved.append(len(a))
-            return solve_stack(a, b, rhs)
+            return solve_stack(a, b)
 
         monkeypatch.setattr(engine, "_solve", counting)
         net = parse("* t\nv1 a 0 dc 1\nr1 a b 1k\nc1 b c 1p\nc2 c 0 1p\n"
@@ -495,13 +496,13 @@ class TestTransient:
         residuals, solved = [], []
         residual, solve_stack = _Circuit.residual, engine._solve
 
-        def count_residual(self, x, lin):
+        def count_residual(self, x):
             residuals.append(len(x))
-            return residual(self, x, lin)
+            return residual(self, x)
 
-        def count_solve(a, b, rhs):
+        def count_solve(a, b):
             solved.append(len(a))
-            return solve_stack(a, b, rhs)
+            return solve_stack(a, b)
 
         monkeypatch.setattr(_Circuit, "residual", count_residual)
         monkeypatch.setattr(engine, "_solve", count_solve)
@@ -526,14 +527,14 @@ class TestTransient:
         attempts = []
         newton, solve_stack = _Circuit.newton, engine._solve
 
-        def spy(self, x, vlimit, lin, live, t=None, label=""):
+        def spy(self, x, live, t=None, label=""):
             if t is not None:
                 attempts.append(float(t[0]))
-            return newton(self, x, vlimit, lin, live, t, label)
+            return newton(self, x, live, t, label)
 
-        def singular_at_third_point(a, b, rhs):
+        def singular_at_third_point(a, b):
             if len(attempts) < 3:
-                return solve_stack(a, b, rhs)
+                return solve_stack(a, b)
             return np.zeros(b.shape), {0: SingularMatrixError(1)}
 
         monkeypatch.setattr(_Circuit, "newton", spy)
@@ -676,6 +677,18 @@ class TestBatch:
         with pytest.raises(ValueError, match="same nodes and sources"):
             transient_batch([parse(RC), other])
 
+    PAIR = "* pair\nr1 a b 1k\n{}\n{}\nr2 b 0 1k\n.tran 1p 1n\n.end\n"
+
+    @pytest.mark.parametrize("other", [
+        PAIR.format("vx a 0 dc 1", "v2 b 0 dc 2"),
+        PAIR.format("v2 b 0 dc 2", "v1 a 0 dc 1"),
+    ], ids=["renamed", "swapped"])
+    def test_members_need_the_same_sources(self, other):
+        first, other = parse(self.PAIR.format("v1 a 0 dc 1", "v2 b 0 dc 2")), parse(other)
+        assert first.nodes == other.nodes
+        with pytest.raises(ValueError, match="same nodes and sources"):
+            transient_batch([first, other])
+
     def test_singular_member_reports_its_pivot(self):
         good = "* pair\nv1 a 0 dc 1\nv2 b 0 dc 1\nr1 a 0 1k\nr2 b 0 1k\n.tran 1p 1n\n.end\n"
         bad = "* pair\nv1 a b dc 1\nv2 b a dc 1\nr1 a 0 1k\nr2 b 0 1k\n.tran 1p 1n\n.end\n"
@@ -729,8 +742,8 @@ def attempts_failing_once_after(monkeypatch, t_fail):
     attempts = []
     newton = _Circuit.newton
 
-    def spy(self, x, vlimit, lin, live, t=None, label=""):
-        iters, excess, failed = newton(self, x, vlimit, lin, live, t, label)
+    def spy(self, x, live, t=None, label=""):
+        iters, excess, failed = newton(self, x, live, t, label)
         if t is not None:
             attempts.append(float(t[0]))
             if t[0] > t_fail and sum(a > t_fail for a in attempts) == 1:

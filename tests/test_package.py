@@ -48,6 +48,20 @@ def test_calibration_tool_imports(monkeypatch):
     assert callable(tool.main)
 
 
+def test_calibration_tool_finds_src_from_any_directory(tmp_path):
+    # the tool puts this checkout's src on sys.path from its own location,
+    # so it runs from any working directory with no installed package
+    code = ("import importlib.util, sys; "
+            "spec = importlib.util.spec_from_file_location('calibrate_presets', sys.argv[1]); "
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+            "print(sys.modules['mvlsim'].__file__)")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools" / "calibrate_presets.py")],
+                         cwd=tmp_path, env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert Path(out.strip()).resolve() == SRC / "mvlsim" / "__init__.py"
+
+
 def test_scripts_import_names_that_exist():
     # the benchmark and the tools import these names; CI runs only some of
     # the scripts, so a name the package drops would otherwise go unnoticed

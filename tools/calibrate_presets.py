@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mvlsim.cells import CellSpec, build_inverter, with_dc_input  # noqa: E402
 from mvlsim.characterize import RunConfig, run_decoder  # noqa: E402
