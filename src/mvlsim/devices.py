@@ -56,7 +56,7 @@ class FetModelCard:
             raise ValueError("P-type card requires vth <= 0")
 
 
-def square_law(vth, k, lam, vgs, vds):
+def square_law(vth, k, lam, vgs, vds, out=None):
     """N-channel square law, element-wise over scalars or numpy arrays.
 
     Returns (id, gm, gds): the drain current (positive drain-to-source) and
@@ -69,8 +69,13 @@ def square_law(vth, k, lam, vgs, vds):
     One clamped formula covers the three regions: with vov = max(vgs - vth, 0)
     and ve = min(vds, vov), id = k*ve*(vov - ve/2)*(1 + lambda*vds); ve = vds
     in triode, vov in saturation and 0 in cutoff.  The reversal needs no
-    select: vgs - min(vds, 0) is the gate voltage either way, id and gm
-    are multiplied by -1 and gds gains gm, all exact operations.
+    select: vgs - min(vds, 0) is the gate voltage either way; then, in
+    place and only where vds < 0, gds gains gm and id and gm are negated,
+    all exact operations.
+
+    out, if given, is a tuple of three float arrays of the result's shape
+    that receive id, gm and gds and are returned: the engine passes slices
+    of its own buffers, so its Newton updates copy no device output.
     """
     rev = vds < 0.0
     vgs = vgs - np.minimum(vds, 0.0)
@@ -79,10 +84,18 @@ def square_law(vth, k, lam, vgs, vds):
     ve = np.minimum(vds, vov)
     cl = 1.0 + lam * vds
     kq = k * (ve * (vov - 0.5 * ve))
-    gm = k * ve * cl
-    gds = k * (vov - ve) * cl + kq * lam
-    sgn = np.where(rev, -1.0, 1.0)
-    return kq * cl * sgn, gm * sgn, gds + gm * rev
+    unwrap = out is None  # scalars in, numpy scalars out
+    if unwrap:
+        out = tuple(np.empty(np.broadcast(kq, cl).shape) for _ in range(3))
+    i, gm, gds = out
+    np.multiply(kq, cl, i)
+    np.multiply(k * ve, cl, gm)
+    np.multiply(k * (vov - ve), cl, gds)
+    gds += kq * lam
+    np.add(gds, gm, gds, where=rev)
+    np.negative(i, i, where=rev)
+    np.negative(gm, gm, where=rev)
+    return tuple(a[()] for a in out) if unwrap else out
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,32 @@ into index arrays over two forms of branch, both a current from end p to q:
 Ground is index n, one past the last unknown: every solution vector carries
 a trailing 0 there, so no stamp tests for ground; row n is sliced off the
 residual and the Jacobian's row and column n go to one spare slot.  One
-gather x[hi] - x[lo] gives every control voltage; the branch currents are
-scattered (np.bincount) into the KCL residual F and the largest branch
-current at each node.  One stamp gives every Jacobian entry: a derivative w
-by x[c] - x[d] adds w, -w, -w, w at (p, c), (p, d), (q, c), (q, d), once
-per linear branch and per FET once for gm and once for gds
-(Ho, Ruehli and Brennan, IEEE TCAS 1975).  Newton solves
-J dx = -F and converges when both a small update step and a small true KCL
-residual hold at every node:
+stamp gives every Jacobian entry: a derivative w by x[c] - x[d] adds w,
+-w, -w, w at (p, c), (p, d), (q, c), (q, d), once per linear branch and per
+FET once for gm and once for gds (Ho, Ruehli and Brennan, IEEE TCAS 1975).
+
+At n = 22 an update's arithmetic is small next to numpy's fixed cost per
+call, so one Newton update is a fixed, short sequence of calls on buffers
+that the compile step allocates, the same for a batch of one as of many:
+
+  1. one gather of x[hi], then x[lo], into one buffer and one subtraction
+     give every control voltage;
+  2. one square_law pass over the FETs writes their currents into the
+     branch-current buffer and their gm and gds into the FET Jacobian
+     weights, reversing the devices with vds < 0 in place;
+  3. the linear branches' currents g*v + i0 are written in front of the
+     FETs', the buffer's second half takes their negation, and one
+     np.bincount over the branch ends scatters them into the KCL residual F;
+  4. one negation and one copy turn the weights w into w, -w, -w, w, and one
+     np.bincount stamps them onto the linear branches' Jacobian;
+  5. one LAPACK call solves J dx = -F with the probe below, and one
+     reduction of |solution| gives each member's |dx|inf and |z|inf.
+
+The KCL test's per-node scale, when Newton needs it, is one gather of the
+branch currents in an order sorted by node at compile time and one
+np.maximum.reduceat.  Max and negation are exact, so none of this order
+changes a result.  Newton solves J dx = -F and converges when both a small
+update step and a small true KCL residual hold at every node:
 
     |sum of branch currents| <= _ABSTOL + _RELTOL * max |branch current|
     |dx| <= _VTOL for every unknown
@@ -68,10 +86,14 @@ bitwise the one it gives alone.  ``transient`` is a batch of one.
 
 Each Newton step is one LAPACK solve (np.linalg.solve) of the stacked
 J dx = -F together with a probe right-hand side D p, p fixed and D = diag(r),
-r_i the sum of |J_ij| over row i.  LAPACK sees J unchanged; the probe's
-solution z is that of the row-equilibrated D^-1 J z = p (Golub and Van
-Loan, Matrix Computations, sec. 3.5), and |D^-1 J|inf = 1, so |z|inf
-estimates the condition of D^-1 J.  Where LAPACK fails, dx is not finite
+r_i the sum of |J_ij| over row i, taken as the product |J| @ ones.  LAPACK
+sees J unchanged; the probe's solution z is that of the row-equilibrated
+D^-1 J z = p (Golub and Van Loan, Matrix Computations, sec. 3.5), and
+|D^-1 J|inf = 1, so |z|inf estimates the condition of D^-1 J.  A product
+sums a row in another order than a row reduction, so r and z may move in
+their last bits with the way r is taken, but dx does not: LAPACK factors J
+alone and solves each right-hand-side column on its own, and z feeds only
+the test against _PROBE_KAPPA.  Where LAPACK fails, dx is not finite
 or |z|inf reaches _PROBE_KAPPA, _lu_solve solves the step instead: a dense
 LU with partial pivoting of D^-1 J whose pivot threshold, 1e-14 *
 |D^-1 J|inf, makes it judge the matrix the probe judged.  It decides
@@ -233,48 +255,54 @@ _PROBE_KAPPA = 1e8
 
 
 @functools.cache
-def _probe(n: int) -> np.ndarray:
-    """The fixed probe cos(1..n), read-only."""
-    p = np.cos(np.arange(1.0, n + 1.0))
-    p.flags.writeable = False
-    return p
+def _probe(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed probe cos(1..n) and n ones, read-only."""
+    p, ones = np.cos(np.arange(1.0, n + 1.0)), np.ones(n)
+    p.flags.writeable = ones.flags.writeable = False
+    return p, ones
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, SingularMatrixError]]:
-    """Solve the stack a[j] @ x[j] = b[j] by one LAPACK call; _lu_solve
-    decides doubtful systems.
+def _solve(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, list[float],
+                                                  dict[int, SingularMatrixError]]:
+    """Newton's updates dx[j] = -a[j]^-1 f[j] for the stack of systems, by
+    one LAPACK call; _lu_solve decides doubtful systems.
 
-    b goes to column 0 of the right-hand sides (batch x n x 2) and the
+    -f goes to column 0 of the right-hand sides (batch x n x 2) and the
     probe p times each row's sum of |a_ij| to column 1, and both are solved
     together: the probe's solution z is that of the row-equilibrated system
-    D^-1 a z = p, |D^-1 a|inf = 1.  Where LAPACK fails, x is not finite or
+    D^-1 a z = p, |D^-1 a|inf = 1.  One reduction of |solution| gives each
+    system's |dx|inf and |z|inf.  Where LAPACK fails, dx is not finite or
     |z|inf reaches _PROBE_KAPPA, the system is solved again by _lu_solve,
-    which rejects every system it would reject on its own.  Returns x and
-    the SingularMatrixError of each rejected system j; x[j] is then
-    undefined.
+    which rejects every system it would reject on its own.  Returns dx,
+    each |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and the
+    SingularMatrixError of each rejected system j; dx[j] is then undefined.
     """
-    rhs = np.empty((*b.shape, 2))
-    rhs[:, :, 0] = b
-    np.multiply(_probe(b.shape[1]), np.add.reduce(np.abs(a), axis=2), out=rhs[:, :, 1])
+    p, ones = _probe(f.shape[1])
+    rhs = np.empty((*f.shape, 2))
+    np.negative(f, rhs[:, :, 0])
+    np.multiply(p, np.abs(a) @ ones, rhs[:, :, 1])
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:  # one singular system fails a whole stack
         if len(a) == 1:
             sol = np.full(rhs.shape, math.nan)
         else:
-            each = [_solve(a[j:j + 1], b[j:j + 1]) for j in range(len(a))]
-            return (np.concatenate([x for x, _ in each]),
-                    {j: e for j, (_, err) in enumerate(each) for e in err.values()})
-    x, errors = sol[:, :, 0], {}
-    for j, (top_x, top_z) in enumerate(np.maximum.reduce(np.abs(sol), axis=1).tolist()):
+            each = [_solve(a[j:j + 1], f[j:j + 1]) for j in range(len(a))]
+            return (np.concatenate([dx for dx, _, _ in each]),
+                    [s for _, step, _ in each for s in step],
+                    {j: e for j, (_, _, err) in enumerate(each) for e in err.values()})
+    dx, errors = sol[:, :, 0], {}
+    step, probe = np.maximum.reduce(np.abs(sol), axis=1).T.tolist()
+    for j, top_z in enumerate(probe):
         # NaN, which np.maximum propagates, fails both tests
-        if top_x < math.inf and top_z < _PROBE_KAPPA:
+        if step[j] < math.inf and top_z < _PROBE_KAPPA:
             continue
         try:
-            x[j] = _lu_solve(a[j], b[j])
+            dx[j] = _lu_solve(a[j], -f[j])
         except SingularMatrixError as err:
             errors[j] = err
-    return x, errors
+        step[j] = float(np.max(np.abs(dx[j])))
+    return dx, step, errors
 
 
 @dataclass
@@ -424,7 +452,7 @@ class _Circuit:
         self.cap_c = _column(caps, 4)
         # linear branches: fixed conductances, capacitors, stepping shunts
         fixed = res + src_v + src_i + gmins
-        self.src_branches = slice(len(res), len(res) + len(src_v))
+        src_branches = slice(len(res), len(res) + len(src_v))
         self.cap_branches = slice(len(fixed), len(fixed) + len(caps))
         self.n_shunt = len(shunts)
         lin = fixed + caps + shunts
@@ -432,10 +460,15 @@ class _Circuit:
         lp, lq, lc, ld = (_column(lin, i, idx) for i in range(4))
         fp, fq, fc, fd = (_column(fets, i, idx) for i in range(4))
         self.vth, self.k, self.lam = (_column(fets, i) for i in range(4, 7))
-        # one x[hi] - x[lo] gives every control voltage: the linear
-        # branches', the FETs' vgs, their vds = x[p] - x[q]
-        self.hi, self.lo = np.concatenate((lc, fc, fp)), np.concatenate((ld, fd, fq))
-        self.parts = [slice(0, nl), slice(nl, nl + nf), slice(nl + nf, nl + 2 * nf)]
+        # one gather of x[hi] then x[lo] into pair, and one subtraction
+        # into dv, give every control voltage: the linear branches', the
+        # FETs' vgs, their vds = x[p] - x[q]
+        nc = nl + 2 * nf
+        self.hilo = np.concatenate((lc, fc, fp, ld, fd, fq))
+        self.pair = np.empty(2 * nc)
+        self.x_hi, self.x_lo = self.pair[:nc], self.pair[nc:]
+        self.dv = np.empty(nc)
+        self.v_lin, self.vgs, self.vds = self.dv[:nl], self.dv[nl:nl + nf], self.dv[nl + nf:]
         # branch currents run from these nodes (first half) to these (second)
         self.ends = np.concatenate((lp, fp, lq, fq))
 
@@ -464,10 +497,29 @@ class _Circuit:
         self.flat_fet = stamp(np.tile(fp, 2), np.tile(fq, 2),
                               np.concatenate((fc, fp)), np.concatenate((fd, fq)))
         self.i0 = np.zeros(nl)
+        self.i0_cap, self.i0_src = self.i0[self.cap_branches], self.i0[src_branches]
         # residual's branch currents in the order of ends: linear and FET
-        # branches, then the same negated
-        self.cur = np.zeros(len(self.ends))
-        self.cur_parts = [self.cur[:nl], self.cur[nl:nl + nf], self.cur[nl + nf:]]
+        # branches, then the same negated; one more 0.0 stands in for the
+        # branches of a node that has none in scale's reduction
+        nb = nl + nf
+        self.cur = np.zeros(2 * nb + 1)
+        self.lin_i, self.branch_i, self.negated = (
+            self.cur[:nl], self.cur[:nb], self.cur[nb:2 * nb])
+        self.weights = self.cur[:2 * nb]
+        # the FETs' Jacobian weights in the order of flat_fet: w = (gm, gds),
+        # which square_law writes in place, then -w, -w and w
+        self.fet_w = np.zeros((4, 2 * nf))
+        self.fet_out = (self.cur[nl:nb], self.fet_w[0, :nf], self.fet_w[0, nf:])
+        # scale's gather: for each node voltage in turn, member by member,
+        # the rows of cur whose branches end at it, then the 0.0; the
+        # group of each node starts at scale_starts
+        volts = (np.arange(self.batch)[:, None] * n1 + np.arange(nv)).reshape(-1)
+        keys = np.concatenate((self.ends, volts))
+        rows = np.concatenate((np.tile(np.arange(nb), 2), np.full(len(volts), 2 * nb)))
+        keep = keys % n1 < nv
+        order = np.argsort(keys[keep], kind="stable")
+        self.scale_rows = rows[keep][order]
+        self.scale_starts = np.searchsorted(keys[keep][order], volts)
 
     def source_values(self, ts) -> np.ndarray:
         """Source values of each member b at its own time ts[b], batch x
@@ -492,42 +544,48 @@ class _Circuit:
         """Set the linear branches' offset currents i0: the capacitor
         history currents ihist, minus the source values svals (batch x
         nsrc) on the source constraints, zero elsewhere; and Newton's clip
-        on node-voltage updates: twice each member's largest |source value|,
-        at least 1 V."""
-        self.i0[self.cap_branches] = ihist
-        self.i0[self.src_branches] = -svals.reshape(-1)
-        self.vlimit = 2.0 * np.maximum.reduce(np.abs(svals), axis=1, initial=0.5)
+        on node-voltage updates: vlimit, twice each member's largest |source
+        value|, at least 1 V, and clip, the smallest of them, as floats, so
+        that Newton compares its update sizes with one number."""
+        self.i0_cap[:] = ihist
+        np.negative(svals.reshape(-1), self.i0_src)
+        self.vlimit = [2.0 * max([0.5, *map(abs, row)]) for row in svals.tolist()]
+        self.clip = min(self.vlimit)
 
     def residual(self, x):
-        """KCL residual F (batch x n) at x (batch x n+1, ground 0 last), and
-        the FETs' gm and gds.
+        """KCL residual F (batch x n) at x (batch x n+1, ground 0 last).
 
-        The branch currents stay in cur until the next call.
+        The branch currents stay in cur, and the FETs' derivatives in
+        fet_w, until the next call: scale and jacobian read them.
         """
-        flat = x.reshape(-1)
-        dv = flat[self.hi] - flat[self.lo]
-        v_lin, vgs, vds = (dv[p] for p in self.parts)
-        i_fet, gm, gds = square_law(self.vth, self.k, self.lam, vgs, vds)
-        lin_i, fet_i, negated = self.cur_parts
-        np.multiply(self.g, v_lin, out=lin_i)
-        lin_i += self.i0
-        fet_i[:] = i_fet
-        np.negative(self.cur[:len(negated)], out=negated)
-        f = np.bincount(self.ends, self.cur, minlength=self.batch * self.n1)
-        return f.reshape(-1, self.n1)[:, :self.n], gm, gds
+        # the indices are in range by construction; mode="raise" would
+        # gather into a temporary and copy it to out
+        x.take(self.hilo, out=self.pair, mode="clip")
+        np.subtract(self.x_hi, self.x_lo, self.dv)
+        np.multiply(self.g, self.v_lin, self.lin_i)
+        self.lin_i += self.i0
+        square_law(self.vth, self.k, self.lam, self.vgs, self.vds, self.fet_out)
+        np.negative(self.branch_i, self.negated)
+        f = np.bincount(self.ends, self.weights, minlength=self.batch * self.n1)
+        return f.reshape(-1, self.n1)[:, :self.n]
 
     def scale(self):
         """Each node's largest |branch current| at residual's last x, batch
-        x nv: the current scale of its KCL test."""
-        scale = np.zeros(self.batch * self.n1)
-        np.maximum.at(scale, self.ends, np.abs(self.cur))
-        return scale.reshape(-1, self.n1)[:, :self.nv]
+        x nv: the current scale of its KCL test.  One gather puts each
+        node's branch currents in a row, with a 0.0 after them, and one
+        reduction takes the largest magnitude of each row; max is exact, so
+        the order of the branches does not matter."""
+        mags = np.abs(self.cur[self.scale_rows])
+        return np.maximum.reduceat(mags, self.scale_starts).reshape(-1, self.nv)
 
-    def jacobian(self, gm, gds):
-        """dF/dx, batch x n x n: the linear branches' Jacobian plus the
-        FETs'.  Added out of place: without FETs np.bincount returns int64."""
-        jac = self.jac_lin + np.bincount(self.flat_fet, _stamped(np.concatenate((gm, gds))),
-                                         minlength=self.size)
+    def jacobian(self):
+        """dF/dx at residual's last x, batch x n x n: the linear branches'
+        Jacobian plus the FETs'.  Added out of place: without FETs
+        np.bincount returns int64."""
+        w = self.fet_w
+        np.negative(w[0], w[1])
+        w[2:] = w[1::-1]
+        jac = self.jac_lin + np.bincount(self.flat_fet, w.reshape(-1), minlength=self.size)
         return jac[:-1].reshape(-1, self.n, self.n)
 
     def cap_voltages(self, x):
@@ -547,77 +605,48 @@ class _Circuit:
         for it, the failing one included), its KCL excess at the iterate
         its test ran on and the error of each member that failed.
         """
-        n, nv = self.n, self.nv
-        batch = self.batch
+        n, nv, batch = self.n, self.nv, self.batch
         members = list(live)
         iters, excess = [0] * batch, [0.0] * batch
-        last_dx = [math.inf] * batch
         failed: dict[int, Exception] = {}
         times = [None] * batch if t is None else [float(tb) for tb in t]
-        clip = float(np.min(self.vlimit))  # no update below it needs clipping
-
-        def kcl():
-            """Each node's KCL excess |F| - _RELTOL * scale at this
-            iteration's x, and each member's largest."""
-            nonlocal over, err
-            if err is None:
-                over = np.abs(f[:, :nv]) - _RELTOL * self.scale()
-                err = np.maximum.reduce(over, axis=1).tolist() if nv else [0.0] * batch
-            return err
-
-        def fail(b, diverged):
-            kcl()
-            tb = times[b]
-            where = label if tb is None else f" at t={tb:.6g}s"
-            name = self.node_names[int(np.argmax(over[b]))] if nv else "?"
-            message = (f"solution diverged{where}" if diverged else
-                       f"Newton failed after {_MAX_NEWTON_ITERS} iterations"
-                       f"{where}; worst node {name!r} (KCL excess {err[b]:.3e} A)")
-            failed[b] = ConvergenceError(message, t=tb, node=name, excess=err[b],
-                                         iteration=it + diverged)
-
-        def converge(it):
-            """Drop the members whose last update met _VTOL and whose KCL
-            test holds at this iteration's x; they took it updates."""
-            nonlocal members, pick
-            going = []
-            for b in members:
-                if last_dx[b] <= _VTOL and kcl()[b] <= _ABSTOL:
-                    iters[b], excess[b] = it, err[b]
-                else:
-                    going.append(b)
-            if len(going) < len(members):
-                members, pick = going, np.array(going, dtype=np.intp)
-
         # the rows of the members still iterating
         pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
+        # the members whose last update met _VTOL while KCL failed at the
+        # iterate it started from
+        met = []
         for it in range(_MAX_NEWTON_ITERS + 1):
             if not members:
                 break
-            f, gm, gds = self.residual(x)
-            over = err = None  # kcl() evaluates them when first needed
-            # x_k + dx met _VTOL but KCL failed at x_k: test KCL at x_k + dx
-            converge(it)
-            if not members:
-                break
+            f = self.residual(x)
+            over = err = None  # the KCL test, evaluated when first needed
+            if met:  # x_k-1 + dx met _VTOL but KCL failed at x_k-1: test it at x_k
+                over, err = self._kcl(f)
+                done = {b for b in met if err[b] <= _ABSTOL}
+                if done:
+                    for b in done:
+                        iters[b], excess[b] = it, err[b]
+                    members = [b for b in members if b not in done]
+                    pick = np.array(members, dtype=np.intp)
+                    if not members:
+                        break
             if it == _MAX_NEWTON_ITERS:
+                if err is None:
+                    over, err = self._kcl(f)
                 for b in members:
                     iters[b] = it
-                    fail(b, diverged=False)
+                    failed[b] = self._failure(b, over, err, times[b], label, it, False)
                 break
-            jac = self.jacobian(gm, gds)
-            dx, singular = _solve(jac[pick], -f[pick])
-            step = np.maximum.reduce(np.abs(dx), axis=1, initial=0.0)
-            if (step > clip).any():  # clip the node-voltage updates
-                lim = self.vlimit[pick, None]
-                dx_v = dx[:, :nv]
-                np.minimum(dx_v, lim, out=dx_v)
-                np.maximum(dx_v, -lim, out=dx_v)
-                step = np.maximum.reduce(np.abs(dx), axis=1, initial=0.0)
-            step = step.tolist()
-            # NaN propagates through np.maximum: a non-finite update has a
-            # step that is not below inf
-            if singular or not all(s < math.inf for s in step):
+            dx, step, singular = _solve(self.jacobian()[pick], f[pick])
+            # NaN propagates through np.maximum and fails every test of a
+            # step: a non-finite update has a step that is not below inf
+            if singular or not all(s <= self.clip for s in step):
+                if any(s > self.clip for s in step):  # clip the node-voltage updates
+                    lim = np.array(self.vlimit)[pick, None]
+                    dx_v = dx[:, :nv]
+                    np.minimum(dx_v, lim, out=dx_v)
+                    np.maximum(dx_v, -lim, out=dx_v)
+                    step = np.maximum.reduce(np.abs(dx), axis=1).tolist()
                 keep = [j not in singular and s < math.inf for j, s in enumerate(step)]
                 for j, b in enumerate(members):
                     if keep[j]:
@@ -627,16 +656,45 @@ class _Circuit:
                         failed[b] = singular[j]
                         failed[b].t = times[b]
                     else:
-                        fail(b, diverged=True)
-                members = [b for b, k in zip(members, keep) if k]
-                pick = np.array(members, dtype=np.intp)
-                dx, step = dx[keep], [s for s, k in zip(step, keep) if k]
+                        if err is None:
+                            over, err = self._kcl(f)
+                        failed[b] = self._failure(b, over, err, times[b], label, it + 1, True)
+                if not all(keep):
+                    members = [b for b, k in zip(members, keep) if k]
+                    pick = np.array(members, dtype=np.intp)
+                    dx, step = dx[keep], [s for s, k in zip(step, keep) if k]
             x[pick, :n] += dx
-            for b, s in zip(members, step):
-                last_dx[b] = s
             # x_k + dx is accepted when dx met _VTOL and KCL held at x_k
-            converge(it + 1)
+            met = [b for b, s in zip(members, step) if s <= _VTOL]
+            if met:
+                if err is None:
+                    over, err = self._kcl(f)
+                done = {b for b in met if err[b] <= _ABSTOL}
+                if done:
+                    for b in done:
+                        iters[b], excess[b] = it + 1, err[b]
+                    members = [b for b in members if b not in done]
+                    pick = np.array(members, dtype=np.intp)
+                    met = [b for b in met if b not in done]
         return iters, excess, failed
+
+    def _kcl(self, f):
+        """The KCL test at residual's last x, whose F is f: each node's
+        excess |F| - _RELTOL * scale, batch x nv, and each member's
+        largest as a list of floats."""
+        over = np.abs(f[:, :self.nv]) - _RELTOL * self.scale()
+        return over, np.maximum.reduce(over, axis=1).tolist()
+
+    def _failure(self, b, over, err, tb, label, iteration, diverged):
+        """The ConvergenceError of member b at time tb (None for a DC solve,
+        which label names) after iteration updates, naming its worst KCL
+        node in over and its excess err[b]."""
+        where = label if tb is None else f" at t={tb:.6g}s"
+        name = self.node_names[int(np.argmax(over[b]))]
+        message = (f"solution diverged{where}" if diverged else
+                   f"Newton failed after {_MAX_NEWTON_ITERS} iterations"
+                   f"{where}; worst node {name!r} (KCL excess {err[b]:.3e} A)")
+        return ConvergenceError(message, t=tb, node=name, excess=err[b], iteration=iteration)
 
     def solve_dc(self, svals):
         """DC solution with gmin-stepping fallback; caps are open.
@@ -748,7 +806,8 @@ class _Member:
         """Newton's start at next: the line through the last two accepted
         points; at the DC point, last = prev and h/h_last = 0."""
         k = len(self.times) - 1
-        last, prev = (self.blocks[i // _BLOCK][i % _BLOCK] for i in (k, max(k - 1, 0)))
+        last = self.blocks[k // _BLOCK][k % _BLOCK]
+        prev = self.blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK] if k else last
         return last + (self.h / self.h_last) * (last - prev)
 
     def record(self, x: np.ndarray, excess: float) -> None:

@@ -25,7 +25,7 @@ def one_fet():
         def at(vgs, vds):
             x = np.array([[vgs, vds, 0.0, 0.0, 0.0]])
             ckt.set_sources(open_caps, np.array([[vgs, vds]]))
-            f, gm, gds = ckt.residual(x)
-            return f[0], ckt.jacobian(gm, gds)[0]
+            f = ckt.residual(x)
+            return f[0], ckt.jacobian()[0]
         return at
     return make

@@ -1,9 +1,10 @@
 """Acceptance gate.
 
 Eight end-to-end criteria, one test each, pins of the solver's work on
-the characterization runs and on the same runs on the fixed dt grid, and a
-guard that the step growth there leaves every figure where the fixed grid
-puts it.  Every test prints a single verdict line
+the characterization runs, on the same runs on the fixed dt grid and on
+the benchmark's digit_stream netlist, and a guard that the step growth of
+the characterization runs leaves every figure where the fixed grid puts
+it.  Every test prints a single verdict line
 (run with ``pytest -s`` to see them) before asserting, so the printed
 PASS/FAIL always matches the pytest outcome.  Tolerances are pinned here;
 nothing is derived from the code under test.
@@ -12,6 +13,8 @@ nothing is derived from the code under test.
 import dataclasses
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +125,9 @@ def test_c3_technology_comparison(characterization):
 # convergence control updates them on purpose.
 NEWTON_WORK = {"cmos32": (434, 776), "gnrfet32": (153, 283)}
 FIXED_GRID_WORK = {"cmos32": (2000, 2336), "gnrfet32": (2000, 2121)}
+# Steps, Newton iterations and rejected steps of the benchmark's
+# digit_stream netlist at its default seed
+DIGIT_STREAM_WORK = (2000, 5086, 0)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +158,24 @@ def test_fixed_grid_newton_work_pinned(fixed_grid):
         "; ".join(f"{name} {steps} steps, {iters} Newton iterations "
                   f"(pinned {FIXED_GRID_WORK.get(name)})"
                   for name, (steps, iters) in work.items()))
+
+
+def test_digit_stream_newton_work_pinned(monkeypatch):
+    # perfbench/digit_stream.py writes the netlist; it is imported, not run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import digit_stream
+        text, _digits = digit_stream.netlist_text(digit_stream.DEFAULT_SEED)
+    finally:
+        for name in ("common", "digit_stream"):
+            sys.modules.pop(name, None)
+    stats = transient(parse(text)).stats
+    work = (stats.steps, stats.newton_iterations,
+            stats.rejected_lte + stats.rejected_newton)
+    assert verdict(
+        "Newton work of the digit_stream benchmark", work == DIGIT_STREAM_WORK,
+        f"{work[0]} steps, {work[1]} Newton iterations, {work[2]} rejected steps "
+        f"(pinned {DIGIT_STREAM_WORK})")
 
 
 def test_step_growth_keeps_the_figures(characterization, fixed_grid):

@@ -98,7 +98,7 @@ def alternating_pwl(corners, hold=2.5e-10, slew=1e-10):
 def solve(a, b):
     """x with a @ x = b, through the solver Newton uses; raises its
     SingularMatrixError."""
-    x, errors = _solve(a[None], b[None])
+    x, _step, errors = _solve(a[None], -b[None])
     if errors:
         raise errors[0]
     return x[0]
@@ -125,8 +125,8 @@ def linearize(ckt, x, svals, geq, ihist, shunt):
     and shunt as in set_conductances, ihist as in set_sources."""
     ckt.set_conductances(geq, shunt)
     ckt.set_sources(ihist, svals[None])
-    f, gm, gds = ckt.residual(x[None])
-    return f[0], ckt.scale()[0], ckt.jacobian(gm, gds)[0]
+    f = ckt.residual(x[None])
+    return f[0], ckt.scale()[0], ckt.jacobian()[0]
 
 
 def gnrfet32_linearization():
@@ -342,8 +342,8 @@ class TestDc:
     def test_divergence_is_reported(self, monkeypatch):
         # every update is NaN: the plain solve and gmin step 0 diverge at
         # their first update, reported at the iterate it started from
-        def nan_update(a, b):
-            return np.full(b.shape, math.nan), {}
+        def nan_update(a, f):
+            return np.full(f.shape, math.nan), [math.nan] * len(f), {}
 
         monkeypatch.setattr(engine, "_solve", nan_update)
         net = parse(INVERTER.format(vin=0.6))
@@ -532,10 +532,10 @@ class TestTransient:
                 attempts.append(float(t[0]))
             return newton(self, x, live, t, label)
 
-        def singular_at_third_point(a, b):
+        def singular_at_third_point(a, f):
             if len(attempts) < 3:
-                return solve_stack(a, b)
-            return np.zeros(b.shape), {0: SingularMatrixError(1)}
+                return solve_stack(a, f)
+            return np.zeros(f.shape), [0.0], {0: SingularMatrixError(1)}
 
         monkeypatch.setattr(_Circuit, "newton", spy)
         monkeypatch.setattr(engine, "_solve", singular_at_third_point)
@@ -914,6 +914,90 @@ class TestLinearize:
         for j, d in enumerate(ckt.vsources):
             vp, vm = (v[name] for name in d.terminals)
             assert f[ckt.nv + j] == vp - vm - d.stimulus.value_at(3e-9)
+
+    def test_batch_linearization_matches_per_device_loop(self):
+        # two members of different cards at different x, each with its own
+        # capacitor companions, and a gmin-stepping shunt: each member's F,
+        # KCL scale and J against branch currents and stamps made device by
+        # device from its own netlist
+        nets = [staircase(tech) for tech in ("cmos32", "gnrfet32")]
+        ckt = _Circuit(nets)
+        nv, n, ns = ckt.nv, ckt.n, ckt.n - ckt.nv
+        rng = np.random.default_rng(11)
+        x = np.zeros((2, ckt.n1))
+        x[:, :nv] = rng.uniform(-0.2, 1.4, (2, nv))
+        x[:, nv:n] = rng.uniform(-1e-4, 1e-4, (2, ns))
+        svals = ckt.source_values([3e-9, 7e-9])
+        steps, shunt = (1e-12, 3e-12), 1e-9
+        caps = [[] for _ in nets]  # (end, end, C), in the order of ckt.cap_c
+        for net, member in zip(nets, caps):
+            for d in net.devices:
+                if d.kind == "capacitor":
+                    member.append((*d.terminals, d.params["capacitance"]))
+                elif d.kind == "fet":
+                    card, m = net.models[d.model], d.params.get("m", 1.0)
+                    drain, gate, src = d.terminals[:3]
+                    member += [(gate, src, card.cg * m), (drain, "0", card.cd * m)]
+            member[:] = [cap for cap in member if cap[2] > 0.0]
+        assert [c for member in caps for _, _, c in member] == ckt.cap_c.tolist()
+        geq = [[c / h for _, _, c in member] for member, h in zip(caps, steps)]
+        ihist = [rng.uniform(-1e-5, 1e-5, len(member)) for member in caps]
+        ckt.set_conductances(np.concatenate(geq), shunt)
+        ckt.set_sources(np.concatenate(ihist), svals)
+        f = ckt.residual(x)
+        scale, jac = ckt.scale(), ckt.jacobian()
+        assert f.shape == (2, n) and scale.shape == (2, nv) and jac.shape == (2, n, n)
+        for b, net in enumerate(nets):
+            idx = {name: i for i, name in enumerate(ckt.node_names)}
+            idx |= {d.name: nv + j for j, d in enumerate(ckt.vsources)}
+            v = {name: x[b, i] for name, i in idx.items() if i < nv} | {"0": 0.0}
+            res, big, ref = np.zeros(n), np.zeros(nv), np.zeros((n, n))
+
+            def branch(p, q, cur, *derivs):
+                """Current cur from p to q, with derivative w by x[c] - x[d]
+                for each (c, d, w) in derivs."""
+                for end, sign in ((p, 1.0), (q, -1.0)):
+                    if end == "0":
+                        continue
+                    res[idx[end]] += sign * cur
+                    big[idx[end]] = max(big[idx[end]], abs(cur))
+                    for c, d, w in derivs:
+                        for ctrl, side in ((c, 1.0), (d, -1.0)):
+                            if ctrl != "0":
+                                ref[idx[end], idx[ctrl]] += sign * side * w
+
+            shunted = set()
+            for d in net.devices:
+                t = d.terminals
+                if d.kind == "resistor":
+                    g = 1.0 / d.params["resistance"]
+                    branch(t[0], t[1], g * (v[t[0]] - v[t[1]]), (t[0], t[1], g))
+                elif d.kind == "vsource":
+                    # its current x[row], and its constraint in its own row
+                    row = idx[d.name]
+                    branch(t[0], t[1], x[b, row], (d.name, "0", 1.0))
+                    res[row] = v[t[0]] - v[t[1]] - svals[b, row - nv]
+                    for end, sign in ((t[0], 1.0), (t[1], -1.0)):
+                        if end != "0":
+                            ref[row, idx[end]] += sign
+                elif d.kind == "fet":
+                    card = net.models[d.model]
+                    sign = 1.0 if card.polarity == "n" else -1.0
+                    drain, gate, src = t[:3]
+                    cur, gm, gds = square_law(
+                        sign * card.vth, card.k * d.params.get("m", 1.0), card.lam,
+                        sign * (v[gate] - v[src]), sign * (v[drain] - v[src]))
+                    branch(drain, src, sign * cur, (gate, src, gm), (drain, src, gds))
+                    shunted.update({drain, src} - {"0"})
+            for (p, q, _c), g, i0 in zip(caps[b], geq[b], ihist[b]):
+                branch(p, q, g * (v[p] - v[q]) + i0, (p, q, g))
+            for node in shunted:
+                branch(node, "0", engine._GMIN * v[node], (node, "0", engine._GMIN))
+            for node in ckt.node_names:
+                branch(node, "0", shunt * v[node], (node, "0", shunt))
+            assert f[b] == pytest.approx(res, rel=1e-12, abs=1e-18)
+            assert scale[b] == pytest.approx(big, rel=1e-12)
+            assert jac[b] == pytest.approx(ref, rel=1e-12, abs=1e-18)
 
     def test_mna_system_at_operating_point_is_a_fixed_point(self):
         # at a converged x the next Newton iterate x - J^-1 F is x again
