@@ -277,7 +277,7 @@ def _solver_failure(exc: ConvergenceError | SingularMatrixError,
     print(f"error: {exc}", file=sys.stderr)
     fields = ["t dc" if exc.t is None else f"t {exc.t!r} s"]
     if isinstance(exc, SingularMatrixError):
-        fields.append(f"pivot {exc.pivot}")
+        fields.append(f"unknowns {', '.join(exc.unknowns)}")
     else:
         fields += [f"node {exc.node!r}", f"KCL excess {exc.excess!r} A",
                    f"iteration {exc.iteration}"]

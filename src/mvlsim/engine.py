@@ -93,11 +93,13 @@ D^-1 J z = p (Golub and Van Loan, Matrix Computations, sec. 3.5), and
 sums a row in another order than a row reduction, so r and z may move in
 their last bits with the way r is taken, but dx does not: LAPACK factors J
 alone and solves each right-hand-side column on its own, and z feeds only
-the test against _PROBE_KAPPA.  Where LAPACK fails, dx is not finite
-or |z|inf reaches _PROBE_KAPPA, _lu_solve solves the step instead: a dense
-LU with partial pivoting of D^-1 J whose pivot threshold, 1e-14 *
-|D^-1 J|inf, makes it judge the matrix the probe judged.  It decides
-whether the matrix is singular and names the pivot in SingularMatrixError.
+the test against _PROBE_KAPPA.  A system is doubtful where LAPACK fails
+for it alone, its dx is not finite or |z|inf reaches _PROBE_KAPPA, and the
+doubtful ones go to one stacked SVD of D^-1 J (Golub and Van Loan, sec.
+2.4).  A smallest singular value of at most 1e-14 times the largest makes
+the matrix singular: SingularMatrixError names the unknowns that its null
+vector moves, node names and i(<source>) as in the CSV header.  Otherwise
+the SVD gives dx.
 
 If the plain DC solve fails, it is retried with gmin stepping: shunts of
 _GMIN * 10**(_GMIN_STEPS - s) from every node to ground for s = 0.._GMIN_STEPS,
@@ -142,9 +144,8 @@ accepted point.  The conductances and the Jacobian of the linear branches
 depend on the steps alone and are built again only when one changes, the
 fixed branches' part of that Jacobian once per circuit.  Newton's last
 residual is at the iterate before its solution, so one gather after each
-solve takes each capacitor's voltage x[c] - x[d] at the accepted point and,
-under the trapezoidal rule, its current geq * v + ihist: the next step's
-history.
+solve takes each capacitor's voltage x[c] - x[d] at the accepted point.
+Only the trapezoidal rule keeps i_prev, as geq * v + ihist at that point.
 
 Newton at each time point starts from a linear predictor through the last
 two accepted points (Nagel, SPICE2, UCB/ERL M520, 1975):
@@ -173,16 +174,19 @@ from .netlist import Netlist, Transient
 
 
 class SingularMatrixError(RuntimeError):
-    """A linear solve met a zero pivot.  t is set by Newton to the time
-    point (None for a DC solve); member is set by transient_batch to the
-    index of the failing netlist."""
+    """A Newton update's matrix is singular.  unknowns are those its null
+    vector moves: indices from _solve, which Newton turns into the names of
+    the waveform CSV header, node names and i(<source>).  t is set by
+    Newton to the time point (None for a DC solve); member is set by
+    transient_batch to the index of the failing netlist."""
 
     t: float | None = None
     member: int | None = None
 
-    def __init__(self, pivot: int):
-        self.pivot = pivot
-        super().__init__(f"singular matrix (zero pivot at index {pivot})")
+    def __init__(self, unknowns):
+        self.unknowns = tuple(unknowns)
+        super().__init__("singular matrix (undetermined: "
+                         f"{', '.join(map(str, self.unknowns))})")
 
 
 class ConvergenceError(RuntimeError):
@@ -212,45 +216,15 @@ class SolveOptions:
             raise ValueError(f"unknown integration rule {self.integration!r}")
 
 
-def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense LU with partial pivoting of the row-equilibrated system
-    D^-1 a x = D^-1 b, D = diag(sum of |a_ij| over row i); raises
-    SingularMatrixError at a pivot of at most 1e-14 = 1e-14 * |D^-1 a|inf."""
-    a = np.array(a, dtype=float)
-    x = np.array(b, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return x
-    r = np.sum(np.abs(a), axis=1)
-    r[r == 0.0] = 1.0  # a zero row stays zero and meets a zero pivot
-    a /= r[:, None]
-    x /= r
-    thresh = 1e-14
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= thresh:
-            raise SingularMatrixError(k)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        mult = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(mult, a[k, k + 1:])
-        x[k + 1:] -= mult * x[k]
-    for i in range(n - 1, -1, -1):
-        if abs(a[i, i]) <= thresh:
-            raise SingularMatrixError(i)
-        x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
-
-
-# Partial pivoting keeps |l_ij| <= 1, so a pivot d of _lu_solve on the
-# row-equilibrated B = D^-1 A, |B|inf = 1, bounds the smallest singular
-# value of B by n*d, and a pivot at the threshold of 1e-14 drives
-# |z|inf/|p|inf, z = B^-1 p for the probe p, towards 1e14, less a factor
-# n**1.5 and the probe's share along the near-null direction.  Falling back
-# from 1e8 leaves six decades for those two factors.  The decoder's cut-off
-# nodes hang on gmin alone at DC, which row scaling makes a row like any
-# other: its |z|inf reach 2.1e7 at DC and 1.2e3 in a transient.
+# The row-equilibrated B = D^-1 A has |B|inf = 1, so sigma_max <= sqrt(n).
+# If the SVD rejects B, sigma_min <= 1e-14 * sigma_max, the probe's solution
+# z = B^-1 p has a component (u_min . p) / sigma_min along the null vector,
+# and |z|inf >= |z|2 / sqrt(n) >= 1e14 * |u_min . p| / n.  At 1e8 the probe
+# sends B to the SVD whenever |u_min . p| >= 1e-6 * n, 2.2e-5 at n = 22 with
+# |p|2 = 3.3: five decades for the probe's share along the null direction.
+# The decoder's cut-off nodes hang on gmin alone at DC, which row scaling
+# makes a row like any other: its |z|inf reach 2.1e7 at DC and 1.2e3 in a
+# transient.
 _PROBE_KAPPA = 1e8
 
 
@@ -265,42 +239,51 @@ def _probe(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _solve(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, list[float],
                                                   dict[int, SingularMatrixError]]:
     """Newton's updates dx[j] = -a[j]^-1 f[j] for the stack of systems, by
-    one LAPACK call; _lu_solve decides doubtful systems.
+    one LAPACK call; one SVD decides the doubtful systems.
 
     -f goes to column 0 of the right-hand sides (batch x n x 2) and the
-    probe p times each row's sum of |a_ij| to column 1, and both are solved
-    together: the probe's solution z is that of the row-equilibrated system
-    D^-1 a z = p, |D^-1 a|inf = 1.  One reduction of |solution| gives each
-    system's |dx|inf and |z|inf.  Where LAPACK fails, dx is not finite or
-    |z|inf reaches _PROBE_KAPPA, the system is solved again by _lu_solve,
-    which rejects every system it would reject on its own.  Returns dx,
+    probe p times each row's sum r_i of |a_ij| to column 1, and both are
+    solved together: the probe's solution z is that of the row-equilibrated
+    system D^-1 a z = p.  A stack that LAPACK fails is solved again system
+    by system, so that a singular system leaves its stack-mates' dx as they
+    are alone.  The doubtful systems (LAPACK fails alone, dx is not finite
+    or |z|inf reaches _PROBE_KAPPA) share one SVD U S V^T of D^-1 a, a zero
+    row scaled by 1.  A system with sigma_min <= 1e-14 * sigma_max is
+    rejected, naming the unknowns whose null-vector entries reach a tenth of
+    the largest; the others take dx = V S^-1 U^T (-D^-1 f).  Returns dx,
     each |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and the
     SingularMatrixError of each rejected system j; dx[j] is then undefined.
     """
     p, ones = _probe(f.shape[1])
     rhs = np.empty((*f.shape, 2))
     np.negative(f, rhs[:, :, 0])
-    np.multiply(p, np.abs(a) @ ones, rhs[:, :, 1])
+    r = np.abs(a) @ ones
+    np.multiply(p, r, rhs[:, :, 1])
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:  # one singular system fails a whole stack
-        if len(a) == 1:
-            sol = np.full(rhs.shape, math.nan)
-        else:
-            each = [_solve(a[j:j + 1], f[j:j + 1]) for j in range(len(a))]
-            return (np.concatenate([dx for dx, _, _ in each]),
-                    [s for _, step, _ in each for s in step],
-                    {j: e for j, (_, _, err) in enumerate(each) for e in err.values()})
+        sol = np.full(rhs.shape, math.nan)
+        for j in range(len(a)):
+            try:
+                sol[j:j + 1] = np.linalg.solve(a[j:j + 1], rhs[j:j + 1])
+            except np.linalg.LinAlgError:
+                pass  # NaN sends it to the SVD
     dx, errors = sol[:, :, 0], {}
     step, probe = np.maximum.reduce(np.abs(sol), axis=1).T.tolist()
-    for j, top_z in enumerate(probe):
-        # NaN, which np.maximum propagates, fails both tests
-        if step[j] < math.inf and top_z < _PROBE_KAPPA:
+    # NaN, which np.maximum propagates, fails both tests
+    doubt = [j for j, (dj, zj) in enumerate(zip(step, probe))
+             if not (dj < math.inf and zj < _PROBE_KAPPA)]
+    if not doubt:
+        return dx, step, errors
+    d = r[doubt]
+    d[d == 0.0] = 1.0
+    u, s, vt = np.linalg.svd(a[doubt] / d[:, :, None])
+    for k, j in enumerate(doubt):
+        if s[k, -1] <= 1e-14 * s[k, 0]:
+            null = np.abs(vt[k, -1])
+            errors[j] = SingularMatrixError(np.flatnonzero(null >= 0.1 * null.max()).tolist())
             continue
-        try:
-            dx[j] = _lu_solve(a[j], -f[j])
-        except SingularMatrixError as err:
-            errors[j] = err
+        dx[j] = vt[k].T @ ((u[k].T @ (-f[j] / d[k])) / s[k])
         step[j] = float(np.max(np.abs(dx[j])))
     return dx, step, errors
 
@@ -411,6 +394,8 @@ class _Circuit:
         self.n = n = nv + len(self.vsources)
         self.n1 = n1 = n + 1
         src_names = [d.name for d in self.vsources]
+        # as in the waveform CSV header
+        self.unknown_names = self.node_names + [f"i({name})" for name in src_names]
         res, caps, fets, gmins, shunts, src_i, src_v, self.stimuli = ([] for _ in range(8))
         for b, net in enumerate(nets):
             net.validate()
@@ -653,7 +638,8 @@ class _Circuit:
                         continue
                     iters[b] = it + 1
                     if j in singular:
-                        failed[b] = singular[j]
+                        failed[b] = SingularMatrixError(
+                            self.unknown_names[i] for i in singular[j].unknowns)
                         failed[b].t = times[b]
                     else:
                         if err is None:
@@ -881,9 +867,10 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     for m, xb, it, e in zip(members, x, iters, excess):
         m.pending = it
         m.record(xb, e)
-    # the capacitors' voltages and currents at each member's last point;
-    # backward Euler keeps no current, so its cap_i stays zero
-    cap_v, cap_i = ckt.cap_voltages(x), np.zeros(len(c))
+    # the capacitors' voltages at each member's last point and, under the
+    # trapezoidal rule alone, their currents
+    cap_v = ckt.cap_voltages(x)
+    cap_i = np.zeros(len(c)) if trap else None
     steps = None  # the steps the conductances were set for
     while True:
         # members after the lowest failed one no longer matter
@@ -899,14 +886,13 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
             steps = h
             geq = (2.0 if trap else 1.0) * c / np.array(h)[cap_member]
             ckt.set_conductances(geq, 0.0)
-        ihist = -geq * cap_v - cap_i
+        ihist = -geq * cap_v - cap_i if trap else -geq * cap_v
         ckt.set_sources(ihist, ckt.source_values(t))
         it, exc, bad = ckt.newton(x, live, t=t)
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
                                 initial=0.0).tolist()
         # Newton's last residual was at the iterate before its solution
         v_now = ckt.cap_voltages(x)
-        i_now = geq * v_now + ihist if trap else cap_i
         for b in live:
             m = members[b]
             m.pending += it[b]
@@ -927,7 +913,9 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
                         "shortened", t=m.t)
                 continue
             rows = cap_rows[b]
-            cap_v[rows], cap_i[rows] = v_now[rows], i_now[rows]
+            cap_v[rows] = v_now[rows]
+            if trap:
+                cap_i[rows] = geq[rows] * v_now[rows] + ihist[rows]
             m.accept(grow(err[b]))
             m.record(x[b], exc[b])
     if failed:

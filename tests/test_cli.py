@@ -117,7 +117,15 @@ class TestRun:
         src = tmp_path / "sing.sp"
         src.write_text("* s\nv1 a 0 dc 1\nv2 a 0 dc 2\nr1 a 0 1k\n.op\n.end\n")
         assert main(["run", str(src), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.endswith("\nerror: t dc, pivot 2\n")
+        assert capsys.readouterr().err.endswith("\nerror: t dc, unknowns i(v1), i(v2)\n")
+
+    def test_source_loop_names_its_currents(self, tmp_path, capsys):
+        # the loop fixes a - b twice: only the two source currents are free
+        src = tmp_path / "loop.sp"
+        src.write_text("* loop\nv1 a b dc 1\nv2 b a dc 1\nr1 a 0 1k\nr2 b 0 1k\n"
+                       ".tran 1p 1n\n.end\n")
+        assert main(["run", str(src), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.endswith("\nerror: t dc, unknowns i(v1), i(v2)\n")
 
     def test_gmin_node_beside_milliohm_resistor_is_exit_0(self, tmp_path, capsys):
         # node x hangs on gmin alone beside 1e3 S: not a singular matrix

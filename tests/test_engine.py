@@ -28,7 +28,6 @@ from mvlsim.engine import (
     SolveOptions,
     WaveformSet,
     _Circuit,
-    _lu_solve,
     _Member,
     _solve,
     dc_operating_point,
@@ -111,12 +110,12 @@ def csv_text(ws):
     return buf.getvalue()
 
 
-def forbid_lu_fallback(monkeypatch):
-    """Make every solve that leaves LAPACK for _lu_solve fail the test."""
-    def no_fallback(a, b):
-        raise AssertionError("a solve left LAPACK for _lu_solve")
+def forbid_svd(monkeypatch):
+    """Make every solve that leaves LAPACK for the SVD fail the test."""
+    def no_svd(a):
+        raise AssertionError("a solve left LAPACK for the SVD")
 
-    monkeypatch.setattr(engine, "_lu_solve", no_fallback)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
 
 
 def linearize(ckt, x, svals, geq, ihist, shunt):
@@ -218,27 +217,54 @@ class TestSolveLinear:
         assert np.max(np.abs(a @ x - b)) < 1e-9 * np.max(np.abs(b))
 
     def test_singular_reports_pivot(self):
+        # the null vector (2, -1)/sqrt(5) moves both unknowns
         with pytest.raises(SingularMatrixError) as ei:
             solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 2.0]))
-        assert ei.value.pivot == 1
+        assert ei.value.unknowns == (0, 1)
 
     def test_tiny_nonzero_pivot_reports_pivot(self):
-        # LAPACK solves this one cleanly to [1, 0]; the second pivot,
-        # about 2e-15, is below the LU threshold of 1e-14 * |A|inf
+        # LAPACK alone solves this one cleanly to [1, 0]; the probe sends
+        # it to the SVD, whose sigma_min/sigma_max, about 1e-16, is below
+        # the threshold of 1e-14
         with pytest.raises(SingularMatrixError) as ei:
             solve(np.array([[1.0, 2.0], [2.0, 4.0 * (1.0 + 1e-15)]]),
                   np.array([1.0, 2.0]))
-        assert ei.value.pivot == 1
+        assert ei.value.unknowns == (0, 1)
+
+    def test_ill_conditioned_is_solved_through_the_svd(self, monkeypatch):
+        # sigma_min/sigma_max is about 2e-13: the probe reaches
+        # _PROBE_KAPPA, and the SVD solves the system rather than reject it
+        svd, calls = np.linalg.svd, []
+
+        def spy(m):
+            calls.append(m.shape)
+            return svd(m)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        a = np.array([[1.0, 2.0], [2.0, 4.0 * (1.0 + 1e-12)]])
+        b = np.array([1.0, 2.0])
+        x = solve(a, b)
+        assert calls == [(1, 2, 2)]
+        residual = np.max(np.abs(a @ x - b))
+        assert residual <= 8 * np.finfo(float).eps * np.max(np.abs(a)) * np.max(np.abs(x))
+
+    def test_singular_system_leaves_its_stack_mate_alone(self):
+        # LAPACK fails the stack; the well-conditioned system is solved
+        # again alone, bitwise, and the singular one is named
+        good = np.array([[2.0, 1.0], [1.0, 3.0]])
+        bad = np.array([[1.0, 2.0], [2.0, 4.0]])
+        f = np.array([[-3.0, -5.0], [-1.0, -2.0]])
+        alone, _step, errors = _solve(good[None], f[:1])
+        assert not errors
+        dx, step, errors = _solve(np.stack((good, bad)), f)
+        assert np.array_equal(dx[0], alone[0]) and step[0] == np.max(np.abs(alone[0]))
+        assert list(errors) == [1] and errors[1].unknowns == (0, 1)
 
     def test_decoder_jacobian_matches_pivoting_lu(self, monkeypatch):
         ckt, args = gnrfet32_linearization()
         f, _scale, jac = linearize(ckt, *args)
-        expect = _lu_solve(jac, -f)
-
-        def no_fallback(a, b):
-            raise AssertionError("well-conditioned system left LAPACK")
-
-        monkeypatch.setattr(engine, "_lu_solve", no_fallback)
+        expect = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        forbid_svd(monkeypatch)
         np.testing.assert_allclose(solve(jac, -f), expect, rtol=1e-12, atol=0)
 
 
@@ -310,7 +336,7 @@ class TestDc:
             return newton(self, x, live, t, label)
 
         monkeypatch.setattr(_Circuit, "newton", spy)
-        forbid_lu_fallback(monkeypatch)
+        forbid_svd(monkeypatch)
         op = dc_operating_point(parse(GMIN_NODE))
         assert solves == [" (dc)"]
         assert op["out"] == pytest.approx(1.0 / (1.0 + 1e-6), rel=0, abs=1e-12)
@@ -319,7 +345,7 @@ class TestDc:
     def test_decoder_stays_in_lapack(self, monkeypatch):
         # both cards' staircases at the compare defaults: every DC and
         # transient Jacobian passes the probe
-        forbid_lu_fallback(monkeypatch)
+        forbid_svd(monkeypatch)
         nets = [staircase(tech, hold=DEFAULT.hold) for tech in ("cmos32", "gnrfet32")]
         for net in nets:
             dc_operating_point(net)
@@ -535,7 +561,7 @@ class TestTransient:
         def singular_at_third_point(a, f):
             if len(attempts) < 3:
                 return solve_stack(a, f)
-            return np.zeros(f.shape), [0.0], {0: SingularMatrixError(1)}
+            return np.zeros(f.shape), [0.0], {0: SingularMatrixError([1])}
 
         monkeypatch.setattr(_Circuit, "newton", spy)
         monkeypatch.setattr(engine, "_solve", singular_at_third_point)
@@ -696,7 +722,7 @@ class TestBatch:
             transient(parse(bad))
         with pytest.raises(SingularMatrixError) as batched:
             transient_batch([parse(good), parse(bad)])
-        assert batched.value.pivot == alone.value.pivot
+        assert batched.value.unknowns == alone.value.unknowns == ("i(v1)", "i(v2)")
         assert (alone.value.member, batched.value.member) == (0, 1)
 
     @pytest.mark.parametrize("order", [(False, True), (True, False)])
