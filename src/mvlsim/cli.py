@@ -209,8 +209,6 @@ def cmd_compare(args: argparse.Namespace) -> Result:
     except (ConvergenceError, SingularMatrixError) as exc:
         return _solver_failure(exc, names[exc.member]), {}, {}
     cm, gn = batch
-    if cm.stimulus != gn.stimulus:
-        raise ValueError("stimulus mismatch between technology runs")
     improvements: dict[str, float] | None = None
     if cm.report is not None and gn.report is not None:
         improvements = {name: improvement_pct(getattr(cm.report, name),

@@ -81,7 +81,7 @@ its lowest-index failing member.  ``transient_batch`` runs netlists with the
 same nodes and sources as one batch, in lockstep rounds that try the next
 step of every member still live.  Each member keeps its clock (time,
 step and accept/reject decision), its accepted points and its counters in
-one record, and its own predictor and capacitor history, so its run is
+one record, and its row of the round's last two solutions, so its run is
 bitwise the one it gives alone.  ``transient`` is a batch of one.
 
 Each Newton step is one LAPACK solve (np.linalg.solve) of the stacked
@@ -142,21 +142,24 @@ once from SolveOptions:
 with v_prev and i_prev the capacitor's voltage and current at the last
 accepted point.  The conductances and the Jacobian of the linear branches
 depend on the steps alone and are built again only when one changes, the
-fixed branches' part of that Jacobian once per circuit.  Newton's last
-residual is at the iterate before its solution, so one gather after each
-solve takes each capacitor's voltage x[c] - x[d] at the accepted point.
-Only the trapezoidal rule keeps i_prev, as geq * v + ihist at that point.
+fixed branches' part of that Jacobian once per circuit.  The last two
+accepted solutions of every member are two batch x n+1 arrays, last and
+prev, both the DC solution at first; a mask of the members accepted
+updates them, and one gather from last gives v_prev.  Only the trapezoidal
+rule keeps i_prev, as geq * v + ihist with v gathered from the accepted
+solution (Newton's last residual is at the iterate before it).
 
 Newton at each time point starts from a linear predictor through the last
 two accepted points (Nagel, SPICE2, UCB/ERL M520, 1975):
 
-    x0 = x[k-1] + (h[k] / h[k-1]) * (x[k-1] - x[k-2])
+    x0 = last + (h / h_last) * (last - prev)
 
-with h[k] the step to point k; the first step after the DC point starts
-from the DC solution.  Where the waveform is locally linear the first
-update already meets the step test, so a step costs one solve, not two.
-The predictor is element-wise per member, so batching stays bitwise exact;
-compared with the corrected solution, it gives the error estimate above.
+with h the step tried and h_last the step to last, inf at the DC point, so
+the first step starts from the DC solution.  Where the waveform is locally
+linear the first update already meets the step test, so a step costs one
+solve, not two.  The predictor is element-wise per member, so batching stays
+bitwise exact; compared with the corrected solution, it gives the error
+estimate above.
 """
 
 from __future__ import annotations
@@ -788,14 +791,6 @@ class _Member:
         """Retry from t with the step shrunk by the factor shrink."""
         self._plan(self.h * shrink)
 
-    def predict(self) -> np.ndarray:
-        """Newton's start at next: the line through the last two accepted
-        points; at the DC point, last = prev and h/h_last = 0."""
-        k = len(self.times) - 1
-        last = self.blocks[k // _BLOCK][k % _BLOCK]
-        prev = self.blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK] if k else last
-        return last + (self.h / self.h_last) * (last - prev)
-
     def record(self, x: np.ndarray, excess: float) -> None:
         """Keep the solution x at t, the point just accepted, with its KCL
         excess and the pending Newton updates."""
@@ -855,8 +850,6 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     batch, nv = ckt.batch, ckt.nv
     members = [_Member(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
     c, cap_member = ckt.cap_c, ckt.cap_member
-    bounds = np.searchsorted(cap_member, np.arange(batch + 1)).tolist()
-    cap_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     def grow(err):
         if err == 0.0:
@@ -867,9 +860,9 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     for m, xb, it, e in zip(members, x, iters, excess):
         m.pending = it
         m.record(xb, e)
-    # the capacitors' voltages at each member's last point and, under the
-    # trapezoidal rule alone, their currents
-    cap_v = ckt.cap_voltages(x)
+    # the last two accepted solutions (module docstring) and, under the
+    # trapezoidal rule alone, the capacitors' currents at the last
+    last, prev = x.copy(), x.copy()
     cap_i = np.zeros(len(c)) if trap else None
     steps = None  # the steps the conductances were set for
     while True:
@@ -877,22 +870,24 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
         live = [b for b in range(min(failed, default=batch)) if not members[b].done]
         if not live:
             break
-        for b in live:
-            x[b] = members[b].predict()
+        # Newton's start; the rows of members not live go unread
+        ratio = np.array([m.h / m.h_last for m in members])[:, None]
+        predicted = last + ratio * (last - prev)
+        np.copyto(x, predicted)
         t = [m.next for m in members]
-        predicted = x[:, :nv].copy()
         h = [m.h for m in members]
         if h != steps:  # geq, and so g and the linear Jacobian, depend on h alone
             steps = h
             geq = (2.0 if trap else 1.0) * c / np.array(h)[cap_member]
             ckt.set_conductances(geq, 0.0)
-        ihist = -geq * cap_v - cap_i if trap else -geq * cap_v
+        ihist = -geq * ckt.cap_voltages(last)
+        if trap:
+            ihist -= cap_i
         ckt.set_sources(ihist, ckt.source_values(t))
         it, exc, bad = ckt.newton(x, live, t=t)
-        err = np.maximum.reduce(np.abs(x[:, :nv] - predicted), axis=1,
+        err = np.maximum.reduce(np.abs(x[:, :nv] - predicted[:, :nv]), axis=1,
                                 initial=0.0).tolist()
-        # Newton's last residual was at the iterate before its solution
-        v_now = ckt.cap_voltages(x)
+        accepted = np.zeros((batch, 1), dtype=bool)
         for b in live:
             m = members[b]
             m.pending += it[b]
@@ -912,12 +907,15 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
                         f"rejected step of {rejected:.6g}s at t={m.t:.6g}s was not "
                         "shortened", t=m.t)
                 continue
-            rows = cap_rows[b]
-            cap_v[rows] = v_now[rows]
-            if trap:
-                cap_i[rows] = geq[rows] * v_now[rows] + ihist[rows]
+            accepted[b] = True
             m.accept(grow(err[b]))
             m.record(x[b], exc[b])
+        # Newton's last residual was at the iterate before its solution
+        if trap:
+            np.copyto(cap_i, geq * ckt.cap_voltages(x) + ihist,
+                      where=accepted[cap_member, 0])
+        np.copyto(prev, last, where=accepted)
+        np.copyto(last, x, where=accepted)
     if failed:
         b = min(failed)
         failed[b].member = b

@@ -34,7 +34,7 @@ from mvlsim.characterize import (
     run_decoder,
 )
 from mvlsim.devices import FetModelCard, preset, preset_names, square_law
-from mvlsim.engine import dc_operating_point, transient
+from mvlsim.engine import SolveOptions, dc_operating_point, transient
 from mvlsim.measure import Waveform, rise_time
 from mvlsim.mvl import (
     Digit,
@@ -128,6 +128,10 @@ FIXED_GRID_WORK = {"cmos32": (2000, 2336), "gnrfet32": (2000, 2121)}
 # Steps, Newton iterations and rejected steps of the benchmark's
 # digit_stream netlist at its default seed
 DIGIT_STREAM_WORK = (2000, 5086, 0)
+# Steps, Newton iterations and LTE rejections of the default decoder runs
+# under the trapezoidal rule, whose capacitor history carries each
+# accepted point's currents to the next step
+TRAP_WORK = {"cmos32": (443, 780, 3), "gnrfet32": (1524, 3268, 1)}
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +162,19 @@ def test_fixed_grid_newton_work_pinned(fixed_grid):
         "; ".join(f"{name} {steps} steps, {iters} Newton iterations "
                   f"(pinned {FIXED_GRID_WORK.get(name)})"
                   for name, (steps, iters) in work.items()))
+
+
+def test_trapezoidal_newton_work_pinned(characterization):
+    trap = SolveOptions(integration="trapezoidal")
+    work = {}
+    for name, run in characterization.items():
+        stats = transient(run.net, opts=trap).stats
+        work[name] = (stats.steps, stats.newton_iterations, stats.rejected_lte)
+    assert verdict(
+        "Newton work of the characterization runs, trapezoidal", work == TRAP_WORK,
+        "; ".join(f"{name} {steps} steps, {iters} Newton iterations, {lte} "
+                  f"LTE rejections (pinned {TRAP_WORK.get(name)})"
+                  for name, (steps, iters, lte) in work.items()))
 
 
 def test_digit_stream_newton_work_pinned(monkeypatch):
