@@ -97,9 +97,9 @@ the test against _PROBE_KAPPA.  A system is doubtful where LAPACK fails
 for it alone, its dx is not finite or |z|inf reaches _PROBE_KAPPA, and the
 doubtful ones go to one stacked SVD of D^-1 J (Golub and Van Loan, sec.
 2.4).  A smallest singular value of at most 1e-14 times the largest makes
-the matrix singular: SingularMatrixError names the unknowns that its null
-vector moves, node names and i(<source>) as in the CSV header.  Otherwise
-the SVD gives dx.
+the matrix singular: _solve returns the indices of the unknowns that its
+null vector moves, and Newton's SingularMatrixError names them, node names
+and i(<source>) as in the CSV header.  Otherwise the SVD gives dx.
 
 If the plain DC solve fails, it is retried with gmin stepping: shunts of
 _GMIN * 10**(_GMIN_STEPS - s) from every node to ground for s = 0.._GMIN_STEPS,
@@ -177,17 +177,15 @@ from .netlist import Netlist, Transient
 
 
 class SingularMatrixError(RuntimeError):
-    """A Newton update's matrix is singular.  unknowns are those its null
-    vector moves: indices from _solve, which Newton turns into the names of
-    the waveform CSV header, node names and i(<source>).  t is set by
-    Newton to the time point (None for a DC solve); member is set by
-    transient_batch to the index of the failing netlist."""
+    """A Newton update's matrix is singular.  unknowns names those its null
+    vector moves as the waveform CSV header does, node names and
+    i(<source>); t is the time point (None for a DC solve) and member is
+    set by transient_batch to the index of the failing netlist."""
 
-    t: float | None = None
     member: int | None = None
 
-    def __init__(self, unknowns):
-        self.unknowns = tuple(unknowns)
+    def __init__(self, unknowns, t: float | None = None):
+        self.unknowns, self.t = tuple(unknowns), t
         super().__init__("singular matrix (undetermined: "
                          f"{', '.join(map(str, self.unknowns))})")
 
@@ -240,7 +238,7 @@ def _probe(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, list[float],
-                                                  dict[int, SingularMatrixError]]:
+                                                  dict[int, list[int]]]:
     """Newton's updates dx[j] = -a[j]^-1 f[j] for the stack of systems, by
     one LAPACK call; one SVD decides the doubtful systems.
 
@@ -252,10 +250,10 @@ def _solve(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, list[float],
     are alone.  The doubtful systems (LAPACK fails alone, dx is not finite
     or |z|inf reaches _PROBE_KAPPA) share one SVD U S V^T of D^-1 a, a zero
     row scaled by 1.  A system with sigma_min <= 1e-14 * sigma_max is
-    rejected, naming the unknowns whose null-vector entries reach a tenth of
-    the largest; the others take dx = V S^-1 U^T (-D^-1 f).  Returns dx,
-    each |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and the
-    SingularMatrixError of each rejected system j; dx[j] is then undefined.
+    rejected; the others take dx = V S^-1 U^T (-D^-1 f).  Returns dx, each
+    |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and for each rejected
+    system j, whose dx[j] is then undefined, the indices of the unknowns
+    whose null-vector entries reach a tenth of the largest.
     """
     p, ones = _probe(f.shape[1])
     rhs = np.empty((*f.shape, 2))
@@ -271,24 +269,24 @@ def _solve(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, list[float],
                 sol[j:j + 1] = np.linalg.solve(a[j:j + 1], rhs[j:j + 1])
             except np.linalg.LinAlgError:
                 pass  # NaN sends it to the SVD
-    dx, errors = sol[:, :, 0], {}
+    dx, singular = sol[:, :, 0], {}
     step, probe = np.maximum.reduce(np.abs(sol), axis=1).T.tolist()
     # NaN, which np.maximum propagates, fails both tests
     doubt = [j for j, (dj, zj) in enumerate(zip(step, probe))
              if not (dj < math.inf and zj < _PROBE_KAPPA)]
     if not doubt:
-        return dx, step, errors
+        return dx, step, singular
     d = r[doubt]
     d[d == 0.0] = 1.0
     u, s, vt = np.linalg.svd(a[doubt] / d[:, :, None])
     for k, j in enumerate(doubt):
         if s[k, -1] <= 1e-14 * s[k, 0]:
             null = np.abs(vt[k, -1])
-            errors[j] = SingularMatrixError(np.flatnonzero(null >= 0.1 * null.max()).tolist())
+            singular[j] = np.flatnonzero(null >= 0.1 * null.max()).tolist()
             continue
         dx[j] = vt[k].T @ ((u[k].T @ (-f[j] / d[k])) / s[k])
         step[j] = float(np.max(np.abs(dx[j])))
-    return dx, step, errors
+    return dx, step, singular
 
 
 @dataclass
@@ -543,8 +541,8 @@ class _Circuit:
     def residual(self, x):
         """KCL residual F (batch x n) at x (batch x n+1, ground 0 last).
 
-        The branch currents stay in cur, and the FETs' derivatives in
-        fet_w, until the next call: scale and jacobian read them.
+        F stays in f, the branch currents in cur and the FETs' derivatives
+        in fet_w until the next call: kcl, scale and jacobian read them.
         """
         # the indices are in range by construction; mode="raise" would
         # gather into a temporary and copy it to out
@@ -555,7 +553,8 @@ class _Circuit:
         square_law(self.vth, self.k, self.lam, self.vgs, self.vds, self.fet_out)
         np.negative(self.branch_i, self.negated)
         f = np.bincount(self.ends, self.weights, minlength=self.batch * self.n1)
-        return f.reshape(-1, self.n1)[:, :self.n]
+        self.f, self.kcl_test = f.reshape(-1, self.n1)[:, :self.n], None
+        return self.f
 
     def scale(self):
         """Each node's largest |branch current| at residual's last x, batch
@@ -593,13 +592,11 @@ class _Circuit:
         for it, the failing one included), its KCL excess at the iterate
         its test ran on and the error of each member that failed.
         """
-        n, nv, batch = self.n, self.nv, self.batch
+        n, batch = self.n, self.batch
         members = list(live)
         iters, excess = [0] * batch, [0.0] * batch
         failed: dict[int, Exception] = {}
         times = [None] * batch if t is None else [float(tb) for tb in t]
-        # the rows of the members still iterating
-        pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
         # the members whose last update met _VTOL while KCL failed at the
         # iterate it started from
         met = []
@@ -607,77 +604,71 @@ class _Circuit:
             if not members:
                 break
             f = self.residual(x)
-            over = err = None  # the KCL test, evaluated when first needed
             if met:  # x_k-1 + dx met _VTOL but KCL failed at x_k-1: test it at x_k
-                over, err = self._kcl(f)
-                done = {b for b in met if err[b] <= _ABSTOL}
-                if done:
-                    for b in done:
-                        iters[b], excess[b] = it, err[b]
-                    members = [b for b in members if b not in done]
-                    pick = np.array(members, dtype=np.intp)
-                    if not members:
-                        break
+                members, met = self._retire(members, met, it, iters, excess)
+                if not members:
+                    break
             if it == _MAX_NEWTON_ITERS:
-                if err is None:
-                    over, err = self._kcl(f)
                 for b in members:
                     iters[b] = it
-                    failed[b] = self._failure(b, over, err, times[b], label, it, False)
+                    failed[b] = self._failure(b, times[b], label, it, False)
                 break
+            # the rows of the members still iterating
+            pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
             dx, step, singular = _solve(self.jacobian()[pick], f[pick])
             # NaN propagates through np.maximum and fails every test of a
             # step: a non-finite update has a step that is not below inf
             if singular or not all(s <= self.clip for s in step):
                 if any(s > self.clip for s in step):  # clip the node-voltage updates
                     lim = np.array(self.vlimit)[pick, None]
-                    dx_v = dx[:, :nv]
+                    dx_v = dx[:, :self.nv]
                     np.minimum(dx_v, lim, out=dx_v)
                     np.maximum(dx_v, -lim, out=dx_v)
                     step = np.maximum.reduce(np.abs(dx), axis=1).tolist()
-                keep = [j not in singular and s < math.inf for j, s in enumerate(step)]
                 for j, b in enumerate(members):
-                    if keep[j]:
-                        continue
-                    iters[b] = it + 1
                     if j in singular:
                         failed[b] = SingularMatrixError(
-                            self.unknown_names[i] for i in singular[j].unknowns)
-                        failed[b].t = times[b]
+                            [self.unknown_names[i] for i in singular[j]], times[b])
+                    elif not step[j] < math.inf:
+                        failed[b] = self._failure(b, times[b], label, it + 1, True)
                     else:
-                        if err is None:
-                            over, err = self._kcl(f)
-                        failed[b] = self._failure(b, over, err, times[b], label, it + 1, True)
-                if not all(keep):
-                    members = [b for b, k in zip(members, keep) if k]
-                    pick = np.array(members, dtype=np.intp)
-                    dx, step = dx[keep], [s for s, k in zip(step, keep) if k]
+                        continue
+                    iters[b] = it + 1
+                    dx[j], step[j] = 0.0, math.nan  # x[b] stays; NaN meets no test
             x[pick, :n] += dx
             # x_k + dx is accepted when dx met _VTOL and KCL held at x_k
             met = [b for b, s in zip(members, step) if s <= _VTOL]
+            if failed:
+                members = [b for b in members if b not in failed]
             if met:
-                if err is None:
-                    over, err = self._kcl(f)
-                done = {b for b in met if err[b] <= _ABSTOL}
-                if done:
-                    for b in done:
-                        iters[b], excess[b] = it + 1, err[b]
-                    members = [b for b in members if b not in done]
-                    pick = np.array(members, dtype=np.intp)
-                    met = [b for b in met if b not in done]
+                members, met = self._retire(members, met, it + 1, iters, excess)
         return iters, excess, failed
 
-    def _kcl(self, f):
-        """The KCL test at residual's last x, whose F is f: each node's
-        excess |F| - _RELTOL * scale, batch x nv, and each member's
-        largest as a list of floats."""
-        over = np.abs(f[:, :self.nv]) - _RELTOL * self.scale()
-        return over, np.maximum.reduce(over, axis=1).tolist()
+    def _retire(self, members, met, count, iters, excess):
+        """Retire the members of met whose KCL test holds at residual's last
+        x, with count Newton updates and their KCL excess written to iters
+        and excess.  Returns the members still iterating and those of met
+        among them."""
+        err = self.kcl()[1]
+        done = {b for b in met if err[b] <= _ABSTOL}
+        for b in done:
+            iters[b], excess[b] = count, err[b]
+        return [b for b in members if b not in done], [b for b in met if b not in done]
 
-    def _failure(self, b, over, err, tb, label, iteration, diverged):
+    def kcl(self):
+        """The KCL test at residual's last x, evaluated once per residual:
+        each node's excess |F| - _RELTOL * scale, batch x nv, and each
+        member's largest as a list of floats."""
+        if self.kcl_test is None:
+            over = np.abs(self.f[:, :self.nv]) - _RELTOL * self.scale()
+            self.kcl_test = over, np.maximum.reduce(over, axis=1).tolist()
+        return self.kcl_test
+
+    def _failure(self, b, tb, label, iteration, diverged):
         """The ConvergenceError of member b at time tb (None for a DC solve,
         which label names) after iteration updates, naming its worst KCL
-        node in over and its excess err[b]."""
+        node at residual's last x and its excess."""
+        over, err = self.kcl()
         where = label if tb is None else f" at t={tb:.6g}s"
         name = self.node_names[int(np.argmax(over[b]))]
         message = (f"solution diverged{where}" if diverged else

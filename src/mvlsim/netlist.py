@@ -32,8 +32,9 @@ for the ground node ``0``.  Anything outside this grammar, a number that
 overflows a double included, raises NetlistError: a syntax error with its
 line (and column where it is meaningful); once the whole text has parsed,
 the first broken structural rule (names, values, duplicates, models,
-measure targets, one ``.tran``: all stated in ``Netlist.validate`` alone)
-with the line of the statement at fault.  So syntax errors come first.
+measure targets, one ``.tran``, a one-line title: all stated in
+``Netlist.validate`` alone) with the line of the statement at fault.  So
+syntax errors come first.
 
 ``emit`` produces canonical text that ``parse`` maps back to an equal
 Netlist: names lowercased, numbers in full repr precision, the title on a
@@ -71,7 +72,7 @@ _NUMBER_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(meg|[fpnumkg])?$",
     re.IGNORECASE,
 )
-_NAME_RE = re.compile(r"^[a-z0-9_]+$")
+_NAME_RE = re.compile(r"[a-z0-9_]+\Z")  # with match(); $ would pass a trailing newline
 
 
 def parse_value(token: str) -> float:
@@ -295,10 +296,17 @@ class Netlist:
         if problem := self._first_problem():
             raise NetlistError(problem[1])
 
-    def _first_problem(self) -> tuple[Device | Analysis | MeasureDirective, str] | None:
+    def _first_problem(self) -> tuple[Netlist | Device | Analysis | MeasureDirective,
+                                      str] | None:
         """The first broken structural rule as (statement at fault, message),
-        or None.  Of two devices with one name, or two .tran cards, the
-        later is at fault."""
+        or None.  Of two devices or measures with one name, or two .tran
+        cards, the later is at fault.  The title and the model names, which
+        parse never gets wrong, blame the netlist itself."""
+        if len(self.title.splitlines()) > 1 or self.title != self.title.strip():
+            return self, f"title {self.title!r} must be one line, unpadded"
+        for name in self.models:
+            if not _NAME_RE.match(name):
+                return self, f"bad model name {name!r}"
         seen_names: set[str] = set()
         for d in self.devices:
             if not _NAME_RE.match(d.name):
@@ -335,7 +343,13 @@ class Netlist:
             return (self.devices or self.analyses)[0], "netlist has no node but ground"
         nodes = set(self.nodes)
         vsources = {d.name for d in self.devices if d.kind == "vsource"}
+        measure_names: set[str] = set()
         for m in self.measures:
+            if not _NAME_RE.match(m.name):
+                return m, f"bad measure name {m.name!r}"
+            if m.name in measure_names:
+                return m, f"duplicate measure name {m.name!r}"
+            measure_names.add(m.name)
             if m.kind in _NODE_KINDS:
                 for t in m.targets:
                     if t not in nodes:

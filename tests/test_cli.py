@@ -14,7 +14,13 @@ import pytest
 
 from mvlsim import cli, engine
 from mvlsim.cells import vlc_thresholds
-from mvlsim.characterize import RunConfig, improvement_pct, resolve_tech, run_decoder
+from mvlsim.characterize import (
+    RunConfig,
+    build_cell,
+    improvement_pct,
+    resolve_tech,
+    run_decoder,
+)
 from mvlsim.cli import _cfg_from_args, build_parser, main
 from mvlsim.devices import preset
 from mvlsim.mvl import LevelMap
@@ -224,8 +230,17 @@ class TestCell:
         assert ran["measures"] == decoded["measures"]
         assert ran["solver"] == decoded["solver"]
 
+    @pytest.mark.parametrize("name, fets", [("inverter", 2), ("xor2", 12)])
+    def test_gate_netlist_emitted(self, tmp_path, capsys, name, fets):
+        assert main(["cell", name, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / f"{name}_cmos32.sp").read_text()
+        assert capsys.readouterr().out == text
+        assert sum(d.kind == "fet" for d in parse(text).devices) == fets
+
     def test_unknown_cell_is_exit_1(self, capsys):
         assert main(["cell", "nand3"]) == 1
+        with pytest.raises(ValueError, match="^unknown cell 'nand3'; one of: "):
+            build_cell("nand3", RunConfig(), preset("cmos32"))
 
     def test_usage_errors_are_exit_1(self, capsys):
         assert main(["decoder", "--vdd", "notanumber"]) == 1
@@ -286,6 +301,15 @@ class TestDecoder:
         assert main(["decoder", "--vdd", "-1", "--out", str(tmp_path)]) == 1
         assert main(["decoder", "--tech", "sige90",
                      "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"hold": 1e-10, "slew": 1e-10}, "need hold > slew > 0"),
+        ({"load": -1e-15}, "load must be >= 0"),
+        ({"dt": 0.0}, "dt must be positive"),
+    ], ids=["hold_not_above_slew", "negative_load", "zero_dt"])
+    def test_config_rules_are_checked(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(**fields)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("field", ["vdd", "hold", "slew", "load", "dt"])
@@ -406,6 +430,11 @@ class TestSweep:
                      "--out", str(tmp_path)]) == 2
         match = FAILED_RUN.search(capsys.readouterr().err)
         assert match and match[1] == "vdd=1.2"
+
+    def test_zero_count_is_exit_1(self, tmp_path, capsys):
+        assert main(["sweep", "--param", "load", "--start", "1e-15", "--stop",
+                     "2e-15", "--count", "0", "--out", str(tmp_path)]) == 1
+        assert "count must be >= 1" in capsys.readouterr().err
 
     def test_unknown_param_is_exit_1(self, tmp_path):
         assert main(["sweep", "--param", "beta", "--start", "0", "--stop",

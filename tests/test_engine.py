@@ -95,11 +95,11 @@ def alternating_pwl(corners, hold=2.5e-10, slew=1e-10):
 
 
 def solve(a, b):
-    """x with a @ x = b, through the solver Newton uses; raises its
-    SingularMatrixError."""
-    x, _step, errors = _solve(a[None], -b[None])
-    if errors:
-        raise errors[0]
+    """x with a @ x = b, through the solver Newton uses; a rejected system
+    raises SingularMatrixError with the unknown indices that _solve names."""
+    x, _step, singular = _solve(a[None], -b[None])
+    if singular:
+        raise SingularMatrixError(singular[0])
     return x[0]
 
 
@@ -254,11 +254,11 @@ class TestSolveLinear:
         good = np.array([[2.0, 1.0], [1.0, 3.0]])
         bad = np.array([[1.0, 2.0], [2.0, 4.0]])
         f = np.array([[-3.0, -5.0], [-1.0, -2.0]])
-        alone, _step, errors = _solve(good[None], f[:1])
-        assert not errors
-        dx, step, errors = _solve(np.stack((good, bad)), f)
+        alone, _step, singular = _solve(good[None], f[:1])
+        assert not singular
+        dx, step, singular = _solve(np.stack((good, bad)), f)
         assert np.array_equal(dx[0], alone[0]) and step[0] == np.max(np.abs(alone[0]))
-        assert list(errors) == [1] and errors[1].unknowns == (0, 1)
+        assert singular == {1: [0, 1]}
 
     def test_decoder_jacobian_matches_pivoting_lu(self, monkeypatch):
         ckt, args = gnrfet32_linearization()
@@ -561,7 +561,7 @@ class TestTransient:
         def singular_at_third_point(a, f):
             if len(attempts) < 3:
                 return solve_stack(a, f)
-            return np.zeros(f.shape), [0.0], {0: SingularMatrixError([1])}
+            return np.zeros(f.shape), [0.0], {0: [1]}
 
         monkeypatch.setattr(_Circuit, "newton", spy)
         monkeypatch.setattr(engine, "_solve", singular_at_third_point)
@@ -569,6 +569,7 @@ class TestTransient:
             transient(parse(RC))
         assert len(attempts) == 3 and attempts[2] > attempts[1] > 0.0
         assert ei.value.t == attempts[2] and ei.value.member == 0
+        assert ei.value.unknowns == ("out",)  # index 1 of in, out, i(v1)
 
     def test_bit_identical_reruns(self):
         a = transient(parse(RC))
@@ -706,6 +707,9 @@ class TestBatch:
         assert len({len(wset.times) for wset in batch}) == 3
         for net, analysis, wset in zip(nets, analyses, batch):
             assert_same_run(wset, transient(net, analysis))
+
+    def test_empty_batch(self):
+        assert transient_batch([]) == []
 
     def test_members_need_the_same_nodes(self):
         other = parse(RC.replace("out", "mid"))

@@ -67,6 +67,10 @@ class TestLevelMap:
         with pytest.raises(ValueError):
             LevelMap(4, 3.0, guard=0.5)
 
+    def test_radix_at_least_two(self):
+        with pytest.raises(ValueError, match="radix must be >= 2"):
+            LevelMap(1, 1.2)
+
     def test_vdd_positive(self):
         with pytest.raises(ValueError):
             LevelMap(4, 0.0)

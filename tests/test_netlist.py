@@ -348,6 +348,23 @@ class TestParseErrors:
         self.check("* t\n.model nn NFET vth=-0.1 k=1 lambda=0 cg=0\n.end\n")
         self.check("* t\n.model pp PFET vth=0.1 k=1 lambda=0 cg=0\n.end\n")
 
+    def test_duplicate_measure_name(self):
+        # the later statement is at fault; with both, evaluate_measures
+        # would keep only the fall time under m
+        err = self.check("* t\nv1 a 0 dc 1\nr1 a b 1k\nc1 b 0 1p\n"
+                         ".measure m rise v(b)\n.measure m fall v(b)\n.end\n", line=6)
+        assert "duplicate measure name 'm'" in str(err)
+
+    def test_model_needs_a_type(self):
+        self.check("* t\n.model nn\n.end\n", line=2)
+
+    def test_measure_needs_a_target(self):
+        self.check("* t\nr1 a 0 1k\n.measure tr rise\n.end\n", line=3)
+
+    def test_bad_measure_name(self):
+        err = self.check("* t\nr1 a 0 1k\n.measure t-r rise v(a)\n.end\n", line=3)
+        assert err.column == 10
+
     def test_measure_unknown_node(self):
         self.check("* t\nr1 a 0 1k\n.measure tr rise v(zz)\n.end\n", line=3)
 
@@ -512,6 +529,36 @@ class TestValidate:
         net.devices.append(Device("x9", kind, ends, {field: value},
                                   model="nn" if kind == "fet" else None))
         with pytest.raises(NetlistError, match=f"^x9: .*{field} must be finite"):
+            net.validate()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"devices": [Device("x9", "inductor", ("mid", "0"))]},
+         "unknown device kind 'inductor'"),
+        ({"devices": [Device("v9", "vsource", ("mid", "0"))]},
+         "v9: voltage source needs a stimulus"),
+        ({"title": "a\nr9 x 0 1k"}, "title .* must be one line, unpadded"),
+        ({"title": " a"}, "title .* must be one line, unpadded"),
+        ({"models": {"bad model": FetModelCard("n", 0.1, 1e-4, 0.0, 0.0)},
+          "devices": [Device("m9", "fet", ("mid", "in", "0", "0"), {"m": 1.0},
+                             model="bad model")]},
+         "bad model name 'bad model'"),
+        ({"measures": [MeasureDirective("Bad Name", "rise", ("mid",))]},
+         "bad measure name 'Bad Name'"),
+        ({"devices": [Device("r9\n", "resistor", ("mid", "0"), {"resistance": 1.0})]},
+         "bad device name 'r9\\\\n'"),
+    ], ids=["unknown_kind", "vsource_without_stimulus", "two_line_title",
+            "padded_title", "model_name", "measure_name", "device_name_newline"])
+    def test_validate_names_the_broken_rule(self, change, message):
+        # without their rules the last five would validate and then fail
+        # parse(emit(net)) == net: the title's second line parses as a
+        # device, the model line as a model "bad" of type "model", the
+        # measure line as one named "bad", and the device line splits
+        net = parse(DIVIDER)
+        net.title = change.get("title", net.title)
+        net.models.update(change.get("models", {}))
+        net.devices += change.get("devices", [])
+        net.measures += change.get("measures", [])
+        with pytest.raises(NetlistError, match=f"^{message}$"):
             net.validate()
 
     def test_validate_checks_terminal_names(self):

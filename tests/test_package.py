@@ -4,6 +4,7 @@ that import it."""
 import ast
 import importlib.util
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,16 @@ def test_cli_import_leaves_openssl_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "False\n"
+
+
+def test_cli_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m mvlsim.cli: the command line without an installed script;
+    # out of sys.modules, the module runs as __main__ without a warning
+    monkeypatch.setattr(sys, "argv", ["mvlsim", "dump-models", "--tech", "cmos32"])
+    monkeypatch.delitem(sys.modules, "mvlsim.cli", raising=False)
+    with pytest.raises(SystemExit) as ei:
+        runpy.run_module("mvlsim.cli", run_name="__main__")
+    assert ei.value.code == 0 and capsys.readouterr().out.count(".model") == 2
 
 
 def test_calibration_tool_imports(monkeypatch):
