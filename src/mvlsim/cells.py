@@ -64,15 +64,13 @@ class _NetBuilder:
         return name
 
     def fet(self, name, nd, ng, ns, nb, model):
-        self.net.devices.append(
-            Device(name, "fet", (nd, ng, ns, nb), {"m": 1.0}, model=model))
+        self.net.devices.append(Device(name, (nd, ng, ns, nb), 1.0, model))
 
     def cap(self, name, a, b, farads):
-        self.net.devices.append(
-            Device(name, "capacitor", (a, b), {"capacitance": farads}))
+        self.net.devices.append(Device(name, (a, b), farads))
 
     def vsource(self, name, p, n, stim):
-        self.net.devices.append(Device(name, "vsource", (p, n), stimulus=stim))
+        self.net.devices.append(Device(name, (p, n), stimulus=stim))
 
     def supply(self):
         self.vsource("vsup", "vdd", "0", DcStimulus(self.spec.levels.vdd))
@@ -209,8 +207,7 @@ def build_staircase_testbench(spec: CellSpec, *, hold: float, slew: float,
     """
     net = build_decoder(spec)
     pts = staircase_points(spec.levels, hold, slew)
-    net.devices.append(Device("vin", "vsource", ("in", "0"),
-                              stimulus=PwlStimulus(pts)))
+    net.devices.append(Device("vin", ("in", "0"), stimulus=PwlStimulus(pts)))
     tstop = spec.levels.radix * hold
     if dt is None:
         dt = min(tstop / 1000.0, slew / 10.0)
@@ -229,7 +226,6 @@ def with_dc_input(net: Netlist, volts: float, node: str = "in",
                   name: str = "vin") -> Netlist:
     """Copy of a cell netlist with a DC source driving one of its nodes."""
     out = copy.deepcopy(net)
-    out.devices.append(Device(name, "vsource", (node, "0"),
-                              stimulus=DcStimulus(volts)))
+    out.devices.append(Device(name, (node, "0"), stimulus=DcStimulus(volts)))
     out.validate()
     return out

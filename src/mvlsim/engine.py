@@ -407,7 +407,7 @@ class _Circuit:
             for d in net.devices:
                 t = [node_of[name] for name in d.terminals]
                 if d.kind == "resistor":
-                    res.append((*t, *t, 1.0 / d.params["resistance"]))
+                    res.append((*t, *t, 1.0 / d.value))
                 elif d.kind == "vsource":
                     row = b * n1 + nv + len(names)
                     src_i.append((*t, row, ground, 1.0))  # the current x[row]
@@ -415,10 +415,10 @@ class _Circuit:
                     names.append(d.name)
                     stimuli.append(d.stimulus)
                 elif d.kind == "capacitor":
-                    caps.append((t[0], t[1], d.params["capacitance"]))
+                    caps.append((t[0], t[1], d.value))
                 elif d.kind == "fet":
                     card = net.models[d.model]
-                    m = d.params.get("m", 1.0)
+                    m = d.value
                     drain, gate, src = t[:3]
                     ends, ctrl, vth = (drain, src), (gate, src), card.vth
                     if card.polarity == "p":  # the N law with both pairs swapped

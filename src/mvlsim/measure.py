@@ -5,9 +5,10 @@ All measures interpolate linearly between samples.  Rise and fall times are
 propagation delay is 50%-to-50%, pairing each input crossing with the first
 output crossing at or after it and returning the worst pair.  Supply power
 uses p(t) = -v(t)*i(t) with the MNA branch-current convention (current into
-the + terminal), so a delivering source has positive power.  A
-MeasureReport derives its PDP (avg_power * prop_delay) and EDP
-(PDP * prop_delay) from the measured figures.
+the + terminal), so a delivering source has positive power and one that
+absorbs energy negative power.  A MeasureReport derives its PDP
+(avg_power * prop_delay) and EDP (PDP * prop_delay) from the measured
+figures, so they are negative for an absorbing source too.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def supply_power(v_wf: Waveform, i_wf: Waveform) -> tuple[float, float]:
 @dataclass
 class MeasureReport:
     """The figures of merit of one run, one per field after technology;
-    pdp and edp are derived from avg_power and prop_delay."""
+    pdp and edp are derived from avg_power and prop_delay.  The times are
+    non-negative; the power figures, and so pdp and edp, are signed."""
 
     technology: str
     max_power: float
@@ -136,9 +138,9 @@ class MeasureReport:
     def __post_init__(self):
         self.pdp = self.avg_power * self.prop_delay
         self.edp = self.pdp * self.prop_delay
-        for f in fields(self)[1:]:
-            if getattr(self, f.name) < 0.0:
-                raise ValueError(f"{f.name} must be non-negative")
+        for name in ("rise_time", "fall_time", "prop_delay"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 REPORT_COLUMNS = ("Technology", "Max power (W)", "Avg power (W)", "Rise (s)",

@@ -28,17 +28,21 @@ netlist has at most one ``.tran``.
 
 Numbers accept the engineering suffixes f p n u m k meg g.  Node and device
 names are case-insensitive and are stored lowercased; ``gnd`` is an alias
-for the ground node ``0``.  Anything outside this grammar, a number that
-overflows a double included, raises NetlistError: a syntax error with its
-line (and column where it is meaningful); once the whole text has parsed,
-the first broken structural rule (names, values, duplicates, models,
-measure targets, one ``.tran``, a one-line title: all stated in
-``Netlist.validate`` alone) with the line of the statement at fault.  So
-syntax errors come first.
+for the ground node ``0``, so no stored node is named ``gnd``.  A device's
+first letter fixes its kind, and a Device carries one number, its
+``value``: a resistor's ohms, a capacitor's farads or a FET's multiplier m.
+Anything outside this grammar, a number that overflows a double included,
+raises NetlistError: a syntax error with its line (and column where it is
+meaningful); once the whole text has parsed, the first broken structural
+rule (names, the fields each kind sets, values, no node named ``gnd``,
+duplicates, models, measure targets, one ``.tran``, a one-line title: all
+stated in ``Netlist.validate`` alone) with the line of the statement at
+fault.  So syntax errors come first.
 
 ``emit`` produces canonical text that ``parse`` maps back to an equal
-Netlist: names lowercased, numbers in full repr precision, the title on a
-leading ``*`` line.
+Netlist, for every Netlist that validates, parsed or built in code: names
+lowercased, numbers in full repr precision, the title on a leading ``*``
+line.
 """
 
 from __future__ import annotations
@@ -100,6 +104,10 @@ def parse_value(token: str) -> float:
 class DcStimulus:
     level: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.level):
+            raise ValueError(f"DC level must be finite, got {self.level!r}")
+
     def value_at(self, t: float) -> float:
         return self.level
 
@@ -118,6 +126,9 @@ class PwlStimulus:
     def __post_init__(self):
         if len(self.points) < 1:
             raise ValueError("PWL needs at least one (time, value) pair")
+        for t, v in self.points:
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise ValueError(f"PWL time and value must be finite, got {t!r} {v!r}")
         if self.points[0][0] < 0.0:
             raise ValueError("PWL times must start at t >= 0")
         for (t0, _), (t1, _) in zip(self.points, self.points[1:]):
@@ -159,6 +170,9 @@ class PulseStimulus:
     period: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"PULSE {name} must be finite, got {value!r}")
         if self.delay < 0.0:
             raise ValueError("PULSE delay must be >= 0")
         for name in ("rise", "fall", "width", "period"):
@@ -224,8 +238,8 @@ class Transient:
             raise ValueError("tstop must be finite and > 0")
         if not 0.0 < self.dt <= self.tstop:
             raise ValueError("dt must satisfy 0 < dt <= tstop")
-        if self.dtmax is not None and self.dtmax <= 0.0:
-            raise ValueError("dtmax must be > 0")
+        if self.dtmax is not None and not 0.0 < self.dtmax < math.inf:
+            raise ValueError("dtmax must be finite and > 0")
 
 
 Analysis = OperatingPoint | Transient
@@ -252,17 +266,28 @@ class MeasureDirective:
 # --------------------------------------------------------------------------
 # devices and the netlist container
 
-_TERMINAL_COUNT = {"resistor": 2, "capacitor": 2, "vsource": 2, "fet": 4}
+# A device's name's first letter fixes, as in SPICE, its kind, its terminal
+# count, which of value, model and stimulus it sets and what its value is.
+_ELEMENTS = {
+    "r": ("resistor", 2, ("value",), "resistance"),
+    "c": ("capacitor", 2, ("value",), "capacitance"),
+    "v": ("vsource", 2, ("stimulus",), None),
+    "m": ("fet", 4, ("value", "model"), "multiplier m"),
+}
 
 
 @dataclass
 class Device:
     name: str
-    kind: str  # "resistor" | "capacitor" | "vsource" | "fet"
     terminals: tuple[str, ...]
-    params: dict[str, float] = field(default_factory=dict)
+    value: float | None = None  # ohms, farads or a FET's multiplier m
     model: str | None = None
     stimulus: Stimulus | None = None
+
+    @property
+    def kind(self) -> str | None:
+        """resistor, capacitor, vsource or fet; None for another letter."""
+        return _ELEMENTS.get(self.name[:1], (None,))[0]
 
 
 @dataclass
@@ -314,27 +339,24 @@ class Netlist:
             if d.name in seen_names:
                 return d, f"duplicate device name {d.name!r}"
             seen_names.add(d.name)
-            if d.kind not in _TERMINAL_COUNT:
-                return d, f"unknown device kind {d.kind!r}"
-            if len(d.terminals) != _TERMINAL_COUNT[d.kind]:
-                return d, f"{d.name}: {d.kind} needs {_TERMINAL_COUNT[d.kind]} terminals"
+            if d.name[0] not in _ELEMENTS:
+                return d, f"unknown element {d.name!r}"
+            kind, count, fields, what = _ELEMENTS[d.name[0]]
+            if len(d.terminals) != count:
+                return d, f"{d.name}: {kind} needs {count} terminals"
             for t in d.terminals:
-                if not _NAME_RE.match(t):
+                if not _NAME_RE.match(t) or t == "gnd":
                     return d, f"{d.name}: bad node name {t!r}"
-            if d.kind == "resistor":
-                if not 0.0 < d.params.get("resistance", 0.0) < math.inf:
-                    return d, f"{d.name}: resistance must be finite and > 0"
-            elif d.kind == "capacitor":
-                if not 0.0 <= d.params.get("capacitance", -1.0) < math.inf:
-                    return d, f"{d.name}: capacitance must be finite and >= 0"
-            elif d.kind == "vsource":
-                if d.stimulus is None:
-                    return d, f"{d.name}: voltage source needs a stimulus"
-            elif d.kind == "fet":
-                if not 0.0 < d.params.get("m", 1.0) < math.inf:
-                    return d, f"{d.name}: multiplier m must be finite and > 0"
-                if d.model is None or d.model not in self.models:
-                    return d, f"{d.name}: undeclared model {d.model!r}"
+            for name in ("value", "model", "stimulus"):
+                if (getattr(d, name) is None) == (name in fields):
+                    need = "needs a" if name in fields else "takes no"
+                    return d, f"{d.name}: {kind} {need} {name}"
+            if d.value is not None and not (
+                    0.0 <= d.value < math.inf and (d.value > 0.0 or kind == "capacitor")):
+                least = ">= 0" if kind == "capacitor" else "> 0"
+                return d, f"{d.name}: {what} must be finite and {least}"
+            if d.model is not None and d.model not in self.models:
+                return d, f"{d.name}: undeclared model {d.model!r}"
         trans = [a for a in self.analyses if isinstance(a, Transient)]
         if len(trans) > 1:
             return trans[1], "only one .tran is allowed"
@@ -386,7 +408,7 @@ def _split_title(raw: list[str]) -> tuple[str, int]:
             continue
         if s.startswith("*"):
             return s[1:].strip(), i + 1
-        if s[0].lower() in "vrcm.+":
+        if s[0].lower() in ".+" or s[0].lower() in _ELEMENTS:
             return "", i
         return s, i + 1
     return "", len(raw)
@@ -417,20 +439,20 @@ def _parse_vsource(name, toks, line, lineno) -> Device:
         m = re.fullmatch(r"(?is)dc\s+(\S+)", tail)
         if m:
             stim: Stimulus = DcStimulus(_value(m.group(1), lineno, tcol))
-            return Device(name, "vsource", (p, n), stimulus=stim)
+            return Device(name, (p, n), stimulus=stim)
         m = re.fullmatch(r"(?is)pwl\s*\((.*)\)", tail)
         if m:
             nums = [_value(t, lineno, tcol) for t in m.group(1).split()]
             if len(nums) < 2 or len(nums) % 2:
                 raise NetlistError("PWL needs an even number of values", lineno, tcol)
             pts = tuple(zip(nums[0::2], nums[1::2]))
-            return Device(name, "vsource", (p, n), stimulus=PwlStimulus(pts))
+            return Device(name, (p, n), stimulus=PwlStimulus(pts))
         m = re.fullmatch(r"(?is)pulse\s*\((.*)\)", tail)
         if m:
             nums = [_value(t, lineno, tcol) for t in m.group(1).split()]
             if len(nums) != 7:
                 raise NetlistError("PULSE needs exactly 7 values", lineno, tcol)
-            return Device(name, "vsource", (p, n), stimulus=PulseStimulus(*nums))
+            return Device(name, (p, n), stimulus=PulseStimulus(*nums))
     except ValueError as e:  # stimulus invariant violations
         raise NetlistError(str(e), lineno, tcol) from None
     raise NetlistError("expected DC <v>, PWL(...) or PULSE(...)", lineno, tcol)
@@ -446,10 +468,7 @@ def _parse_device(lineno: int, line: str) -> Device:
         if len(toks) != 4:
             raise NetlistError(f"{name}: expected two nodes and a value", lineno)
         a, b = _node(toks[1][0]), _node(toks[2][0])
-        v = _value(toks[3][0], lineno, toks[3][1])
-        if letter == "r":
-            return Device(name, "resistor", (a, b), {"resistance": v})
-        return Device(name, "capacitor", (a, b), {"capacitance": v})
+        return Device(name, (a, b), _value(toks[3][0], lineno, toks[3][1]))
     if letter == "m":
         if len(toks) not in (6, 7):
             raise NetlistError(
@@ -464,7 +483,7 @@ def _parse_device(lineno: int, line: str) -> Device:
             if not mm:
                 raise NetlistError(f"{name}: expected m=<mult>", lineno, toks[6][1])
             mult = _value(mm.group(1), lineno, toks[6][1])
-        return Device(name, "fet", terms, {"m": mult}, model=model)
+        return Device(name, terms, mult, model)
     raise NetlistError(f"unknown element {toks[0][0]!r}", lineno, 1)
 
 
@@ -481,23 +500,23 @@ def _parse_model(toks, lineno) -> tuple[str, FetModelCard]:
     if kind not in ("nfet", "pfet"):
         raise NetlistError(f"model type must be NFET or PFET, got {toks[2][0]!r}",
                            lineno, toks[2][1])
-    params: dict[str, float] = {}
+    given: dict[str, float] = {}
     for tok, col in toks[3:]:
         m = re.fullmatch(r"(?i)(\w+)=(\S+)", tok)
         if not m or m.group(1).lower() not in _MODEL_KEYS:
             raise NetlistError(f"unknown model parameter {tok!r}", lineno, col)
         key = m.group(1).lower()
-        if key in params:
+        if key in given:
             raise NetlistError(f"duplicate model parameter {key!r}", lineno, col)
-        params[key] = _value(m.group(2), lineno, col)
+        given[key] = _value(m.group(2), lineno, col)
     for key in ("vth", "k", "lambda", "cg"):
-        if key not in params:
+        if key not in given:
             raise NetlistError(f".model {name}: missing {key}=", lineno)
     try:
         card = FetModelCard(
             polarity="n" if kind == "nfet" else "p",
-            vth=params["vth"], k=params["k"], lam=params["lambda"],
-            cg=params["cg"], cd=params.get("cd", 0.0),
+            vth=given["vth"], k=given["k"], lam=given["lambda"],
+            cg=given["cg"], cd=given.get("cd", 0.0),
         )
     except ValueError as e:
         raise NetlistError(f".model {name}: {e}", lineno) from None
@@ -604,14 +623,12 @@ def _stimulus_text(stim: Stimulus) -> str:
 
 def device_line(d: Device) -> str:
     """Canonical single-line form of one device."""
+    head = " ".join((d.name, *d.terminals))
     if d.kind == "vsource":
-        return f"{d.name} {d.terminals[0]} {d.terminals[1]} {_stimulus_text(d.stimulus)}"
-    if d.kind == "resistor":
-        return f"{d.name} {d.terminals[0]} {d.terminals[1]} {_fmt(d.params['resistance'])}"
-    if d.kind == "capacitor":
-        return f"{d.name} {d.terminals[0]} {d.terminals[1]} {_fmt(d.params['capacitance'])}"
-    terms = " ".join(d.terminals)
-    return f"{d.name} {terms} {d.model} m={_fmt(d.params.get('m', 1.0))}"
+        return f"{head} {_stimulus_text(d.stimulus)}"
+    if d.kind == "fet":
+        return f"{head} {d.model} m={_fmt(d.value)}"
+    return f"{head} {_fmt(d.value)}"
 
 
 def _measure_line(m: MeasureDirective) -> str:

@@ -88,7 +88,7 @@ class TestVlcCell:
         assert len(fets_of(net)) == 2
         assert net.models["nvlc"].vth == vlc_thresholds(1, spec.levels)[0]
         assert net.models["pvlc"].vth == vlc_thresholds(1, spec.levels)[1]
-        assert net.device("cload").params["capacitance"] == spec.load
+        assert net.device("cload").value == spec.load
         assert net.device("vsup").stimulus.level == 3.0
 
     def test_cells_differ_only_in_thresholds(self):

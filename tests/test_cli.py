@@ -68,6 +68,22 @@ class TestRun:
         assert doc["solver"]["rejected_lte"] == doc["solver"]["rejected_newton"] == 0
         assert "tr = " in capsys.readouterr().out
 
+    def test_absorbing_source_reports_negative_power(self, tmp_path, capsys):
+        # v2 takes 1 mA in while x is at 2 V and gives 1 mA out while x is
+        # at 0 V: 1 mW absorbed for 7.5 ns and delivered for 6.5 ns
+        src = tmp_path / "absorb.sp"
+        src.write_text("* absorbing source\n"
+                       "v1 x 0 pwl(0 0 0.5n 0 0.6n 2 8n 2 8.1n 0 14n 0)\n"
+                       "r1 x y 1k\nc1 y 0 1p\nv2 z 0 dc 1\nr2 x z 1k\n.tran 10p 14n\n"
+                       ".measure tr rise v(y)\n.measure tf fall v(y)\n"
+                       ".measure td delay v(x) v(y)\n"
+                       ".measure pa avgpower v2\n.measure pp peakpower v2\n.end\n")
+        assert main(["run", str(src), "--out", str(tmp_path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["avg_power"] == pytest.approx(-1e-3 / 14, rel=1e-9)
+        assert report["pdp"] == report["avg_power"] * report["prop_delay"] < 0.0
+        assert report["edp"] < 0.0
+
     def test_op_only_netlist(self, tmp_path, capsys):
         src = tmp_path / "div.sp"
         src.write_text("* d\nv1 a 0 dc 2\nr1 a b 1k\nr2 b 0 1k\n.op\n.end\n")

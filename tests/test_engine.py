@@ -930,13 +930,13 @@ class TestLinearize:
         for d in net.devices:
             t = d.terminals
             if d.kind == "resistor":
-                cur = (v[t[0]] - v[t[1]]) / d.params["resistance"]
+                cur = (v[t[0]] - v[t[1]]) / d.value
             elif d.kind == "vsource":
                 cur = x[ckt.n - len(ckt.vsources) + ckt.vsources.index(d)]
             elif d.kind == "fet":
                 card = net.models[d.model]
                 sign = 1.0 if card.polarity == "n" else -1.0
-                cur = sign * square_law(sign * card.vth, card.k * d.params.get("m", 1.0),
+                cur = sign * square_law(sign * card.vth, card.k * d.value,
                                         card.lam, sign * (v[t[1]] - v[t[2]]),
                                         sign * (v[t[0]] - v[t[2]]))[0]
                 shunted.update((t[0], t[2]))
@@ -972,9 +972,9 @@ class TestLinearize:
         for net, member in zip(nets, caps):
             for d in net.devices:
                 if d.kind == "capacitor":
-                    member.append((*d.terminals, d.params["capacitance"]))
+                    member.append((*d.terminals, d.value))
                 elif d.kind == "fet":
-                    card, m = net.models[d.model], d.params.get("m", 1.0)
+                    card, m = net.models[d.model], d.value
                     drain, gate, src = d.terminals[:3]
                     member += [(gate, src, card.cg * m), (drain, "0", card.cd * m)]
             member[:] = [cap for cap in member if cap[2] > 0.0]
@@ -1009,7 +1009,7 @@ class TestLinearize:
             for d in net.devices:
                 t = d.terminals
                 if d.kind == "resistor":
-                    g = 1.0 / d.params["resistance"]
+                    g = 1.0 / d.value
                     branch(t[0], t[1], g * (v[t[0]] - v[t[1]]), (t[0], t[1], g))
                 elif d.kind == "vsource":
                     # its current x[row], and its constraint in its own row
@@ -1024,7 +1024,7 @@ class TestLinearize:
                     sign = 1.0 if card.polarity == "n" else -1.0
                     drain, gate, src = t[:3]
                     cur, gm, gds = square_law(
-                        sign * card.vth, card.k * d.params.get("m", 1.0), card.lam,
+                        sign * card.vth, card.k * d.value, card.lam,
                         sign * (v[gate] - v[src]), sign * (v[drain] - v[src]))
                     branch(drain, src, sign * cur, (gate, src, gm), (drain, src, gds))
                     shunted.update({drain, src} - {"0"})

@@ -198,9 +198,16 @@ class TestReport:
         assert r.edp == r.pdp * 5e-10
 
     def test_negative_figures_rejected(self):
-        with pytest.raises(ValueError):
-            MeasureReport("t", max_power=-1.0, avg_power=1.0,
-                          rise_time=1.0, fall_time=1.0, prop_delay=1.0)
+        # only the times; the power figures are signed
+        with pytest.raises(ValueError, match="^fall_time must be non-negative$"):
+            MeasureReport("t", max_power=1.0, avg_power=1.0,
+                          rise_time=1.0, fall_time=-1.0, prop_delay=1.0)
+
+    def test_absorbed_power_is_negative(self):
+        # under p = -v*i a source that absorbs energy reports negative power
+        r = MeasureReport("t", max_power=-1e-6, avg_power=-2e-6,
+                          rise_time=1.0, fall_time=1.0, prop_delay=3.0)
+        assert (r.pdp, r.edp) == (-6e-6, -1.8e-5)
 
     def test_table_layout(self):
         r = MeasureReport("cmos32", 2e-6, 1e-6, 2e-10, 3e-10, 5e-10)
