@@ -54,81 +54,60 @@ def vlc_thresholds(i: int, levels: LevelMap) -> tuple[float, float]:
     return (0.2 + 1.0 * i) * scale, -(2.2 - 1.0 * i) * scale
 
 
-class _NetBuilder:
-    def __init__(self, title: str, spec: CellSpec):
-        self.net = Netlist(title=title)
-        self.spec = spec
+def _pair(prefix: str, inp: str, out: str, nmodel: str = "nfet",
+          pmodel: str = "pfet") -> list[Device]:
+    """A complementary pair: an inverter, or on a VLC's shifted cards a VLC."""
+    return [Device(f"{prefix}p", (out, inp, "vdd", "vdd"), 1.0, pmodel),
+            Device(f"{prefix}n", (out, inp, "0", "0"), 1.0, nmodel)]
 
-    def model(self, name: str, card: FetModelCard) -> str:
-        self.net.models[name] = card
-        return name
 
-    def fet(self, name, nd, ng, ns, nb, model):
-        self.net.devices.append(Device(name, (nd, ng, ns, nb), 1.0, model))
-
-    def cap(self, name, a, b, farads):
-        self.net.devices.append(Device(name, (a, b), farads))
-
-    def vsource(self, name, p, n, stim):
-        self.net.devices.append(Device(name, (p, n), stimulus=stim))
-
-    def supply(self):
-        self.vsource("vsup", "vdd", "0", DcStimulus(self.spec.levels.vdd))
-
-    def inverter(self, prefix, inp, out):
-        self.fet(f"{prefix}p", out, inp, "vdd", "vdd", "pfet")
-        self.fet(f"{prefix}n", out, inp, "0", "0", "nfet")
-
-    def nominal_models(self):
-        self.model("nfet", self.spec.tech.nfet)
-        self.model("pfet", self.spec.tech.pfet)
-
-    def vlc_models(self, i: int, suffix: str = "") -> tuple[str, str]:
-        vth_n, vth_p = vlc_thresholds(i, self.spec.levels)
-        nname = self.model(f"nvlc{suffix}", replace(self.spec.tech.nfet, vth=vth_n))
-        pname = self.model(f"pvlc{suffix}", replace(self.spec.tech.pfet, vth=vth_p))
-        return nname, pname
-
-    def vlc(self, prefix, i, inp, out, suffix=""):
-        nname, pname = self.vlc_models(i, suffix)
-        self.fet(f"{prefix}p", out, inp, "vdd", "vdd", pname)
-        self.fet(f"{prefix}n", out, inp, "0", "0", nname)
-
-    def xor_core(self, tag, a, a_bar, b, b_bar, out):
+def _xor(tag: str, a: str, a_bar: str, b: str, b_bar: str, out: str) -> list[Device]:
+    """The 8-FET XOR network on both inputs and their complements."""
+    pu1, pu2, pd1, pd2 = (f"{tag}_{node}" for node in ("pu1", "pu2", "pd1", "pd2"))
+    return [
         # pull-up: (a and not b) or (not a and b) conducts to vdd
-        self.fet(f"m{tag}p1", f"{tag}_pu1", a_bar, "vdd", "vdd", "pfet")
-        self.fet(f"m{tag}p2", out, b, f"{tag}_pu1", "vdd", "pfet")
-        self.fet(f"m{tag}p3", f"{tag}_pu2", a, "vdd", "vdd", "pfet")
-        self.fet(f"m{tag}p4", out, b_bar, f"{tag}_pu2", "vdd", "pfet")
+        Device(f"m{tag}p1", (pu1, a_bar, "vdd", "vdd"), 1.0, "pfet"),
+        Device(f"m{tag}p2", (out, b, pu1, "vdd"), 1.0, "pfet"),
+        Device(f"m{tag}p3", (pu2, a, "vdd", "vdd"), 1.0, "pfet"),
+        Device(f"m{tag}p4", (out, b_bar, pu2, "vdd"), 1.0, "pfet"),
         # pull-down: (a and b) or (not a and not b) conducts to ground
-        self.fet(f"m{tag}n1", out, a, f"{tag}_pd1", "0", "nfet")
-        self.fet(f"m{tag}n2", f"{tag}_pd1", b, "0", "0", "nfet")
-        self.fet(f"m{tag}n3", out, a_bar, f"{tag}_pd2", "0", "nfet")
-        self.fet(f"m{tag}n4", f"{tag}_pd2", b_bar, "0", "0", "nfet")
+        Device(f"m{tag}n1", (out, a, pd1, "0"), 1.0, "nfet"),
+        Device(f"m{tag}n2", (pd1, b, "0", "0"), 1.0, "nfet"),
+        Device(f"m{tag}n3", (out, a_bar, pd2, "0"), 1.0, "nfet"),
+        Device(f"m{tag}n4", (pd2, b_bar, "0", "0"), 1.0, "nfet"),
+    ]
 
-    def build(self) -> Netlist:
-        self.net.validate()
-        return self.net
+
+def _vlc_models(i: int, spec: CellSpec, suffix: str = "") -> dict[str, FetModelCard]:
+    """VLC(i)'s shifted cards by name, the NFET's first."""
+    vth_n, vth_p = vlc_thresholds(i, spec.levels)
+    return {f"nvlc{suffix}": replace(spec.tech.nfet, vth=vth_n),
+            f"pvlc{suffix}": replace(spec.tech.pfet, vth=vth_p)}
+
+
+def _cell(title: str, spec: CellSpec, models: dict[str, FetModelCard],
+          devices: list[Device], loads: dict[str, str]) -> Netlist:
+    """The validated cell: its devices, a spec.load capacitor on each output
+    (loads maps capacitor to node) and the vdd supply."""
+    devices += [Device(name, (node, "0"), spec.load) for name, node in loads.items()]
+    devices.append(Device("vsup", ("vdd", "0"), stimulus=DcStimulus(spec.levels.vdd)))
+    net = Netlist(title, devices, models)
+    net.validate()
+    return net
 
 
 def build_vlc(i: int, spec: CellSpec) -> Netlist:
     """VLC(i) cell: complementary pair with shifted thresholds, input 'in',
     output 'out' loaded with spec.load."""
-    b = _NetBuilder(f"vlc{i + 1} cell", spec)
-    b.vlc("mvlc", i, "in", "out")
-    b.cap("cload", "out", "0", spec.load)
-    b.supply()
-    return b.build()
+    models = _vlc_models(i, spec)
+    return _cell(f"vlc{i + 1} cell", spec, models, _pair("mvlc", "in", "out", *models),
+                 {"cload": "out"})
 
 
 def build_inverter(spec: CellSpec) -> Netlist:
     """Minimum complementary inverter, input 'in', loaded output 'out'."""
-    b = _NetBuilder("inverter cell", spec)
-    b.nominal_models()
-    b.inverter("minv", "in", "out")
-    b.cap("cload", "out", "0", spec.load)
-    b.supply()
-    return b.build()
+    return _cell("inverter cell", spec, {"nfet": spec.tech.nfet, "pfet": spec.tech.pfet},
+                 _pair("minv", "in", "out"), {"cload": "out"})
 
 
 def build_xor2(spec: CellSpec) -> Netlist:
@@ -137,14 +116,10 @@ def build_xor2(spec: CellSpec) -> Netlist:
     Standalone form generates both input complements locally (two internal
     inverters plus the 8-transistor network).
     """
-    b = _NetBuilder("xor2 cell", spec)
-    b.nominal_models()
-    b.inverter("minva", "a", "a_bar")
-    b.inverter("minvb", "b", "b_bar")
-    b.xor_core("x", "a", "a_bar", "b", "b_bar", "out")
-    b.cap("cload", "out", "0", spec.load)
-    b.supply()
-    return b.build()
+    devices = [*_pair("minva", "a", "a_bar"), *_pair("minvb", "b", "b_bar"),
+               *_xor("x", "a", "a_bar", "b", "b_bar", "out")]
+    return _cell("xor2 cell", spec, {"nfet": spec.tech.nfet, "pfet": spec.tech.pfet},
+                 devices, {"cload": "out"})
 
 
 def build_decoder(spec: CellSpec) -> Netlist:
@@ -156,21 +131,23 @@ def build_decoder(spec: CellSpec) -> Netlist:
     """
     if spec.levels.radix != 4:
         raise ValueError("decoder is defined for radix 4")
-    b = _NetBuilder(f"quaternary decoder ({spec.tech.name})", spec)
-    b.nominal_models()
+    models = {"nfet": spec.tech.nfet, "pfet": spec.tech.pfet}
+    devices = []
     for i in range(3):
-        b.vlc(f"mvlc{i + 1}", i, "in", f"v{i + 1}", suffix=str(i + 1))
-    b.inverter("minv1", "v1", "i1")
-    b.inverter("minv2", "v2", "b1")   # b1 output is the second inverter
-    b.inverter("minv3", "v3", "i3")
-    b.inverter("mxainv", "i1", "xa_ab")
-    b.xor_core("xa", "i1", "xa_ab", "b1", "v2", "x1")
-    b.inverter("mxbinv", "x1", "xb_ab")
-    b.xor_core("xb", "x1", "xb_ab", "i3", "v3", "b0")
-    b.cap("cb1", "b1", "0", spec.load)
-    b.cap("cb0", "b0", "0", spec.load)
-    b.supply()
-    return b.build()
+        cards = _vlc_models(i, spec, str(i + 1))
+        models.update(cards)
+        devices += _pair(f"mvlc{i + 1}", "in", f"v{i + 1}", *cards)
+    devices += [
+        *_pair("minv1", "v1", "i1"),
+        *_pair("minv2", "v2", "b1"),   # b1 output is the second inverter
+        *_pair("minv3", "v3", "i3"),
+        *_pair("mxainv", "i1", "xa_ab"),
+        *_xor("xa", "i1", "xa_ab", "b1", "v2", "x1"),
+        *_pair("mxbinv", "x1", "xb_ab"),
+        *_xor("xb", "x1", "xb_ab", "i3", "v3", "b0"),
+    ]
+    return _cell(f"quaternary decoder ({spec.tech.name})", spec, models, devices,
+                 {"cb1": "b1", "cb0": "b0"})
 
 
 def staircase_points(levels: LevelMap, hold: float, slew: float):

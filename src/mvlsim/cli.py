@@ -67,7 +67,9 @@ _FORMATS = ("table", "json", "csv")
 # An output is a waveform set (its CSV, streamed by WaveformSet.to_csv), a
 # JSON document or text.  A command returns its exit code, the artifacts to
 # write under the output directory by file name, and its output per stdout
-# format; main writes the one and prints the other.
+# format; main writes the one and prints the other.  A command that runs a
+# batch of decoders first sets args.runs, a label per member (card or swept
+# value), so main's solver-failure line names the failing run.
 Output = WaveformSet | dict | str
 Result = tuple[int, dict[str, Output], dict[str, Output]]
 
@@ -181,6 +183,7 @@ def cmd_cell(args: argparse.Namespace) -> Result:
 
 def cmd_decoder(args: argparse.Namespace) -> Result:
     cfg = _cfg_from_args(args)
+    args.runs = [cfg.tech]
     run = run_decoder(cfg)
     files = _decoder_files(cfg, run)
     table = [f"x={x} expected b1b0={exp[0]}{exp[1]} observed={obs[0]}{obs[1]}"
@@ -202,12 +205,10 @@ _IMPROVEMENTS = {"avg_power": "decrease in power", "rise_time": "improvement in 
 
 def cmd_compare(args: argparse.Namespace) -> Result:
     base = _cfg_from_args(args)
-    names = ("cmos32", "gnrfet32")
+    names = ["cmos32", "gnrfet32"]
     cfgs = [dataclasses.replace(base, tech=name) for name in names]
-    try:
-        batch = run_decoders(cfgs)
-    except (ConvergenceError, SingularMatrixError) as exc:
-        return _solver_failure(exc, names[exc.member]), {}, {}
+    args.runs = names
+    batch = run_decoders(cfgs)
     cm, gn = batch
     improvements: dict[str, float] | None = None
     if cm.report is not None and gn.report is not None:
@@ -241,10 +242,8 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
         raise ValueError("start and stop must be finite")
     values = [float(v) for v in np.linspace(args.start, args.stop, args.count)]
     cfgs, techs = sweep_configs(_cfg_from_args(args), args.param, values)
-    try:
-        batch = run_decoders(cfgs, techs)
-    except (ConvergenceError, SingularMatrixError) as exc:
-        return _solver_failure(exc, f"{args.param}={values[exc.member]!r}"), {}, {}
+    args.runs = [f"{args.param}={value!r}" for value in values]
+    batch = run_decoders(cfgs, techs)
     lines = [f"{args.param},run,metric,value"]
     for idx, (value, run) in enumerate(zip(values, batch)):
         rows = [("logic_ok", 1.0 if run.logic_ok else 0.0)]
@@ -270,8 +269,9 @@ def cmd_dump_models(args: argparse.Namespace) -> Result:
 
 
 def _solver_failure(exc: ConvergenceError | SingularMatrixError,
-                    run: str | None = None) -> int:
-    """Print a solver error and its fields, naming the failing run if known."""
+                    runs: list[str] | None) -> int:
+    """Print a solver error and its fields; a command that runs a batch of
+    decoders names the failing one from its runs, a label per member."""
     print(f"error: {exc}", file=sys.stderr)
     fields = ["t dc" if exc.t is None else f"t {exc.t!r} s"]
     if isinstance(exc, SingularMatrixError):
@@ -279,7 +279,7 @@ def _solver_failure(exc: ConvergenceError | SingularMatrixError,
     else:
         fields += [f"node {exc.node!r}", f"KCL excess {exc.excess!r} A",
                    f"iteration {exc.iteration}"]
-    where = "" if run is None else f"run {run}: "
+    where = "" if runs is None else f"run {runs[exc.member]}: "
     print(f"error: {where}{', '.join(fields)}", file=sys.stderr)
     return EXIT_SOLVER
 
@@ -368,10 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     formats = getattr(args, "format", None) or ("table",)
     try:
         code, files, shown = args.func(args)
-        # refused before anything is written; a command that failed has
-        # printed its own error and shows nothing
+        # refused before anything is written
         missing = [f for f in formats if f not in shown]
-        if missing and code == EXIT_OK:
+        if missing:
             print(f"error: {args.command} has no {', '.join(missing)} output "
                   "for this input", file=sys.stderr)
             return EXIT_USAGE
@@ -390,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, SingularMatrixError) as exc:
-        return _solver_failure(exc)
+        return _solver_failure(exc, getattr(args, "runs", None))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

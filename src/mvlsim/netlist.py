@@ -124,6 +124,8 @@ class PwlStimulus:
     times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # lists given in code become the tuples parse gives back
+        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
         if len(self.points) < 1:
             raise ValueError("PWL needs at least one (time, value) pair")
         for t, v in self.points:
@@ -256,6 +258,7 @@ class MeasureDirective:
     targets: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "targets", tuple(self.targets))
         if self.kind not in _MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         want = 2 if self.kind == "delay" else 1
@@ -283,6 +286,9 @@ class Device:
     value: float | None = None  # ohms, farads or a FET's multiplier m
     model: str | None = None
     stimulus: Stimulus | None = None
+
+    def __post_init__(self):
+        self.terminals = tuple(self.terminals)
 
     @property
     def kind(self) -> str | None:

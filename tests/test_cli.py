@@ -305,6 +305,14 @@ class TestDecoder:
         assert (tmp_path / "decoder_cmos32.csv").read_bytes() == text.encode()
         assert capsys.readouterr().out == text
 
+    def test_solver_failure_names_the_card(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 3)
+        assert main(["decoder", "--tech", "gnrfet32", "--hold", "1e-9",
+                     "--out", str(tmp_path)]) == 2
+        match = FAILED_RUN.search(capsys.readouterr().err)
+        assert match and match[1] == "gnrfet32" and match[3] == "3"
+        assert not list(tmp_path.iterdir())
+
     def test_low_vdd_mismatch_is_exit_4(self, tmp_path):
         code = main(["decoder", "--vdd", "0.3", "--hold", "1e-9",
                      "--out", str(tmp_path)])

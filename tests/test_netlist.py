@@ -467,6 +467,21 @@ class TestEmitRoundTrip:
             assert again.measures == net.measures
             assert emit(again) == text
 
+    @pytest.mark.parametrize("extra", [
+        Device("r9", ["mid", "0"], 1e3),
+        MeasureDirective("m9", "rise", ["mid"]),
+        Device("v9", ("top", "0"), stimulus=PwlStimulus([[0.0, 0.0], (1e-9, 1.0)])),
+    ], ids=["device_terminals", "measure_targets", "pwl_points"])
+    def test_lists_built_in_code_round_trip(self, extra):
+        # the dialect's sequences are tuples; a list passed in becomes one
+        net = parse(DIVIDER)
+        if isinstance(extra, Device):
+            net.devices.append(extra)
+        else:
+            net.measures.append(extra)
+        net.validate()
+        assert parse(emit(net)) == net
+
     @pytest.mark.parametrize("tech", ["cmos32", "gnrfet32"])
     @pytest.mark.parametrize("name", CELL_NAMES)
     def test_generated_cells_round_trip(self, name, tech):

@@ -4,6 +4,7 @@ that import it."""
 import ast
 import importlib.util
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -105,3 +106,17 @@ def test_reference_generator_runs_the_trapezoidal_rule(monkeypatch):
             sys.modules.pop(name, None)
     assert (cost["steps"], cost["newton_iters"]) == (443, 780)
     assert figures == pytest.approx(committed, rel=2e-3)
+
+
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.M | re.S)
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_blocks_run(block, capsys):
+    # a block whose first print carries a comment shows the line it prints
+    exec(compile(block, "README.md", "exec"), {})
+    first_print = next(line for line in block.splitlines() if line.startswith("print("))
+    shown = first_print.partition("# ")[2]
+    assert not shown or capsys.readouterr().out.splitlines()[0] == shown

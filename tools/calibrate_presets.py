@@ -27,13 +27,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mvlsim.cells import CellSpec, build_inverter, with_dc_input  # noqa: E402
+from mvlsim.cells import CellSpec, build_inverter  # noqa: E402
 from mvlsim.characterize import RunConfig, run_decoder  # noqa: E402
 from mvlsim.devices import preset  # noqa: E402
 from mvlsim.engine import transient  # noqa: E402
 from mvlsim.measure import fall_time, rise_time  # noqa: E402
 from mvlsim.mvl import LevelMap  # noqa: E402
-from mvlsim.netlist import PwlStimulus, Transient  # noqa: E402
+from mvlsim.netlist import Device, PwlStimulus, Transient  # noqa: E402
 
 ANCHOR = 174.38e-12
 VDD = 1.2
@@ -59,10 +59,7 @@ def inverter_edges(k: float) -> tuple[float, float]:
         (0.0, VDD), (5e-9, VDD), (5.01e-9, 0.0),
         (10e-9, 0.0), (10.01e-9, VDD), (15e-9, VDD),
     ))
-    net = with_dc_input(net, 0.0)
-    vin = net.device("vin")
-    idx = net.devices.index(vin)
-    net.devices[idx] = dataclasses.replace(vin, stimulus=stim)
+    net.devices.append(Device("vin", ("in", "0"), stimulus=stim))
     net.analyses.append(Transient(dt=2e-12, tstop=15e-9))
     ws = transient(net)
     out = ws.voltage("out")
