@@ -19,7 +19,6 @@ from .cells import (
     staircase_points,
     staircase_sample_times,
     vlc_thresholds,
-    with_dc_input,
 )
 from .characterize import (
     DecoderRun,
@@ -58,11 +57,8 @@ from .measure import (
 from .mvl import (
     Digit,
     LevelMap,
-    gate_level_decode,
     ideal_decode,
-    ideal_vlc,
     quantize,
-    truth_table_csv,
 )
 from .netlist import (
     DcStimulus,
@@ -114,9 +110,7 @@ __all__ = [
     "dc_operating_point",
     "emit",
     "fall_time",
-    "gate_level_decode",
     "ideal_decode",
-    "ideal_vlc",
     "improvement_pct",
     "parse",
     "parse_value",
@@ -134,8 +128,6 @@ __all__ = [
     "supply_power",
     "transient",
     "transient_batch",
-    "truth_table_csv",
     "vlc_thresholds",
-    "with_dc_input",
     "__version__",
 ]

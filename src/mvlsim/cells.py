@@ -1,8 +1,8 @@
 """Transistor-level cell generators for the quaternary-to-binary decoder.
 
 Every generator returns a validated Netlist that already contains its vdd
-supply source; the input node(s) are left undriven so a testbench (or
-``with_dc_input``) can attach a stimulus.
+supply source; the input node(s) are left undriven so a testbench can
+attach a stimulus.
 
 A voltage level converter VLC(i) is a complementary pair whose thresholds
 are shifted so the pair inverts "late": the output stays at the top rail
@@ -24,7 +24,6 @@ generated locally (one inverter per XOR, 10 FETs each, 32 FETs total).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 
 from .devices import FetModelCard, TechnologyCard
@@ -198,11 +197,3 @@ def build_staircase_testbench(spec: CellSpec, *, hold: float, slew: float,
     net.validate()
     return net
 
-
-def with_dc_input(net: Netlist, volts: float, node: str = "in",
-                  name: str = "vin") -> Netlist:
-    """Copy of a cell netlist with a DC source driving one of its nodes."""
-    out = copy.deepcopy(net)
-    out.devices.append(Device(name, (node, "0"), stimulus=DcStimulus(volts)))
-    out.validate()
-    return out

@@ -277,6 +277,9 @@ def _solver_failure(exc: ConvergenceError | SingularMatrixError,
     if isinstance(exc, SingularMatrixError):
         fields.append(f"unknowns {', '.join(exc.unknowns)}")
     else:
+        fields.append(f"test {exc.test}")
+        if exc.unknown is not None:
+            fields += [f"unknown {exc.unknown!r}", f"dx {exc.dx!r}"]
         fields += [f"node {exc.node!r}", f"KCL excess {exc.excess!r} A",
                    f"iteration {exc.iteration}"]
     where = "" if runs is None else f"run {runs[exc.member]}: "

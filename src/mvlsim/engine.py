@@ -66,7 +66,10 @@ at x_k+1 before it solves, and accepts x_k+1 if it holds.  The recorded
 KCL excess is that of the iterate the test ran on, x_k or x_k+1, at most
 _ABSTOL either way.  The KCL test, with its per-node scale, is evaluated
 only when a member's update has met the update test, at the last iteration
-allowed and for a member that fails, whose error names its worst node.
+allowed and for a member that fails.  A member still iterating after the
+last update allowed failed the KCL test if that update met the update
+test, else the update test; its ConvergenceError names the test, for the
+update test the unknown of the largest |dx|, and its worst KCL node.
 
 A batch of B netlists with the same nodes and sources is compiled as the
 disjoint union of its members' branches: member b's unknowns and its own
@@ -82,9 +85,16 @@ same nodes and sources as one batch, in lockstep rounds that try the next
 step of every member still live.  Each member keeps its clock (time,
 step and accept/reject decision), its accepted points and its counters in
 one record, and its row of the round's last two solutions, so its run is
-bitwise the one it gives alone.  ``transient`` is a batch of one.
+bitwise the one it gives alone.  A member that is done, or dropped after a
+failure, leaves the compiled batch: the batch is compiled again for the
+live members, which carry their rows (and under the trapezoidal rule their
+capacitor currents) over, so no round assembles or solves a member that is
+not live.  Each member's branches compile in the same order in any batch,
+and its Jacobian and residual slots and its LAPACK system are its own, so
+its arithmetic does not change.  ``transient`` is a batch of one.
 
-Each Newton step is one LAPACK solve (np.linalg.solve) of the stacked
+Each Newton step is one call of numpy's LAPACK gufunc (the one behind
+np.linalg.solve, without that wrapper's checks) on the stacked
 J dx = -F together with a probe right-hand side D p, p fixed and D = diag(r),
 r_i the sum of |J_ij| over row i, taken as the product |J| @ ones.  LAPACK
 sees J unchanged; the probe's solution z is that of the row-equilibrated
@@ -93,9 +103,11 @@ D^-1 J z = p (Golub and Van Loan, Matrix Computations, sec. 3.5), and
 sums a row in another order than a row reduction, so r and z may move in
 their last bits with the way r is taken, but dx does not: LAPACK factors J
 alone and solves each right-hand-side column on its own, and z feeds only
-the test against _PROBE_KAPPA.  A system is doubtful where LAPACK fails
-for it alone, its dx is not finite or |z|inf reaches _PROBE_KAPPA, and the
-doubtful ones go to one stacked SVD of D^-1 J (Golub and Van Loan, sec.
+the test against _PROBE_KAPPA.  LAPACK factors each system of the stack on
+its own, and the gufunc returns NaN for a system it cannot factor, leaving
+the others as they are alone.  A system is doubtful where its dx is not
+finite (NaN included) or |z|inf reaches _PROBE_KAPPA, and the doubtful
+ones go to one stacked SVD of D^-1 J (Golub and Van Loan, sec.
 2.4).  A smallest singular value of at most 1e-14 times the largest makes
 the matrix singular: _solve returns the indices of the unknowns that its
 null vector moves, and Newton's SingularMatrixError names them, node names
@@ -170,6 +182,7 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .devices import square_law
 from .measure import Waveform
@@ -191,18 +204,25 @@ class SingularMatrixError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Newton failed.  t is the time point (None for a DC solve), node the
-    worst KCL node at the last iterate evaluated, excess its KCL excess in A
-    and iteration the number of Newton updates taken; member is set by
-    transient_batch to the index of the failing netlist."""
+    """Newton failed.  t is the time point (None for a DC solve) and test
+    the test that failed: "update" if the last update exceeded _VTOL (or
+    was not finite: the solution diverged), "kcl" if it met _VTOL and KCL
+    failed.  After an update failure, unknown names the unknown of that
+    update's largest |dx| as the waveform CSV header does, and dx is its
+    update.  node is the worst KCL node at the last iterate evaluated,
+    excess its KCL excess in A and iteration the number of Newton updates
+    taken; member is set by transient_batch to the index of the failing
+    netlist."""
 
     member: int | None = None
 
     def __init__(self, message: str, t: float | None = None,
                  node: str | None = None, excess: float | None = None,
-                 iteration: int | None = None):
+                 iteration: int | None = None, test: str | None = None,
+                 unknown: str | None = None, dx: float | None = None):
         super().__init__(message)
         self.t, self.node, self.excess, self.iteration = t, node, excess, iteration
+        self.test, self.unknown, self.dx = test, unknown, dx
 
 
 @dataclass
@@ -229,6 +249,10 @@ class SolveOptions:
 _PROBE_KAPPA = 1e8
 
 
+# numpy's LAPACK gufunc (m,m),(m,n)->(m,n) behind np.linalg.solve
+_lapack_solve = _umath_linalg.solve
+
+
 @functools.cache
 def _probe(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The fixed probe cos(1..n) and n ones, read-only."""
@@ -245,30 +269,27 @@ def _solve(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, list[float],
     -f goes to column 0 of the right-hand sides (batch x n x 2) and the
     probe p times each row's sum r_i of |a_ij| to column 1, and both are
     solved together: the probe's solution z is that of the row-equilibrated
-    system D^-1 a z = p.  A stack that LAPACK fails is solved again system
-    by system, so that a singular system leaves its stack-mates' dx as they
-    are alone.  The doubtful systems (LAPACK fails alone, dx is not finite
-    or |z|inf reaches _PROBE_KAPPA) share one SVD U S V^T of D^-1 a, a zero
-    row scaled by 1.  A system with sigma_min <= 1e-14 * sigma_max is
-    rejected; the others take dx = V S^-1 U^T (-D^-1 f).  Returns dx, each
-    |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and for each rejected
-    system j, whose dx[j] is then undefined, the indices of the unknowns
-    whose null-vector entries reach a tenth of the largest.
+    system D^-1 a z = p.  LAPACK is numpy's gufunc, called without
+    np.linalg.solve's checks and conversions, which a float64 stack of
+    square systems does not need; LAPACK factors each system on its own, and
+    the gufunc fills a system it fails with NaN and leaves its stack-mates'
+    solutions as they are alone.  The doubtful systems (dx is not finite,
+    NaN included, or |z|inf reaches _PROBE_KAPPA) share one SVD U S V^T of
+    D^-1 a, a zero row scaled by 1.  A system with sigma_min <= 1e-14 *
+    sigma_max is rejected; the others take dx = V S^-1 U^T (-D^-1 f).
+    Returns dx, each |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and
+    for each rejected system j, whose dx[j] is then undefined, the indices
+    of the unknowns whose null-vector entries reach a tenth of the largest.
     """
     p, ones = _probe(f.shape[1])
     rhs = np.empty((*f.shape, 2))
     np.negative(f, rhs[:, :, 0])
     r = np.abs(a) @ ones
     np.multiply(p, r, rhs[:, :, 1])
-    try:
-        sol = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:  # one singular system fails a whole stack
-        sol = np.full(rhs.shape, math.nan)
-        for j in range(len(a)):
-            try:
-                sol[j:j + 1] = np.linalg.solve(a[j:j + 1], rhs[j:j + 1])
-            except np.linalg.LinAlgError:
-                pass  # NaN sends it to the SVD
+    # np.linalg.solve ignores the same flags, but calls "invalid", the flag
+    # of a failed system, to raise LinAlgError for the whole stack
+    with np.errstate(all="ignore"):
+        sol = _lapack_solve(a, rhs)
     dx, singular = sol[:, :, 0], {}
     step, probe = np.maximum.reduce(np.abs(sol), axis=1).T.tolist()
     # NaN, which np.maximum propagates, fails both tests
@@ -600,6 +621,7 @@ class _Circuit:
         # the members whose last update met _VTOL while KCL failed at the
         # iterate it started from
         met = []
+        solved = []  # the members of the last solve, dx's rows
         for it in range(_MAX_NEWTON_ITERS + 1):
             if not members:
                 break
@@ -609,11 +631,13 @@ class _Circuit:
                 if not members:
                     break
             if it == _MAX_NEWTON_ITERS:
-                for b in members:
+                for b in members:  # in met: its update met _VTOL, so KCL failed
                     iters[b] = it
-                    failed[b] = self._failure(b, times[b], label, it, False)
+                    last = None if b in met else dx[solved.index(b)]
+                    failed[b] = self._failure(b, times[b], label, it, last)
                 break
             # the rows of the members still iterating
+            solved = members
             pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
             dx, step, singular = _solve(self.jacobian()[pick], f[pick])
             # NaN propagates through np.maximum and fails every test of a
@@ -630,7 +654,7 @@ class _Circuit:
                         failed[b] = SingularMatrixError(
                             [self.unknown_names[i] for i in singular[j]], times[b])
                     elif not step[j] < math.inf:
-                        failed[b] = self._failure(b, times[b], label, it + 1, True)
+                        failed[b] = self._failure(b, times[b], label, it + 1, dx[j])
                     else:
                         continue
                     iters[b] = it + 1
@@ -664,17 +688,27 @@ class _Circuit:
             self.kcl_test = over, np.maximum.reduce(over, axis=1).tolist()
         return self.kcl_test
 
-    def _failure(self, b, tb, label, iteration, diverged):
+    def _failure(self, b, tb, label, iteration, dx):
         """The ConvergenceError of member b at time tb (None for a DC solve,
-        which label names) after iteration updates, naming its worst KCL
-        node at residual's last x and its excess."""
+        which label names) after iteration updates.  dx is its last update
+        if that failed the update test (not finite: it diverged), None if it
+        met it and the KCL test failed.  The error names the test, the
+        unknown of dx's largest |dx| (the first NaN, if any) and the worst
+        KCL node at residual's last x."""
         over, err = self.kcl()
         where = label if tb is None else f" at t={tb:.6g}s"
-        name = self.node_names[int(np.argmax(over[b]))]
-        message = (f"solution diverged{where}" if diverged else
-                   f"Newton failed after {_MAX_NEWTON_ITERS} iterations"
-                   f"{where}; worst node {name!r} (KCL excess {err[b]:.3e} A)")
-        return ConvergenceError(message, t=tb, node=name, excess=err[b], iteration=iteration)
+        node = self.node_names[int(np.argmax(over[b]))]
+        fields = dict(t=tb, node=node, excess=err[b], iteration=iteration, test="kcl")
+        head = f"Newton failed after {_MAX_NEWTON_ITERS} iterations"
+        reason = "KCL test failed"
+        if dx is not None:
+            i = int(np.argmax(np.abs(dx)))
+            fields.update(test="update", unknown=self.unknown_names[i], dx=float(dx[i]))
+            reason = f"update test failed: dx {dx[i]:.3e} on {self.unknown_names[i]!r}"
+            if not math.isfinite(dx[i]):
+                head = "solution diverged"
+        return ConvergenceError(f"{head}{where}; {reason}; worst node {node!r} "
+                                f"(KCL excess {err[b]:.3e} A)", **fields)
 
     def solve_dc(self, svals):
         """DC solution with gmin-stepping fallback; caps are open.
@@ -818,7 +852,8 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     """Transients of netlists with the same nodes and sources, each from its
     t=0 operating point, run in lockstep as one batch: each round, every
     member still live tries its next step.  A member is live until it is
-    done, or until it or a member before it fails.
+    done, or until it or a member before it fails; the batch is then
+    compiled again for the members still live.
 
     analyses[i] (default: the .tran card of nets[i]) sets the steps of
     nets[i], and each member keeps its own time points.  Every WaveformSet
@@ -838,73 +873,83 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     if not nets:
         return []
     ckt = _Circuit(nets)
-    batch, nv = ckt.batch, ckt.nv
+    nv = ckt.nv
     members = [_Member(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
-    c, cap_member = ckt.cap_c, ckt.cap_member
 
     def grow(err):
         if err == 0.0:
             return 2.0
         return min(2.0, 0.9 * (_LTE_TOL / err) ** expo)
 
-    x, iters, excess, failed = ckt.solve_dc(ckt.source_values([0.0] * batch))
+    x, iters, excess, failed = ckt.solve_dc(ckt.source_values([0.0] * len(nets)))
     for m, xb, it, e in zip(members, x, iters, excess):
         m.pending = it
         m.record(xb, e)
     # the last two accepted solutions (module docstring) and, under the
-    # trapezoidal rule alone, the capacitors' currents at the last
-    last, prev = x.copy(), x.copy()
-    cap_i = np.zeros(len(c)) if trap else None
+    # trapezoidal rule alone, the capacitors' currents at the last: a row,
+    # or a slice, for each member of ckt; ids[j] is the index in nets of
+    # ckt's member j
+    last, prev = x, x.copy()
+    cap_i = np.zeros(len(ckt.cap_c)) if trap else None
+    ids = list(range(len(nets)))
     steps = None  # the steps the conductances were set for
     while True:
         # members after the lowest failed one no longer matter
-        live = [b for b in range(min(failed, default=batch)) if not members[b].done]
+        stop = min(failed, default=len(nets))
+        live = [b for b in ids if b < stop and not members[b].done]
         if not live:
             break
-        # Newton's start; the rows of members not live go unread
-        ratio = np.array([m.h / m.h_last for m in members])[:, None]
+        if live != ids:  # the batch narrows to its live members
+            rows = [ids.index(b) for b in live]
+            if trap:
+                cap_i = cap_i[np.isin(ckt.cap_member, rows)]
+            ckt = _Circuit([nets[b] for b in live])
+            ids, last, prev = live, last[rows], prev[rows]
+            steps = None
+        batch = [members[b] for b in ids]
+        # Newton's start
+        ratio = np.array([m.h / m.h_last for m in batch])[:, None]
         predicted = last + ratio * (last - prev)
-        np.copyto(x, predicted)
-        t = [m.next for m in members]
-        h = [m.h for m in members]
+        x = predicted.copy()
+        t = [m.next for m in batch]
+        h = [m.h for m in batch]
         if h != steps:  # geq, and so g and the linear Jacobian, depend on h alone
             steps = h
-            geq = (2.0 if trap else 1.0) * c / np.array(h)[cap_member]
+            geq = (2.0 if trap else 1.0) * ckt.cap_c / np.array(h)[ckt.cap_member]
             ckt.set_conductances(geq, 0.0)
         ihist = -geq * ckt.cap_voltages(last)
         if trap:
             ihist -= cap_i
         ckt.set_sources(ihist, ckt.source_values(t))
-        it, exc, bad = ckt.newton(x, live, t=t)
+        it, exc, bad = ckt.newton(x, range(len(batch)), t=t)
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted[:, :nv]), axis=1,
                                 initial=0.0).tolist()
-        accepted = np.zeros((batch, 1), dtype=bool)
-        for b in live:
-            m = members[b]
-            m.pending += it[b]
-            if b in bad or (m.free and err[b] > _LTE_TOL):
+        accepted = np.zeros((len(batch), 1), dtype=bool)
+        for j, (b, m) in enumerate(zip(ids, batch)):
+            m.pending += it[j]
+            if j in bad or (m.free and err[j] > _LTE_TOL):
                 if not m.free:
-                    failed[b] = bad[b]
+                    failed[b] = bad[j]
                     continue
                 rejected = m.h
-                if b in bad:
+                if j in bad:
                     m.rejected_newton += 1
                     m.reject(0.125)
                 else:
                     m.rejected_lte += 1
-                    m.reject(grow(err[b]))
+                    m.reject(grow(err[j]))
                 if not m.h < rejected:  # a step rule defect: it would loop here
                     failed[b] = ConvergenceError(
                         f"rejected step of {rejected:.6g}s at t={m.t:.6g}s was not "
                         "shortened", t=m.t)
                 continue
-            accepted[b] = True
-            m.accept(grow(err[b]))
-            m.record(x[b], exc[b])
+            accepted[j] = True
+            m.accept(grow(err[j]))
+            m.record(x[j], exc[j])
         # Newton's last residual was at the iterate before its solution
         if trap:
             np.copyto(cap_i, geq * ckt.cap_voltages(x) + ihist,
-                      where=accepted[cap_member, 0])
+                      where=accepted[ckt.cap_member, 0])
         np.copyto(prev, last, where=accepted)
         np.copyto(last, x, where=accepted)
     if failed:

@@ -1,4 +1,4 @@
-"""Multi-valued logic semantics: digits, voltage level maps, ideal references.
+"""Multi-valued logic semantics: digits, voltage level maps, the ideal decode.
 
 A radix-r signal uses r evenly spaced voltage levels from 0 to vdd.  A
 voltage level converter VLC(i) is a threshold detector: it outputs the top
@@ -14,7 +14,6 @@ which reproduces b1 = x // 2 and b0 = x % 2 for x in 0..3.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .measure import Waveform
@@ -66,30 +65,11 @@ class LevelMap:
         return matches[0] if len(matches) == 1 else None
 
 
-def ideal_vlc(i: int, x: Digit) -> Digit:
-    """Ideal level converter: digit r-1 while x <= i, else digit 0."""
-    r = x.radix
-    if not 0 <= i <= r - 2:
-        raise ValueError(f"vlc index {i} out of range for radix {r}")
-    return Digit(r - 1 if x.value <= i else 0, r)
-
-
 def ideal_decode(x: Digit) -> tuple[int, int]:
     """Quaternary digit to (b1, b0) binary pair."""
     if x.radix != 4:
         raise ValueError("ideal_decode is defined for radix-4 digits")
     return x.value // 2, x.value % 2
-
-
-def gate_level_decode(x: Digit) -> tuple[int, int]:
-    """Decoder output computed through the gate network, not arithmetic."""
-    if x.radix != 4:
-        raise ValueError("gate_level_decode is defined for radix-4 digits")
-    r = x.radix
-    n = [int(ideal_vlc(i, x).value != r - 1) for i in range(3)]  # inverted VLCs
-    b1 = n[1]
-    b0 = (n[0] ^ n[1]) ^ n[2]
-    return b1, b0
 
 
 def quantize(wf: Waveform, levels: LevelMap, sample_times) -> list[int | None]:
@@ -104,14 +84,3 @@ def quantize(wf: Waveform, levels: LevelMap, sample_times) -> list[int | None]:
         out.append(levels.digit_of(v))
     return out
 
-
-def truth_table_csv() -> str:
-    """Ideal decoder truth table as CSV: x, the three VLC digits, b1, b0."""
-    buf = io.StringIO()
-    buf.write("x,vlc1,vlc2,vlc3,b1,b0\n")
-    for xv in range(4):
-        x = Digit(xv, 4)
-        vlcs = [ideal_vlc(i, x).value for i in range(3)]
-        b1, b0 = ideal_decode(x)
-        buf.write(f"{xv},{vlcs[0]},{vlcs[1]},{vlcs[2]},{b1},{b0}\n")
-    return buf.getvalue()

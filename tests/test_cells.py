@@ -22,13 +22,14 @@ from mvlsim.cells import (
     staircase_points,
     staircase_sample_times,
     vlc_thresholds,
-    with_dc_input,
 )
 from mvlsim.characterize import CELL_NAMES, RunConfig, build_cell
 from mvlsim.devices import FetModelCard, TechnologyCard, preset
 from mvlsim.engine import dc_operating_point, transient
 from mvlsim.mvl import Digit, LevelMap, ideal_decode, quantize
 from mvlsim.netlist import PwlStimulus, Transient, emit, parse
+
+from helpers import with_dc_input
 
 
 def spec_for(tech_name="cmos32", vdd=1.2, radix=4, load=1e-15):

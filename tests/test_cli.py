@@ -37,9 +37,11 @@ c1 out 0 1p
 """
 
 # the second exit-2 line: the failing run (batched commands) and the fields
-# of a ConvergenceError
-FAILED_RUN = re.compile(r"^error: run (\S+): t (dc|\S+ s), node '\w+', "
-                        r"KCL excess \S+ A, iteration (\d+)$", re.M)
+# of a ConvergenceError; an update failure names the unknown of the largest
+# |dx| and its dx
+FAILED_RUN = re.compile(r"^error: run (?P<run>\S+): t (dc|\S+ s), test (?P<test>update|kcl), "
+                        r"(?:unknown '[\w()]+', dx \S+, )?node '\w+', "
+                        r"KCL excess \S+ A, iteration (?P<iteration>\d+)$", re.M)
 
 REPORT_KEYS = {"technology", "max_power", "avg_power", "rise_time",
                "fall_time", "prop_delay", "pdp", "edp"}
@@ -310,7 +312,9 @@ class TestDecoder:
         assert main(["decoder", "--tech", "gnrfet32", "--hold", "1e-9",
                      "--out", str(tmp_path)]) == 2
         match = FAILED_RUN.search(capsys.readouterr().err)
-        assert match and match[1] == "gnrfet32" and match[3] == "3"
+        assert match and match["run"] == "gnrfet32" and match["iteration"] == "3"
+        # the update test failed; KCL held at every node
+        assert match["test"] == "update" and ", unknown 'i3', dx " in match[0]
         assert not list(tmp_path.iterdir())
 
     def test_low_vdd_mismatch_is_exit_4(self, tmp_path):
@@ -405,7 +409,7 @@ class TestCompare:
         monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 3)
         assert main(["compare", "--hold", "1e-9", "--out", str(tmp_path)]) == 2
         match = FAILED_RUN.search(capsys.readouterr().err)
-        assert match and match[1] == "cmos32" and match[3] == "3"
+        assert match and match["run"] == "cmos32" and match["iteration"] == "3"
         assert not list(tmp_path.iterdir())
 
     def test_improvement_pct(self):
@@ -453,7 +457,7 @@ class TestSweep:
                      "1.0", "--count", "2", "--hold", "1e-9",
                      "--out", str(tmp_path)]) == 2
         match = FAILED_RUN.search(capsys.readouterr().err)
-        assert match and match[1] == "vdd=1.2"
+        assert match and match["run"] == "vdd=1.2"
 
     def test_zero_count_is_exit_1(self, tmp_path, capsys):
         assert main(["sweep", "--param", "load", "--start", "1e-15", "--stop",

@@ -179,6 +179,18 @@ def assert_same_run(a, b):
     assert np.array_equal(a.stats.newton_per_point, b.stats.newton_per_point)
 
 
+def spy_on_compiles(monkeypatch):
+    """The batch size of every _Circuit the engine compiles from now on."""
+    compiled, circuit = [], _Circuit
+
+    def spy(nets):
+        compiled.append(len(nets))
+        return circuit(nets)
+
+    monkeypatch.setattr(engine, "_Circuit", spy)
+    return compiled
+
+
 def step_at(early):
     """RC driven by a 1 V step at 1 ns if early, else at 2 ns; both have the
     same breakpoints and so the same time grid."""
@@ -259,6 +271,31 @@ class TestSolveLinear:
         dx, step, singular = _solve(np.stack((good, bad)), f)
         assert np.array_equal(dx[0], alone[0]) and step[0] == np.max(np.abs(alone[0]))
         assert singular == {1: [0, 1]}
+
+    def test_singular_member_costs_no_second_lapack_call(self, monkeypatch):
+        # LAPACK fills the singular system's slot with NaN and solves its
+        # stack-mate in the same call; the SVD alone names the singular one
+        calls, lapack = [], engine._lapack_solve
+
+        def spy(a, b):
+            calls.append(a.shape)
+            return lapack(a, b)
+
+        monkeypatch.setattr(engine, "_lapack_solve", spy)
+        good = np.array([[2.0, 1.0], [1.0, 3.0]])
+        bad = np.array([[1.0, 2.0], [2.0, 4.0]])
+        _dx, step, singular = _solve(np.stack((good, bad)), np.ones((2, 2)))
+        assert calls == [(2, 2, 2)]
+        assert math.isfinite(step[0]) and singular == {1: [0, 1]}
+
+    def test_lapack_gufunc_is_numpys_solve(self):
+        # _solve calls numpy's private gufunc behind np.linalg.solve; a numpy
+        # that moves it fails the engine's import, one that changes it here
+        ckt, args = gnrfet32_linearization()
+        f, _scale, jac = linearize(ckt, *args)
+        rhs = np.stack((-f, np.cos(np.arange(1.0, ckt.n + 1.0))), axis=1)[None]
+        assert np.array_equal(engine._lapack_solve(jac[None], rhs),
+                              np.linalg.solve(jac[None], rhs))
 
     def test_decoder_jacobian_matches_pivoting_lu(self, monkeypatch):
         ckt, args = gnrfet32_linearization()
@@ -379,6 +416,41 @@ class TestDc:
         assert str(err).startswith("solution diverged")
         assert err.t is None and err.iteration == 1
         assert err.node in net.nodes and math.isfinite(err.excess)
+
+    def test_update_failure_names_the_largest_update(self, monkeypatch):
+        # three updates leave the gnrfet32 staircase's DC solve with KCL
+        # held at every node and an update above _VTOL: the error blames
+        # the update's largest entry, not the node of the largest excess
+        monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 3)
+        updates, solve_stack = [], engine._solve
+
+        def spy(a, f):
+            out = solve_stack(a, f)
+            updates.append(out[0])  # newton clips it in place
+            return out
+
+        monkeypatch.setattr(engine, "_solve", spy)
+        net = staircase("gnrfet32", hold=1e-9)
+        with pytest.raises(ConvergenceError) as ei:
+            dc_operating_point(net)
+        err, last = ei.value, updates[-1][0]
+        i = int(np.argmax(np.abs(last)))
+        assert err.test == "update" and err.iteration == 3
+        assert (err.unknown, err.dx) == (_Circuit([net]).unknown_names[i], last[i])
+        assert abs(err.dx) > engine._VTOL and err.excess <= engine._ABSTOL
+        assert f"; update test failed: dx {err.dx:.3e} on {err.unknown!r};" in str(err)
+
+    def test_kcl_failure_is_named(self, monkeypatch):
+        # below a negative floor no KCL test holds: the divider's updates
+        # meet _VTOL, and the error names the KCL test and no unknown
+        monkeypatch.setattr(engine, "_ABSTOL", -1.0)
+        monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 5)
+        with pytest.raises(ConvergenceError) as ei:
+            dc_operating_point(parse(DIVIDER))
+        err = ei.value
+        assert err.test == "kcl" and err.iteration == 5
+        assert err.unknown is None and err.dx is None
+        assert f"; KCL test failed; worst node {err.node!r}" in str(err)
 
     def test_options_validated(self):
         with pytest.raises(ValueError):
@@ -657,15 +729,18 @@ class TestBatch:
         (BATCH_TECHS, "trapezoidal"),
     ], ids=["load", "vdd", "vth_scale", "compare", "load-trapezoidal",
             "compare-trapezoidal"])
-    def test_members_match_batches_of_one(self, members, integration):
+    def test_members_match_batches_of_one(self, members, integration, monkeypatch):
         # every case has members of different point counts (181 to 1524),
         # all but backward-Euler compare's gnrfet32 past a block of
-        # engine._BLOCK rows; under the trapezoidal rule each member must
-        # also carry its own capacitors' currents, and only at its accepted
-        # points
+        # engine._BLOCK rows, so the batch is compiled again each time one
+        # is done and carries the others' last solutions over; under the
+        # trapezoidal rule each member must also carry its own capacitors'
+        # currents, and only at its accepted points
+        compiled = spy_on_compiles(monkeypatch)
         opts = SolveOptions(integration=integration)
         nets = [staircase(**kw) for kw in members]
         batch = transient_batch(nets, opts=opts)
+        assert compiled == list(range(len(nets), 0, -1))
         for net, wset in zip(nets, batch):
             assert_same_run(wset, transient(net, opts=opts))
 
@@ -754,6 +829,24 @@ class TestBatch:
         assert b.member == 0 and edge < b.t < edge + 2e-11
         assert (str(b), b.t, b.node, b.excess, b.iteration) == (
             str(a), a.t, a.node, a.excess, a.iteration)
+
+    def test_member_failing_after_the_batch_narrows_is_named(self, monkeypatch):
+        # with one Newton update allowed, member 1 fails at its edge at 2 ns;
+        # member 0 is done in a few grown steps before its own edge, so the
+        # batch has been compiled again for member 1 alone, its row 0, when
+        # it fails
+        monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 1)
+        nets = [step_at(True), step_at(False)]
+        with pytest.raises(ConvergenceError) as alone:
+            transient(nets[1])
+        compiled = spy_on_compiles(monkeypatch)
+        with pytest.raises(ConvergenceError) as batched:
+            transient_batch(nets, [Transient(1e-11, 5e-10, 1e-10), None])
+        a, b = alone.value, batched.value
+        assert compiled == [2, 1]
+        assert b.member == 1 and 2e-9 < b.t < 2e-9 + 2e-11
+        assert (str(b), b.t, b.test, b.node, b.excess, b.iteration) == (
+            str(a), a.t, a.test, a.node, a.excess, a.iteration)
 
 
 def segment_steps(times, bps):
