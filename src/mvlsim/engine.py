@@ -41,11 +41,11 @@ that the compile step allocates, the same for a batch of one as of many:
   5. one LAPACK call solves J dx = -F with the probe below, and one
      reduction of |solution| gives each member's |dx|inf and |z|inf.
 
-The KCL test's per-node scale, when Newton needs it, is one gather of the
-branch currents in an order sorted by node at compile time and one
-np.maximum.reduceat.  Max and negation are exact, so none of this order
-changes a result.  Newton solves J dx = -F and converges when both a small
-update step and a small true KCL residual hold at every node:
+The KCL test's per-node scale, when Newton needs it, is one np.maximum.at
+of the branch currents' magnitudes over their ends.  Max and negation are
+exact, so no order of the branches changes a result.  Newton solves
+J dx = -F and converges when both a small update step and a small true KCL
+residual hold at every node:
 
     |sum of branch currents| <= _ABSTOL + _RELTOL * max |branch current|
     |dx| <= _VTOL for every unknown
@@ -118,10 +118,13 @@ _GMIN * 10**(_GMIN_STEPS - s) from every node to ground for s = 0.._GMIN_STEPS,
 each solution seeding the next.  A DC solve sets the capacitor companions
 to zero, which leaves the capacitors open.
 
-Transient analysis forces a time point at every breakpoint: PWL corners
-and PULSE edges, merged where closer together than a millionth of the floor
-step.  The floor is the .tran dt clamped to tstop/1000, to dtmax and to a
-tenth of the shortest stimulus edge; the ceiling is the .tran dtmax if that
+Each member converts its sources' stimuli once, to their pwl(tstop), and
+evaluates those at each time point it tries, and at t = 0 for the DC point.
+Transient analysis forces a time point at every breakpoint (every source's
+PWL corners; a PULSE is its corners up to tstop), merged where closer
+together than a millionth of the floor step.  The floor is the .tran dt
+clamped to tstop/1000, to dtmax and to a tenth of the shortest edge between
+two corners of different value; the ceiling is the .tran dtmax if that
 exceeds dt, else the floor.  One rule sets every step.  Each segment
 between two breakpoints starts at the floor.  The step asked for is held
 between the floor and the ceiling; it takes the rest of the segment if
@@ -263,23 +266,14 @@ def _probe(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, list[float],
                                                   dict[int, list[int]]]:
-    """Newton's updates dx[j] = -a[j]^-1 f[j] for the stack of systems, by
-    one LAPACK call; one SVD decides the doubtful systems.
+    """Newton's updates dx[j] = -a[j]^-1 f[j] for the stack of systems a
+    (batch x n x n) and residuals f (batch x n), with the probe and the SVD
+    of the module docstring.
 
-    -f goes to column 0 of the right-hand sides (batch x n x 2) and the
-    probe p times each row's sum r_i of |a_ij| to column 1, and both are
-    solved together: the probe's solution z is that of the row-equilibrated
-    system D^-1 a z = p.  LAPACK is numpy's gufunc, called without
-    np.linalg.solve's checks and conversions, which a float64 stack of
-    square systems does not need; LAPACK factors each system on its own, and
-    the gufunc fills a system it fails with NaN and leaves its stack-mates'
-    solutions as they are alone.  The doubtful systems (dx is not finite,
-    NaN included, or |z|inf reaches _PROBE_KAPPA) share one SVD U S V^T of
-    D^-1 a, a zero row scaled by 1.  A system with sigma_min <= 1e-14 *
-    sigma_max is rejected; the others take dx = V S^-1 U^T (-D^-1 f).
     Returns dx, each |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and
-    for each rejected system j, whose dx[j] is then undefined, the indices
-    of the unknowns whose null-vector entries reach a tenth of the largest.
+    for each system j the SVD rejects, whose dx[j] is then undefined, the
+    indices of the unknowns whose null-vector entries reach a tenth of the
+    largest.  A zero row of a is scaled by 1 for the SVD.
     """
     p, ones = _probe(f.shape[1])
     rhs = np.empty((*f.shape, 2))
@@ -418,13 +412,13 @@ class _Circuit:
         src_names = [d.name for d in self.vsources]
         # as in the waveform CSV header
         self.unknown_names = self.node_names + [f"i({name})" for name in src_names]
-        res, caps, fets, gmins, shunts, src_i, src_v, self.stimuli = ([] for _ in range(8))
+        res, caps, fets, gmins, shunts, src_i, src_v = ([] for _ in range(7))
         for b, net in enumerate(nets):
             net.validate()
             ground = b * n1 + n
             node_of = {name: b * n1 + i - 1 for i, name in enumerate(net.nodes)}
             node_of["0"] = ground
-            fet_nodes, names, stimuli = set(), [], []
+            fet_nodes, names = set(), []
             for d in net.devices:
                 t = [node_of[name] for name in d.terminals]
                 if d.kind == "resistor":
@@ -434,7 +428,6 @@ class _Circuit:
                     src_i.append((*t, row, ground, 1.0))  # the current x[row]
                     src_v.append((row, ground, *t, 1.0))  # x[p] - x[q] - value
                     names.append(d.name)
-                    stimuli.append(d.stimulus)
                 elif d.kind == "capacitor":
                     caps.append((t[0], t[1], d.value))
                 elif d.kind == "fet":
@@ -449,7 +442,6 @@ class _Circuit:
                     fet_nodes.update((drain, src))
             if net.nodes[1:] != self.node_names or names != src_names:
                 raise ValueError("batched netlists need the same nodes and sources")
-            self.stimuli.append(stimuli)
             gmins += [(i, ground, i, ground, _GMIN) for i in sorted(fet_nodes - {ground})]
             shunts += [(b * n1 + i, ground, b * n1 + i, ground) for i in range(nv)]
         caps = [(p, q, p, q, c) for p, q, c in caps if c > 0.0]
@@ -506,33 +498,15 @@ class _Circuit:
         self.i0 = np.zeros(nl)
         self.i0_cap, self.i0_src = self.i0[self.cap_branches], self.i0[src_branches]
         # residual's branch currents in the order of ends: linear and FET
-        # branches, then the same negated; one more 0.0 stands in for the
-        # branches of a node that has none in scale's reduction
+        # branches, then the same negated
         nb = nl + nf
-        self.cur = np.zeros(2 * nb + 1)
+        self.cur = np.zeros(2 * nb)
         self.lin_i, self.branch_i, self.negated = (
-            self.cur[:nl], self.cur[:nb], self.cur[nb:2 * nb])
-        self.weights = self.cur[:2 * nb]
+            self.cur[:nl], self.cur[:nb], self.cur[nb:])
         # the FETs' Jacobian weights in the order of flat_fet: w = (gm, gds),
         # which square_law writes in place, then -w, -w and w
         self.fet_w = np.zeros((4, 2 * nf))
         self.fet_out = (self.cur[nl:nb], self.fet_w[0, :nf], self.fet_w[0, nf:])
-        # scale's gather: for each node voltage in turn, member by member,
-        # the rows of cur whose branches end at it, then the 0.0; the
-        # group of each node starts at scale_starts
-        volts = (np.arange(self.batch)[:, None] * n1 + np.arange(nv)).reshape(-1)
-        keys = np.concatenate((self.ends, volts))
-        rows = np.concatenate((np.tile(np.arange(nb), 2), np.full(len(volts), 2 * nb)))
-        keep = keys % n1 < nv
-        order = np.argsort(keys[keep], kind="stable")
-        self.scale_rows = rows[keep][order]
-        self.scale_starts = np.searchsorted(keys[keep][order], volts)
-
-    def source_values(self, ts) -> np.ndarray:
-        """Source values of each member b at its own time ts[b], batch x
-        nsrc."""
-        return np.array([stim.value_at(t) for stims, t in zip(self.stimuli, ts)
-                         for stim in stims]).reshape(self.batch, self.n - self.nv)
 
     def set_conductances(self, geq, shunt):
         """Set what stays fixed while the step size does: the linear-branch
@@ -573,18 +547,18 @@ class _Circuit:
         self.lin_i += self.i0
         square_law(self.vth, self.k, self.lam, self.vgs, self.vds, self.fet_out)
         np.negative(self.branch_i, self.negated)
-        f = np.bincount(self.ends, self.weights, minlength=self.batch * self.n1)
+        f = np.bincount(self.ends, self.cur, minlength=self.batch * self.n1)
         self.f, self.kcl_test = f.reshape(-1, self.n1)[:, :self.n], None
         return self.f
 
     def scale(self):
         """Each node's largest |branch current| at residual's last x, batch
-        x nv: the current scale of its KCL test.  One gather puts each
-        node's branch currents in a row, with a 0.0 after them, and one
-        reduction takes the largest magnitude of each row; max is exact, so
-        the order of the branches does not matter."""
-        mags = np.abs(self.cur[self.scale_rows])
-        return np.maximum.reduceat(mags, self.scale_starts).reshape(-1, self.nv)
+        x nv: the current scale of its KCL test, one np.maximum.at of the
+        magnitudes over the branch ends from zero; max is exact, so the
+        order of the branches does not matter."""
+        mags = np.zeros(self.batch * self.n1)
+        np.maximum.at(mags, self.ends, np.abs(self.cur))
+        return mags.reshape(-1, self.n1)[:, :self.nv]
 
     def jacobian(self):
         """dF/dx at residual's last x, batch x n x n: the linear branches'
@@ -737,20 +711,28 @@ class _Circuit:
         return x, iters, excess, failed
 
 
+def _source_values(sources, ts) -> np.ndarray:
+    """The values of each member's sources (PwlStimulus) at its own time
+    ts[b], batch x nsrc."""
+    return np.array([[s.value_at(t) for s in row] for row, t in zip(sources, ts)])
+
+
 def dc_operating_point(net: Netlist) -> dict[str, float]:
     """Node voltages of the DC operating point (sources at their t=0 values)."""
     ckt = _Circuit([net])
-    x, _iters, _excess, failed = ckt.solve_dc(ckt.source_values([0.0]))
+    sources = [d.stimulus.pwl(0.0) for d in ckt.vsources]
+    x, _iters, _excess, failed = ckt.solve_dc(_source_values([sources], [0.0]))
     if failed:
         raise failed[min(failed)]
     return {name: float(x[0, i]) for i, name in enumerate(ckt.node_names)}
 
 
 class _Member:
-    """One batch member: where it is in time, the step it tries next, and
-    its accepted points and counters.
+    """One batch member: its sources, where it is in time, the step it
+    tries next, and its accepted points and counters.
 
-    bps are the merged breakpoints from 0 to tstop; the member is in the
+    sources are the PwlStimulus of each voltage source up to tstop; bps
+    are the merged breakpoints from 0 to tstop; the member is in the
     segment from bps[seg] to bps[seg + 1], its last accepted point at t,
     reached by a step of h_last (inf at the DC point).  The next attempt is
     a step of h to the time point next; it may be rejected only if free,
@@ -762,15 +744,16 @@ class _Member:
 
     def __init__(self, stimuli, analysis: Transient):
         tstop = analysis.tstop
+        self.sources = [stim.pwl(tstop) for stim in stimuli]
         floor = min(analysis.dt, tstop / 1000.0)
         if analysis.dtmax is not None:
             floor = min(floor, analysis.dtmax)
-        edges = [e for stim in stimuli if (e := stim.min_edge()) is not None]
+        edges = [e for s in self.sources if (e := s.min_edge()) is not None]
         if edges:
             floor = min(floor, min(edges) / 10.0)
         bps = {0.0, tstop}
-        for stim in stimuli:
-            bps.update(stim.breakpoints(tstop))
+        for s in self.sources:
+            bps.update(s.breakpoints(tstop))
         merged = [0.0]
         for t in sorted(bps)[1:]:
             if t - merged[-1] >= _MIN_SEPARATION * floor:
@@ -874,14 +857,16 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
         return []
     ckt = _Circuit(nets)
     nv = ckt.nv
-    members = [_Member(stims, a) for stims, a in zip(ckt.stimuli, analyses)]
+    members = [_Member([d.stimulus for d in net.devices if d.kind == "vsource"], a)
+               for net, a in zip(nets, analyses)]
 
     def grow(err):
         if err == 0.0:
             return 2.0
         return min(2.0, 0.9 * (_LTE_TOL / err) ** expo)
 
-    x, iters, excess, failed = ckt.solve_dc(ckt.source_values([0.0] * len(nets)))
+    x, iters, excess, failed = ckt.solve_dc(
+        _source_values([m.sources for m in members], [0.0] * len(nets)))
     for m, xb, it, e in zip(members, x, iters, excess):
         m.pending = it
         m.record(xb, e)
@@ -920,7 +905,7 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
         ihist = -geq * ckt.cap_voltages(last)
         if trap:
             ihist -= cap_i
-        ckt.set_sources(ihist, ckt.source_values(t))
+        ckt.set_sources(ihist, _source_values([m.sources for m in batch], t))
         it, exc, bad = ckt.newton(x, range(len(batch)), t=t)
         err = np.maximum.reduce(np.abs(x[:, :nv] - predicted[:, :nv]), axis=1,
                                 initial=0.0).tolist()

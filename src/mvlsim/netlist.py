@@ -21,10 +21,14 @@ Supported text format (line oriented, case-insensitive):
     .measure <name> avgpower|peakpower <vsource>
     .end
 
-``.tran``: dt is the step at every breakpoint (PWL corner, PULSE edge)
-and the finest step; dtmax (default dt) is the largest step the engine's
-step controller may grow to.  See ``engine`` for the clamps on dt.  A
-netlist has at most one ``.tran``.
+``.tran``: dt is the step at every breakpoint (every source's PWL corners;
+a PULSE is its corners up to tstop) and the finest step; dtmax (default
+dt) is the largest step the engine's step controller may grow to.  See
+``engine`` for the clamps on dt.  A netlist has at most one ``.tran``.
+
+Each stimulus gives its waveform up to tstop as ``pwl(tstop)``, a
+PwlStimulus, the one class that evaluates a waveform: a DC level is one
+corner, a PULSE the corners of every period that starts before tstop.
 
 Numbers accept the engineering suffixes f p n u m k meg g.  Node and device
 names are case-insensitive and are stored lowercased; ``gnd`` is an alias
@@ -108,14 +112,8 @@ class DcStimulus:
         if not math.isfinite(self.level):
             raise ValueError(f"DC level must be finite, got {self.level!r}")
 
-    def value_at(self, t: float) -> float:
-        return self.level
-
-    def breakpoints(self, tstop: float) -> tuple[float, ...]:
-        return ()
-
-    def min_edge(self) -> float | None:
-        return None
+    def pwl(self, tstop: float) -> PwlStimulus:
+        return PwlStimulus(((0.0, self.level),))
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,11 @@ class PwlStimulus:
                  if v1 != v0]
         return min(edges) if edges else None
 
+    def pwl(self, tstop: float) -> PwlStimulus:
+        return self
 
-# A PULSE train with more corners than this before tstop is refused.
+
+# A PULSE train with more corners than this up to tstop is refused.
 _MAX_BREAKPOINTS = 100000
 
 
@@ -183,38 +184,26 @@ class PulseStimulus:
         if self.rise + self.width + self.fall > self.period:
             raise ValueError("PULSE rise + width + fall must fit in the period")
 
-    def value_at(self, t: float) -> float:
-        if t < self.delay:
-            return self.v1
-        tc = math.fmod(t - self.delay, self.period)
-        if tc < self.rise:
-            return self.v1 + (self.v2 - self.v1) * tc / self.rise
-        tc -= self.rise
-        if tc < self.width:
-            return self.v2
-        tc -= self.width
-        if tc < self.fall:
-            return self.v2 + (self.v1 - self.v2) * tc / self.fall
-        return self.v1
-
-    def breakpoints(self, tstop: float) -> tuple[float, ...]:
-        out = []
+    def pwl(self, tstop: float) -> PwlStimulus:
+        """Its corners: (0, v1), then the four of every period that starts
+        before tstop, so a run that ends within a period's edges still
+        follows them; a corner not strictly after the one before is
+        dropped."""
+        points = [(0.0, self.v1)]
+        corners = ((0.0, self.v1), (self.rise, self.v2),
+                   (self.rise + self.width, self.v2),
+                   (self.rise + self.width + self.fall, self.v1))
         base = self.delay
         while base < tstop:
-            for off in (0.0, self.rise, self.rise + self.width,
-                        self.rise + self.width + self.fall):
-                t = base + off
-                if 0.0 < t < tstop:
-                    out.append(t)
+            for off, v in corners:
+                if base + off > points[-1][0]:
+                    points.append((base + off, v))
             base += self.period
-            if len(out) > _MAX_BREAKPOINTS:
+            if len(points) > _MAX_BREAKPOINTS:
                 raise NetlistError(
                     f"PULSE period {self.period:g} s gives more than "
                     f"{_MAX_BREAKPOINTS} breakpoints before tstop {tstop:g} s")
-        return tuple(out)
-
-    def min_edge(self) -> float | None:
-        return min(self.rise, self.fall)
+        return PwlStimulus(tuple(points))
 
 
 Stimulus = DcStimulus | PwlStimulus | PulseStimulus

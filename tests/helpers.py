@@ -1,8 +1,10 @@
-"""Helpers that several test modules share: a DC drive for cell netlists
-and the ideal level converter that their DC digit tables are scored
-against."""
+"""Helpers that several test modules share: a DC drive for cell netlists,
+the ideal level converter that their DC digit tables are scored against
+and the source values the engine sets at a time point."""
 
 import copy
+
+import numpy as np
 
 from mvlsim.mvl import Digit
 from mvlsim.netlist import DcStimulus, Device, Netlist
@@ -23,3 +25,10 @@ def ideal_vlc(i: int, x: Digit) -> Digit:
     if not 0 <= i <= r - 2:
         raise ValueError(f"vlc index {i} out of range for radix {r}")
     return Digit(r - 1 if x.value <= i else 0, r)
+
+
+def source_values(nets: list[Netlist], ts: list[float]) -> np.ndarray:
+    """Each netlist's voltage-source values at its own time ts[b], batch x
+    nsrc, as the engine evaluates them: on each stimulus's PWL corners."""
+    return np.array([[d.stimulus.pwl(t).value_at(t) for d in net.devices
+                      if d.kind == "vsource"] for net, t in zip(nets, ts)])

@@ -8,6 +8,7 @@ Analytic oracles used here:
     time and tau = RC
 """
 
+import copy
 import dataclasses
 import io
 import math
@@ -36,7 +37,9 @@ from mvlsim.engine import (
 )
 from mvlsim.measure import Waveform
 from mvlsim.mvl import LevelMap
-from mvlsim.netlist import Transient, parse
+from mvlsim.netlist import PwlStimulus, Transient, parse
+
+from helpers import source_values
 
 # the testbench settings the decoder commands default to
 DEFAULT = RunConfig()
@@ -132,13 +135,13 @@ def gnrfet32_linearization():
     """The gnrfet32 decoder testbench at a random point in mid-transient:
     the circuit and linearize's arguments."""
     spec = CellSpec(tech=preset("gnrfet32"), levels=LevelMap(4, 1.2))
-    ckt = _Circuit([build_staircase_testbench(spec, hold=DEFAULT.hold,
-                                              slew=DEFAULT.slew)])
+    net = build_staircase_testbench(spec, hold=DEFAULT.hold, slew=DEFAULT.slew)
+    ckt = _Circuit([net])
     rng = np.random.default_rng(7)
     x = np.append(np.concatenate((rng.uniform(-0.2, 1.4, ckt.nv),
                                   rng.uniform(-1e-4, 1e-4, ckt.n - ckt.nv))),
                   0.0)
-    svals = ckt.source_values([3e-9])[0]
+    svals = source_values([net], [3e-9])[0]
     geq = ckt.cap_c / 1e-12
     ihist = rng.uniform(-1e-5, 1e-5, len(geq))
     return ckt, (x, svals, geq, ihist, 1e-9)
@@ -147,10 +150,11 @@ def gnrfet32_linearization():
 def divider_system():
     """Jacobian J and residual F of the divider at x = 0 and t = 0, so that
     J x = -F is its exact MNA system; unknowns in, mid, i(v1)."""
-    ckt = _Circuit([parse(DIVIDER)])
+    net = parse(DIVIDER)
+    ckt = _Circuit([net])
     assert ckt.node_names == ["in", "mid"] and [d.name for d in ckt.vsources] == ["v1"]
     open_caps = np.zeros(len(ckt.cap_c))
-    f, _scale, jac = linearize(ckt, np.zeros(ckt.n1), ckt.source_values([0.0])[0],
+    f, _scale, jac = linearize(ckt, np.zeros(ckt.n1), source_values([net], [0.0])[0],
                                open_caps, open_caps, 0.0)
     return jac, f
 
@@ -963,6 +967,37 @@ class TestStepControl:
         assert steps == sorted(set(steps))
 
 
+class TestPulseSources:
+    # a PULSE with a 1 ps rise into an RC; a tenth of an edge of the run
+    # would set a 0.1 ps floor below the 10 ps dt
+    PULSE_RC = ("* pulse rc\nv1 in 0 pulse({})\nr1 in out 1k\nc1 out 0 1p\n"
+                ".tran 10p 10n 1n\n.end\n")
+
+    @pytest.mark.parametrize("spec", [
+        "0 1.2 0.3n 1p 80p 1n 2.2n", "0 1.2 0.3n 50p 80p 1n 2.87n",
+        "1 1 0 1p 1p 1n 3n", "0 1 20n 1p 1p 1n 3n"],
+        ids=["edges", "tstop_mid_fall", "flat", "delayed_past_tstop"])
+    def test_pulse_runs_as_its_corners(self, spec):
+        net = parse(self.PULSE_RC.format(spec))
+        corners = copy.deepcopy(net)
+        v1 = corners.device("v1")
+        v1.stimulus = PwlStimulus(v1.stimulus.pwl(net.analyses[0].tstop).points)
+        assert_same_run(transient(net), transient(corners))
+
+    @pytest.mark.parametrize("spec", ["1 1 0 1p 1p 1n 3n", "0 1 20n 1p 1p 1n 3n"],
+                             ids=["flat", "delayed_past_tstop"])
+    def test_pulse_without_an_edge_in_the_run_keeps_the_floor(self, spec):
+        # v1 == v2, or no period starts before tstop: the floor stays dt
+        net = parse(self.PULSE_RC.format(spec))
+        tran = net.analyses[0]
+        assert _Member([net.device("v1").stimulus], tran).floor == tran.dt
+
+    def test_pulse_delayed_past_tstop_runs_as_its_level(self):
+        late = parse(self.PULSE_RC.format("0 1 20n 1p 1p 1n 3n"))
+        dc = parse(self.PULSE_RC.replace("pulse({})", "dc 0"))
+        assert_same_run(transient(late), transient(dc))
+
+
 class TestFetTransient:
     def test_inverter_switches_under_pulse(self):
         text = (
@@ -1007,7 +1042,7 @@ class TestLinearize:
         ckt = _Circuit([net])
         rng = np.random.default_rng(3)
         x = np.append(rng.uniform(-0.2, 1.4, ckt.n), 0.0)
-        svals = ckt.source_values([3e-9])[0]
+        svals = source_values([net], [3e-9])[0]
         zeros = np.zeros(len(ckt.cap_c))
         f, scale, _jac = linearize(ckt, x, svals, zeros, zeros, 0.0)
         v = {name: x[i] for i, name in enumerate(ckt.node_names)} | {"0": 0.0}
@@ -1045,7 +1080,7 @@ class TestLinearize:
                                       rel=1e-12)
         for j, d in enumerate(ckt.vsources):
             vp, vm = (v[name] for name in d.terminals)
-            assert f[ckt.nv + j] == vp - vm - d.stimulus.value_at(3e-9)
+            assert f[ckt.nv + j] == vp - vm - svals[j]
 
     def test_batch_linearization_matches_per_device_loop(self):
         # two members of different cards at different x, each with its own
@@ -1059,7 +1094,7 @@ class TestLinearize:
         x = np.zeros((2, ckt.n1))
         x[:, :nv] = rng.uniform(-0.2, 1.4, (2, nv))
         x[:, nv:n] = rng.uniform(-1e-4, 1e-4, (2, ns))
-        svals = ckt.source_values([3e-9, 7e-9])
+        svals = source_values(nets, [3e-9, 7e-9])
         steps, shunt = (1e-12, 3e-12), 1e-9
         caps = [[] for _ in nets]  # (end, end, C), in the order of ckt.cap_c
         for net, member in zip(nets, caps):
@@ -1135,7 +1170,7 @@ class TestLinearize:
         # at a converged x the next Newton iterate x - J^-1 F is x again
         net = parse(INVERTER.format(vin=0.6))
         ckt = _Circuit([net])
-        svals = ckt.source_values([0.0])
+        svals = source_values([net], [0.0])
         x = ckt.solve_dc(svals)[0][0]
         open_caps = np.zeros(len(ckt.cap_c))
         f, _scale, jac = linearize(ckt, x, svals[0], open_caps, open_caps, 0.0)

@@ -67,13 +67,35 @@ class TestValues:
                 parse_value(bad)
 
 
+def pulse_value(s: PulseStimulus, t: float) -> float:
+    """A PULSE's waveform at t, phase by phase: the reference its PWL
+    corners are checked against."""
+    if t < s.delay:
+        return s.v1
+    tc = math.fmod(t - s.delay, s.period)
+    if tc < s.rise:
+        return s.v1 + (s.v2 - s.v1) * tc / s.rise
+    tc -= s.rise
+    if tc < s.width:
+        return s.v2
+    tc -= s.width
+    if tc < s.fall:
+        return s.v2 + (s.v1 - s.v2) * tc / s.fall
+    return s.v1
+
+
 class TestStimuli:
     def test_dc(self):
-        s = DcStimulus(1.2)
+        s = DcStimulus(1.2).pwl(1.0)
+        assert s == PwlStimulus(((0.0, 1.2),))
         assert s.value_at(0.0) == 1.2
         assert s.value_at(1e9) == 1.2
         assert s.breakpoints(1.0) == ()
         assert s.min_edge() is None
+
+    def test_pwl_is_its_own_corners(self):
+        s = PwlStimulus(((0.0, 0.0), (1.0, 1.0)))
+        assert s.pwl(0.5) is s
 
     def test_pwl_interpolation(self):
         s = PwlStimulus(((0.0, 0.0), (1.0, 0.0), (2.0, 4.0)))
@@ -127,7 +149,7 @@ class TestStimuli:
 
     def test_pulse_phases(self):
         s = PulseStimulus(v1=0.0, v2=1.0, delay=1.0, rise=1.0, fall=1.0,
-                          width=2.0, period=10.0)
+                          width=2.0, period=10.0).pwl(13.0)
         assert s.value_at(0.5) == 0.0
         assert s.value_at(1.5) == pytest.approx(0.5)
         assert s.value_at(2.5) == 1.0
@@ -138,7 +160,7 @@ class TestStimuli:
 
     def test_pulse_breakpoints_repeat_with_period(self):
         s = PulseStimulus(0.0, 1.0, delay=1.0, rise=1.0, fall=1.0,
-                          width=2.0, period=10.0)
+                          width=2.0, period=10.0).pwl(12.0)
         bps = s.breakpoints(12.0)
         assert (1.0, 2.0, 4.0, 5.0, 11.0) == bps[:5]
         assert all(0.0 < t < 12.0 for t in bps)
@@ -147,9 +169,47 @@ class TestStimuli:
     def test_pulse_breakpoint_overflow_raises(self):
         s = PulseStimulus(0.0, 1.0, delay=0.0, rise=1e-12, fall=1e-12,
                           width=1e-12, period=4e-12)
-        assert len(s.breakpoints(1e-8)) > 9000
+        assert len(s.pwl(1e-8).breakpoints(1e-8)) > 9000
         with pytest.raises(NetlistError, match="breakpoints"):
-            s.breakpoints(1e-6)
+            s.pwl(1e-6)
+
+    @pytest.mark.parametrize("pulse, tstop", [
+        (PulseStimulus(0.0, 1.2, 0.3e-9, 50e-12, 80e-12, 1e-9, 2.2e-9), 7.3e-9),
+        # tstop 10 ps into the fourth period's rise
+        (PulseStimulus(1.2, -0.4, 0.0, 37e-12, 23e-12, 0.41e-9, 0.7e-9), 2.11e-9),
+        (PulseStimulus(0.0, 1.0, 0.1e-9, 0.1e-9, 0.2e-9, 0.3e-9, 0.6e-9), 3.05e-9),
+    ], ids=["delayed", "mid_rise", "edges_fill_period"])
+    def test_pulse_corners_follow_the_analytic_waveform(self, pulse, tstop):
+        s = pulse.pwl(tstop)
+        rng = random.Random(3)
+        probes = ([0.0, tstop, pulse.delay] + [t for t, _ in s.points if t <= tstop]
+                  + [rng.uniform(0.0, tstop) for _ in range(2000)])
+        # several periods, and the run's last point within an edge
+        assert tstop > pulse.delay + 3 * pulse.period
+        swing = max(abs(pulse.v1), abs(pulse.v2))
+        for t in probes:
+            assert s.value_at(t) == pytest.approx(pulse_value(pulse, t), rel=1e-12,
+                                                  abs=1e-12 * swing)
+
+    def test_pulse_corners_strictly_increase_when_edges_fill_the_period(self):
+        # rise + width + fall == period and no delay: each period's last
+        # corner is the next one's first, and the first is (0, v1)
+        for pulse in (PulseStimulus(0.0, 1.0, 0.0, 1.0, 1.0, 2.0, 4.0),
+                      PulseStimulus(0.0, 1.2, 0.0, 0.1e-9, 0.2e-9, 0.3e-9, 0.6e-9)):
+            s = pulse.pwl(20 * pulse.period)
+            times = [t for t, _ in s.points]
+            assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
+            assert times[0] == 0.0 and len(times) == 1 + 3 * 20
+            assert s.min_edge() == pytest.approx(min(pulse.rise, pulse.fall), rel=1e-9)
+
+    def test_pulse_edges_past_tstop_are_kept_from_started_periods(self):
+        s = PulseStimulus(0.0, 1.0, delay=1.0, rise=1.0, fall=1.0,
+                          width=2.0, period=10.0)
+        assert s.pwl(1.5).points == ((0.0, 0.0), (1.0, 0.0), (2.0, 1.0),
+                                     (4.0, 1.0), (5.0, 0.0))
+        assert s.pwl(1.5).breakpoints(1.5) == (1.0,)
+        # no period starts before tstop: the level v1 alone
+        assert s.pwl(1.0).points == ((0.0, 0.0),)
 
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
