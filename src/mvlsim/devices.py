@@ -56,8 +56,8 @@ class FetModelCard:
             raise ValueError("P-type card requires vth <= 0")
 
 
-def square_law(vth, k, lam, vgs, vds, out=None):
-    """N-channel square law, element-wise over scalars or numpy arrays.
+def square_law(vth, k, lam, vgs, vds, out):
+    """N-channel square law, element-wise over numpy arrays.
 
     Returns (id, gm, gds): the drain current (positive drain-to-source) and
     its exact partial derivatives with respect to vgs and vds.  Regions:
@@ -73,7 +73,7 @@ def square_law(vth, k, lam, vgs, vds, out=None):
     place and only where vds < 0, gds gains gm and id and gm are negated,
     all exact operations.
 
-    out, if given, is a tuple of three float arrays of the result's shape
+    out is a tuple of three float arrays of the inputs' broadcast shape
     that receive id, gm and gds and are returned: the engine passes slices
     of its own buffers, so its Newton updates copy no device output.
     """
@@ -84,9 +84,6 @@ def square_law(vth, k, lam, vgs, vds, out=None):
     ve = np.minimum(vds, vov)
     cl = 1.0 + lam * vds
     kq = k * (ve * (vov - 0.5 * ve))
-    unwrap = out is None  # scalars in, numpy scalars out
-    if unwrap:
-        out = tuple(np.empty(np.broadcast(kq, cl).shape) for _ in range(3))
     i, gm, gds = out
     np.multiply(kq, cl, i)
     np.multiply(k * ve, cl, gm)
@@ -95,7 +92,7 @@ def square_law(vth, k, lam, vgs, vds, out=None):
     np.add(gds, gm, gds, where=rev)
     np.negative(i, i, where=rev)
     np.negative(gm, gm, where=rev)
-    return tuple(a[()] for a in out) if unwrap else out
+    return out
 
 
 @dataclass(frozen=True)

@@ -120,21 +120,22 @@ to zero, which leaves the capacitors open.
 
 Each member converts its sources' stimuli once, to their pwl(tstop), and
 evaluates those at each time point it tries, and at t = 0 for the DC point.
+From those corners _Member alone derives its breakpoints and its floor.
 Transient analysis forces a time point at every breakpoint (every source's
-PWL corners; a PULSE is its corners up to tstop), merged where closer
-together than a millionth of the floor step.  The floor is the .tran dt
-clamped to tstop/1000, to dtmax and to a tenth of the shortest edge between
-two corners of different value; the ceiling is the .tran dtmax if that
-exceeds dt, else the floor.  One rule sets every step.  Each segment
-between two breakpoints starts at the floor.  The step asked for is held
-between the floor and the ceiling; it takes the rest of the segment if
-that is no longer than the step up to rounding (1e-9 relative), and half of
-it if the step would leave a remainder below the floor.  So a step below
-the floor is one of the last two of its segment, and with the ceiling at
-the floor the steps are the floor's.  After each accepted point the step
-asked for is h * min(2, 0.9 * (tol / err)**(1/(p+1))), p the order of the
-rule, tol the fixed _LTE_TOL (0.1 mV) and err the local truncation error
-estimate (Nagel, SPICE2, UCB/ERL M520, 1975)
+corner strictly inside (0, tstop)), merged where closer together than a
+millionth of the floor step.  The floor is the .tran dt clamped to
+tstop/1000, to dtmax and to a tenth of the shortest edge between two
+corners of different value that starts before tstop; the ceiling is the
+.tran dtmax if that exceeds dt, else the floor.  One rule sets every step.
+Each segment between two breakpoints starts at the floor.  The step asked
+for is held between the floor and the ceiling; it takes the rest of the
+segment if that is no longer than the step up to rounding (1e-9 relative),
+and half of it if the step would leave a remainder below the floor.  So a
+step below the floor is one of the last two of its segment, and with the
+ceiling at the floor the steps are the floor's.  After each accepted point
+the step asked for is h * min(2, 0.9 * (tol / err)**(1/(p+1))), p the order
+of the rule, tol the fixed _LTE_TOL (0.1 mV) and err the local truncation
+error estimate (Nagel, SPICE2, UCB/ERL M520, 1975)
 
     err = max over the node voltages of |x_corrected - x_predicted|
 
@@ -748,12 +749,13 @@ class _Member:
         floor = min(analysis.dt, tstop / 1000.0)
         if analysis.dtmax is not None:
             floor = min(floor, analysis.dtmax)
-        edges = [e for s in self.sources if (e := s.min_edge()) is not None]
-        if edges:
-            floor = min(floor, min(edges) / 10.0)
         bps = {0.0, tstop}
         for s in self.sources:
-            bps.update(s.breakpoints(tstop))
+            pts = s.points
+            bps.update(t for t, _ in pts if 0.0 < t < tstop)
+            for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+                if v1 != v0 and t0 < tstop:
+                    floor = min(floor, (t1 - t0) / 10.0)
         merged = [0.0]
         for t in sorted(bps)[1:]:
             if t - merged[-1] >= _MIN_SEPARATION * floor:

@@ -33,25 +33,24 @@ class Digit:
 
 @dataclass(frozen=True)
 class LevelMap:
-    """Evenly spaced voltage levels with a symmetric guard band."""
+    """Evenly spaced voltage levels with a guard band of spacing/4."""
 
     radix: int
     vdd: float
-    guard: float | None = None  # defaults to a quarter of the level spacing
 
     def __post_init__(self):
         if self.radix < 2:
             raise ValueError("radix must be >= 2")
         if not self.vdd > 0.0:
             raise ValueError("vdd must be > 0")
-        if self.guard is None:
-            object.__setattr__(self, "guard", self.spacing / 4.0)
-        if not 0.0 < self.guard < self.spacing / 2.0:
-            raise ValueError("guard band must satisfy 0 < guard < spacing/2")
 
     @property
     def spacing(self) -> float:
         return self.vdd / (self.radix - 1)
+
+    @property
+    def guard(self) -> float:
+        return self.spacing / 4.0
 
     def level(self, d: int) -> float:
         if not 0 <= d < self.radix:

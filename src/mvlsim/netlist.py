@@ -21,14 +21,17 @@ Supported text format (line oriented, case-insensitive):
     .measure <name> avgpower|peakpower <vsource>
     .end
 
-``.tran``: dt is the step at every breakpoint (every source's PWL corners;
-a PULSE is its corners up to tstop) and the finest step; dtmax (default
-dt) is the largest step the engine's step controller may grow to.  See
-``engine`` for the clamps on dt.  A netlist has at most one ``.tran``.
+``.tran``: dt is the step at every breakpoint (every source's PWL corner
+inside the run; a PULSE is its corners up to tstop) and the finest step;
+dtmax (default dt) is the largest step the engine's step controller may
+grow to.  See ``engine`` for the clamps on dt.  A netlist has at most one
+``.tran``.
 
 Each stimulus gives its waveform up to tstop as ``pwl(tstop)``, a
 PwlStimulus, the one class that evaluates a waveform: a DC level is one
-corner, a PULSE the corners of every period that starts before tstop.
+corner, a PULSE the corners of every period that starts before tstop.  A
+PwlStimulus is its corners and their values; the engine alone turns the
+corners into breakpoints and a floor step.
 
 Numbers accept the engineering suffixes f p n u m k meg g.  Node and device
 names are case-insensitive and are stored lowercased; ``gnd`` is an alias
@@ -145,14 +148,6 @@ class PwlStimulus:
             return pts[-1][1]
         (t0, v0), (t1, v1) = pts[i - 1], pts[i]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def breakpoints(self, tstop: float) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.points if 0.0 < t < tstop)
-
-    def min_edge(self) -> float | None:
-        edges = [t1 - t0 for (t0, v0), (t1, v1) in zip(self.points, self.points[1:])
-                 if v1 != v0]
-        return min(edges) if edges else None
 
     def pwl(self, tstop: float) -> PwlStimulus:
         return self

@@ -1,11 +1,13 @@
 """Helpers that several test modules share: a DC drive for cell netlists,
-the ideal level converter that their DC digit tables are scored against
-and the source values the engine sets at a time point."""
+the ideal level converter that their DC digit tables are scored against,
+the source values the engine sets at a time point and the square law into
+buffers of its own."""
 
 import copy
 
 import numpy as np
 
+from mvlsim.devices import square_law
 from mvlsim.mvl import Digit
 from mvlsim.netlist import DcStimulus, Device, Netlist
 
@@ -32,3 +34,11 @@ def source_values(nets: list[Netlist], ts: list[float]) -> np.ndarray:
     nsrc, as the engine evaluates them: on each stimulus's PWL corners."""
     return np.array([[d.stimulus.pwl(t).value_at(t) for d in net.devices
                       if d.kind == "vsource"] for net, t in zip(nets, ts)])
+
+
+def square_law_alloc(vth, k, lam, vgs, vds):
+    """devices.square_law into three new arrays of the inputs' broadcast
+    shape: (id, gm, gds), numpy scalars for scalar inputs."""
+    shape = np.broadcast(vth, k, lam, vgs, vds).shape
+    out = tuple(np.empty(shape) for _ in range(3))
+    return tuple(a[()] for a in square_law(vth, k, lam, vgs, vds, out))

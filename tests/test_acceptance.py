@@ -28,13 +28,13 @@ from mvlsim.characterize import (
     improvement_pct,
     run_decoder,
 )
-from mvlsim.devices import FetModelCard, preset, preset_names, square_law
+from mvlsim.devices import FetModelCard, preset, preset_names
 from mvlsim.engine import SolveOptions, dc_operating_point, transient
 from mvlsim.measure import Waveform, rise_time
 from mvlsim.mvl import Digit, LevelMap, ideal_decode
 from mvlsim.netlist import NetlistError, Transient, emit, parse, parse_value
 
-from helpers import ideal_vlc, with_dc_input
+from helpers import ideal_vlc, square_law_alloc, with_dc_input
 
 RISE_WINDOW = (87.19e-12, 348.76e-12)  # 4x span centred on 174.38 ps
 
@@ -247,7 +247,7 @@ def test_c5_fet_model_fidelity(one_fet):
     card = FetModelCard("n", 0.3, 1e-4, 0.05, 0.0, 0.0)
 
     def law(vgs, vds):
-        return square_law(card.vth, card.k, card.lam, vgs, vds)
+        return square_law_alloc(card.vth, card.k, card.lam, vgs, vds)
 
     rng = random.Random(20260814)
     h, worst_fd = 1e-6, 0.0

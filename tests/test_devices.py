@@ -18,10 +18,11 @@ from mvlsim.devices import (
     TechnologyCard,
     preset,
     preset_names,
-    square_law,
 )
 from mvlsim.engine import SolveOptions, transient
 from mvlsim.netlist import parse
+
+from helpers import square_law_alloc
 
 N = FetModelCard("n", 0.3, 1e-4, 0.05, 8e-17, 6e-17)
 P = FetModelCard("p", -0.3, 1e-4, 0.05, 8e-17, 6e-17)
@@ -29,8 +30,7 @@ P = FetModelCard("p", -0.3, 1e-4, 0.05, 8e-17, 6e-17)
 
 def nfet(card, vgs, vds):
     """(id, gm, gds) of an N card by square_law; numpy scalars for scalars."""
-    out = square_law(card.vth, card.k, card.lam, np.asarray(vgs), np.asarray(vds))
-    return tuple(q[()] for q in out)
+    return square_law_alloc(card.vth, card.k, card.lam, vgs, vds)
 
 
 class TestRegions:
@@ -133,7 +133,7 @@ def where_square_law(vth, k, lam, vgs, vds):
 class TestFormulation:
     @staticmethod
     def assert_bitwise(vth, k, lam, vgs, vds):
-        got = square_law(vth, k, lam, vgs, vds)
+        got = square_law_alloc(vth, k, lam, vgs, vds)
         want = where_square_law(vth, k, lam, vgs, vds)
         for g, w in zip(got, want):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()

@@ -21,7 +21,7 @@ import pytest
 from mvlsim import engine
 from mvlsim.cells import CellSpec, build_staircase_testbench
 from mvlsim.characterize import RunConfig
-from mvlsim.devices import preset, square_law
+from mvlsim.devices import preset
 from mvlsim.engine import (
     ConvergenceError,
     RunStats,
@@ -39,7 +39,7 @@ from mvlsim.measure import Waveform
 from mvlsim.mvl import LevelMap
 from mvlsim.netlist import PwlStimulus, Transient, parse
 
-from helpers import source_values
+from helpers import source_values, square_law_alloc
 
 # the testbench settings the decoder commands default to
 DEFAULT = RunConfig()
@@ -720,6 +720,8 @@ class TestTransient:
 
 
 BATCH_LOADS = [{"load": 1e-15}, {"load": 3e-15}, {"load": 5e-15}]
+# the compile drops a 0 F load: members with different capacitor counts
+BATCH_UNEVEN_CAPS = [{"load": 0.0}, {"load": 2e-15}]
 BATCH_TECHS = [{"tech": "cmos32"}, {"tech": "gnrfet32"}]
 
 
@@ -729,17 +731,20 @@ class TestBatch:
         ([{"vdd": 1.0}, {"vdd": 1.2}], "backward_euler"),
         ([{"vth_scale": 0.9}, {"vth_scale": 1.1}], "backward_euler"),
         (BATCH_TECHS, "backward_euler"),
+        (BATCH_UNEVEN_CAPS, "backward_euler"),
         (BATCH_LOADS, "trapezoidal"),
         (BATCH_TECHS, "trapezoidal"),
-    ], ids=["load", "vdd", "vth_scale", "compare", "load-trapezoidal",
-            "compare-trapezoidal"])
+        (BATCH_UNEVEN_CAPS, "trapezoidal"),
+    ], ids=["load", "vdd", "vth_scale", "compare", "uneven_caps",
+            "load-trapezoidal", "compare-trapezoidal", "uneven_caps-trapezoidal"])
     def test_members_match_batches_of_one(self, members, integration, monkeypatch):
         # every case has members of different point counts (181 to 1524),
         # all but backward-Euler compare's gnrfet32 past a block of
         # engine._BLOCK rows, so the batch is compiled again each time one
         # is done and carries the others' last solutions over; under the
         # trapezoidal rule each member must also carry its own capacitors'
-        # currents, and only at its accepted points
+        # currents, and only at its accepted points; the uneven_caps members
+        # differ in their capacitor count too
         compiled = spy_on_compiles(monkeypatch)
         opts = SolveOptions(integration=integration)
         nets = [staircase(**kw) for kw in members]
@@ -997,6 +1002,17 @@ class TestPulseSources:
         dc = parse(self.PULSE_RC.replace("pulse({})", "dc 0"))
         assert_same_run(transient(late), transient(dc))
 
+    # a PWL whose only edge starts at 20 ns runs as its level; a PULSE whose
+    # 5 ps rise starts 10 ps before tstop runs as if its 1 ps fall, which
+    # starts after tstop, were as slow as the rise
+    @pytest.mark.parametrize("source, twin", [
+        ("pwl(0 0 20n 0 20.001n 1)", "dc 0"),
+        ("pulse(0 1 9.99n 5p 1p 1n 3n)", "pulse(0 1 9.99n 5p 5p 1n 3n)")],
+        ids=["pwl", "pulse_fall"])
+    def test_edge_past_tstop_leaves_the_floor(self, source, twin):
+        net, other = (parse(self.PULSE_RC.replace("pulse({})", s)) for s in (source, twin))
+        assert_same_run(transient(net), transient(other))
+
 
 class TestFetTransient:
     def test_inverter_switches_under_pulse(self):
@@ -1064,9 +1080,9 @@ class TestLinearize:
             elif d.kind == "fet":
                 card = net.models[d.model]
                 sign = 1.0 if card.polarity == "n" else -1.0
-                cur = sign * square_law(sign * card.vth, card.k * d.value,
-                                        card.lam, sign * (v[t[1]] - v[t[2]]),
-                                        sign * (v[t[0]] - v[t[2]]))[0]
+                cur = sign * square_law_alloc(sign * card.vth, card.k * d.value,
+                                              card.lam, sign * (v[t[1]] - v[t[2]]),
+                                              sign * (v[t[0]] - v[t[2]]))[0]
                 shunted.update((t[0], t[2]))
             else:
                 continue
@@ -1151,7 +1167,7 @@ class TestLinearize:
                     card = net.models[d.model]
                     sign = 1.0 if card.polarity == "n" else -1.0
                     drain, gate, src = t[:3]
-                    cur, gm, gds = square_law(
+                    cur, gm, gds = square_law_alloc(
                         sign * card.vth, card.k * d.value, card.lam,
                         sign * (v[gate] - v[src]), sign * (v[drain] - v[src]))
                     branch(drain, src, sign * cur, (gate, src, gm), (drain, src, gds))

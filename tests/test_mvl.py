@@ -55,13 +55,6 @@ class TestLevelMap:
         lm2 = LevelMap(2, 1.2)
         assert lm2.guard == 0.3
 
-    def test_guard_bounds(self):
-        LevelMap(4, 3.0, guard=0.49)
-        with pytest.raises(ValueError):
-            LevelMap(4, 3.0, guard=0.0)
-        with pytest.raises(ValueError):
-            LevelMap(4, 3.0, guard=0.5)
-
     def test_radix_at_least_two(self):
         with pytest.raises(ValueError, match="radix must be >= 2"):
             LevelMap(1, 1.2)
@@ -137,7 +130,7 @@ class TestQuantize:
             quantize(wf, lm, [2.0])
 
     def test_interpolates_between_samples(self):
-        lm = LevelMap(2, 1.0, guard=0.1)
+        lm = LevelMap(2, 1.0)
         wf = Waveform(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         assert quantize(wf, lm, [0.05, 0.95]) == [0, 1]
         assert quantize(wf, lm, [0.5]) == [None]

@@ -9,6 +9,7 @@ import pytest
 
 from mvlsim.characterize import CELL_NAMES, RunConfig, build_cell
 from mvlsim.devices import FetModelCard, preset
+from mvlsim.engine import _Member
 from mvlsim.netlist import (
     DcStimulus,
     Device,
@@ -84,14 +85,22 @@ def pulse_value(s: PulseStimulus, t: float) -> float:
     return s.v1
 
 
+def plan(stimulus, tstop):
+    """The engine's step plan for one source over .tran tstop tstop: its
+    merged breakpoints bps, 0 and tstop included, and its floor step."""
+    return _Member([stimulus], Transient(tstop, tstop))
+
+
 class TestStimuli:
     def test_dc(self):
-        s = DcStimulus(1.2).pwl(1.0)
+        dc = DcStimulus(1.2)
+        s = dc.pwl(1.0)
         assert s == PwlStimulus(((0.0, 1.2),))
         assert s.value_at(0.0) == 1.2
         assert s.value_at(1e9) == 1.2
-        assert s.breakpoints(1.0) == ()
-        assert s.min_edge() is None
+        # no breakpoint inside the run, and no edge to clamp the floor
+        m = plan(dc, 1.0)
+        assert (m.bps, m.floor) == ([0.0, 1.0], 1.0 / 1000.0)
 
     def test_pwl_is_its_own_corners(self):
         s = PwlStimulus(((0.0, 0.0), (1.0, 1.0)))
@@ -130,12 +139,13 @@ class TestStimuli:
 
     def test_pwl_breakpoints_interior_only(self):
         s = PwlStimulus(((0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.0)))
-        assert s.breakpoints(2.5) == (1.0, 2.0)
-        assert s.breakpoints(10.0) == (1.0, 2.0, 3.0)
+        assert plan(s, 2.5).bps == [0.0, 1.0, 2.0, 2.5]
+        assert plan(s, 10.0).bps == [0.0, 1.0, 2.0, 3.0, 10.0]
 
-    def test_pwl_min_edge_ignores_flat_segments(self):
+    def test_pwl_floor_ignores_flat_segments(self):
+        # tstop/1000 = 0.1 lies above a tenth of the 0.1 edge
         s = PwlStimulus(((0.0, 0.0), (5.0, 0.0), (5.1, 1.0), (9.0, 1.0)))
-        assert s.min_edge() == pytest.approx(0.1, rel=1e-12)
+        assert plan(s, 100.0).floor == pytest.approx(0.01, rel=1e-12)
 
     def test_pwl_validation(self):
         with pytest.raises(ValueError):
@@ -160,16 +170,15 @@ class TestStimuli:
 
     def test_pulse_breakpoints_repeat_with_period(self):
         s = PulseStimulus(0.0, 1.0, delay=1.0, rise=1.0, fall=1.0,
-                          width=2.0, period=10.0).pwl(12.0)
-        bps = s.breakpoints(12.0)
-        assert (1.0, 2.0, 4.0, 5.0, 11.0) == bps[:5]
-        assert all(0.0 < t < 12.0 for t in bps)
-        assert s.min_edge() == 1.0
+                          width=2.0, period=10.0)
+        assert plan(s, 12.0).bps == [0.0, 1.0, 2.0, 4.0, 5.0, 11.0, 12.0]
+        # tstop/1000 = 1 lies above a tenth of the 1.0 edges
+        assert plan(s, 1000.0).floor == 0.1
 
     def test_pulse_breakpoint_overflow_raises(self):
         s = PulseStimulus(0.0, 1.0, delay=0.0, rise=1e-12, fall=1e-12,
                           width=1e-12, period=4e-12)
-        assert len(s.pwl(1e-8).breakpoints(1e-8)) > 9000
+        assert len(plan(s, 1e-8).bps) > 9000
         with pytest.raises(NetlistError, match="breakpoints"):
             s.pwl(1e-6)
 
@@ -200,16 +209,26 @@ class TestStimuli:
             times = [t for t, _ in s.points]
             assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
             assert times[0] == 0.0 and len(times) == 1 + 3 * 20
-            assert s.min_edge() == pytest.approx(min(pulse.rise, pulse.fall), rel=1e-9)
+            # tstop/1000 is one period, above a tenth of either edge
+            assert plan(pulse, 1000 * pulse.period).floor == pytest.approx(
+                min(pulse.rise, pulse.fall) / 10.0, rel=1e-9)
 
     def test_pulse_edges_past_tstop_are_kept_from_started_periods(self):
         s = PulseStimulus(0.0, 1.0, delay=1.0, rise=1.0, fall=1.0,
                           width=2.0, period=10.0)
         assert s.pwl(1.5).points == ((0.0, 0.0), (1.0, 0.0), (2.0, 1.0),
                                      (4.0, 1.0), (5.0, 0.0))
-        assert s.pwl(1.5).breakpoints(1.5) == (1.0,)
+        assert plan(s, 1.5).bps == [0.0, 1.0, 1.5]
         # no period starts before tstop: the level v1 alone
         assert s.pwl(1.0).points == ((0.0, 0.0),)
+        # of those corners only the rise starts before tstop, so only the
+        # rise clamps the floor, and not the shorter fall past tstop
+        fast = PulseStimulus(0.0, 1.0, delay=1.0, rise=1e-3, fall=1e-4,
+                             width=2.0, period=10.0)
+        assert fast.pwl(1.5).points[-1] == pytest.approx((3.0011, 0.0))
+        assert plan(fast, 1.5).floor == pytest.approx(1e-4, rel=1e-9)
+        # a rise that tstop cuts short clamps it too
+        assert plan(fast, 1.0005).floor == pytest.approx(1e-4, rel=1e-9)
 
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
