@@ -69,29 +69,30 @@ def square_law(vth, k, lam, vgs, vds, out):
     One clamped formula covers the three regions: with vov = max(vgs - vth, 0)
     and ve = min(vds, vov), id = k*ve*(vov - ve/2)*(1 + lambda*vds); ve = vds
     in triode, vov in saturation and 0 in cutoff.  The reversal needs no
-    select: vgs - min(vds, 0) is the gate voltage either way; then, in
-    place and only where vds < 0, gds gains gm and id and gm are negated,
-    all exact operations.
+    select: vgs - min(vds, 0) is the gate voltage either way; id and gm take
+    the factor (1 + lambda*vds) with the sign of vds + 0 (which is +0 for
+    vds = -0), so negated where vds < 0; gm is then <= 0 exactly there, as
+    k > 0 and lambda >= 0 on every card, and gds - min(gm, 0) adds the
+    reversed device's gm to its gds.  All of it is exact.
 
     out is a tuple of three float arrays of the inputs' broadcast shape
     that receive id, gm and gds and are returned: the engine passes slices
     of its own buffers, so its Newton updates copy no device output.
     """
-    rev = vds < 0.0
+    sign = vds + 0.0
     vgs = vgs - np.minimum(vds, 0.0)
     vds = np.abs(vds)
     vov = np.maximum(vgs - vth, 0.0)
     ve = np.minimum(vds, vov)
     cl = 1.0 + lam * vds
+    signed = np.copysign(cl, sign)
     kq = k * (ve * (vov - 0.5 * ve))
     i, gm, gds = out
-    np.multiply(kq, cl, i)
-    np.multiply(k * ve, cl, gm)
+    np.multiply(kq, signed, i)
+    np.multiply(k * ve, signed, gm)
     np.multiply(k * (vov - ve), cl, gds)
     gds += kq * lam
-    np.add(gds, gm, gds, where=rev)
-    np.negative(i, i, where=rev)
-    np.negative(gm, gm, where=rev)
+    gds -= np.minimum(gm, 0.0)
     return out
 
 

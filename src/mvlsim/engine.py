@@ -30,14 +30,18 @@ that the compile step allocates, the same for a batch of one as of many:
 
   1. one gather of x[hi], then x[lo], into one buffer and one subtraction
      give every control voltage;
-  2. one square_law pass over the FETs writes their currents into the
-     branch-current buffer and their gm and gds into the FET Jacobian
-     weights, reversing the devices with vds < 0 in place;
-  3. the linear branches' currents g*v + i0 are written in front of the
-     FETs', the buffer's second half takes their negation, and one
-     np.bincount over the branch ends scatters them into the KCL residual F;
-  4. one negation and one copy turn the weights w into w, -w, -w, w, and one
-     np.bincount stamps them onto the linear branches' Jacobian;
+  2. the linear branches' currents g*v + i0 go to the front of one value
+     buffer, and one square_law pass over the FETs writes their currents,
+     then their gm and gds, after them, reversing the devices with vds < 0;
+  3. one negation fills the buffer's mirror half, and one copy appends
+     w = (gm, gds) negated and as it is, so the buffer holds the weights of
+     one scatter: each branch current, for its two ends, and the FETs'
+     Jacobian weights w, -w, -w, w;
+  4. one np.bincount sums the currents into the KCL residual F and the
+     weights into the FETs' Jacobian, in the slots after F's (each slot
+     adds the same terms in the same order as a scatter of F or of the
+     Jacobian alone), and one addition puts the FETs' Jacobian onto the
+     linear branches';
   5. one LAPACK call solves J dx = -F with the probe below, and one
      reduction of |solution| gives each member's |dx|inf and |z|inf.
 
@@ -87,7 +91,8 @@ step and accept/reject decision), its accepted points and its counters in
 one record, and its row of the round's last two solutions, so its run is
 bitwise the one it gives alone.  A member that is done, or dropped after a
 failure, leaves the compiled batch: the batch is compiled again for the
-live members, which carry their rows (and under the trapezoidal rule their
+live members (a netlist is validated once, before the first compile),
+which carry their rows (and under the trapezoidal rule their
 capacitor currents) over, so no round assembles or solves a member that is
 not live.  Each member's branches compile in the same order in any batch,
 and its Jacobian and residual slots and its LAPACK system are its own, so
@@ -96,22 +101,25 @@ its arithmetic does not change.  ``transient`` is a batch of one.
 Each Newton step is one call of numpy's LAPACK gufunc (the one behind
 np.linalg.solve, without that wrapper's checks) on the stacked
 J dx = -F together with a probe right-hand side D p, p fixed and D = diag(r),
-r_i the sum of |J_ij| over row i, taken as the product |J| @ ones.  LAPACK
-sees J unchanged; the probe's solution z is that of the row-equilibrated
-D^-1 J z = p (Golub and Van Loan, Matrix Computations, sec. 3.5), and
-|D^-1 J|inf = 1, so |z|inf estimates the condition of D^-1 J.  A product
-sums a row in another order than a row reduction, so r and z may move in
-their last bits with the way r is taken, but dx does not: LAPACK factors J
-alone and solves each right-hand-side column on its own, and z feeds only
-the test against _PROBE_KAPPA.  LAPACK factors each system of the stack on
-its own, and the gufunc returns NaN for a system it cannot factor, leaving
-the others as they are alone.  A system is doubtful where its dx is not
-finite (NaN included) or |z|inf reaches _PROBE_KAPPA, and the doubtful
-ones go to one stacked SVD of D^-1 J (Golub and Van Loan, sec.
-2.4).  A smallest singular value of at most 1e-14 times the largest makes
-the matrix singular: _solve returns the indices of the unknowns that its
-null vector moves, and Newton's SingularMatrixError names them, node names
-and i(<source>) as in the CSV header.  Otherwise the SVD gives dx.
+r_i the sum of |J_ij| over row i, taken as the product |J| @ ones.  The two
+right-hand sides are the rows of one batch x 2 x n buffer, which the
+gufunc reads transposed, as its columns; np.errstate wraps that call
+alone.  LAPACK sees J unchanged; the probe's solution z is that of the
+row-equilibrated D^-1 J z = p (Golub and Van Loan, Matrix Computations,
+sec. 3.5), and |D^-1 J|inf = 1, so |z|inf estimates the condition of
+D^-1 J.  A product sums a row in another order than a row reduction, so r
+and z may move in their last bits with the way r is taken, but dx does
+not: LAPACK factors J alone and solves each right-hand-side column on its
+own, and z feeds only the test against _PROBE_KAPPA.  LAPACK factors each
+system of the stack on its own, and the gufunc returns NaN for a system it
+cannot factor, leaving the others as they are alone.  A system is doubtful
+where its dx is not finite (NaN included) or |z|inf reaches _PROBE_KAPPA,
+and the doubtful ones go to one stacked SVD of D^-1 J (Golub and Van Loan,
+sec. 2.4).  A smallest singular value of at most 1e-14 times the largest
+makes the matrix singular: _solve returns the indices of the unknowns
+that its null vector moves, and Newton's SingularMatrixError names them,
+node names and i(<source>) as in the CSV header.  Otherwise the SVD gives
+dx.
 
 If the plain DC solve fails, it is retried with gmin stepping: shunts of
 _GMIN * 10**(_GMIN_STEPS - s) from every node to ground for s = 0.._GMIN_STEPS,
@@ -156,14 +164,14 @@ once from SolveOptions:
     trapezoidal (p = 2):                  geq = 2C/h,  ihist = -geq*v_prev - i_prev
 
 with v_prev and i_prev the capacitor's voltage and current at the last
-accepted point.  The conductances and the Jacobian of the linear branches
-depend on the steps alone and are built again only when one changes, the
-fixed branches' part of that Jacobian once per circuit.  The last two
-accepted solutions of every member are two batch x n+1 arrays, last and
-prev, both the DC solution at first; a mask of the members accepted
-updates them, and one gather from last gives v_prev.  Only the trapezoidal
-rule keeps i_prev, as geq * v + ihist with v gathered from the accepted
-solution (Newton's last residual is at the iterate before it).
+accepted point.  The conductances, -geq and the Jacobian of the linear
+branches depend on the steps alone and are built again only when one
+changes, the fixed branches' part of that Jacobian once per circuit.  The
+last two accepted solutions of every member are two batch x n+1 arrays,
+last and prev, both the DC solution at first; a mask of the members
+accepted updates them, and one gather from last gives v_prev.  Only the
+trapezoidal rule keeps i_prev, as geq * v + ihist with v gathered from the
+accepted solution (Newton's last residual is at the iterate before it).
 
 Newton at each time point starts from a linear predictor through the last
 two accepted points (Nagel, SPICE2, UCB/ERL M520, 1975):
@@ -257,10 +265,18 @@ _PROBE_KAPPA = 1e8
 _lapack_solve = _umath_linalg.solve
 
 
+# np.linalg.solve ignores the same flags, but calls "invalid", the flag of
+# a failed system, to raise LinAlgError for the whole stack
+@np.errstate(all="ignore")
+def _lapack(a, b):
+    return _lapack_solve(a, b)
+
+
 @functools.cache
-def _probe(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed probe cos(1..n) and n ones, read-only."""
-    p, ones = np.cos(np.arange(1.0, n + 1.0)), np.ones(n)
+def _probe(batch: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed probe cos(1..n) in each of batch rows, and n ones, both
+    read-only."""
+    p, ones = np.tile(np.cos(np.arange(1.0, n + 1.0)), (batch, 1)), np.ones(n)
     p.flags.writeable = ones.flags.writeable = False
     return p, ones
 
@@ -276,15 +292,13 @@ def _solve(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, list[float],
     indices of the unknowns whose null-vector entries reach a tenth of the
     largest.  A zero row of a is scaled by 1 for the SVD.
     """
-    p, ones = _probe(f.shape[1])
-    rhs = np.empty((*f.shape, 2))
-    np.negative(f, rhs[:, :, 0])
+    p, ones = _probe(*f.shape)
+    # the two right-hand sides as rows, passed to LAPACK as columns
+    rhs = np.empty((len(f), 2, f.shape[1]))
+    np.negative(f, rhs[:, 0])
     r = np.abs(a) @ ones
-    np.multiply(p, r, rhs[:, :, 1])
-    # np.linalg.solve ignores the same flags, but calls "invalid", the flag
-    # of a failed system, to raise LinAlgError for the whole stack
-    with np.errstate(all="ignore"):
-        sol = _lapack_solve(a, rhs)
+    np.multiply(p, r, rhs[:, 1])
+    sol = _lapack(a, rhs.transpose(0, 2, 1))
     dx, singular = sol[:, :, 0], {}
     step, probe = np.maximum.reduce(np.abs(sol), axis=1).T.tolist()
     # NaN, which np.maximum propagates, fails both tests
@@ -400,7 +414,8 @@ class _Circuit:
     (set_sources).
 
     Member b's unknowns sit at b*(n+1) .. b*(n+1) + n-1 and its ground at
-    b*(n+1) + n.  A single circuit is a batch of one.
+    b*(n+1) + n.  A single circuit is a batch of one.  The netlists are
+    valid: dc_operating_point and transient_batch validate each once.
     """
 
     def __init__(self, nets: list[Netlist]):
@@ -415,7 +430,6 @@ class _Circuit:
         self.unknown_names = self.node_names + [f"i({name})" for name in src_names]
         res, caps, fets, gmins, shunts, src_i, src_v = ([] for _ in range(7))
         for b, net in enumerate(nets):
-            net.validate()
             ground = b * n1 + n
             node_of = {name: b * n1 + i - 1 for i, name in enumerate(net.nodes)}
             node_of["0"] = ground
@@ -493,21 +507,34 @@ class _Circuit:
         self.flat_cap, self.flat_shunt = (
             stamp(*(v[part] for v in (lp, lq, lc, ld)))
             for part in (self.cap_branches, slice(self.cap_branches.stop, nl)))
-        self.cap_hi, self.cap_lo = lc[self.cap_branches], ld[self.cap_branches]
-        self.flat_fet = stamp(np.tile(fp, 2), np.tile(fq, 2),
-                              np.concatenate((fc, fp)), np.concatenate((fd, fq)))
+        self.cap_hilo = np.concatenate((lc[self.cap_branches], ld[self.cap_branches]))
+        self.cap_pair = np.empty(len(self.cap_hilo))
+        self.cap_x_hi, self.cap_x_lo = np.split(self.cap_pair, 2)
         self.i0 = np.zeros(nl)
-        self.i0_cap, self.i0_src = self.i0[self.cap_branches], self.i0[src_branches]
-        # residual's branch currents in the order of ends: linear and FET
-        # branches, then the same negated
-        nb = nl + nf
-        self.cur = np.zeros(2 * nb)
-        self.lin_i, self.branch_i, self.negated = (
-            self.cur[:nl], self.cur[:nb], self.cur[nb:])
-        # the FETs' Jacobian weights in the order of flat_fet: w = (gm, gds),
-        # which square_law writes in place, then -w, -w and w
-        self.fet_w = np.zeros((4, 2 * nf))
-        self.fet_out = (self.cur[nl:nb], self.fet_w[0, :nf], self.fet_w[0, nf:])
+        self.i0_cap = self.i0[self.cap_branches]
+        self.i0_src = self.i0[src_branches].reshape(self.batch, -1)
+        # the weights of one scatter, in the order of bins: val (the linear
+        # branch currents, then the FETs' currents, gm and gds, which
+        # square_law writes in place), its negation mirror, then fet_w,
+        # w = (gm, gds) negated and as it is, so that the FETs' Jacobian
+        # weights run w, -w, -w, w; cur is each branch current for its
+        # first end and, negated, for its second
+        nb, nw = nl + nf, nl + 3 * nf
+        self.weights = np.zeros(2 * nw + 4 * nf)
+        halves = self.weights[:2 * nw].reshape(2, nw)
+        self.val, self.mirror = halves
+        self.cur, self.fet_w_from = halves[:, :nb], halves[::-1, nb:]
+        self.fet_w = self.weights[2 * nw:].reshape(2, 2 * nf)
+        self.lin_i = self.val[:nl]
+        self.fet_out = (self.val[nl:nb], self.val[nb:nb + nf], self.val[nb + nf:])
+        # one np.bincount over bins sums the currents into F's n_f slots
+        # and the FET weights into the FETs' Jacobian, size slots after them
+        self.n_f = self.batch * n1
+        pc, pd, qc, qd = self.n_f + stamp(
+            np.tile(fp, 2), np.tile(fq, 2), np.concatenate((fc, fp)),
+            np.concatenate((fd, fq))).reshape(4, 2 * nf)
+        self.bins = np.concatenate((self.ends[:nb], pc, self.ends[nb:], pd, qc, qd))
+        self.n_bins = self.n_f + self.size
 
     def set_conductances(self, geq, shunt):
         """Set what stays fixed while the step size does: the linear-branch
@@ -525,20 +552,21 @@ class _Circuit:
     def set_sources(self, ihist, svals):
         """Set the linear branches' offset currents i0: the capacitor
         history currents ihist, minus the source values svals (batch x
-        nsrc) on the source constraints, zero elsewhere; and Newton's clip
-        on node-voltage updates: vlimit, twice each member's largest |source
-        value|, at least 1 V, and clip, the smallest of them, as floats, so
-        that Newton compares its update sizes with one number."""
+        nsrc, rows of floats or an array) on the source constraints, zero
+        elsewhere; and Newton's clip on node-voltage updates: vlimit, twice
+        each member's largest |source value|, at least 1 V, and clip, the
+        smallest of them, as floats, so that Newton compares its update
+        sizes with one number."""
         self.i0_cap[:] = ihist
-        np.negative(svals.reshape(-1), self.i0_src)
-        self.vlimit = [2.0 * max([0.5, *map(abs, row)]) for row in svals.tolist()]
+        np.negative(svals, self.i0_src)
+        self.vlimit = [2.0 * max([0.5, *map(abs, row)]) for row in svals]
         self.clip = min(self.vlimit)
 
     def residual(self, x):
         """KCL residual F (batch x n) at x (batch x n+1, ground 0 last).
 
-        F stays in f, the branch currents in cur and the FETs' derivatives
-        in fet_w until the next call: kcl, scale and jacobian read them.
+        F stays in f, the branch currents in cur and the FETs' Jacobian in
+        fet_jac until the next call: kcl, scale and jacobian read them.
         """
         # the indices are in range by construction; mode="raise" would
         # gather into a temporary and copy it to out
@@ -547,9 +575,11 @@ class _Circuit:
         np.multiply(self.g, self.v_lin, self.lin_i)
         self.lin_i += self.i0
         square_law(self.vth, self.k, self.lam, self.vgs, self.vds, self.fet_out)
-        np.negative(self.branch_i, self.negated)
-        f = np.bincount(self.ends, self.cur, minlength=self.batch * self.n1)
-        self.f, self.kcl_test = f.reshape(-1, self.n1)[:, :self.n], None
+        np.negative(self.val, self.mirror)
+        np.copyto(self.fet_w, self.fet_w_from)
+        sums = np.bincount(self.bins, self.weights, minlength=self.n_bins)
+        self.f, self.kcl_test = sums[:self.n_f].reshape(-1, self.n1)[:, :self.n], None
+        self.fet_jac = sums[self.n_f:]
         return self.f
 
     def scale(self):
@@ -557,24 +587,21 @@ class _Circuit:
         x nv: the current scale of its KCL test, one np.maximum.at of the
         magnitudes over the branch ends from zero; max is exact, so the
         order of the branches does not matter."""
-        mags = np.zeros(self.batch * self.n1)
-        np.maximum.at(mags, self.ends, np.abs(self.cur))
+        mags = np.zeros(self.n_f)
+        np.maximum.at(mags, self.ends, np.abs(self.cur).reshape(-1))
         return mags.reshape(-1, self.n1)[:, :self.nv]
 
     def jacobian(self):
         """dF/dx at residual's last x, batch x n x n: the linear branches'
-        Jacobian plus the FETs'.  Added out of place: without FETs
-        np.bincount returns int64."""
-        w = self.fet_w
-        np.negative(w[0], w[1])
-        w[2:] = w[1::-1]
-        jac = self.jac_lin + np.bincount(self.flat_fet, w.reshape(-1), minlength=self.size)
+        Jacobian plus the FETs'."""
+        jac = self.jac_lin + self.fet_jac
         return jac[:-1].reshape(-1, self.n, self.n)
 
     def cap_voltages(self, x):
-        """The capacitor branches' voltages x[c] - x[d] at x (batch x n+1)."""
-        flat = x.reshape(-1)
-        return flat[self.cap_hi] - flat[self.cap_lo]
+        """The capacitor branches' voltages x[c] - x[d] at x (batch x n+1),
+        from one gather into a buffer."""
+        x.take(self.cap_hilo, out=self.cap_pair, mode="clip")
+        return np.subtract(self.cap_x_hi, self.cap_x_lo)
 
     def newton(self, x, live, t=None, label=""):
         """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
@@ -588,11 +615,11 @@ class _Circuit:
         for it, the failing one included), its KCL excess at the iterate
         its test ran on and the error of each member that failed.
         """
-        n, batch = self.n, self.batch
+        batch, xs = self.batch, x[:, :self.n]
         members = list(live)
         iters, excess = [0] * batch, [0.0] * batch
         failed: dict[int, Exception] = {}
-        times = [None] * batch if t is None else [float(tb) for tb in t]
+        times = [None] * batch if t is None else t
         # the members whose last update met _VTOL while KCL failed at the
         # iterate it started from
         met = []
@@ -634,7 +661,7 @@ class _Circuit:
                         continue
                     iters[b] = it + 1
                     dx[j], step[j] = 0.0, math.nan  # x[b] stays; NaN meets no test
-            x[pick, :n] += dx
+            xs[pick] += dx
             # x_k + dx is accepted when dx met _VTOL and KCL held at x_k
             met = [b for b, s in zip(members, step) if s <= _VTOL]
             if failed:
@@ -712,14 +739,15 @@ class _Circuit:
         return x, iters, excess, failed
 
 
-def _source_values(sources, ts) -> np.ndarray:
+def _source_values(sources, ts) -> list[list[float]]:
     """The values of each member's sources (PwlStimulus) at its own time
-    ts[b], batch x nsrc."""
-    return np.array([[s.value_at(t) for s in row] for row, t in zip(sources, ts)])
+    ts[b], batch x nsrc as rows of floats."""
+    return [[s.value_at(t) for s in row] for row, t in zip(sources, ts)]
 
 
 def dc_operating_point(net: Netlist) -> dict[str, float]:
     """Node voltages of the DC operating point (sources at their t=0 values)."""
+    net.validate()
     ckt = _Circuit([net])
     sources = [d.stimulus.pwl(0.0) for d in ckt.vsources]
     x, _iters, _excess, failed = ckt.solve_dc(_source_values([sources], [0.0]))
@@ -857,6 +885,8 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
                 for net, a in zip(nets, analyses, strict=True)]
     if not nets:
         return []
+    for net in nets:  # once: compiling again for the live members skips it
+        net.validate()
     ckt = _Circuit(nets)
     nv = ckt.nv
     members = [_Member([d.stimulus for d in net.devices if d.kind == "vsource"], a)
@@ -875,28 +905,32 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     # the last two accepted solutions (module docstring) and, under the
     # trapezoidal rule alone, the capacitors' currents at the last: a row,
     # or a slice, for each member of ckt; ids[j] is the index in nets of
-    # ckt's member j
+    # ckt's member j, and batch[j] its _Member
     last, prev = x, x.copy()
     cap_i = np.zeros(len(ckt.cap_c)) if trap else None
-    ids = list(range(len(nets)))
+    ids, batch = list(range(len(nets))), members
     steps = None  # the steps the conductances were set for
+    narrow = bool(failed)  # whether a member finished or failed last round
     while True:
-        # members after the lowest failed one no longer matter
-        stop = min(failed, default=len(nets))
-        live = [b for b in ids if b < stop and not members[b].done]
-        if not live:
-            break
-        if live != ids:  # the batch narrows to its live members
-            rows = [ids.index(b) for b in live]
-            if trap:
-                cap_i = cap_i[np.isin(ckt.cap_member, rows)]
-            ckt = _Circuit([nets[b] for b in live])
-            ids, last, prev = live, last[rows], prev[rows]
-            steps = None
-        batch = [members[b] for b in ids]
-        # Newton's start
-        ratio = np.array([m.h / m.h_last for m in batch])[:, None]
-        predicted = last + ratio * (last - prev)
+        if narrow:
+            # members after the lowest failed one no longer matter
+            stop = min(failed, default=len(nets))
+            live = [b for b in ids if b < stop and not members[b].done]
+            if not live:
+                break
+            if live != ids:  # the batch narrows to its live members
+                rows = [ids.index(b) for b in live]
+                if trap:
+                    cap_i = cap_i[np.isin(ckt.cap_member, rows)]
+                ckt = _Circuit([nets[b] for b in live])
+                ids, last, prev = live, last[rows], prev[rows]
+                batch = [members[b] for b in ids]
+                steps = None
+            narrow = False
+        # Newton's start, last + ratio * (last - prev), and its iterate x
+        predicted = last - prev
+        predicted *= np.array([[m.h / m.h_last] for m in batch])
+        predicted += last
         x = predicted.copy()
         t = [m.next for m in batch]
         h = [m.h for m in batch]
@@ -904,19 +938,20 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
             steps = h
             geq = (2.0 if trap else 1.0) * ckt.cap_c / np.array(h)[ckt.cap_member]
             ckt.set_conductances(geq, 0.0)
-        ihist = -geq * ckt.cap_voltages(last)
+            neg_geq = -geq
+        ihist = neg_geq * ckt.cap_voltages(last)
         if trap:
             ihist -= cap_i
         ckt.set_sources(ihist, _source_values([m.sources for m in batch], t))
         it, exc, bad = ckt.newton(x, range(len(batch)), t=t)
-        err = np.maximum.reduce(np.abs(x[:, :nv] - predicted[:, :nv]), axis=1,
-                                initial=0.0).tolist()
+        diff = x[:, :nv] - predicted[:, :nv]
+        err = np.maximum.reduce(np.abs(diff, out=diff), axis=1, initial=0.0).tolist()
         accepted = np.zeros((len(batch), 1), dtype=bool)
         for j, (b, m) in enumerate(zip(ids, batch)):
             m.pending += it[j]
             if j in bad or (m.free and err[j] > _LTE_TOL):
                 if not m.free:
-                    failed[b] = bad[j]
+                    failed[b], narrow = bad[j], True
                     continue
                 rejected = m.h
                 if j in bad:
@@ -926,13 +961,14 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
                     m.rejected_lte += 1
                     m.reject(grow(err[j]))
                 if not m.h < rejected:  # a step rule defect: it would loop here
-                    failed[b] = ConvergenceError(
+                    failed[b], narrow = ConvergenceError(
                         f"rejected step of {rejected:.6g}s at t={m.t:.6g}s was not "
-                        "shortened", t=m.t)
+                        "shortened", t=m.t), True
                 continue
             accepted[j] = True
             m.accept(grow(err[j]))
             m.record(x[j], exc[j])
+            narrow = narrow or m.done
         # Newton's last residual was at the iterate before its solution
         if trap:
             np.copyto(cap_i, geq * ckt.cap_voltages(x) + ihist,

@@ -37,7 +37,7 @@ from mvlsim.engine import (
 )
 from mvlsim.measure import Waveform
 from mvlsim.mvl import LevelMap
-from mvlsim.netlist import PwlStimulus, Transient, parse
+from mvlsim.netlist import Device, Netlist, NetlistError, PwlStimulus, Transient, parse
 
 from helpers import source_values, square_law_alloc
 
@@ -456,6 +456,45 @@ class TestDc:
         assert err.unknown is None and err.dx is None
         assert f"; KCL test failed; worst node {err.node!r}" in str(err)
 
+    def test_update_clip_is_each_members_own(self, monkeypatch):
+        # a first update of +100 on every unknown moves each divider's node
+        # voltages by its own clip, twice its largest |source value|, and
+        # its source current by the full 100 A; Newton then converges
+        nets = [parse(DIVIDER.replace("dc 2.0", f"dc {v}")) for v in (1.0, 3.0)]
+        ckt = _Circuit(nets)
+        iterates, residual, solve_stack = [], _Circuit.residual, engine._solve
+
+        def spy(self, x):
+            iterates.append(x.copy())
+            return residual(self, x)
+
+        def jump_first(a, f):
+            if len(iterates) == 1:
+                return np.full(f.shape, 100.0), [100.0] * len(f), {}
+            return solve_stack(a, f)
+
+        monkeypatch.setattr(_Circuit, "residual", spy)
+        monkeypatch.setattr(engine, "_solve", jump_first)
+        x, _iters, _excess, failed = ckt.solve_dc(source_values(nets, [0.0, 0.0]))
+        assert not failed
+        assert ckt.node_names == ["in", "mid"] and ckt.vlimit == [2.0, 6.0]
+        moved = iterates[1] - iterates[0]
+        assert moved[:, :ckt.nv].tolist() == [[2.0, 2.0], [6.0, 6.0]]
+        assert moved[:, ckt.nv:ckt.n].tolist() == [[100.0], [100.0]]
+        for xb, v in zip(x, (1.0, 3.0)):
+            assert xb[:ckt.n] == pytest.approx([v, v / 2, -v / 2e3], rel=1e-9)
+
+    def test_invalid_netlist_raises_netlist_error(self):
+        # each entry point validates its netlists before it compiles them
+        net = parse(RC)
+        net.devices.append(Device("r9", ("out",), 1.0))
+        with pytest.raises(NetlistError) as want:
+            net.validate()
+        for run in (transient, dc_operating_point, lambda n: transient_batch([n])):
+            with pytest.raises(NetlistError) as ei:
+                run(net)
+            assert str(ei.value) == str(want.value)
+
     def test_options_validated(self):
         with pytest.raises(ValueError):
             SolveOptions(integration="euler")
@@ -794,6 +833,23 @@ class TestBatch:
 
     def test_empty_batch(self):
         assert transient_batch([]) == []
+
+    def test_each_netlist_is_validated_once(self, monkeypatch):
+        # the README's load sweep: its five members finish at five
+        # different times, and compiling the batch again for the live
+        # members validates nothing again
+        calls, validate = [], Netlist.validate
+
+        def spy(self):
+            calls.append(self)
+            return validate(self)
+
+        nets = [staircase(load=c) for c in np.linspace(1e-15, 5e-15, 5)]
+        compiled = spy_on_compiles(monkeypatch)
+        monkeypatch.setattr(Netlist, "validate", spy)
+        transient_batch(nets)
+        assert compiled == [5, 4, 3, 2, 1]
+        assert len(calls) == 5 and all(a is b for a, b in zip(calls, nets))
 
     def test_members_need_the_same_nodes(self):
         other = parse(RC.replace("out", "mid"))
