@@ -56,6 +56,18 @@ class FetModelCard:
             raise ValueError("P-type card requires vth <= 0")
 
 
+def _constant(value: float) -> np.ndarray:
+    """value as a read-only 0-d float array."""
+    c = np.array(value)
+    c.flags.writeable = False
+    return c
+
+
+# square_law's constant operands: numpy converts a Python float operand on
+# every call, a 0-d array it reads as it is
+_ZERO, _HALF, _ONE = _constant(0.0), _constant(0.5), _constant(1.0)
+
+
 def square_law(vth, k, lam, vgs, vds, out):
     """N-channel square law, element-wise over numpy arrays.
 
@@ -77,22 +89,25 @@ def square_law(vth, k, lam, vgs, vds, out):
 
     out is a tuple of three float arrays of the inputs' broadcast shape
     that receive id, gm and gds and are returned: the engine passes slices
-    of its own buffers, so its Newton updates copy no device output.
+    of its own buffers, so its Newton updates copy no device output.  The
+    constants 0, 1/2 and 1 are the read-only 0-d float64 arrays _ZERO,
+    _HALF and _ONE: float64 arithmetic as with Python floats, without
+    their conversion on every call.
     """
-    sign = vds + 0.0
-    vgs = vgs - np.minimum(vds, 0.0)
+    sign = vds + _ZERO
+    vgs = vgs - np.minimum(vds, _ZERO)
     vds = np.abs(vds)
-    vov = np.maximum(vgs - vth, 0.0)
+    vov = np.maximum(vgs - vth, _ZERO)
     ve = np.minimum(vds, vov)
-    cl = 1.0 + lam * vds
+    cl = _ONE + lam * vds
     signed = np.copysign(cl, sign)
-    kq = k * (ve * (vov - 0.5 * ve))
+    kq = k * (ve * (vov - _HALF * ve))
     i, gm, gds = out
     np.multiply(kq, signed, i)
     np.multiply(k * ve, signed, gm)
     np.multiply(k * (vov - ve), cl, gds)
     gds += kq * lam
-    gds -= np.minimum(gm, 0.0)
+    gds -= np.minimum(gm, _ZERO)
     return out
 
 

@@ -33,6 +33,8 @@ that the compile step allocates, the same for a batch of one as of many:
   2. the linear branches' currents g*v + i0 go to the front of one value
      buffer, and one square_law pass over the FETs writes their currents,
      then their gm and gds, after them, reversing the devices with vds < 0;
+     g is one buffer too, whose capacitor slice takes the companions' geq
+     when the step changes and whose shunt slice changes with the shunt;
   3. one negation fills the buffer's mirror half, and one copy appends
      w = (gm, gds) negated and as it is, so the buffer holds the weights of
      one scatter: each branch current, for its two ends, and the FETs'
@@ -40,10 +42,17 @@ that the compile step allocates, the same for a batch of one as of many:
   4. one np.bincount sums the currents into the KCL residual F and the
      weights into the FETs' Jacobian, in the slots after F's (each slot
      adds the same terms in the same order as a scatter of F or of the
-     Jacobian alone), and one addition puts the FETs' Jacobian onto the
-     linear branches';
-  5. one LAPACK call solves J dx = -F with the probe below, and one
-     reduction of |solution| gives each member's |dx|inf and |z|inf.
+     Jacobian alone), and one addition of the FETs' Jacobian and the
+     linear branches' writes J into the Jacobian buffer;
+  5. one LAPACK call solves J dx = -F with the probe below into the
+     solution buffer, and one np.abs into a buffer and one reduction along
+     its rows give each member's |dx|inf and |z|inf.
+
+_Circuit also owns the buffers of the solve (_SolveBuffers): the right-hand
+sides, |J| and its row sums, the solutions and their magnitudes, with the
+probe vector and the ones.  A solve of the m members still iterating uses
+the first m rows of each.  So dx, J and the KCL scale are views of buffers:
+each stays valid until the next update, or the next call that wrote it.
 
 The KCL test's per-node scale, when Newton needs it, is one np.maximum.at
 of the branch currents' magnitudes over their ends.  Max and negation are
@@ -103,9 +112,12 @@ np.linalg.solve, without that wrapper's checks) on the stacked
 J dx = -F together with a probe right-hand side D p, p fixed and D = diag(r),
 r_i the sum of |J_ij| over row i, taken as the product |J| @ ones.  The two
 right-hand sides are the rows of one batch x 2 x n buffer, which the
-gufunc reads transposed, as its columns; np.errstate wraps that call
-alone.  LAPACK sees J unchanged; the probe's solution z is that of the
-row-equilibrated D^-1 J z = p (Golub and Van Loan, Matrix Computations,
+gufunc reads transposed, as its columns, and it writes the two solutions
+dx and z transposed too, as the rows of a second such buffer: dx and z
+are contiguous rows, and their norms a reduction along them.  np.errstate
+wraps the gufunc's call alone, so that no warning of the residual or its
+scatter is hidden.  LAPACK sees J unchanged; the probe's solution z is that
+of the row-equilibrated D^-1 J z = p (Golub and Van Loan, Matrix Computations,
 sec. 3.5), and |D^-1 J|inf = 1, so |z|inf estimates the condition of
 D^-1 J.  A product sums a row in another order than a row reduction, so r
 and z may move in their last bits with the way r is taken, but dx does
@@ -188,7 +200,6 @@ estimate above.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -268,41 +279,57 @@ _lapack_solve = _umath_linalg.solve
 # np.linalg.solve ignores the same flags, but calls "invalid", the flag of
 # a failed system, to raise LinAlgError for the whole stack
 @np.errstate(all="ignore")
-def _lapack(a, b):
-    return _lapack_solve(a, b)
+def _lapack(a, b, out):
+    return _lapack_solve(a, b, out=out)
 
 
-@functools.cache
-def _probe(batch: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed probe cos(1..n) in each of batch rows, and n ones, both
-    read-only."""
-    p, ones = np.tile(np.cos(np.arange(1.0, n + 1.0)), (batch, 1)), np.ones(n)
-    p.flags.writeable = ones.flags.writeable = False
-    return p, ones
+class _SolveBuffers:
+    """What _solve writes, for stacks of up to batch systems of n unknowns.
+    Each system's two right-hand sides -F and D p are its rows of one
+    batch x 2 x n buffer, and their solutions dx and z its rows of another,
+    sol: LAPACK reads the first and writes sol transposed, as columns.
+    Three more buffers take |sol|, |J| and the row sums r of |J|; the probe
+    p = cos(1..n) in each row and ones, n ones, are read-only.  views[m]
+    holds the views of the first m rows of each that a solve of m systems
+    works in, made once."""
+
+    def __init__(self, batch: int, n: int):
+        rhs, self.sol, mag = (np.empty((batch, 2, n)) for _ in range(3))
+        abs_a, r = np.empty((batch, n, n)), np.empty((batch, n))
+        probe = np.tile(np.cos(np.arange(1.0, n + 1.0)), (batch, 1))
+        self.ones = np.ones(n)
+        probe.flags.writeable = self.ones.flags.writeable = False
+        self.views = [(rhs[:m, 0], rhs[:m, 1], rhs[:m].transpose(0, 2, 1),
+                       self.sol[:m].transpose(0, 2, 1), self.sol[:m, 0], self.sol[:m],
+                       mag[:m], abs_a[:m], r[:m], probe[:m]) for m in range(batch + 1)]
 
 
-def _solve(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, list[float],
-                                                  dict[int, list[int]]]:
+def _solve(a: np.ndarray, f: np.ndarray, buf: _SolveBuffers | None = None
+           ) -> tuple[np.ndarray, list[float], dict[int, list[int]]]:
     """Newton's updates dx[j] = -a[j]^-1 f[j] for the stack of systems a
-    (batch x n x n) and residuals f (batch x n), with the probe and the SVD
-    of the module docstring.
+    (m x n x n) and residuals f (m x n), with the probe and the SVD of the
+    module docstring, worked in the first m rows of buf (new buffers if
+    None).
 
     Returns dx, each |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and
     for each system j the SVD rejects, whose dx[j] is then undefined, the
     indices of the unknowns whose null-vector entries reach a tenth of the
-    largest.  A zero row of a is scaled by 1 for the SVD.
+    largest.  A zero row of a is scaled by 1 for the SVD.  dx is a view of
+    buf.sol (dx[j] is sol[j, 0]): it stays valid until the next solve in
+    buf.
     """
-    p, ones = _probe(*f.shape)
-    # the two right-hand sides as rows, passed to LAPACK as columns
-    rhs = np.empty((len(f), 2, f.shape[1]))
-    np.negative(f, rhs[:, 0])
-    r = np.abs(a) @ ones
-    np.multiply(p, r, rhs[:, 1])
-    sol = _lapack(a, rhs.transpose(0, 2, 1))
-    dx, singular = sol[:, :, 0], {}
-    step, probe = np.maximum.reduce(np.abs(sol), axis=1).T.tolist()
+    if buf is None:
+        buf = _SolveBuffers(*f.shape)
+    neg_f, dp, rhs_t, sol_t, dx, sol, mag, abs_a, r, probe = buf.views[len(f)]
+    np.negative(f, neg_f)
+    np.matmul(np.abs(a, out=abs_a), buf.ones, out=r)
+    np.multiply(probe, r, dp)
+    _lapack(a, rhs_t, sol_t)
+    # dx and z are the contiguous rows of sol: one reduction along them
+    step, z = np.maximum.reduce(np.abs(sol, out=mag), axis=2).T.tolist()
+    singular = {}
     # NaN, which np.maximum propagates, fails both tests
-    doubt = [j for j, (dj, zj) in enumerate(zip(step, probe))
+    doubt = [j for j, (dj, zj) in enumerate(zip(step, z))
              if not (dj < math.inf and zj < _PROBE_KAPPA)]
     if not doubt:
         return dx, step, singular
@@ -400,10 +427,13 @@ def _column(rows, i, dtype=float) -> np.ndarray:
     return np.array([r[i] for r in rows], dtype=dtype)
 
 
-def _stamped(w):
+def _stamped(w, out):
     """Branch derivatives w as the weights w, -w, -w, w of the Jacobian
-    slots (p, c), (p, d), (q, c), (q, d) that _Circuit's stamp lists."""
-    return np.concatenate((w, -w, -w, w))
+    slots (p, c), (p, d), (q, c), (q, d) that _Circuit's stamp lists,
+    written into the rows of out (4 x len(w)) and returned flat."""
+    out[::3] = w
+    np.negative(w, out[1:3])
+    return out.reshape(-1)
 
 
 class _Circuit:
@@ -468,7 +498,6 @@ class _Circuit:
         fixed = res + src_v + src_i + gmins
         src_branches = slice(len(res), len(res) + len(src_v))
         self.cap_branches = slice(len(fixed), len(fixed) + len(caps))
-        self.n_shunt = len(shunts)
         lin = fixed + caps + shunts
         nl, nf = len(lin), len(fets)
         lp, lq, lc, ld = (_column(lin, i, idx) for i in range(4))
@@ -500,10 +529,19 @@ class _Circuit:
         # iteration; size is the flat length, B blocks and the spare slot
         self.size = self.batch * n * n + 1
         fixed_branches = slice(0, len(fixed))
-        self.g_fixed = _column(fixed, 4)
+        # g: the fixed branches' conductances, then the capacitors' and the
+        # shunts', which set_conductances writes
+        self.g = np.zeros(nl)
+        self.g[fixed_branches] = g_fixed = _column(fixed, 4)
+        self.g_cap = self.g[self.cap_branches]
+        self.g_shunt, self.shunt = self.g[self.cap_branches.stop:], 0.0
         self.jac_fixed = np.bincount(
             stamp(*(v[fixed_branches] for v in (lp, lq, lc, ld))),
-            _stamped(self.g_fixed), minlength=self.size).astype(float)
+            _stamped(g_fixed, np.empty((4, len(fixed)))),
+            minlength=self.size).astype(float)
+        self.cap_w, self.shunt_w = np.empty((4, len(caps))), np.empty((4, len(shunts)))
+        self.jac_lin, self.jac = np.empty(self.size), np.empty(self.size)
+        self.jac_blocks = self.jac[:-1].reshape(self.batch, n, n)
         self.flat_cap, self.flat_shunt = (
             stamp(*(v[part] for v in (lp, lq, lc, ld)))
             for part in (self.cap_branches, slice(self.cap_branches.stop, nl)))
@@ -535,18 +573,24 @@ class _Circuit:
             np.concatenate((fd, fq))).reshape(4, 2 * nf)
         self.bins = np.concatenate((self.ends[:nb], pc, self.ends[nb:], pd, qc, qd))
         self.n_bins = self.n_f + self.size
+        # scale's |branch currents| and its maxima over each end's slots
+        self.cur_mag, self.mags = np.empty((2, nb)), np.empty(self.n_f)
+        self.node_mags = self.mags.reshape(-1, n1)[:, :nv]
+        self.solve_buf = _SolveBuffers(self.batch, n)
 
     def set_conductances(self, geq, shunt):
         """Set what stays fixed while the step size does: the linear-branch
-        conductances g and their flat Jacobian.  geq are the capacitor
-        companion conductances (zeros for DC), shunt the gmin-stepping
-        conductance from every node to ground."""
-        shunts = np.full(self.n_shunt, shunt)
-        self.g = np.concatenate((self.g_fixed, geq, shunts))
-        self.jac_lin = self.jac_fixed + np.bincount(self.flat_cap, _stamped(geq),
-                                                    minlength=self.size)
+        conductances g and their flat Jacobian, both written in place.  geq
+        are the capacitor companion conductances (zeros for DC), shunt the
+        gmin-stepping conductance from every node to ground."""
+        self.g_cap[:] = geq
+        if shunt != self.shunt:
+            self.shunt = shunt
+            self.g_shunt.fill(shunt)
+        np.add(self.jac_fixed, np.bincount(self.flat_cap, _stamped(geq, self.cap_w),
+                                           minlength=self.size), out=self.jac_lin)
         if shunt:
-            self.jac_lin += np.bincount(self.flat_shunt, _stamped(shunts),
+            self.jac_lin += np.bincount(self.flat_shunt, _stamped(self.g_shunt, self.shunt_w),
                                         minlength=self.size)
 
     def set_sources(self, ihist, svals):
@@ -586,16 +630,18 @@ class _Circuit:
         """Each node's largest |branch current| at residual's last x, batch
         x nv: the current scale of its KCL test, one np.maximum.at of the
         magnitudes over the branch ends from zero; max is exact, so the
-        order of the branches does not matter."""
-        mags = np.zeros(self.n_f)
-        np.maximum.at(mags, self.ends, np.abs(self.cur).reshape(-1))
-        return mags.reshape(-1, self.n1)[:, :self.nv]
+        order of the branches does not matter.  A view of a buffer, valid
+        until the next call."""
+        self.mags.fill(0.0)
+        np.maximum.at(self.mags, self.ends, np.abs(self.cur, out=self.cur_mag).reshape(-1))
+        return self.node_mags
 
     def jacobian(self):
         """dF/dx at residual's last x, batch x n x n: the linear branches'
-        Jacobian plus the FETs'."""
-        jac = self.jac_lin + self.fet_jac
-        return jac[:-1].reshape(-1, self.n, self.n)
+        Jacobian plus the FETs'.  A view of a buffer, valid until the next
+        call."""
+        np.add(self.jac_lin, self.fet_jac, out=self.jac)
+        return self.jac_blocks
 
     def cap_voltages(self, x):
         """The capacitor branches' voltages x[c] - x[d] at x (batch x n+1),
@@ -641,10 +687,12 @@ class _Circuit:
             # the rows of the members still iterating
             solved = members
             pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
-            dx, step, singular = _solve(self.jacobian()[pick], f[pick])
+            dx, step, singular = _solve(self.jacobian()[pick], f[pick], self.solve_buf)
             # NaN propagates through np.maximum and fails every test of a
-            # step: a non-finite update has a step that is not below inf
-            if singular or not all(s <= self.clip for s in step):
+            # step: a non-finite update has a step that is not below inf.
+            # The steps are >= 0, so a sum within the clip keeps each within
+            # it, and a NaN or inf among them makes the sum fail the test
+            if singular or not sum(step) <= self.clip:
                 if any(s > self.clip for s in step):  # clip the node-voltage updates
                     lim = np.array(self.vlimit)[pick, None]
                     dx_v = dx[:, :self.nv]

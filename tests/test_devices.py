@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mvlsim import devices
 from mvlsim.devices import (
     FetModelCard,
     TechnologyCard,
@@ -159,6 +160,16 @@ class TestFormulation:
             for vds in (0.0, -0.0, vov, -vov, 1e-3, -1e-3, 1.2, -1.2):
                 self.assert_bitwise(vth, k, lam, np.array([vgs]), np.array([vds]))
                 self.assert_bitwise(vth, k, lam, vgs, vds)
+
+    def test_constants_are_read_only(self):
+        # square_law's 0-d constants are shared by every call: a write to
+        # one would change the FET model for the whole process
+        for const, value in ((devices._ZERO, 0.0), (devices._HALF, 0.5),
+                             (devices._ONE, 1.0)):
+            assert const.shape == () and const.dtype == np.float64
+            with pytest.raises(ValueError):
+                const[...] = 2.0
+            assert const == value and not np.signbit(const)
 
 
 class TestContinuity:

@@ -31,6 +31,7 @@ from mvlsim.engine import (
     _Circuit,
     _Member,
     _solve,
+    _SolveBuffers,
     dc_operating_point,
     transient,
     transient_batch,
@@ -124,11 +125,13 @@ def forbid_svd(monkeypatch):
 def linearize(ckt, x, svals, geq, ihist, shunt):
     """KCL residual F, per-node current scale and Jacobian dF/dx of a batch
     of one at x (ground 0 last), as a Newton iteration computes them; geq
-    and shunt as in set_conductances, ihist as in set_sources."""
+    and shunt as in set_conductances, ihist as in set_sources.  The scale
+    and the Jacobian are copied out of the buffers that the next call
+    overwrites."""
     ckt.set_conductances(geq, shunt)
     ckt.set_sources(ihist, svals[None])
     f = ckt.residual(x[None])
-    return f[0], ckt.scale()[0], ckt.jacobian()[0]
+    return f[0], ckt.scale()[0].copy(), ckt.jacobian()[0].copy()
 
 
 def gnrfet32_linearization():
@@ -281,9 +284,9 @@ class TestSolveLinear:
         # stack-mate in the same call; the SVD alone names the singular one
         calls, lapack = [], engine._lapack_solve
 
-        def spy(a, b):
+        def spy(a, b, out):
             calls.append(a.shape)
-            return lapack(a, b)
+            return lapack(a, b, out=out)
 
         monkeypatch.setattr(engine, "_lapack_solve", spy)
         good = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -292,14 +295,63 @@ class TestSolveLinear:
         assert calls == [(2, 2, 2)]
         assert math.isfinite(step[0]) and singular == {1: [0, 1]}
 
+    def test_circuit_buffers_serve_any_leading_rows(self):
+        # three members of the load sweep at a point mid-transient, solved
+        # as the first 2 rows, all 3, then the first 1 in the circuit's
+        # buffers, whose other rows hold the solves before: each system's
+        # dx and step are bitwise those of its solve alone
+        nets = [staircase(load=c) for c in (1e-15, 2e-15, 3e-15)]
+        ckt = _Circuit(nets)
+        rng = np.random.default_rng(5)
+        x = np.zeros((3, ckt.n1))
+        x[:, :ckt.nv] = rng.uniform(-0.2, 1.4, (3, ckt.nv))
+        x[:, ckt.nv:ckt.n] = rng.uniform(-1e-4, 1e-4, (3, ckt.n - ckt.nv))
+        ckt.set_conductances(ckt.cap_c / 1e-12, 0.0)
+        ckt.set_sources(rng.uniform(-1e-5, 1e-5, len(ckt.cap_c)),
+                        source_values(nets, [3e-9, 4e-9, 5e-9]))
+        f = ckt.residual(x).copy()
+        jac = ckt.jacobian().copy()
+        for m in (2, 3, 1):
+            dx, step, singular = _solve(jac[:m], f[:m], ckt.solve_buf)
+            assert not singular and len(dx) == len(step) == m
+            assert np.shares_memory(dx, ckt.solve_buf.sol)
+            for j in range(m):
+                alone, alone_step, _ = _solve(jac[j:j + 1], f[j:j + 1])
+                assert np.array_equal(dx[j], alone[0]) and step[j] == alone_step[0]
+                # LAPACK's one right-hand side may round otherwise than two
+                expect = np.linalg.solve(jac[j], -f[j])
+                np.testing.assert_allclose(dx[j], expect, rtol=0,
+                                           atol=1e-13 * np.max(np.abs(expect)))
+
+    def test_no_stale_nan_after_a_singular_member(self):
+        # the singular member's row of the solution holds NaN after its
+        # solve; the next solve in the same buffers writes every row again
+        good = np.array([[2.0, 1.0], [1.0, 3.0]])
+        bad = np.array([[1.0, 2.0], [2.0, 4.0]])
+        f = np.array([[-3.0, -5.0], [-1.0, -2.0]])
+        buf = _SolveBuffers(2, 2)
+        _dx, _step, singular = _solve(np.stack((good, bad)), f, buf)
+        assert singular == {1: [0, 1]} and np.isnan(buf.sol[1]).any()
+        dx, step, singular = _solve(np.stack((good, 2.0 * good)), f, buf)
+        assert not singular and np.isfinite(dx).all()
+        assert all(math.isfinite(s) for s in step)
+        for j, a in enumerate((good, 2.0 * good)):
+            alone, alone_step, _ = _solve(a[None], f[j:j + 1])
+            assert np.array_equal(dx[j], alone[0]) and step[j] == alone_step[0]
+
     def test_lapack_gufunc_is_numpys_solve(self):
         # _solve calls numpy's private gufunc behind np.linalg.solve; a numpy
         # that moves it fails the engine's import, one that changes it here
         ckt, args = gnrfet32_linearization()
         f, _scale, jac = linearize(ckt, *args)
         rhs = np.stack((-f, np.cos(np.arange(1.0, ckt.n + 1.0))), axis=1)[None]
-        assert np.array_equal(engine._lapack_solve(jac[None], rhs),
-                              np.linalg.solve(jac[None], rhs))
+        expect = np.linalg.solve(jac[None], rhs)
+        assert np.array_equal(engine._lapack_solve(jac[None], rhs), expect)
+        # as _solve calls it: both right-hand sides and both solutions are
+        # the rows of (batch, 2, n) buffers, read and written transposed
+        rows, sol = np.ascontiguousarray(rhs.transpose(0, 2, 1)), np.empty((1, 2, ckt.n))
+        engine._lapack_solve(jac[None], rows.transpose(0, 2, 1), out=sol.transpose(0, 2, 1))
+        assert np.array_equal(sol.transpose(0, 2, 1), expect)
 
     def test_decoder_jacobian_matches_pivoting_lu(self, monkeypatch):
         ckt, args = gnrfet32_linearization()
@@ -409,7 +461,7 @@ class TestDc:
     def test_divergence_is_reported(self, monkeypatch):
         # every update is NaN: the plain solve and gmin step 0 diverge at
         # their first update, reported at the iterate it started from
-        def nan_update(a, f):
+        def nan_update(a, f, buf):
             return np.full(f.shape, math.nan), [math.nan] * len(f), {}
 
         monkeypatch.setattr(engine, "_solve", nan_update)
@@ -428,8 +480,8 @@ class TestDc:
         monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 3)
         updates, solve_stack = [], engine._solve
 
-        def spy(a, f):
-            out = solve_stack(a, f)
+        def spy(a, f, buf):
+            out = solve_stack(a, f, buf)
             updates.append(out[0])  # newton clips it in place
             return out
 
@@ -468,10 +520,10 @@ class TestDc:
             iterates.append(x.copy())
             return residual(self, x)
 
-        def jump_first(a, f):
+        def jump_first(a, f, buf):
             if len(iterates) == 1:
                 return np.full(f.shape, 100.0), [100.0] * len(f), {}
-            return solve_stack(a, f)
+            return solve_stack(a, f, buf)
 
         monkeypatch.setattr(_Circuit, "residual", spy)
         monkeypatch.setattr(engine, "_solve", jump_first)
@@ -618,9 +670,9 @@ class TestTransient:
         solved = []
         solve_stack = engine._solve
 
-        def counting(a, b):
+        def counting(a, b, buf):
             solved.append(len(a))
-            return solve_stack(a, b)
+            return solve_stack(a, b, buf)
 
         monkeypatch.setattr(engine, "_solve", counting)
         net = parse("* t\nv1 a 0 dc 1\nr1 a b 1k\nc1 b c 1p\nc2 c 0 1p\n"
@@ -641,9 +693,9 @@ class TestTransient:
             residuals.append(len(x))
             return residual(self, x)
 
-        def count_solve(a, b):
+        def count_solve(a, b, buf):
             solved.append(len(a))
-            return solve_stack(a, b)
+            return solve_stack(a, b, buf)
 
         monkeypatch.setattr(_Circuit, "residual", count_residual)
         monkeypatch.setattr(engine, "_solve", count_solve)
@@ -673,9 +725,9 @@ class TestTransient:
                 attempts.append(float(t[0]))
             return newton(self, x, live, t, label)
 
-        def singular_at_third_point(a, f):
+        def singular_at_third_point(a, f, buf):
             if len(attempts) < 3:
-                return solve_stack(a, f)
+                return solve_stack(a, f, buf)
             return np.zeros(f.shape), [0.0], {0: [1]}
 
         monkeypatch.setattr(_Circuit, "newton", spy)
