@@ -137,8 +137,6 @@ def _evaluate_one(net: Netlist, wset: WaveformSet, m: MeasureDirective) -> float
         wf = _node_waveform(wset, m.targets[0])
         lo = float(np.min(wf.values))
         hi = float(np.max(wf.values))
-        if hi <= lo:
-            raise MeasureError(f"{m.name}: waveform has no swing")
         if m.kind == "rise":
             return rise_time(wf, lo, hi)
         return fall_time(wf, lo, hi)

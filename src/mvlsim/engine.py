@@ -121,8 +121,10 @@ of the row-equilibrated D^-1 J z = p (Golub and Van Loan, Matrix Computations,
 sec. 3.5), and |D^-1 J|inf = 1, so |z|inf estimates the condition of
 D^-1 J.  A product sums a row in another order than a row reduction, so r
 and z may move in their last bits with the way r is taken, but dx does
-not: LAPACK factors J alone and solves each right-hand-side column on its
-own, and z feeds only the test against _PROBE_KAPPA.  LAPACK factors each
+not: LAPACK factors J alone, no column's values enter another's solution,
+and z feeds only the test against _PROBE_KAPPA.  But dx is this two-column
+solve's, not a one-column solve's (up to 2e-16 of the largest entry apart):
+dropping the probe moves the decoder's waveforms.  LAPACK factors each
 system of the stack on its own, and the gufunc returns NaN for a system it
 cannot factor, leaving the others as they are alone.  A system is doubtful
 where its dx is not finite (NaN included) or |z|inf reaches _PROBE_KAPPA,
@@ -163,9 +165,9 @@ with the predictor below.  A step above the floor (beyond rounding) is
 rejected when err > tol or Newton fails there, and retried shorter: by the
 same formula, or by 8x after a Newton failure.  A step at or below the
 floor is never rejected; a Newton failure there fails the run, and so
-does a retry that is not shorter than the step rejected.  So the
-settled stretches of a card with a dtmax above dt cost a few steps each,
-and a card without one never rejects a step.
+does a retry that is not shorter than the step rejected; _Member.settle
+alone applies this rule.  So the settled stretches of a card with a dtmax
+above dt cost a few steps each, and a card without one never rejects a step.
 
 Every capacitor C, the FETs' lumped cg and cd included, becomes the
 companion i = geq*v + ihist of its branch voltage v over a step h, in
@@ -816,7 +818,8 @@ class _Member:
     that is if h is above the floor.  times, iters (Newton updates) and
     excess (KCL excess) hold one entry per accepted point, and blocks its
     solutions (ground 0 last), _BLOCK rows to an array rather than one
-    array each; pending counts the updates since the last one.
+    array each; pending counts the updates since the last one, and error
+    holds the error that ends the member's run, if any.
     """
 
     def __init__(self, stimuli, analysis: Transient):
@@ -844,6 +847,7 @@ class _Member:
         self.times, self.iters, self.excess = [], [], []
         self.blocks: list[np.ndarray] = []
         self.pending = self.rejected_lte = self.rejected_newton = 0
+        self.error: Exception | None = None
         self._plan(floor)
 
     def _plan(self, h: float) -> None:
@@ -861,31 +865,51 @@ class _Member:
             self.h, self.next = h, self.t + h
         self.free = self.h > self.floor * (1.0 + 1e-9)
 
-    def accept(self, grow: float) -> None:
-        """Move to the attempted point; the controller asks the step to
-        grow by the factor grow.  At a breakpoint it restarts at the floor."""
-        self.h_last, self.t = self.h, self.next
-        if self.t == self.bps[self.seg + 1]:
-            self.seg += 1
-            self.done = self.seg == len(self.bps) - 1
-            if not self.done:
-                self._plan(self.floor)
-            return
-        self._plan(self.h * grow)
+    def settle(self, x: np.ndarray, iters: int, excess: float, err: float,
+               failure: Exception | None, expo: float) -> bool:
+        """Take the step just tried or retry it shorter, by the module
+        docstring's step rule with exponent expo = 1/(p+1): its attempt made
+        iters Newton updates and converged to x, with KCL excess excess and
+        error estimate err, or failed with failure.  Returns whether the step
+        was taken; one it can neither take nor retry shorter sets error."""
+        factor = (0.125 if failure is not None else 2.0 if err == 0.0
+                  else min(2.0, 0.9 * (_LTE_TOL / err) ** expo))
+        if failure is None and not (self.free and err > _LTE_TOL):
+            self.h_last, self.t = self.h, self.next
+            self.record(x, excess, iters)
+            if self.t == self.bps[self.seg + 1]:  # a breakpoint: restart at the floor
+                self.seg += 1
+                self.done = self.seg == len(self.bps) - 1
+                if not self.done:
+                    self._plan(self.floor)
+            else:
+                self._plan(self.h * factor)
+            return True
+        self.pending += iters
+        if not self.free:
+            self.error = failure
+            return False
+        if failure is None:
+            self.rejected_lte += 1
+        else:
+            self.rejected_newton += 1
+        rejected = self.h
+        self._plan(rejected * factor)
+        if not self.h < rejected:  # a step rule defect: it would loop here
+            self.error = ConvergenceError(
+                f"rejected step of {rejected:.6g}s at t={self.t:.6g}s was not "
+                "shortened", t=self.t)
+        return False
 
-    def reject(self, shrink: float) -> None:
-        """Retry from t with the step shrunk by the factor shrink."""
-        self._plan(self.h * shrink)
-
-    def record(self, x: np.ndarray, excess: float) -> None:
+    def record(self, x: np.ndarray, excess: float, iters: int) -> None:
         """Keep the solution x at t, the point just accepted, with its KCL
-        excess and the pending Newton updates."""
+        excess and its Newton updates, iters plus those pending."""
         k = len(self.times)
         if k % _BLOCK == 0:
             self.blocks.append(np.empty((_BLOCK, len(x))))
         self.blocks[-1][k % _BLOCK] = x
         self.times.append(self.t)
-        self.iters.append(self.pending)
+        self.iters.append(self.pending + iters)
         self.excess.append(excess)
         self.pending = 0
 
@@ -940,16 +964,10 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     members = [_Member([d.stimulus for d in net.devices if d.kind == "vsource"], a)
                for net, a in zip(nets, analyses)]
 
-    def grow(err):
-        if err == 0.0:
-            return 2.0
-        return min(2.0, 0.9 * (_LTE_TOL / err) ** expo)
-
     x, iters, excess, failed = ckt.solve_dc(
         _source_values([m.sources for m in members], [0.0] * len(nets)))
     for m, xb, it, e in zip(members, x, iters, excess):
-        m.pending = it
-        m.record(xb, e)
+        m.record(xb, e, it)
     # the last two accepted solutions (module docstring) and, under the
     # trapezoidal rule alone, the capacitors' currents at the last: a row,
     # or a slice, for each member of ckt; ids[j] is the index in nets of
@@ -996,27 +1014,10 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
         err = np.maximum.reduce(np.abs(diff, out=diff), axis=1, initial=0.0).tolist()
         accepted = np.zeros((len(batch), 1), dtype=bool)
         for j, (b, m) in enumerate(zip(ids, batch)):
-            m.pending += it[j]
-            if j in bad or (m.free and err[j] > _LTE_TOL):
-                if not m.free:
-                    failed[b], narrow = bad[j], True
-                    continue
-                rejected = m.h
-                if j in bad:
-                    m.rejected_newton += 1
-                    m.reject(0.125)
-                else:
-                    m.rejected_lte += 1
-                    m.reject(grow(err[j]))
-                if not m.h < rejected:  # a step rule defect: it would loop here
-                    failed[b], narrow = ConvergenceError(
-                        f"rejected step of {rejected:.6g}s at t={m.t:.6g}s was not "
-                        "shortened", t=m.t), True
-                continue
-            accepted[j] = True
-            m.accept(grow(err[j]))
-            m.record(x[j], exc[j])
-            narrow = narrow or m.done
+            accepted[j] = m.settle(x[j], it[j], exc[j], err[j], bad.get(j), expo)
+            if m.error is not None:
+                failed[b] = m.error
+            narrow = narrow or m.done or m.error is not None
         # Newton's last residual was at the iterate before its solution
         if trap:
             np.copyto(cap_i, geq * ckt.cap_voltages(x) + ihist,

@@ -851,11 +851,10 @@ class TestBatch:
         rng = np.random.default_rng(1)
         m = _Member([], Transient(1e-12, 1e-9))
         rows = [rng.uniform(size=3)]
-        m.record(rows[0], 0.0)
+        m.record(rows[0], 0.0, 0)
         for _ in range(2 * engine._BLOCK + 5):
-            m.accept(1.0)
             rows.append(rng.uniform(size=3))
-            m.record(rows[-1], 0.0)
+            assert m.settle(rows[-1], 1, 0.0, 0.0, None, 0.5)
         ckt = SimpleNamespace(node_names=["a", "b"], nv=2,
                               vsources=[SimpleNamespace(name="v1")])
         wset = m.waveforms(ckt)
@@ -1050,26 +1049,67 @@ class TestStepControl:
         clk = engine._Member([stim], Transient(dt=1e-12, tstop=1e-9, dtmax=5e-11))
         floor, t1 = clk.floor, clk.bps[1]
         clk.t = t1 - floor * (1.0 + 1e-12)
-        clk.reject(0.125)
+        clk._plan(clk.h * 0.125)  # the plan of a retry after a Newton failure
         assert (clk.next, clk.free) == (t1, False)
         clk.t = t1 - 5.0 * floor
-        clk.reject(0.125)
+        clk._plan(clk.h * 0.125)
         assert clk.h == floor and not clk.free
-        clk.accept(2.0)
+        assert clk.settle(np.zeros(3), 1, 0.0, 0.0, None, 0.5)  # err 0: grow 2x
         assert clk.h == 2.0 * floor and clk.free
 
     def test_rejected_step_that_is_not_shortened_fails(self, monkeypatch):
         calls = []
+        plan = engine._Member._plan
 
-        def keep_step(self, shrink):  # a step rule defect: retry the same step
-            calls.append(self.t)
-            if len(calls) > 1000:
-                raise AssertionError("the same step was retried 1000 times")
+        def keep_step(self, h):  # a step rule defect: retry the same step
+            # a plan from t while the step to next was not taken is a retry
+            if hasattr(self, "next") and self.next > self.t:
+                calls.append(self.t)
+                if len(calls) > 1000:
+                    raise AssertionError("the same step was retried 1000 times")
+                h = self.h
+            plan(self, h)
 
-        monkeypatch.setattr(engine._Member, "reject", keep_step)
+        monkeypatch.setattr(engine._Member, "_plan", keep_step)
         with pytest.raises(ConvergenceError) as ei:
             transient(staircase(hold=1e-9))
         assert len(calls) == 1 and ei.value.t == calls[0] > 0.0
+
+    # settle's member: floor F, ceiling CEIL, no breakpoint before 1 ns
+    F, CEIL, TOL = 1e-12, 5e-11, engine._LTE_TOL
+
+    @pytest.mark.parametrize("h, err, fails, outcome, h_next", [
+        # at the floor: taken whatever err, and a Newton failure fails
+        (F, 0.0, False, "taken", 2 * F),
+        (F, TOL, False, "taken", F),
+        (F, 4 * TOL, False, "taken", F),
+        (F, 0.0, True, "failed", F),
+        # free: taken within TOL, else retried shorter
+        (16 * F, 0.0, False, "taken", 32 * F),
+        (16 * F, TOL / 4, False, "taken", 16 * F * (0.9 * (TOL / (TOL / 4)) ** 0.5)),
+        (40 * F, 0.0, False, "taken", CEIL),
+        (16 * F, 4 * TOL, False, "rejected_lte", 16 * F * (0.9 * (TOL / (4 * TOL)) ** 0.5)),
+        (16 * F, 0.0, True, "rejected_newton", 16 * F / 8),
+        (4 * F, 0.0, True, "rejected_newton", F),
+    ])
+    def test_settle_decision_table(self, h, err, fails, outcome, h_next):
+        m = _Member([], Transient(dt=self.F, tstop=1e-9, dtmax=self.CEIL))
+        m.record(np.zeros(2), 0.0, 1)  # the DC point
+        m._plan(h)
+        assert (m.h, m.free) == (h, h > self.F)
+        failure = ConvergenceError("no convergence", t=m.next) if fails else None
+        tried = m.next
+        taken = m.settle(np.ones(2), 3, 0.0, err, failure, 0.5)
+        assert taken == (outcome == "taken")
+        moved = {"taken": len(m.times) - 1, "rejected_lte": m.rejected_lte,
+                 "rejected_newton": m.rejected_newton}
+        assert moved == {k: int(k == outcome) for k in moved}
+        assert m.h == h_next
+        if taken:
+            assert (m.t, m.times, m.iters, m.pending) == (tried, [0.0, tried], [1, 3], 0)
+        else:
+            assert (m.t, m.next, m.times, m.pending) == (0.0, h_next, [0.0], 3)
+        assert m.error is failure if outcome == "failed" else m.error is None
 
     def test_tighter_tolerance_takes_more_steps(self, monkeypatch):
         net = staircase(hold=1e-9)
