@@ -203,7 +203,7 @@ estimate above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TextIO
 
 import numpy as np
@@ -536,7 +536,7 @@ class _Circuit:
         self.g = np.zeros(nl)
         self.g[fixed_branches] = g_fixed = _column(fixed, 4)
         self.g_cap = self.g[self.cap_branches]
-        self.g_shunt, self.shunt = self.g[self.cap_branches.stop:], 0.0
+        self.g_shunt = self.g[self.cap_branches.stop:]
         self.jac_fixed = np.bincount(
             stamp(*(v[fixed_branches] for v in (lp, lq, lc, ld))),
             _stamped(g_fixed, np.empty((4, len(fixed)))),
@@ -547,9 +547,6 @@ class _Circuit:
         self.flat_cap, self.flat_shunt = (
             stamp(*(v[part] for v in (lp, lq, lc, ld)))
             for part in (self.cap_branches, slice(self.cap_branches.stop, nl)))
-        self.cap_hilo = np.concatenate((lc[self.cap_branches], ld[self.cap_branches]))
-        self.cap_pair = np.empty(len(self.cap_hilo))
-        self.cap_x_hi, self.cap_x_lo = np.split(self.cap_pair, 2)
         self.i0 = np.zeros(nl)
         self.i0_cap = self.i0[self.cap_branches]
         self.i0_src = self.i0[src_branches].reshape(self.batch, -1)
@@ -586,9 +583,7 @@ class _Circuit:
         are the capacitor companion conductances (zeros for DC), shunt the
         gmin-stepping conductance from every node to ground."""
         self.g_cap[:] = geq
-        if shunt != self.shunt:
-            self.shunt = shunt
-            self.g_shunt.fill(shunt)
+        self.g_shunt.fill(shunt)
         np.add(self.jac_fixed, np.bincount(self.flat_cap, _stamped(geq, self.cap_w),
                                            minlength=self.size), out=self.jac_lin)
         if shunt:
@@ -647,9 +642,12 @@ class _Circuit:
 
     def cap_voltages(self, x):
         """The capacitor branches' voltages x[c] - x[d] at x (batch x n+1),
-        from one gather into a buffer."""
-        x.take(self.cap_hilo, out=self.cap_pair, mode="clip")
-        return np.subtract(self.cap_x_hi, self.cap_x_lo)
+        by residual's gather and subtraction: a view of a buffer, valid until
+        the next residual or cap_voltages call.  F, cur, the FETs' Jacobian
+        and the KCL test are left as they were."""
+        x.take(self.hilo, out=self.pair, mode="clip")
+        np.subtract(self.x_hi, self.x_lo, self.dv)
+        return self.v_lin[self.cap_branches]
 
     def newton(self, x, live, t=None, label=""):
         """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
@@ -932,7 +930,7 @@ class _Member:
                            stats=stats)
 
 
-def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None = None,
+def transient_batch(nets: list[Netlist], *,
                     opts: SolveOptions | None = None) -> list[WaveformSet]:
     """Transients of netlists with the same nodes and sources, each from its
     t=0 operating point, run in lockstep as one batch: each round, every
@@ -940,29 +938,25 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     done, or until it or a member before it fails; the batch is then
     compiled again for the members still live.
 
-    analyses[i] (default: the .tran card of nets[i]) sets the steps of
-    nets[i], and each member keeps its own time points.  Every WaveformSet
-    is bitwise the one the netlist gives alone.  Netlists whose nodes or
-    sources differ raise ValueError.  If any netlist fails, the error of
-    the lowest-index one is raised, with that index in its ``member``.
+    Each netlist's .tran card plans its steps, and each member keeps its
+    own time points.  Every WaveformSet is bitwise the one the netlist
+    gives alone.  Netlists whose nodes or sources differ raise ValueError.
+    If any netlist fails, the error of the lowest-index one is raised,
+    with that index in its ``member``.
     """
     # the rule's one flag: the companion forms and the order p of the
     # step controller's exponent 1/(p+1) (module docstring)
     trap = (opts or SolveOptions()).integration == "trapezoidal"
     expo = 1.0 / 3.0 if trap else 0.5
     nets = list(nets)
-    if analyses is None:
-        analyses = [None] * len(nets)
-    analyses = [_tran_card(net) if a is None else a
-                for net, a in zip(nets, analyses, strict=True)]
     if not nets:
         return []
     for net in nets:  # once: compiling again for the live members skips it
         net.validate()
     ckt = _Circuit(nets)
     nv = ckt.nv
-    members = [_Member([d.stimulus for d in net.devices if d.kind == "vsource"], a)
-               for net, a in zip(nets, analyses)]
+    members = [_Member([d.stimulus for d in net.devices if d.kind == "vsource"],
+                       _tran_card(net)) for net in nets]
 
     x, iters, excess, failed = ckt.solve_dc(
         _source_values([m.sources for m in members], [0.0] * len(nets)))
@@ -978,20 +972,19 @@ def transient_batch(nets: list[Netlist], analyses: list[Transient | None] | None
     steps = None  # the steps the conductances were set for
     narrow = bool(failed)  # whether a member finished or failed last round
     while True:
-        if narrow:
+        if narrow:  # to the live members, always fewer than ckt's
             # members after the lowest failed one no longer matter
             stop = min(failed, default=len(nets))
             live = [b for b in ids if b < stop and not members[b].done]
             if not live:
                 break
-            if live != ids:  # the batch narrows to its live members
-                rows = [ids.index(b) for b in live]
-                if trap:
-                    cap_i = cap_i[np.isin(ckt.cap_member, rows)]
-                ckt = _Circuit([nets[b] for b in live])
-                ids, last, prev = live, last[rows], prev[rows]
-                batch = [members[b] for b in ids]
-                steps = None
+            rows = [ids.index(b) for b in live]
+            if trap:
+                cap_i = cap_i[np.isin(ckt.cap_member, rows)]
+            ckt = _Circuit([nets[b] for b in live])
+            ids, last, prev = live, last[rows], prev[rows]
+            batch = [members[b] for b in ids]
+            steps = None
             narrow = False
         # Newton's start, last + ratio * (last - prev), and its iterate x
         predicted = last - prev
@@ -1040,7 +1033,8 @@ def _tran_card(net: Netlist) -> Transient:
 
 def transient(net: Netlist, analysis: Transient | None = None,
               opts: SolveOptions | None = None) -> WaveformSet:
-    """Transient from the t=0 operating point: a batch of one.
+    """Transient from the t=0 operating point: a batch of one, of a copy
+    of net whose one analysis is analysis, if given; net is left as it was.
 
     Every stimulus breakpoint is a time point, and each segment between two
     breakpoints starts at the floor step (dt, clamped as the module
@@ -1049,4 +1043,5 @@ def transient(net: Netlist, analysis: Transient | None = None,
     above dt it stays at the floor.  Identical inputs produce bit-identical
     WaveformSets.
     """
-    return transient_batch([net], [analysis], opts)[0]
+    net = net if analysis is None else replace(net, analyses=[analysis])
+    return transient_batch([net], opts=opts)[0]

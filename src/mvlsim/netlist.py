@@ -182,8 +182,9 @@ class PulseStimulus:
     def pwl(self, tstop: float) -> PwlStimulus:
         """Its corners: (0, v1), then the four of every period that starts
         before tstop, so a run that ends within a period's edges still
-        follows them; a corner not strictly after the one before is
-        dropped."""
+        follows them; a corner not strictly after the one before is dropped.
+        More than _MAX_BREAKPOINTS corners, or a period lost in rounding
+        before tstop, raise NetlistError."""
         points = [(0.0, self.v1)]
         corners = ((0.0, self.v1), (self.rise, self.v2),
                    (self.rise + self.width, self.v2),
@@ -193,6 +194,8 @@ class PulseStimulus:
             for off, v in corners:
                 if base + off > points[-1][0]:
                     points.append((base + off, v))
+            if not base + self.period > base:  # the train would stall here
+                raise NetlistError(f"PULSE period {self.period:g} s stalls at t={base:g} s")
             base += self.period
             if len(points) > _MAX_BREAKPOINTS:
                 raise NetlistError(

@@ -8,7 +8,11 @@ byte deterministic, so reruns are compared as raw file contents.
 import collections
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,18 @@ class TestRun:
                        "r1 a 0 1k\n.tran 1p 1u\n.end\n")
         assert main(["run", str(src), "--out", str(tmp_path)]) == 1
         assert "breakpoints" in capsys.readouterr().err
+
+    def test_pulse_whose_period_cannot_advance_is_exit_1(self, tmp_path):
+        # in a subprocess, so that a run that never returns fails the test
+        src = tmp_path / "stall.sp"
+        src.write_text("* stalled pulse\nv1 in 0 pulse(0 1 1 1e-30 1e-30 1e-30 1e-29)\n"
+                       "r1 in 0 1k\n.tran 0.1 2\n.end\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "mvlsim.cli", "run", str(src), "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == "error: PULSE period 1e-29 s stalls at t=1 s\n"
 
     @pytest.mark.parametrize("body", ["r1 0 0 1k\n.op\n", "r1 0 0 1k\n.tran 1p 1n\n",
                                       ".op\n"], ids=["op", "tran", "op_alone"])

@@ -598,6 +598,17 @@ class TestTransient:
         e2 = abs(fine.voltage("out").value_at(t_probe) - rc_exact(t_probe))
         assert 1.4 < e1 / e2 < 2.8  # first-order integrator
 
+    def test_analysis_runs_a_copy_that_carries_it(self):
+        # a grown step on a netlist whose own .tran has none: the run is
+        # that of the netlist written with the given .tran, and the netlist
+        # passed in keeps its own card
+        net = parse(RC)
+        cards, before = net.analyses, list(net.analyses)
+        wset = transient(net, Transient(dt=3e-12, tstop=2e-9, dtmax=1e-10))
+        assert net.analyses is cards and cards == before
+        assert_same_run(wset, transient(parse(RC.replace(".tran 3p 3n", ".tran 3p 2n 100p"))))
+        assert len(wset.times) < len(transient(net).times)
+
     def test_charge_balance_via_source_current(self):
         # the series branch current integrates to the charge on the cap
         ws = transient(parse(RC), opts=SolveOptions(integration="trapezoidal"))
@@ -877,7 +888,8 @@ class TestBatch:
         trans = [net.analyses[0] for net in nets]
         analyses = [trans[0], dataclasses.replace(trans[1], dtmax=None),
                     dataclasses.replace(trans[2], dtmax=3e-11)]
-        batch = transient_batch(nets, analyses)
+        batch = transient_batch([dataclasses.replace(net, analyses=[a])
+                                 for net, a in zip(nets, analyses)])
         assert len({len(wset.times) for wset in batch}) == 3
         for net, analysis, wset in zip(nets, analyses, batch):
             assert_same_run(wset, transient(net, analysis))
@@ -955,9 +967,10 @@ class TestBatch:
         nets = [step_at(True), step_at(False)]
         with pytest.raises(ConvergenceError) as alone:
             transient(nets[1])
+        nets[0] = dataclasses.replace(nets[0], analyses=[Transient(1e-11, 5e-10, 1e-10)])
         compiled = spy_on_compiles(monkeypatch)
         with pytest.raises(ConvergenceError) as batched:
-            transient_batch(nets, [Transient(1e-11, 5e-10, 1e-10), None])
+            transient_batch(nets)
         a, b = alone.value, batched.value
         assert compiled == [2, 1]
         assert b.member == 1 and 2e-9 < b.t < 2e-9 + 2e-11
@@ -1329,6 +1342,57 @@ class TestLinearize:
             assert f[b] == pytest.approx(res, rel=1e-12, abs=1e-18)
             assert scale[b] == pytest.approx(big, rel=1e-12)
             assert jac[b] == pytest.approx(ref, rel=1e-12, abs=1e-18)
+
+    def test_cap_voltages_are_each_capacitors_end_difference(self):
+        # members with different capacitor counts: x[c] - x[d] of every
+        # capacitor, in the order of ckt.cap_c, worked out from each netlist
+        nets = [staircase(**kw) for kw in BATCH_UNEVEN_CAPS]
+        ckt = _Circuit(nets)
+        rng = np.random.default_rng(5)
+        x = np.zeros((2, ckt.n1))
+        x[:, :ckt.n] = rng.uniform(-0.2, 1.4, (2, ckt.n))
+        caps, expect = [], []
+        for b, net in enumerate(nets):
+            v = {name: x[b, i] for i, name in enumerate(ckt.node_names)} | {"0": 0.0}
+            for d in net.devices:
+                ends = []
+                if d.kind == "capacitor":
+                    ends = [(*d.terminals, d.value)]
+                elif d.kind == "fet":
+                    card, m = net.models[d.model], d.value
+                    drain, gate, src = d.terminals[:3]
+                    ends = [(gate, src, card.cg * m), (drain, "0", card.cd * m)]
+                for p, q, c in ends:
+                    if c > 0.0:
+                        caps.append(c)
+                        expect.append(v[p] - v[q])
+        counts = np.bincount(ckt.cap_member)
+        assert caps == ckt.cap_c.tolist() and counts[0] != counts[1]
+        assert ckt.cap_voltages(x).tolist() == expect
+
+    def test_cap_voltages_leave_the_linearization_as_it_was(self):
+        # a cap_voltages call at another x between residual and jacobian,
+        # scale and the KCL test changes none of F, J, the scale or the test
+        nets = [staircase(**kw) for kw in BATCH_UNEVEN_CAPS]
+        ckt = _Circuit(nets)
+        rng = np.random.default_rng(13)
+        x, other = np.zeros((2, 2, ckt.n1))
+        x[:, :ckt.n], other[:, :ckt.n] = rng.uniform(-0.2, 1.4, (2, 2, ckt.n))
+        ckt.set_conductances(ckt.cap_c / 1e-12, 0.0)
+        ckt.set_sources(rng.uniform(-1e-5, 1e-5, len(ckt.cap_c)),
+                        source_values(nets, [3e-9, 7e-9]))
+
+        def linearization(probe):
+            f = ckt.residual(x)
+            if probe is not None:
+                ckt.cap_voltages(probe)
+            jac, scale = ckt.jacobian().copy(), ckt.scale().copy()
+            over, err = ckt.kcl()
+            return f.copy(), jac, scale, over.copy(), err
+
+        plain, probed = linearization(None), linearization(other)
+        for a, b in zip(plain, probed):
+            assert np.array_equal(a, b)
 
     def test_mna_system_at_operating_point_is_a_fixed_point(self):
         # at a converged x the next Newton iterate x - J^-1 F is x again

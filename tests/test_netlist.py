@@ -182,6 +182,14 @@ class TestStimuli:
         with pytest.raises(NetlistError, match="breakpoints"):
             s.pwl(1e-6)
 
+    def test_pulse_whose_period_cannot_advance_raises(self):
+        # 1 + 1e-29 == 1: the train would stay at its 1 s delay, adding no
+        # corner, so the breakpoint bound would never be reached
+        s = PulseStimulus(0.0, 1.0, delay=1.0, rise=1e-30, fall=1e-30,
+                          width=1e-30, period=1e-29)
+        with pytest.raises(NetlistError, match="stalls at t=1 s"):
+            s.pwl(2.0)
+
     @pytest.mark.parametrize("pulse, tstop", [
         (PulseStimulus(0.0, 1.2, 0.3e-9, 50e-12, 80e-12, 1e-9, 2.2e-9), 7.3e-9),
         # tstop 10 ps into the fourth period's rise
