@@ -18,11 +18,13 @@ into index arrays over two forms of branch, both a current from end p to q:
     its ends and its gate pair, and its current needs no sign.
 
 Ground is index n, one past the last unknown: every solution vector carries
-a trailing 0 there, so no stamp tests for ground; row n is sliced off the
-residual and the Jacobian's row and column n go to one spare slot.  One
-stamp gives every Jacobian entry: a derivative w by x[c] - x[d] adds w,
--w, -w, w at (p, c), (p, d), (q, c), (q, d), once per linear branch and per
-FET once for gm and once for gds (Ho, Ruehli and Brennan, IEEE TCAS 1975).
+a trailing 0 there, and F and each Jacobian block carry its row and column
+n, which nothing reads, so no stamp tests for ground.  One stamp gives every
+Jacobian entry: a derivative w by x[c] - x[d] adds w, -w, -w, w at (p, c),
+(p, d), (q, c), (q, d), once per linear branch and per FET once for gm and
+once for gds (Ho, Ruehli and Brennan, IEEE TCAS 1975).  So one table, a
+column (p, q, c, d) per derivative, gives every control voltage, branch
+current end and Jacobian slot.
 
 At n = 22 an update's arithmetic is small next to numpy's fixed cost per
 call, so one Newton update is a fixed, short sequence of calls on buffers
@@ -87,25 +89,26 @@ update test the unknown of the largest |dx|, and its worst KCL node.
 A batch of B netlists with the same nodes and sources is compiled as the
 disjoint union of its members' branches: member b's unknowns and its own
 ground slot sit at offset b*(n+1) of one flat vector, so one scatter serves
-the whole batch and the Jacobian reshapes to B blocks of n x n.  Newton runs
-the members in lockstep: each keeps its own convergence test, update clip
-and divergence check, and a member that has converged is frozen, so its
-solution, iteration count and KCL excess are exactly those of a run alone.
-The members still iterating are solved together.  A member that fails drops
-out, and so do the members after it; the batch then raises the failure of
-its lowest-index failing member.  ``transient_batch`` runs netlists with the
-same nodes and sources as one batch, in lockstep rounds that try the next
-step of every member still live.  Each member keeps its clock (time,
-step and accept/reject decision), its accepted points and its counters in
-one record, and its row of the round's last two solutions, so its run is
-bitwise the one it gives alone.  A member that is done, or dropped after a
-failure, leaves the compiled batch: the batch is compiled again for the
-live members (a netlist is validated once, before the first compile),
-which carry their rows (and under the trapezoidal rule their
-capacitor currents) over, so no round assembles or solves a member that is
-not live.  Each member's branches compile in the same order in any batch,
-and its Jacobian and residual slots and its LAPACK system are its own, so
-its arithmetic does not change.  ``transient`` is a batch of one.
+the whole batch and the Jacobian reshapes to B blocks of n+1 x n+1, whose
+leading n x n LAPACK solves.  Newton runs the members in lockstep: each
+keeps its own convergence test, update clip and divergence check, and a
+member that has converged is frozen, so its solution, iteration count and
+KCL excess are exactly those of a run alone.  The members still iterating
+are solved together.  A member that fails drops out, and so do the members
+after it; the batch then raises the failure of its lowest-index failing
+member.  ``transient_batch`` runs netlists with the same nodes and sources
+as one batch, in lockstep rounds that try the next step of every member
+still live.  Each member keeps its clock (time, step and accept/reject
+decision), its accepted points and its counters in one record, and its row
+of the round's last two solutions, so its run is bitwise the one it gives
+alone.  A member that is done, or dropped after a failure, leaves the
+compiled batch: the batch is compiled again for the live members (a netlist
+is validated once, before the first compile), which carry their rows (and
+under the trapezoidal rule their capacitor currents) over, so no round
+assembles or solves a member that is not live.  Each member's branches
+compile in the same order in any batch, and its Jacobian and residual slots
+and its LAPACK system are its own, so its arithmetic does not change.
+``transient`` is a batch of one.
 
 Each Newton step is one call of numpy's LAPACK gufunc (the one behind
 np.linalg.solve, without that wrapper's checks) on the stacked
@@ -306,12 +309,12 @@ class _SolveBuffers:
                        mag[:m], abs_a[:m], r[:m], probe[:m]) for m in range(batch + 1)]
 
 
-def _solve(a: np.ndarray, f: np.ndarray, buf: _SolveBuffers | None = None
+def _solve(a: np.ndarray, f: np.ndarray, buf: _SolveBuffers
            ) -> tuple[np.ndarray, list[float], dict[int, list[int]]]:
     """Newton's updates dx[j] = -a[j]^-1 f[j] for the stack of systems a
-    (m x n x n) and residuals f (m x n), with the probe and the SVD of the
-    module docstring, worked in the first m rows of buf (new buffers if
-    None).
+    (m x n x n, maybe a strided view) and residuals f (m x n), with the
+    probe and the SVD of the module docstring, worked in the first m rows
+    of buf.
 
     Returns dx, each |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and
     for each system j the SVD rejects, whose dx[j] is then undefined, the
@@ -320,8 +323,6 @@ def _solve(a: np.ndarray, f: np.ndarray, buf: _SolveBuffers | None = None
     buf.sol (dx[j] is sol[j, 0]): it stays valid until the next solve in
     buf.
     """
-    if buf is None:
-        buf = _SolveBuffers(*f.shape)
     neg_f, dp, rhs_t, sol_t, dx, sol, mag, abs_a, r, probe = buf.views[len(f)]
     np.negative(f, neg_f)
     np.matmul(np.abs(a, out=abs_a), buf.ones, out=r)
@@ -431,7 +432,7 @@ def _column(rows, i, dtype=float) -> np.ndarray:
 
 def _stamped(w, out):
     """Branch derivatives w as the weights w, -w, -w, w of the Jacobian
-    slots (p, c), (p, d), (q, c), (q, d) that _Circuit's stamp lists,
+    slots (p, c), (p, d), (q, c), (q, d) that _Circuit's slot table lists,
     written into the rows of out (4 x len(w)) and returned flat."""
     out[::3] = w
     np.negative(w, out[1:3])
@@ -445,9 +446,10 @@ class _Circuit:
     (set_conductances), their offset currents i0 and Newton's update clip
     (set_sources).
 
-    Member b's unknowns sit at b*(n+1) .. b*(n+1) + n-1 and its ground at
-    b*(n+1) + n.  A single circuit is a batch of one.  The netlists are
-    valid: dc_operating_point and transient_batch validate each once.
+    Member b's unknowns sit at b*(n+1) .. b*(n+1) + n-1, its ground at
+    b*(n+1) + n and its Jacobian in the n+1 x n+1 block b of one buffer.
+    A single circuit is a batch of one.  The netlists are valid:
+    dc_operating_point and transient_batch validate each once.
     """
 
     def __init__(self, nets: list[Netlist]):
@@ -501,52 +503,44 @@ class _Circuit:
         src_branches = slice(len(res), len(res) + len(src_v))
         self.cap_branches = slice(len(fixed), len(fixed) + len(caps))
         lin = fixed + caps + shunts
-        nl, nf = len(lin), len(fets)
-        lp, lq, lc, ld = (_column(lin, i, idx) for i in range(4))
-        fp, fq, fc, fd = (_column(fets, i, idx) for i in range(4))
+        nl, nf, nfix = len(lin), len(fets), len(fixed)
         self.vth, self.k, self.lam = (_column(fets, i) for i in range(4, 7))
-        # one gather of x[hi] then x[lo] into pair, and one subtraction
-        # into dv, give every control voltage: the linear branches', the
-        # FETs' vgs, their vds = x[p] - x[q]
-        nc = nl + 2 * nf
-        self.hilo = np.concatenate((lc, fc, fp, ld, fd, fq))
+        # the one table: a column (p, q, c, d) per derivative by x[c] - x[d]
+        # of a current from p to q, each linear branch's, then each FET's gm
+        # on vgs, then its gds on vds = x[p] - x[q]
+        cols = lin + fets + [(p, q, p, q) for p, q, *_ in fets]
+        p, q, c, d = (_column(cols, i, idx) for i in range(4))
+        # one gather of x[c] then x[d] into pair, and one subtraction into
+        # dv, give every control voltage
+        nb, nc = nl + nf, nl + 2 * nf
+        self.hilo = np.concatenate((c, d))
         self.pair = np.empty(2 * nc)
         self.x_hi, self.x_lo = self.pair[:nc], self.pair[nc:]
         self.dv = np.empty(nc)
         self.v_lin, self.vgs, self.vds = self.dv[:nl], self.dv[nl:nl + nf], self.dv[nl + nf:]
         # branch currents run from these nodes (first half) to these (second)
-        self.ends = np.concatenate((lp, fp, lq, fq))
-
-        def stamp(p, q, c, d):
-            """The flat Jacobian slots of _stamped's weights; those in a
-            ground row or column go to one spare slot past the blocks."""
-            r, c = np.concatenate((p, p, q, q)), np.concatenate((c, d, c, d))
-            b, r, c = r // n1, r % n1, c % n1
-            return np.where((r == n) | (c == n), self.batch * n * n, (b * n + r) * n + c)
-
-        # the fixed branches' Jacobian is built here (as floats: a netlist
-        # of capacitors alone has none, and np.bincount of no weights gives
-        # int64), the capacitors' and shunts' when the step or the shunt
-        # changes, and the FETs' (gm on vgs, then gds on vds) every
-        # iteration; size is the flat length, B blocks and the spare slot
-        self.size = self.batch * n * n + 1
-        fixed_branches = slice(0, len(fixed))
+        self.ends = np.concatenate((p[:nb], q[:nb]))
+        # each column's slots (p, c), (p, d), (q, c), (q, d) in the n+1 x n+1
+        # blocks of the flat Jacobian, whose ground rows and columns nothing reads
+        self.size = self.batch * n1 * n1
+        slots = (np.concatenate((p, p, q, q)) * n1
+                 + np.concatenate((c, d, c, d)) % n1).reshape(4, -1)
         # g: the fixed branches' conductances, then the capacitors' and the
-        # shunts', which set_conductances writes
+        # shunts', which set_conductances writes.  The fixed branches'
+        # Jacobian is built here (as floats: a netlist of capacitors alone
+        # has none, and np.bincount of none gives int64), the capacitors' and
+        # shunts' when the step or the shunt changes, the FETs' every iteration
         self.g = np.zeros(nl)
-        self.g[fixed_branches] = g_fixed = _column(fixed, 4)
+        self.g[:nfix] = g_fixed = _column(fixed, 4)
         self.g_cap = self.g[self.cap_branches]
         self.g_shunt = self.g[self.cap_branches.stop:]
-        self.jac_fixed = np.bincount(
-            stamp(*(v[fixed_branches] for v in (lp, lq, lc, ld))),
-            _stamped(g_fixed, np.empty((4, len(fixed)))),
-            minlength=self.size).astype(float)
+        self.jac_fixed = np.bincount(slots[:, :nfix].reshape(-1), _stamped(
+            g_fixed, np.empty((4, nfix))), minlength=self.size).astype(float)
         self.cap_w, self.shunt_w = np.empty((4, len(caps))), np.empty((4, len(shunts)))
         self.jac_lin, self.jac = np.empty(self.size), np.empty(self.size)
-        self.jac_blocks = self.jac[:-1].reshape(self.batch, n, n)
-        self.flat_cap, self.flat_shunt = (
-            stamp(*(v[part] for v in (lp, lq, lc, ld)))
-            for part in (self.cap_branches, slice(self.cap_branches.stop, nl)))
+        self.jac_blocks = self.jac.reshape(self.batch, n1, n1)[:, :n, :n]
+        self.flat_cap, self.flat_shunt = (slots[:, part].reshape(-1) for part in (
+            self.cap_branches, slice(self.cap_branches.stop, nl)))
         self.i0 = np.zeros(nl)
         self.i0_cap = self.i0[self.cap_branches]
         self.i0_src = self.i0[src_branches].reshape(self.batch, -1)
@@ -556,7 +550,7 @@ class _Circuit:
         # w = (gm, gds) negated and as it is, so that the FETs' Jacobian
         # weights run w, -w, -w, w; cur is each branch current for its
         # first end and, negated, for its second
-        nb, nw = nl + nf, nl + 3 * nf
+        nw = nl + 3 * nf
         self.weights = np.zeros(2 * nw + 4 * nf)
         halves = self.weights[:2 * nw].reshape(2, nw)
         self.val, self.mirror = halves
@@ -567,9 +561,7 @@ class _Circuit:
         # one np.bincount over bins sums the currents into F's n_f slots
         # and the FET weights into the FETs' Jacobian, size slots after them
         self.n_f = self.batch * n1
-        pc, pd, qc, qd = self.n_f + stamp(
-            np.tile(fp, 2), np.tile(fq, 2), np.concatenate((fc, fp)),
-            np.concatenate((fd, fq))).reshape(4, 2 * nf)
+        pc, pd, qc, qd = self.n_f + slots[:, nl:]
         self.bins = np.concatenate((self.ends[:nb], pc, self.ends[nb:], pd, qc, qd))
         self.n_bins = self.n_f + self.size
         # scale's |branch currents| and its maxima over each end's slots
@@ -635,8 +627,8 @@ class _Circuit:
 
     def jacobian(self):
         """dF/dx at residual's last x, batch x n x n: the linear branches'
-        Jacobian plus the FETs'.  A view of a buffer, valid until the next
-        call."""
+        Jacobian plus the FETs'.  A strided view of the leading n x n of
+        each block of a buffer, valid until the next call."""
         np.add(self.jac_lin, self.fet_jac, out=self.jac)
         return self.jac_blocks
 

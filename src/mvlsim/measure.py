@@ -100,14 +100,11 @@ def prop_delay(in_wf: Waveform, out_wf: Waveform,
         raise MeasureError("input waveform never crosses its midpoint")
     if not len(tout):
         raise MeasureError("output waveform never crosses its midpoint")
-    worst = None
-    for ti in tin:
-        later = tout[tout >= ti]
-        if not len(later):
-            raise MeasureError(f"no output crossing after input crossing at t={ti}")
-        d = float(later[0] - ti)
-        worst = d if worst is None else max(worst, d)
-    return worst
+    later = np.searchsorted(tout, tin)  # first output crossing at or after each
+    if later[-1] == len(tout):
+        ti = tin[later == len(tout)][0]
+        raise MeasureError(f"no output crossing after input crossing at t={ti}")
+    return float(np.max(tout[later] - tin))
 
 
 def supply_power(v_wf: Waveform, i_wf: Waveform) -> tuple[float, float]:

@@ -101,7 +101,8 @@ def alternating_pwl(corners, hold=2.5e-10, slew=1e-10):
 def solve(a, b):
     """x with a @ x = b, through the solver Newton uses; a rejected system
     raises SingularMatrixError with the unknown indices that _solve names."""
-    x, _step, singular = _solve(a[None], -b[None])
+    f = -b[None]
+    x, _step, singular = _solve(a[None], f, _SolveBuffers(*f.shape))
     if singular:
         raise SingularMatrixError(singular[0])
     return x[0]
@@ -273,9 +274,9 @@ class TestSolveLinear:
         good = np.array([[2.0, 1.0], [1.0, 3.0]])
         bad = np.array([[1.0, 2.0], [2.0, 4.0]])
         f = np.array([[-3.0, -5.0], [-1.0, -2.0]])
-        alone, _step, singular = _solve(good[None], f[:1])
+        alone, _step, singular = _solve(good[None], f[:1], _SolveBuffers(1, 2))
         assert not singular
-        dx, step, singular = _solve(np.stack((good, bad)), f)
+        dx, step, singular = _solve(np.stack((good, bad)), f, _SolveBuffers(*f.shape))
         assert np.array_equal(dx[0], alone[0]) and step[0] == np.max(np.abs(alone[0]))
         assert singular == {1: [0, 1]}
 
@@ -291,7 +292,8 @@ class TestSolveLinear:
         monkeypatch.setattr(engine, "_lapack_solve", spy)
         good = np.array([[2.0, 1.0], [1.0, 3.0]])
         bad = np.array([[1.0, 2.0], [2.0, 4.0]])
-        _dx, step, singular = _solve(np.stack((good, bad)), np.ones((2, 2)))
+        f = np.ones((2, 2))
+        _dx, step, singular = _solve(np.stack((good, bad)), f, _SolveBuffers(*f.shape))
         assert calls == [(2, 2, 2)]
         assert math.isfinite(step[0]) and singular == {1: [0, 1]}
 
@@ -316,7 +318,8 @@ class TestSolveLinear:
             assert not singular and len(dx) == len(step) == m
             assert np.shares_memory(dx, ckt.solve_buf.sol)
             for j in range(m):
-                alone, alone_step, _ = _solve(jac[j:j + 1], f[j:j + 1])
+                alone, alone_step, _ = _solve(jac[j:j + 1], f[j:j + 1],
+                                              _SolveBuffers(1, ckt.n))
                 assert np.array_equal(dx[j], alone[0]) and step[j] == alone_step[0]
                 # LAPACK's one right-hand side may round otherwise than two
                 expect = np.linalg.solve(jac[j], -f[j])
@@ -336,7 +339,7 @@ class TestSolveLinear:
         assert not singular and np.isfinite(dx).all()
         assert all(math.isfinite(s) for s in step)
         for j, a in enumerate((good, 2.0 * good)):
-            alone, alone_step, _ = _solve(a[None], f[j:j + 1])
+            alone, alone_step, _ = _solve(a[None], f[j:j + 1], _SolveBuffers(1, 2))
             assert np.array_equal(dx[j], alone[0]) and step[j] == alone_step[0]
 
     def test_lapack_gufunc_is_numpys_solve(self):
@@ -1392,6 +1395,33 @@ class TestLinearize:
 
         plain, probed = linearization(None), linearization(other)
         for a, b in zip(plain, probed):
+            assert np.array_equal(a, b)
+
+    def test_ground_rows_and_columns_of_the_jacobian_are_never_read(self):
+        # each member's Jacobian block is n+1 x n+1 with ground last; NaN in
+        # ground's row and column of every block leaves J and a Newton solve
+        # bitwise those of a circuit without it
+        nets = [staircase(**kw) for kw in BATCH_UNEVEN_CAPS]
+        ckt = _Circuit(nets)
+        rng = np.random.default_rng(17)
+        x = np.zeros((2, ckt.n1))
+        x[:, :ckt.n] = rng.uniform(-0.2, 1.4, (2, ckt.n))
+        ihist = rng.uniform(-1e-5, 1e-5, len(ckt.cap_c))
+
+        def linearization(ckt, poison):
+            ckt.set_conductances(ckt.cap_c / 1e-12, 0.0)
+            ckt.set_sources(ihist, source_values(nets, [3e-9, 7e-9]))
+            if poison:
+                blocks = ckt.jac_lin.reshape(ckt.batch, ckt.n1, ckt.n1)
+                blocks[:, ckt.n, :] = blocks[:, :, ckt.n] = np.nan
+            ckt.residual(x)
+            jac, xn = ckt.jacobian().copy(), x.copy()
+            iters, excess, failed = ckt.newton(xn, [0, 1], t=[3e-9, 7e-9])
+            assert not failed and np.isfinite(jac).all()
+            return jac, xn, iters, excess
+
+        plain, poisoned = linearization(ckt, False), linearization(_Circuit(nets), True)
+        for a, b in zip(plain, poisoned):
             assert np.array_equal(a, b)
 
     def test_mna_system_at_operating_point_is_a_fixed_point(self):

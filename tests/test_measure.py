@@ -16,6 +16,7 @@ from mvlsim.measure import (
     MeasureError,
     MeasureReport,
     Waveform,
+    _crossings,
     fall_time,
     prop_delay,
     report_table,
@@ -148,8 +149,23 @@ class TestPropDelay:
     def test_unmatched_input_crossing_raises(self):
         out = Waveform(np.array([0.0, 0.5, 1.0, 10.0]),
                        np.array([0.0, 1.0, 1.0, 1.0]))
-        with pytest.raises(MeasureError):
+        with pytest.raises(MeasureError, match=r"t=1\.5\b"):
             prop_delay(self.pulse(), out, 0.5, 0.5)
+
+    def test_worst_pair_is_the_loops_over_the_input_crossings(self):
+        # many crossings each way: bitwise the worst of each input crossing
+        # against its first output crossing at or after it, found by a loop
+        rng = np.random.default_rng(3)
+        vin = Waveform(np.cumsum(rng.uniform(0.1, 1.0, 200)), rng.uniform(0.0, 1.0, 200))
+        out = Waveform(np.cumsum(rng.uniform(0.1, 1.0, 400)), rng.uniform(0.0, 1.0, 400))
+
+        def crossings(wf):
+            return np.sort(np.concatenate([_crossings(wf, 0.5, r) for r in (True, False)]))
+
+        tin, tout = crossings(vin), crossings(out)
+        assert len(tin) > 50 and tout[-1] > tin[-1]
+        expect = max(float(tout[tout >= ti][0] - ti) for ti in tin)
+        assert prop_delay(vin, out, 0.5, 0.5) == expect
 
     def test_no_crossings_raise(self):
         flat = Waveform(np.array([0.0, 10.0]), np.array([0.0, 0.0]))
