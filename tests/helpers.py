@@ -1,7 +1,8 @@
-"""Helpers that several test modules share: a DC drive for cell netlists,
-the ideal level converter that their DC digit tables are scored against,
-the source values the engine sets at a time point and the square law into
-buffers of its own."""
+"""Helpers that several test modules share: the pinned solver work of the
+characterization runs, a DC drive for cell netlists, the ideal level
+converter that their DC digit tables are scored against, the source values
+the engine sets at a time point and the square law into buffers of its
+own."""
 
 import copy
 
@@ -10,6 +11,20 @@ import numpy as np
 from mvlsim.devices import square_law
 from mvlsim.mvl import Digit
 from mvlsim.netlist import DcStimulus, Device, Netlist
+
+# Steps and Newton iterations of the default decoder runs, and of the same
+# runs on the fixed dt grid (dtmax=None).  A change that only makes each
+# iteration cheaper leaves them as they are; a change to time stepping or
+# convergence control updates them on purpose.
+NEWTON_WORK = {"cmos32": (414, 756), "gnrfet32": (107, 237)}
+FIXED_GRID_WORK = {"cmos32": (2000, 2336), "gnrfet32": (2000, 2121)}
+# Steps, Newton iterations and rejected steps of the benchmark's
+# digit_stream netlist at its default seed
+DIGIT_STREAM_WORK = (2000, 5086, 0)
+# Steps, Newton iterations and LTE rejections of the default decoder runs
+# under the trapezoidal rule, whose capacitor history carries each
+# accepted point's currents to the next step
+TRAP_WORK = {"cmos32": (424, 761, 3), "gnrfet32": (1511, 3255, 1)}
 
 
 def with_dc_input(net: Netlist, volts: float, node: str = "in",

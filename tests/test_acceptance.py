@@ -2,9 +2,10 @@
 
 Eight end-to-end criteria, one test each, pins of the solver's work on
 the characterization runs, on the same runs on the fixed dt grid and on
-the benchmark's digit_stream netlist, and a guard that the step growth of
-the characterization runs leaves every figure where the fixed grid puts
-it.  Every test prints a single verdict line
+the benchmark's digit_stream netlist (the pins live in helpers.py), and
+two guards: the step growth of the characterization runs leaves every
+figure where the fixed grid puts it, and a finer step cap moves none of
+them.  Every test prints a single verdict line
 (run with ``pytest -s`` to see them) before asserting, so the printed
 PASS/FAIL always matches the pytest outcome.  Tolerances are pinned here;
 nothing is derived from the code under test.
@@ -34,7 +35,15 @@ from mvlsim.measure import Waveform, rise_time
 from mvlsim.mvl import Digit, LevelMap, ideal_decode
 from mvlsim.netlist import NetlistError, Transient, emit, parse, parse_value
 
-from helpers import ideal_vlc, square_law_alloc, with_dc_input
+from helpers import (
+    DIGIT_STREAM_WORK,
+    FIXED_GRID_WORK,
+    NEWTON_WORK,
+    TRAP_WORK,
+    ideal_vlc,
+    square_law_alloc,
+    with_dc_input,
+)
 
 RISE_WINDOW = (87.19e-12, 348.76e-12)  # 4x span centred on 174.38 ps
 
@@ -107,21 +116,6 @@ def test_c3_technology_comparison(characterization):
          f"cmos rise {cm.rise_time * 1e12:.2f} ps in "
          f"[{RISE_WINDOW[0] * 1e12:.2f}, {RISE_WINDOW[1] * 1e12:.2f}] ps")
         + (f"; FAILED {failed}" if failed else ""))
-
-
-# Steps and Newton iterations of the default decoder runs, and of the same
-# runs on the fixed dt grid (dtmax=None).  A change that only makes each
-# iteration cheaper leaves them as they are; a change to time stepping or
-# convergence control updates them on purpose.
-NEWTON_WORK = {"cmos32": (434, 776), "gnrfet32": (153, 283)}
-FIXED_GRID_WORK = {"cmos32": (2000, 2336), "gnrfet32": (2000, 2121)}
-# Steps, Newton iterations and rejected steps of the benchmark's
-# digit_stream netlist at its default seed
-DIGIT_STREAM_WORK = (2000, 5086, 0)
-# Steps, Newton iterations and LTE rejections of the default decoder runs
-# under the trapezoidal rule, whose capacitor history carries each
-# accepted point's currents to the next step
-TRAP_WORK = {"cmos32": (443, 780, 3), "gnrfet32": (1524, 3268, 1)}
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +194,29 @@ def test_step_growth_keeps_the_figures(characterization, fixed_grid):
     assert verdict(
         "Figures with a grown step", worst[key] <= 1e-3,
         f"worst shift from the fixed dt grid {worst[key] * 100:.4f}% ({key}) <= 0.1%")
+
+
+def test_hold_cap_keeps_the_figures(characterization):
+    # the step cap dtmax (hold/5) bounds how far the step grows through a
+    # settled hold; a cap four times finer must leave every figure within
+    # 1e-4 of the default run's
+    nets = []
+    for run in characterization.values():
+        (tran,) = [a for a in run.net.analyses if isinstance(a, Transient)]
+        fine = dataclasses.replace(tran, dtmax=tran.dtmax / 4.0)
+        nets.append(dataclasses.replace(run.net, analyses=[fine]))
+    worst = {}
+    for (name, run), net, wset in zip(characterization.items(), nets,
+                                      engine.transient_batch(nets)):
+        ref = assemble_report(name, net.measures, evaluate_measures(net, wset))
+        for f in dataclasses.fields(ref):
+            if f.name != "technology":
+                worst[f"{name} {f.name}"] = abs(
+                    getattr(run.report, f.name) / getattr(ref, f.name) - 1.0)
+    key = max(worst, key=worst.get)
+    assert verdict(
+        "Figures with the hold cap", worst[key] <= 1e-4,
+        f"largest move against dtmax/4 {worst[key]:.2e} ({key}) <= 1e-4")
 
 
 def test_c4_solver_accuracy(characterization):

@@ -205,28 +205,28 @@ CELL_TEXT_SHA256 = {
     ('inverter', 'cmos32', 1e-15): "cdc67cb676f6a1d8b5ff715b083f60ccd3bf4d2a0c9b79d5d6cf7d4d363d7d8d",
     ('xor2', 'cmos32', 1e-15): "5b5980dbc7490b8ed199a96c9794df25fc2446253bc0bf038fc9e2d07ecf090d",
     ('decoder', 'cmos32', 1e-15): "7887c516f6c947dfb180550cb4dd05377077a52ce7e23e52138723d796a56a45",
-    ('testbench', 'cmos32', 1e-15): "29c7ca3ddceedc94c7dbe4eb6afd9835d2797e8f4892ab0e5479f2e6a5b45d01",
+    ('testbench', 'cmos32', 1e-15): "3a16051dc0bcf03eeb8855dcb98e7941c44579c97d5acea4d8b90192781f84aa",
     ('vlc1', 'gnrfet32', 1e-15): "c2063e790de8006a0b4be86f858e5deb38923c436a299b29bb67f683fb08dfed",
     ('vlc2', 'gnrfet32', 1e-15): "d1b70776d33ea4a0c84746678457a6ef2dbd23e166085a6a8716223c8717fe14",
     ('vlc3', 'gnrfet32', 1e-15): "c3ce8b9ea1b549961c59c06b42f2c4587798b1262704121af92a25fe792676b9",
     ('inverter', 'gnrfet32', 1e-15): "30e94ac06525bd8c64c358fa46c2f6e8796a2ff6a4a961cb37a9638cb38eee41",
     ('xor2', 'gnrfet32', 1e-15): "a13a46d61fc493ccbc0caad6ece489682eaec02f886ec99094487821c340f436",
     ('decoder', 'gnrfet32', 1e-15): "a4a1d51b234a0344b9665578169cd52c2a4c3960d02591f224bb1dcea0ef9853",
-    ('testbench', 'gnrfet32', 1e-15): "2ba1da84b1329cf4711160a4f8c90975f702f6fe403f548ddeb2cb9b95d51f31",
+    ('testbench', 'gnrfet32', 1e-15): "f17c0763ce06e2e82016e7a8eb362bcac49712516ddeb4c3f11786b18feedcea",
     ('vlc1', 'cmos32', 0.0): "054cadf2f2c4ce8724757dc2a92688748e073f74efa9d3f508524514ef60376d",
     ('vlc2', 'cmos32', 0.0): "4f67ac4ee155483f4e1a71b6df8d4fe7e549d4791c168e699cdc7da2ead84dbb",
     ('vlc3', 'cmos32', 0.0): "730ad6d3dd81e741e810c78db4d5e78d368e96a9cda3a61858ce27cc5928325c",
     ('inverter', 'cmos32', 0.0): "a7c46c8f3a209af6e34ab7a98f0161bbe5546eed1770cdc0dfa354da6f80bb45",
     ('xor2', 'cmos32', 0.0): "1de347ff1e1a0dbf78078cf49a34efd755e508a8b10447b64d452aa3147a2499",
     ('decoder', 'cmos32', 0.0): "35ce33cb40d7d68053700aa33ee9eb5cf78f11a69e0dcf9a1e08d6ad8896bcca",
-    ('testbench', 'cmos32', 0.0): "aabbe05080edd6d5f7c422f85d8d80d47b2e387891081f440919ef4af790a09d",
+    ('testbench', 'cmos32', 0.0): "6bcbc9609c4a35787fee4e104c1f42077577693558da70c2a598d896bd1d8387",
     ('vlc1', 'gnrfet32', 0.0): "8961237a33ea09b69b4563092f8a36fc1745b9a5e8e8787019d90378cacad043",
     ('vlc2', 'gnrfet32', 0.0): "8d8dd606630a84b408283b07a7c600dc4f53ad2c2dd895a5eb49f153d78fc628",
     ('vlc3', 'gnrfet32', 0.0): "30d775a951aa84acd595f69ea9e8c292de6f7f719f5b2e5a1cd36458901b2832",
     ('inverter', 'gnrfet32', 0.0): "8c4f3213712a097fd0782a5efa5a85d8005845f59ae15b278224eb546f2984fd",
     ('xor2', 'gnrfet32', 0.0): "8355733b3086d828988221f8af6468f607a867d4acaa514e937577bc116bf0dc",
     ('decoder', 'gnrfet32', 0.0): "2037f0f7a8756e8d27c9016044658587e9dda32b2487f5e483a59321950c67ed",
-    ('testbench', 'gnrfet32', 0.0): "072b554b674fd47659939531c4a6d56c2ab0028457857051eced31a6df8547df",
+    ('testbench', 'gnrfet32', 0.0): "f0bcfd0834fa9047451054759605984beb1b9bc64c24a3d68fdb6a240cfa83de",
 }
 
 
@@ -283,7 +283,7 @@ class TestStaircase:
         assert isinstance(tran, Transient)
         assert tran.tstop == 4 * 5e-9
         assert tran.dt == min(tran.tstop / 1000.0, 1e-10 / 10.0)
-        assert tran.dtmax == 5e-9 / 20.0  # the step grows through each hold
+        assert tran.dtmax == 5e-9 / 5.0  # the step grows through each hold
         got = {(m.name, m.kind, m.targets) for m in net.measures}
         assert got == {
             ("b0_rise", "rise", ("b0",)),

@@ -256,7 +256,7 @@ class TestCell:
     def test_testbench_dt_matches_decoder(self, tmp_path, capsys):
         flags = ["--hold", "1e-9", "--dt", "2e-12", "--out", str(tmp_path)]
         assert main(["cell", "testbench", *flags]) == 0
-        assert ".tran 2e-12 4e-09 5e-11" in capsys.readouterr().out
+        assert ".tran 2e-12 4e-09 2e-10" in capsys.readouterr().out
         assert main(["run", str(tmp_path / "testbench_cmos32.sp"), *flags[-2:]]) == 0
         assert main(["decoder", *flags]) == 0
         ran = read_json(tmp_path / "testbench_cmos32.json")

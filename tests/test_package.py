@@ -15,6 +15,8 @@ import pytest
 import mvlsim
 from mvlsim import characterize
 
+from helpers import TRAP_WORK
+
 SRC = Path(mvlsim.__file__).resolve().parents[1]
 ROOT = SRC.parent
 
@@ -104,7 +106,7 @@ def test_reference_generator_runs_the_trapezoidal_rule(monkeypatch):
     finally:
         for name in ("common", "reference"):
             sys.modules.pop(name, None)
-    assert (cost["steps"], cost["newton_iters"]) == (443, 780)
+    assert (cost["steps"], cost["newton_iters"]) == TRAP_WORK["cmos32"][:2]
     assert figures == pytest.approx(committed, rel=2e-3)
 
 
