@@ -52,7 +52,7 @@ that the compile step allocates, the same for a batch of one as of many:
 
 _Circuit also owns the buffers of the solve (_SolveBuffers): the right-hand
 sides, |J| and its row sums, the solutions and their magnitudes, with the
-probe vector and the ones.  A solve of the m members still iterating uses
+probe as one read-only row.  A solve of the m members still iterating uses
 the first m rows of each.  So dx, J and the KCL scale are views of buffers:
 each stays valid until the next update, or the next call that wrote it.
 
@@ -113,7 +113,8 @@ and its LAPACK system are its own, so its arithmetic does not change.
 Each Newton step is one call of numpy's LAPACK gufunc (the one behind
 np.linalg.solve, without that wrapper's checks) on the stacked
 J dx = -F together with a probe right-hand side D p, p fixed and D = diag(r),
-r_i the sum of |J_ij| over row i, taken as the product |J| @ ones.  The two
+r_i the sum of |J_ij| over row i, taken as one reduction along the rows of
+|J|, and p one read-only row that every stack broadcasts.  The two
 right-hand sides are the rows of one batch x 2 x n buffer, which the
 gufunc reads transposed, as its columns, and it writes the two solutions
 dx and z transposed too, as the rows of a second such buffer: dx and z
@@ -151,7 +152,9 @@ corner strictly inside (0, tstop)), merged where closer together than a
 millionth of the floor step.  The floor is the .tran dt clamped to
 tstop/1000, to dtmax and to a tenth of the shortest edge between two
 corners of different value that starts before tstop; the ceiling is the
-.tran dtmax if that exceeds dt, else the floor.  One rule sets every step.
+.tran dtmax if that exceeds dt, else the floor.  A run whose tstop over
+its ceiling exceeds _MAX_STEPS cannot finish and raises ValueError before
+its DC point.  One rule sets every step.
 Each segment between two breakpoints starts at the floor.  The step asked
 for is held between the floor and the ceiling; it takes the rest of the
 segment if that is no longer than the step up to rounding (1e-9 relative),
@@ -294,19 +297,18 @@ class _SolveBuffers:
     batch x 2 x n buffer, and their solutions dx and z its rows of another,
     sol: LAPACK reads the first and writes sol transposed, as columns.
     Three more buffers take |sol|, |J| and the row sums r of |J|; the probe
-    p = cos(1..n) in each row and ones, n ones, are read-only.  views[m]
-    holds the views of the first m rows of each that a solve of m systems
-    works in, made once."""
+    p = cos(1..n) is one read-only row, which every stack broadcasts.
+    views[m] holds the views of the first m rows of each that a solve of m
+    systems works in, made once."""
 
     def __init__(self, batch: int, n: int):
         rhs, self.sol, mag = (np.empty((batch, 2, n)) for _ in range(3))
         abs_a, r = np.empty((batch, n, n)), np.empty((batch, n))
-        probe = np.tile(np.cos(np.arange(1.0, n + 1.0)), (batch, 1))
-        self.ones = np.ones(n)
-        probe.flags.writeable = self.ones.flags.writeable = False
+        self.probe = np.cos(np.arange(1.0, n + 1.0))
+        self.probe.flags.writeable = False
         self.views = [(rhs[:m, 0], rhs[:m, 1], rhs[:m].transpose(0, 2, 1),
                        self.sol[:m].transpose(0, 2, 1), self.sol[:m, 0], self.sol[:m],
-                       mag[:m], abs_a[:m], r[:m], probe[:m]) for m in range(batch + 1)]
+                       mag[:m], abs_a[:m], r[:m]) for m in range(batch + 1)]
 
 
 def _solve(a: np.ndarray, f: np.ndarray, buf: _SolveBuffers
@@ -323,10 +325,10 @@ def _solve(a: np.ndarray, f: np.ndarray, buf: _SolveBuffers
     buf.sol (dx[j] is sol[j, 0]): it stays valid until the next solve in
     buf.
     """
-    neg_f, dp, rhs_t, sol_t, dx, sol, mag, abs_a, r, probe = buf.views[len(f)]
+    neg_f, dp, rhs_t, sol_t, dx, sol, mag, abs_a, r = buf.views[len(f)]
     np.negative(f, neg_f)
-    np.matmul(np.abs(a, out=abs_a), buf.ones, out=r)
-    np.multiply(probe, r, dp)
+    np.add.reduce(np.abs(a, out=abs_a), axis=2, out=r)
+    np.multiply(buf.probe, r, dp)
     _lapack(a, rhs_t, sol_t)
     # dx and z are the contiguous rows of sol: one reduction along them
     step, z = np.maximum.reduce(np.abs(sol, out=mag), axis=2).T.tolist()
@@ -405,6 +407,13 @@ class WaveformSet:
 # merged, so that no step is so short that the c/h companions swamp the
 # matrix.
 _MIN_SEPARATION = 1e-6
+
+# The most steps a run may need at its ceiling step, tstop / ceiling: a run
+# above it is refused before its DC point, as one that cannot finish.  The
+# largest fixed grid planned here, a 0.125 ps reference of the 20 ns
+# staircase, takes 160000 steps, and the benchmark runs and the tests' fixed
+# grids about 2000; 10**8 steps at the decoder's cost per step take hours.
+_MAX_STEPS = 10**8
 
 # V, the largest local truncation error estimate (max |corrected - predicted|
 # over the node voltages) that a step above the floor may leave; the step
@@ -688,8 +697,7 @@ class _Circuit:
                 if any(s > self.clip for s in step):  # clip the node-voltage updates
                     lim = np.array(self.vlimit)[pick, None]
                     dx_v = dx[:, :self.nv]
-                    np.minimum(dx_v, lim, out=dx_v)
-                    np.maximum(dx_v, -lim, out=dx_v)
+                    np.clip(dx_v, -lim, lim, out=dx_v)
                     step = np.maximum.reduce(np.abs(dx), axis=1).tolist()
                 for j, b in enumerate(members):
                     if j in singular:
@@ -832,6 +840,11 @@ class _Member:
         merged[-1] = tstop
         grows = analysis.dtmax is not None and analysis.dtmax > analysis.dt
         self.floor, self.ceiling = floor, analysis.dtmax if grows else floor
+        if tstop / self.ceiling > _MAX_STEPS:
+            raise ValueError(
+                f"the run needs at least {tstop / self.ceiling:.3g} steps of at most "
+                f"{self.ceiling:.3g}s, over the cap of {_MAX_STEPS:.0e} steps; a .tran "
+                "dtmax above dt lets the step grow")
         self.bps, self.seg, self.t, self.done = merged, 0, 0.0, False
         self.h_last = math.inf
         self.times, self.iters, self.excess = [], [], []

@@ -119,17 +119,35 @@ class TestRun:
         assert main(["run", str(src), "--out", str(tmp_path)]) == 1
         assert "breakpoints" in capsys.readouterr().err
 
-    def test_pulse_whose_period_cannot_advance_is_exit_1(self, tmp_path):
-        # in a subprocess, so that a run that never returns fails the test
-        src = tmp_path / "stall.sp"
-        src.write_text("* stalled pulse\nv1 in 0 pulse(0 1 1 1e-30 1e-30 1e-30 1e-29)\n"
-                       "r1 in 0 1k\n.tran 0.1 2\n.end\n")
+    @staticmethod
+    def run_in_subprocess(tmp_path, text):
+        """mvlsim run of the netlist text in a subprocess with a 60 s
+        timeout, so that a run that never returns fails the test."""
+        src = tmp_path / "net.sp"
+        src.write_text(text)
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "mvlsim.cli", "run", str(src), "--out", str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=60)
+
+    def test_pulse_whose_period_cannot_advance_is_exit_1(self, tmp_path):
+        done = self.run_in_subprocess(
+            tmp_path, "* stalled pulse\nv1 in 0 pulse(0 1 1 1e-30 1e-30 1e-30 1e-29)\n"
+            "r1 in 0 1k\n.tran 0.1 2\n.end\n")
         assert done.returncode == 1
         assert done.stderr == "error: PULSE period 1e-29 s stalls at t=1 s\n"
+
+    def test_run_over_the_step_cap_is_exit_1(self, tmp_path):
+        # PWL corners 1 ulp apart set a 2.07e-26 s step, and no dtmax lets
+        # it grow
+        done = self.run_in_subprocess(
+            tmp_path, "* corners 1 ulp apart\nv1 in 0 pwl(0 0 1n 0 1.0000000000000002n 1)\n"
+            "r1 in out 1k\nc1 out 0 1p\n.tran 1p 2n\n.end\n")
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: the run needs at least 9.67e+16 steps of at most 2.07e-26s, over "
+            "the cap of 1e+08 steps; a .tran dtmax above dt lets the step grow\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["net.sp"]
 
     @pytest.mark.parametrize("body", ["r1 0 0 1k\n.op\n", "r1 0 0 1k\n.tran 1p 1n\n",
                                       ".op\n"], ids=["op", "tran", "op_alone"])

@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -1125,6 +1126,32 @@ class TestStepControl:
         else:
             assert (m.t, m.next, m.times, m.pending) == (0.0, h_next, [0.0], 3)
         assert m.error is failure if outcome == "failed" else m.error is None
+
+    # an input edge at 1 ns, of 1 ulp or of 1e-20 s, under .tran 1p 2n with
+    # or without a dtmax above dt: without one, the floor that a tenth of the
+    # edge sets is also the ceiling
+    EDGE_RC = "* edge\nv1 in 0 pwl(0 0 1n 0 {})\nr1 in out 1k\nc1 out 0 1p\n.tran 1p 2n{}\n.end\n"
+
+    @pytest.mark.parametrize("corner, steps, ceiling", [
+        ("1.0000000000000002n 1", "9.67e+16", "2.07e-26"),
+        ("1.00000000001n 1", "2e+12", "1e-21")], ids=["ulp", "edge"])
+    def test_run_that_cannot_finish_is_refused(self, corner, steps, ceiling):
+        net = parse(self.EDGE_RC.format(corner, ""))
+        tran = net.analyses[0]
+        message = re.escape(f"the run needs at least {steps} steps of at most {ceiling}s, "
+                            "over the cap of 1e+08 steps; a .tran dtmax above dt lets "
+                            "the step grow")
+        # the plan alone first, so that a missing guard fails here rather
+        # than run for days
+        with pytest.raises(ValueError, match=message):
+            _Member([net.device("v1").stimulus], tran)
+        with pytest.raises(ValueError, match=message):
+            transient(net)
+
+    def test_steep_edge_with_a_dtmax_runs(self):
+        # the 1e-20 s edge's floor is 1e-21 s, but the step grows to 100 ps
+        ws = transient(parse(self.EDGE_RC.format("1.00000000001n 1", " 100p")))
+        assert ws.stats.steps == 172 and ws.times[-1] == 2e-9
 
     def test_tighter_tolerance_takes_more_steps(self, monkeypatch):
         net = staircase(hold=1e-9)
