@@ -33,19 +33,20 @@ that the compile step allocates, the same for a batch of one as of many:
   1. one gather of x[hi], then x[lo], into one buffer and one subtraction
      give every control voltage;
   2. the linear branches' currents g*v + i0 go to the front of one value
-     buffer, and one square_law pass over the FETs writes their currents,
-     then their gm and gds, after them, reversing the devices with vds < 0;
-     g is one buffer too, whose capacitor slice takes the companions' geq
-     when the step changes and whose shunt slice changes with the shunt;
+     buffer, and one square_law pass over the FETs writes their currents
+     after them, reversing the devices with vds < 0.  The buffer goes on
+     with one derivative w per column of the table: the linear branches'
+     g, whose capacitor slice takes the companions' geq when the step
+     changes and whose shunt slice changes with the shunt, then the FETs'
+     gm and gds, which the same square_law pass writes;
   3. one negation fills the buffer's mirror half, and one copy appends
-     w = (gm, gds) negated and as it is, so the buffer holds the weights of
-     one scatter: each branch current, for its two ends, and the FETs'
-     Jacobian weights w, -w, -w, w;
+     every w negated and as it is, so the buffer holds the weights of one
+     scatter: each branch current, for its two ends, and the Jacobian
+     weights w, -w, -w, w of every column;
   4. one np.bincount sums the currents into the KCL residual F and the
-     weights into the FETs' Jacobian, in the slots after F's (each slot
-     adds the same terms in the same order as a scatter of F or of the
-     Jacobian alone), and one addition of the FETs' Jacobian and the
-     linear branches' writes J into the Jacobian buffer;
+     weights into the whole Jacobian J, in the slots after F's (each slot
+     adds the same terms in the same order as a scatter of F or of J
+     alone), and J is a view of those slots;
   5. one LAPACK call solves J dx = -F with the probe below into the
      solution buffer, and one np.abs into a buffer and one reduction along
      its rows give each member's |dx|inf and |z|inf.
@@ -53,8 +54,8 @@ that the compile step allocates, the same for a batch of one as of many:
 _Circuit also owns the buffers of the solve (_SolveBuffers): the right-hand
 sides, |J| and its row sums, the solutions and their magnitudes, with the
 probe as one read-only row.  A solve of the m members still iterating uses
-the first m rows of each.  So dx, J and the KCL scale are views of buffers:
-each stays valid until the next update, or the next call that wrote it.
+the first m rows of each.  So dx, J and the KCL scale are views: each stays
+valid until the next update, or the next call that wrote it.
 
 The KCL test's per-node scale, when Newton needs it, is one np.maximum.at
 of the branch currents' magnitudes over their ends.  Max and negation are
@@ -184,12 +185,12 @@ once from SolveOptions:
     trapezoidal (p = 2):                  geq = 2C/h,  ihist = -geq*v_prev - i_prev
 
 with v_prev and i_prev the capacitor's voltage and current at the last
-accepted point.  The conductances, -geq and the Jacobian of the linear
-branches depend on the steps alone and are built again only when one
-changes, the fixed branches' part of that Jacobian once per circuit.  The
-last two accepted solutions of every member are two batch x n+1 arrays,
-last and prev, both the DC solution at first; a mask of the members
-accepted updates them, and one gather from last gives v_prev.  Only the
+accepted point.  geq, -geq and so g depend on the steps alone and are set
+again only when one changes; every residual's one scatter sums the whole
+Jacobian from g and the FETs' derivatives.  The last two accepted
+solutions of every member are two batch x n+1 arrays, last and prev, both
+the DC solution at first; a mask of the members accepted updates them, and
+one gather from last gives v_prev.  Only the
 trapezoidal rule keeps i_prev, as geq * v + ihist with v gathered from the
 accepted solution (Newton's last residual is at the iterate before it).
 
@@ -439,24 +440,15 @@ def _column(rows, i, dtype=float) -> np.ndarray:
     return np.array([r[i] for r in rows], dtype=dtype)
 
 
-def _stamped(w, out):
-    """Branch derivatives w as the weights w, -w, -w, w of the Jacobian
-    slots (p, c), (p, d), (q, c), (q, d) that _Circuit's slot table lists,
-    written into the rows of out (4 x len(w)) and returned flat."""
-    out[::3] = w
-    np.negative(w, out[1:3])
-    return out.reshape(-1)
-
-
 class _Circuit:
     """Netlists with the same nodes and sources, compiled once into branch
     index arrays over one flat unknown vector, and the linearization Newton
-    iterates on: the linear branches' conductances g and their Jacobian
-    (set_conductances), their offset currents i0 and Newton's update clip
-    (set_sources).
+    iterates on: the linear branches' conductances g (set_conductances),
+    their offset currents i0 and Newton's update clip (set_sources).
 
     Member b's unknowns sit at b*(n+1) .. b*(n+1) + n-1, its ground at
-    b*(n+1) + n and its Jacobian in the n+1 x n+1 block b of one buffer.
+    b*(n+1) + n and its Jacobian in the n+1 x n+1 block b of residual's
+    scatter.
     A single circuit is a batch of one.  The netlists are valid:
     dc_operating_point and transient_batch validate each once.
     """
@@ -529,50 +521,39 @@ class _Circuit:
         self.v_lin, self.vgs, self.vds = self.dv[:nl], self.dv[nl:nl + nf], self.dv[nl + nf:]
         # branch currents run from these nodes (first half) to these (second)
         self.ends = np.concatenate((p[:nb], q[:nb]))
-        # each column's slots (p, c), (p, d), (q, c), (q, d) in the n+1 x n+1
-        # blocks of the flat Jacobian, whose ground rows and columns nothing reads
-        self.size = self.batch * n1 * n1
-        slots = (np.concatenate((p, p, q, q)) * n1
-                 + np.concatenate((c, d, c, d)) % n1).reshape(4, -1)
+        # the weights of one scatter, in the order of bins: val (the branch
+        # currents, then one derivative per column: the linear branches' g,
+        # the FETs' gm and gds, which square_law writes in place with their
+        # currents), its negation mirror, then jac_w, the derivatives w
+        # negated and as they are, so that the Jacobian weights run w, -w,
+        # -w, w; cur is each branch current for its first end and, negated,
+        # for its second
+        nw = nb + nc
+        self.weights = np.zeros(2 * nw + 2 * nc)
+        halves = self.weights[:2 * nw].reshape(2, nw)
+        self.val, self.mirror = halves
+        self.cur, self.jac_w_from = halves[:, :nb], halves[::-1, nb:]
+        self.jac_w = self.weights[2 * nw:].reshape(2, nc)
+        self.lin_i = self.val[:nl]
         # g: the fixed branches' conductances, then the capacitors' and the
-        # shunts', which set_conductances writes.  The fixed branches'
-        # Jacobian is built here (as floats: a netlist of capacitors alone
-        # has none, and np.bincount of none gives int64), the capacitors' and
-        # shunts' when the step or the shunt changes, the FETs' every iteration
-        self.g = np.zeros(nl)
-        self.g[:nfix] = g_fixed = _column(fixed, 4)
+        # shunts', which set_conductances writes
+        self.g = self.val[nb:nb + nl]
+        self.g[:nfix] = _column(fixed, 4)
         self.g_cap = self.g[self.cap_branches]
         self.g_shunt = self.g[self.cap_branches.stop:]
-        self.jac_fixed = np.bincount(slots[:, :nfix].reshape(-1), _stamped(
-            g_fixed, np.empty((4, nfix))), minlength=self.size).astype(float)
-        self.cap_w, self.shunt_w = np.empty((4, len(caps))), np.empty((4, len(shunts)))
-        self.jac_lin, self.jac = np.empty(self.size), np.empty(self.size)
-        self.jac_blocks = self.jac.reshape(self.batch, n1, n1)[:, :n, :n]
-        self.flat_cap, self.flat_shunt = (slots[:, part].reshape(-1) for part in (
-            self.cap_branches, slice(self.cap_branches.stop, nl)))
+        self.fet_out = (self.val[nl:nb], self.val[nb + nl:nb + nl + nf], self.val[nb + nl + nf:])
         self.i0 = np.zeros(nl)
         self.i0_cap = self.i0[self.cap_branches]
         self.i0_src = self.i0[src_branches].reshape(self.batch, -1)
-        # the weights of one scatter, in the order of bins: val (the linear
-        # branch currents, then the FETs' currents, gm and gds, which
-        # square_law writes in place), its negation mirror, then fet_w,
-        # w = (gm, gds) negated and as it is, so that the FETs' Jacobian
-        # weights run w, -w, -w, w; cur is each branch current for its
-        # first end and, negated, for its second
-        nw = nl + 3 * nf
-        self.weights = np.zeros(2 * nw + 4 * nf)
-        halves = self.weights[:2 * nw].reshape(2, nw)
-        self.val, self.mirror = halves
-        self.cur, self.fet_w_from = halves[:, :nb], halves[::-1, nb:]
-        self.fet_w = self.weights[2 * nw:].reshape(2, 2 * nf)
-        self.lin_i = self.val[:nl]
-        self.fet_out = (self.val[nl:nb], self.val[nb:nb + nf], self.val[nb + nf:])
-        # one np.bincount over bins sums the currents into F's n_f slots
-        # and the FET weights into the FETs' Jacobian, size slots after them
+        # one np.bincount over bins sums the currents into F's n_f slots and
+        # the Jacobian weights after them, at each column's slots (p, c),
+        # (p, d), (q, c), (q, d) of the n+1 x n+1 blocks of the flat
+        # Jacobian, whose ground rows and columns nothing reads
         self.n_f = self.batch * n1
-        pc, pd, qc, qd = self.n_f + slots[:, nl:]
+        pc, pd, qc, qd = (self.n_f + np.concatenate((p, p, q, q)) * n1
+                          + np.concatenate((c, d, c, d)) % n1).reshape(4, -1)
         self.bins = np.concatenate((self.ends[:nb], pc, self.ends[nb:], pd, qc, qd))
-        self.n_bins = self.n_f + self.size
+        self.n_bins = self.n_f + self.batch * n1 * n1
         # scale's |branch currents| and its maxima over each end's slots
         self.cur_mag, self.mags = np.empty((2, nb)), np.empty(self.n_f)
         self.node_mags = self.mags.reshape(-1, n1)[:, :nv]
@@ -580,16 +561,11 @@ class _Circuit:
 
     def set_conductances(self, geq, shunt):
         """Set what stays fixed while the step size does: the linear-branch
-        conductances g and their flat Jacobian, both written in place.  geq
-        are the capacitor companion conductances (zeros for DC), shunt the
-        gmin-stepping conductance from every node to ground."""
+        conductances g, written in place.  geq are the capacitor companion
+        conductances (zeros for DC), shunt the gmin-stepping conductance
+        from every node to ground."""
         self.g_cap[:] = geq
         self.g_shunt.fill(shunt)
-        np.add(self.jac_fixed, np.bincount(self.flat_cap, _stamped(geq, self.cap_w),
-                                           minlength=self.size), out=self.jac_lin)
-        if shunt:
-            self.jac_lin += np.bincount(self.flat_shunt, _stamped(self.g_shunt, self.shunt_w),
-                                        minlength=self.size)
 
     def set_sources(self, ihist, svals):
         """Set the linear branches' offset currents i0: the capacitor
@@ -607,8 +583,8 @@ class _Circuit:
     def residual(self, x):
         """KCL residual F (batch x n) at x (batch x n+1, ground 0 last).
 
-        F stays in f, the branch currents in cur and the FETs' Jacobian in
-        fet_jac until the next call: kcl, scale and jacobian read them.
+        F stays in f, the branch currents in cur and the Jacobian's blocks
+        in jac_blocks until the next call: kcl, scale and jacobian read them.
         """
         # the indices are in range by construction; mode="raise" would
         # gather into a temporary and copy it to out
@@ -618,10 +594,10 @@ class _Circuit:
         self.lin_i += self.i0
         square_law(self.vth, self.k, self.lam, self.vgs, self.vds, self.fet_out)
         np.negative(self.val, self.mirror)
-        np.copyto(self.fet_w, self.fet_w_from)
+        np.copyto(self.jac_w, self.jac_w_from)
         sums = np.bincount(self.bins, self.weights, minlength=self.n_bins)
         self.f, self.kcl_test = sums[:self.n_f].reshape(-1, self.n1)[:, :self.n], None
-        self.fet_jac = sums[self.n_f:]
+        self.jac_blocks = sums[self.n_f:].reshape(self.batch, self.n1, self.n1)
         return self.f
 
     def scale(self):
@@ -635,17 +611,16 @@ class _Circuit:
         return self.node_mags
 
     def jacobian(self):
-        """dF/dx at residual's last x, batch x n x n: the linear branches'
-        Jacobian plus the FETs'.  A strided view of the leading n x n of
-        each block of a buffer, valid until the next call."""
-        np.add(self.jac_lin, self.fet_jac, out=self.jac)
-        return self.jac_blocks
+        """dF/dx at residual's last x, batch x n x n: a strided view of the
+        leading n x n of each of residual's Jacobian blocks, valid until the
+        next residual call."""
+        return self.jac_blocks[:, :self.n, :self.n]
 
     def cap_voltages(self, x):
         """The capacitor branches' voltages x[c] - x[d] at x (batch x n+1),
         by residual's gather and subtraction: a view of a buffer, valid until
-        the next residual or cap_voltages call.  F, cur, the FETs' Jacobian
-        and the KCL test are left as they were."""
+        the next residual or cap_voltages call.  F, cur, the Jacobian and the
+        KCL test are left as they were."""
         x.take(self.hilo, out=self.pair, mode="clip")
         np.subtract(self.x_hi, self.x_lo, self.dv)
         return self.v_lin[self.cap_branches]
@@ -697,7 +672,7 @@ class _Circuit:
                 if any(s > self.clip for s in step):  # clip the node-voltage updates
                     lim = np.array(self.vlimit)[pick, None]
                     dx_v = dx[:, :self.nv]
-                    np.clip(dx_v, -lim, lim, out=dx_v)
+                    np.minimum(np.maximum(dx_v, -lim, out=dx_v), lim, out=dx_v)
                     step = np.maximum.reduce(np.abs(dx), axis=1).tolist()
                 for j, b in enumerate(members):
                     if j in singular:
@@ -998,7 +973,7 @@ def transient_batch(nets: list[Netlist], *,
         x = predicted.copy()
         t = [m.next for m in batch]
         h = [m.h for m in batch]
-        if h != steps:  # geq, and so g and the linear Jacobian, depend on h alone
+        if h != steps:  # geq, and so g, depend on h alone
             steps = h
             geq = (2.0 if trap else 1.0) * ckt.cap_c / np.array(h)[ckt.cap_member]
             ckt.set_conductances(geq, 0.0)
