@@ -18,8 +18,10 @@ into index arrays over two forms of branch, both a current from end p to q:
     its ends and its gate pair, and its current needs no sign.
 
 Ground is index n, one past the last unknown: every solution vector carries
-a trailing 0 there, and F and each Jacobian block carry its row and column
-n, which nothing reads, so no stamp tests for ground.  One stamp gives every
+a trailing 0 there, and F carries its row n, which nothing reads, so no
+stamp tests for ground.  Each member's Jacobian block is a contiguous n x n;
+the compile step sends every stamp on ground's row or column to one spare
+slot past the blocks, which nothing reads either.  One stamp gives every
 Jacobian entry: a derivative w by x[c] - x[d] adds w, -w, -w, w at (p, c),
 (p, d), (q, c), (q, d), once per linear branch and per FET once for gm and
 once for gds (Ho, Ruehli and Brennan, IEEE TCAS 1975).  So one table, a
@@ -46,10 +48,12 @@ that the compile step allocates, the same for a batch of one as of many:
   4. one np.bincount sums the currents into the KCL residual F and the
      weights into the whole Jacobian J, in the slots after F's (each slot
      adds the same terms in the same order as a scatter of F or of J
-     alone), and J is a view of those slots;
+     alone), and J is a view of those slots, its members' blocks;
   5. one LAPACK call solves J dx = -F with the probe below into the
      solution buffer, and one np.abs into a buffer and one reduction along
-     its rows give each member's |dx|inf and |z|inf.
+     its rows give each member's |dx|inf and |z|inf.  When every member
+     iterates, the solve reads the blocks and F themselves, and one
+     in-place addition applies dx.
 
 _Circuit also owns the buffers of the solve (_SolveBuffers): the right-hand
 sides, |J| and its row sums, the solutions and their magnitudes, with the
@@ -90,12 +94,12 @@ update test the unknown of the largest |dx|, and its worst KCL node.
 A batch of B netlists with the same nodes and sources is compiled as the
 disjoint union of its members' branches: member b's unknowns and its own
 ground slot sit at offset b*(n+1) of one flat vector, so one scatter serves
-the whole batch and the Jacobian reshapes to B blocks of n+1 x n+1, whose
-leading n x n LAPACK solves.  Newton runs the members in lockstep: each
-keeps its own convergence test, update clip and divergence check, and a
-member that has converged is frozen, so its solution, iteration count and
-KCL excess are exactly those of a run alone.  The members still iterating
-are solved together.  A member that fails drops out, and so do the members
+the whole batch, and the Jacobian is B contiguous n x n blocks, which
+LAPACK solves.  Newton runs the members in lockstep: each keeps its own
+convergence test, update clip and divergence check, and a member that has
+converged is frozen, so its solution, iteration count and KCL excess are
+exactly those of a run alone.  The members still iterating are solved
+together.  A member that fails drops out, and so do the members
 after it; the batch then raises the failure of its lowest-index failing
 member.  ``transient_batch`` runs netlists with the same nodes and sources
 as one batch, in lockstep rounds that try the next step of every member
@@ -112,33 +116,34 @@ and its LAPACK system are its own, so its arithmetic does not change.
 ``transient`` is a batch of one.
 
 Each Newton step is one call of numpy's LAPACK gufunc (the one behind
-np.linalg.solve, without that wrapper's checks) on the stacked
-J dx = -F together with a probe right-hand side D p, p fixed and D = diag(r),
-r_i the sum of |J_ij| over row i, taken as one reduction along the rows of
-|J|, and p one read-only row that every stack broadcasts.  The two
-right-hand sides are the rows of one batch x 2 x n buffer, which the
-gufunc reads transposed, as its columns, and it writes the two solutions
-dx and z transposed too, as the rows of a second such buffer: dx and z
-are contiguous rows, and their norms a reduction along them.  np.errstate
-wraps the gufunc's call alone, so that no warning of the residual or its
-scatter is hidden.  LAPACK sees J unchanged; the probe's solution z is that
-of the row-equilibrated D^-1 J z = p (Golub and Van Loan, Matrix Computations,
+np.linalg.solve, without that wrapper's checks) on the stacked J dx = -F
+together with a probe right-hand side D p, p fixed and D = diag(r), r_i the
+sum of |J_ij| over row i, taken as the product |J| @ ones, and p and ones
+read-only rows that every stack broadcasts.  The two right-hand sides are the
+rows of one batch x 2 x n buffer, which the gufunc reads transposed, as its
+columns, and it writes the two solutions dx and z transposed too, as the
+rows of a second such buffer: dx and z are contiguous rows, and their norms
+a reduction along them.  numpy's error state ignores every floating-point
+flag for the gufunc's call alone: it is set to a state built once at import
+and reset after the call, so that no warning of the residual or its scatter
+is hidden.  LAPACK sees J unchanged; the probe's solution z is that of the
+row-equilibrated D^-1 J z = p (Golub and Van Loan, Matrix Computations,
 sec. 3.5), and |D^-1 J|inf = 1, so |z|inf estimates the condition of
-D^-1 J.  A product sums a row in another order than a row reduction, so r
-and z may move in their last bits with the way r is taken, but dx does
-not: LAPACK factors J alone, no column's values enter another's solution,
-and z feeds only the test against _PROBE_KAPPA.  But dx is this two-column
-solve's, not a one-column solve's (up to 2e-16 of the largest entry apart):
-dropping the probe moves the decoder's waveforms.  LAPACK factors each
-system of the stack on its own, and the gufunc returns NaN for a system it
-cannot factor, leaving the others as they are alone.  A system is doubtful
-where its dx is not finite (NaN included) or |z|inf reaches _PROBE_KAPPA,
-and the doubtful ones go to one stacked SVD of D^-1 J (Golub and Van Loan,
-sec. 2.4).  A smallest singular value of at most 1e-14 times the largest
-makes the matrix singular: _solve returns the indices of the unknowns
-that its null vector moves, and Newton's SingularMatrixError names them,
-node names and i(<source>) as in the CSV header.  Otherwise the SVD gives
-dx.
+D^-1 J.  A product sums a row in another order than a row reduction, so r,
+z and the SVD's dx below may move in their last bits with the way r is
+taken, but LAPACK's dx does not: LAPACK factors J alone, no column's values
+enter another's solution, and z feeds only the test against _PROBE_KAPPA.
+But dx is this two-column solve's, not a one-column solve's (up to 2e-16 of
+the largest entry apart): dropping the probe moves the decoder's waveforms.
+LAPACK factors each system of the stack on its own, and the gufunc returns
+NaN for a system it cannot factor, leaving the others as they are alone.  A
+system is doubtful where its dx is not finite (NaN included) or |z|inf
+reaches _PROBE_KAPPA, and the doubtful ones go to one stacked SVD of D^-1 J
+(Golub and Van Loan, sec. 2.4).  A smallest singular value of at most 1e-14
+times the largest makes the matrix singular: _solve returns the indices of
+the unknowns that its null vector moves, and Newton's SingularMatrixError
+names them, node names and i(<source>) as in the CSV header.  Otherwise the
+SVD gives dx.
 
 If the plain DC solve fails, it is retried with gmin stepping: shunts of
 _GMIN * 10**(_GMIN_STEPS - s) from every node to ground for s = 0.._GMIN_STEPS,
@@ -171,10 +176,12 @@ error estimate (Nagel, SPICE2, UCB/ERL M520, 1975)
 with the predictor below.  A step above the floor (beyond rounding) is
 rejected when err > tol or Newton fails there, and retried shorter: by the
 same formula, or by 8x after a Newton failure.  A step at or below the
-floor is never rejected; a Newton failure there fails the run, and so
-does a retry that is not shorter than the step rejected; _Member.settle
-alone applies this rule.  So the settled stretches of a card with a dtmax
-above dt cost a few steps each, and a card without one never rejects a step.
+floor is never rejected for its error.  If Newton fails there, the step is
+retried once from the same point at an eighth of its length, below the
+floor, and a failure of that retry fails the run, as does a retry that is
+not shorter than the step rejected; _Member.settle alone applies this rule.
+So the settled stretches of a card with a dtmax above dt cost a few steps
+each, and a card without one never rejects a step for its error.
 
 Every capacitor C, the FETs' lumped cg and cd included, becomes the
 companion i = geq*v + ihist of its branch voltage v over a step h, in
@@ -214,6 +221,7 @@ from dataclasses import dataclass, field, replace
 from typing import TextIO
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .devices import square_law
@@ -285,11 +293,21 @@ _PROBE_KAPPA = 1e8
 _lapack_solve = _umath_linalg.solve
 
 
-# np.linalg.solve ignores the same flags, but calls "invalid", the flag of
-# a failed system, to raise LinAlgError for the whole stack
-@np.errstate(all="ignore")
+# np.errstate(all="ignore")'s error state, built once at import (its buffer
+# size and error callback are import time's, which no solve reads).
+# np.linalg.solve ignores the same flags, but calls "invalid", the flag of a
+# failed system, to raise LinAlgError for the stack
+_IGNORE_ALL = _make_extobj(all="ignore")
+
+
 def _lapack(a, b, out):
-    return _lapack_solve(a, b, out=out)
+    """The gufunc's solve with every floating-point flag ignored, and the
+    caller's error state set again after it, as np.errstate sets them."""
+    token = _extobj_contextvar.set(_IGNORE_ALL)
+    try:
+        return _lapack_solve(a, b, out=out)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 class _SolveBuffers:
@@ -297,16 +315,16 @@ class _SolveBuffers:
     Each system's two right-hand sides -F and D p are its rows of one
     batch x 2 x n buffer, and their solutions dx and z its rows of another,
     sol: LAPACK reads the first and writes sol transposed, as columns.
-    Three more buffers take |sol|, |J| and the row sums r of |J|; the probe
-    p = cos(1..n) is one read-only row, which every stack broadcasts.
-    views[m] holds the views of the first m rows of each that a solve of m
-    systems works in, made once."""
+    Three more buffers take |sol|, |J| and the row sums r = |J| @ ones of
+    |J|; the probe p = cos(1..n) and ones are read-only rows, which every
+    stack broadcasts.  views[m] holds the views of the first m rows of each
+    that a solve of m systems works in, made once."""
 
     def __init__(self, batch: int, n: int):
         rhs, self.sol, mag = (np.empty((batch, 2, n)) for _ in range(3))
         abs_a, r = np.empty((batch, n, n)), np.empty((batch, n))
-        self.probe = np.cos(np.arange(1.0, n + 1.0))
-        self.probe.flags.writeable = False
+        self.probe, self.ones = np.cos(np.arange(1.0, n + 1.0)), np.ones(n)
+        self.probe.flags.writeable = self.ones.flags.writeable = False
         self.views = [(rhs[:m, 0], rhs[:m, 1], rhs[:m].transpose(0, 2, 1),
                        self.sol[:m].transpose(0, 2, 1), self.sol[:m, 0], self.sol[:m],
                        mag[:m], abs_a[:m], r[:m]) for m in range(batch + 1)]
@@ -315,9 +333,8 @@ class _SolveBuffers:
 def _solve(a: np.ndarray, f: np.ndarray, buf: _SolveBuffers
            ) -> tuple[np.ndarray, list[float], dict[int, list[int]]]:
     """Newton's updates dx[j] = -a[j]^-1 f[j] for the stack of systems a
-    (m x n x n, maybe a strided view) and residuals f (m x n), with the
-    probe and the SVD of the module docstring, worked in the first m rows
-    of buf.
+    (m x n x n) and residuals f (m x n), with the probe and the SVD of the
+    module docstring, worked in the first m rows of buf.
 
     Returns dx, each |dx[j]|inf as a float (NaN if dx[j] holds a NaN), and
     for each system j the SVD rejects, whose dx[j] is then undefined, the
@@ -328,7 +345,7 @@ def _solve(a: np.ndarray, f: np.ndarray, buf: _SolveBuffers
     """
     neg_f, dp, rhs_t, sol_t, dx, sol, mag, abs_a, r = buf.views[len(f)]
     np.negative(f, neg_f)
-    np.add.reduce(np.abs(a, out=abs_a), axis=2, out=r)
+    np.matmul(np.abs(a, out=abs_a), buf.ones, out=r)
     np.multiply(buf.probe, r, dp)
     _lapack(a, rhs_t, sol_t)
     # dx and z are the contiguous rows of sol: one reduction along them
@@ -357,7 +374,7 @@ class RunStats:
     steps: int = 0              # accepted steps
     newton_iterations: int = 0
     rejected_lte: int = 0       # steps above the floor rejected by the LTE test
-    rejected_newton: int = 0    # ... and by a Newton failure
+    rejected_newton: int = 0    # ... and by a Newton failure, floor retries included
     kcl_excess: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # kcl_excess[i] = max over nodes of (|residual| - _RELTOL*scale) at the
     # iterate whose KCL test accepted point i: the solution itself, or the
@@ -447,8 +464,8 @@ class _Circuit:
     their offset currents i0 and Newton's update clip (set_sources).
 
     Member b's unknowns sit at b*(n+1) .. b*(n+1) + n-1, its ground at
-    b*(n+1) + n and its Jacobian in the n+1 x n+1 block b of residual's
-    scatter.
+    b*(n+1) + n and its Jacobian in the contiguous n x n block b of
+    residual's scatter.
     A single circuit is a batch of one.  The netlists are valid:
     dc_operating_point and transient_batch validate each once.
     """
@@ -547,16 +564,21 @@ class _Circuit:
         self.i0_src = self.i0[src_branches].reshape(self.batch, -1)
         # one np.bincount over bins sums the currents into F's n_f slots and
         # the Jacobian weights after them, at each column's slots (p, c),
-        # (p, d), (q, c), (q, d) of the n+1 x n+1 blocks of the flat
-        # Jacobian, whose ground rows and columns nothing reads
+        # (p, d), (q, c), (q, d) of its member's n x n block, or at one
+        # spare slot past the blocks, which nothing reads, for a slot on
+        # ground's row or column
         self.n_f = self.batch * n1
-        pc, pd, qc, qd = (self.n_f + np.concatenate((p, p, q, q)) * n1
-                          + np.concatenate((c, d, c, d)) % n1).reshape(4, -1)
+        spare = self.n_f + self.batch * n * n
+        member, row = np.divmod(np.concatenate((p, p, q, q)), n1)
+        col = np.concatenate((c, d, c, d)) % n1
+        block = self.n_f + (member * n + row) * n + col
+        pc, pd, qc, qd = np.where((row == n) | (col == n), spare, block).reshape(4, -1)
         self.bins = np.concatenate((self.ends[:nb], pc, self.ends[nb:], pd, qc, qd))
-        self.n_bins = self.n_f + self.batch * n1 * n1
+        self.n_bins = spare + 1
         # scale's |branch currents| and its maxima over each end's slots
         self.cur_mag, self.mags = np.empty((2, nb)), np.empty(self.n_f)
         self.node_mags = self.mags.reshape(-1, n1)[:, :nv]
+        self.kcl_tol = np.empty((self.batch, nv))  # _RELTOL * scale
         self.solve_buf = _SolveBuffers(self.batch, n)
 
     def set_conductances(self, geq, shunt):
@@ -597,7 +619,7 @@ class _Circuit:
         np.copyto(self.jac_w, self.jac_w_from)
         sums = np.bincount(self.bins, self.weights, minlength=self.n_bins)
         self.f, self.kcl_test = sums[:self.n_f].reshape(-1, self.n1)[:, :self.n], None
-        self.jac_blocks = sums[self.n_f:].reshape(self.batch, self.n1, self.n1)
+        self.jac_blocks = sums[self.n_f:-1].reshape(self.batch, self.n, self.n)
         return self.f
 
     def scale(self):
@@ -611,10 +633,9 @@ class _Circuit:
         return self.node_mags
 
     def jacobian(self):
-        """dF/dx at residual's last x, batch x n x n: a strided view of the
-        leading n x n of each of residual's Jacobian blocks, valid until the
-        next residual call."""
-        return self.jac_blocks[:, :self.n, :self.n]
+        """dF/dx at residual's last x, batch x n x n: residual's contiguous
+        Jacobian blocks, valid until the next residual call."""
+        return self.jac_blocks
 
     def cap_voltages(self, x):
         """The capacitor branches' voltages x[c] - x[d] at x (batch x n+1),
@@ -662,8 +683,12 @@ class _Circuit:
                 break
             # the rows of the members still iterating
             solved = members
-            pick = slice(None) if len(members) == batch else np.array(members, dtype=np.intp)
-            dx, step, singular = _solve(self.jacobian()[pick], f[pick], self.solve_buf)
+            if len(members) == batch:  # the blocks and F themselves
+                pick, jac, f_it = slice(None), self.jacobian(), f
+            else:
+                pick = np.array(members, dtype=np.intp)
+                jac, f_it = self.jacobian()[pick], f[pick]
+            dx, step, singular = _solve(jac, f_it, self.solve_buf)
             # NaN propagates through np.maximum and fails every test of a
             # step: a non-finite update has a step that is not below inf.
             # The steps are >= 0, so a sum within the clip keeps each within
@@ -684,7 +709,10 @@ class _Circuit:
                         continue
                     iters[b] = it + 1
                     dx[j], step[j] = 0.0, math.nan  # x[b] stays; NaN meets no test
-            xs[pick] += dx
+            if f_it is f:
+                np.add(xs, dx, out=xs)
+            else:
+                xs[pick] += dx
             # x_k + dx is accepted when dx met _VTOL and KCL held at x_k
             met = [b for b, s in zip(members, step) if s <= _VTOL]
             if failed:
@@ -709,7 +737,8 @@ class _Circuit:
         each node's excess |F| - _RELTOL * scale, batch x nv, and each
         member's largest as a list of floats."""
         if self.kcl_test is None:
-            over = np.abs(self.f[:, :self.nv]) - _RELTOL * self.scale()
+            over = np.abs(self.f[:, :self.nv])
+            over -= np.multiply(_RELTOL, self.scale(), out=self.kcl_tol)
             self.kcl_test = over, np.maximum.reduce(over, axis=1).tolist()
         return self.kcl_test
 
@@ -788,7 +817,8 @@ class _Member:
     segment from bps[seg] to bps[seg + 1], its last accepted point at t,
     reached by a step of h_last (inf at the DC point).  The next attempt is
     a step of h to the time point next; it may be rejected only if free,
-    that is if h is above the floor.  times, iters (Newton updates) and
+    that is if h is above the floor, and retry marks the one retry of a
+    step at the floor that Newton failed.  times, iters (Newton updates) and
     excess (KCL excess) hold one entry per accepted point, and blocks its
     solutions (ground 0 last), _BLOCK rows to an array rather than one
     array each; pending counts the updates since the last one, and error
@@ -842,6 +872,7 @@ class _Member:
                 h = 0.5 * rest
             self.h, self.next = h, self.t + h
         self.free = self.h > self.floor * (1.0 + 1e-9)
+        self.retry = False
 
     def settle(self, x: np.ndarray, iters: int, excess: float, err: float,
                failure: Exception | None, expo: float) -> bool:
@@ -864,7 +895,7 @@ class _Member:
                 self._plan(self.h * factor)
             return True
         self.pending += iters
-        if not self.free:
+        if self.retry:  # never free: the floor step's retry failed too
             self.error = failure
             return False
         if failure is None:
@@ -872,7 +903,11 @@ class _Member:
         else:
             self.rejected_newton += 1
         rejected = self.h
-        self._plan(rejected * factor)
+        if self.free:
+            self._plan(rejected * factor)
+        else:  # a floor step that Newton failed: once more, 8x shorter
+            self.h = rejected * factor
+            self.next, self.retry = self.t + self.h, True
         if not self.h < rejected:  # a step rule defect: it would loop here
             self.error = ConvergenceError(
                 f"rejected step of {rejected:.6g}s at t={self.t:.6g}s was not "

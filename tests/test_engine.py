@@ -14,6 +14,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ import pytest
 
 from mvlsim import engine
 from mvlsim.cells import CellSpec, build_staircase_testbench
-from mvlsim.characterize import RunConfig
+from mvlsim.characterize import RunConfig, run_decoder
 from mvlsim.devices import preset
 from mvlsim.engine import (
     ConvergenceError,
@@ -359,6 +360,26 @@ class TestSolveLinear:
         for j, a in enumerate((good, 2.0 * good)):
             alone, alone_step, _ = _solve(a[None], f[j:j + 1], _SolveBuffers(1, 2))
             assert np.array_equal(dx[j], alone[0]) and step[j] == alone_step[0]
+
+    def test_lapack_ignores_flags_for_its_call_alone(self):
+        # the singular system's failure warns nothing, the caller's error
+        # state is the same after the call, and a caller's "raise" still
+        # raises on the next numpy operation
+        good = np.array([[2.0, 1.0], [1.0, 3.0]])
+        bad = np.array([[1.0, 2.0], [2.0, 4.0]])
+        a, b, out = np.stack((good, bad)), np.ones((2, 2, 1)), np.empty((2, 2, 1))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine._lapack(a, b, out)
+        assert np.isfinite(out[0]).all() and np.isnan(out[1]).all()
+        assert np.geterr() == before
+        with np.errstate(invalid="raise"):
+            engine._lapack(a, b, out)
+            assert np.geterr() == before | {"invalid": "raise"}
+            with pytest.raises(FloatingPointError):
+                np.sqrt(np.array(-1.0))
+        assert np.geterr() == before
 
     def test_lapack_gufunc_is_numpys_solve(self):
         # _solve calls numpy's private gufunc behind np.linalg.solve; a numpy
@@ -752,7 +773,8 @@ class TestTransient:
 
     def test_singular_matrix_carries_time_point(self, monkeypatch):
         # every step of RC is a floor step, so a singular matrix at the
-        # third time point fails the run there
+        # third time point is retried once from the second, at an eighth of
+        # the step, and the run fails at that fourth attempt
         attempts = []
         newton, solve_stack = _Circuit.newton, engine._solve
 
@@ -770,8 +792,9 @@ class TestTransient:
         monkeypatch.setattr(engine, "_solve", singular_at_third_point)
         with pytest.raises(SingularMatrixError) as ei:
             transient(parse(RC))
-        assert len(attempts) == 3 and attempts[2] > attempts[1] > 0.0
-        assert ei.value.t == attempts[2] and ei.value.member == 0
+        assert len(attempts) == 4 and attempts[2] > attempts[3] > attempts[1] > 0.0
+        assert attempts[3] - attempts[1] == pytest.approx((attempts[2] - attempts[1]) / 8)
+        assert ei.value.t == attempts[3] and ei.value.member == 0
         assert ei.value.unknowns == ("out",)  # index 1 of in, out, i(v1)
 
     def test_bit_identical_reruns(self):
@@ -1117,11 +1140,14 @@ class TestStepControl:
     F, CEIL, TOL = 1e-12, 5e-11, engine._LTE_TOL
 
     @pytest.mark.parametrize("h, err, fails, outcome, h_next", [
-        # at the floor: taken whatever err, and a Newton failure fails
+        # at the floor: taken whatever err, and a Newton failure retried
+        # once, 8x shorter, below the floor; a failed retry fails the run
         (F, 0.0, False, "taken", 2 * F),
         (F, TOL, False, "taken", F),
         (F, 4 * TOL, False, "taken", F),
-        (F, 0.0, True, "failed", F),
+        (F, 0.0, True, "rejected_newton", F / 8),
+        (F / 8, 0.0, True, "failed", F / 8),
+        (F / 8, 4 * TOL, False, "taken", F),
         # free: taken within TOL, else retried shorter
         (16 * F, 0.0, False, "taken", 32 * F),
         (16 * F, TOL / 4, False, "taken", 16 * F * (0.9 * (TOL / (TOL / 4)) ** 0.5)),
@@ -1134,19 +1160,23 @@ class TestStepControl:
         m = _Member([], Transient(dt=self.F, tstop=1e-9, dtmax=self.CEIL))
         m.record(np.zeros(2), 0.0, 1)  # the DC point
         m._plan(h)
-        assert (m.h, m.free) == (h, h > self.F)
+        retry = h < self.F  # the retry of a floor step that Newton failed
+        if retry:
+            m._plan(self.F)
+            m.settle(np.ones(2), 3, 0.0, 0.0, ConvergenceError("no convergence"), 0.5)
+        assert (m.h, m.free, m.retry) == (h, h > self.F, retry)
         failure = ConvergenceError("no convergence", t=m.next) if fails else None
         tried = m.next
         taken = m.settle(np.ones(2), 3, 0.0, err, failure, 0.5)
         assert taken == (outcome == "taken")
         moved = {"taken": len(m.times) - 1, "rejected_lte": m.rejected_lte,
-                 "rejected_newton": m.rejected_newton}
+                 "rejected_newton": m.rejected_newton - retry}
         assert moved == {k: int(k == outcome) for k in moved}
-        assert m.h == h_next
+        assert m.h == h_next and not (taken and m.retry)
         if taken:
-            assert (m.t, m.times, m.iters, m.pending) == (tried, [0.0, tried], [1, 3], 0)
+            assert (m.t, m.times, m.iters, m.pending) == (tried, [0.0, tried], [1, 3 + 3 * retry], 0)
         else:
-            assert (m.t, m.next, m.times, m.pending) == (0.0, h_next, [0.0], 3)
+            assert (m.t, m.next, m.times, m.pending) == (0.0, h_next, [0.0], 3 + 3 * retry)
         assert m.error is failure if outcome == "failed" else m.error is None
 
     # an input edge at 1 ns, of 1 ulp or of 1e-20 s, under .tran 1p 2n with
@@ -1169,6 +1199,13 @@ class TestStepControl:
             _Member([net.device("v1").stimulus], tran)
         with pytest.raises(ValueError, match=message):
             transient(net)
+
+    def test_floor_step_that_newton_fails_is_retried_shorter(self):
+        # at hold 1 ns and load 3 fF, Newton fails a gnrfet32 step at the
+        # floor near 2.06 ns after 100 updates; its retry at an eighth of
+        # the step converges and the run completes
+        run = run_decoder(RunConfig(tech="gnrfet32", hold=1e-9, load=3e-15))
+        assert run.logic_ok and run.wset.stats.rejected_newton == 1
 
     def test_steep_edge_with_a_dtmax_runs(self):
         # the 1e-20 s edge's floor is 1e-21 s, but the step grows to 100 ps
@@ -1446,10 +1483,10 @@ class TestLinearize:
             assert np.array_equal(a, b)
 
     def test_ground_rows_and_columns_of_the_jacobian_are_never_read(self):
-        # each member's Jacobian block of the scatter is n+1 x n+1 with
-        # ground last; NaN written into ground's row and column of every
-        # block after each residual call leaves J and a Newton solve
-        # bitwise those of a circuit without it
+        # every stamp on ground's row or column goes to the scatter's one
+        # spare slot, past the contiguous n x n blocks; NaN written there
+        # after each residual call leaves J and a Newton solve bitwise
+        # those of a circuit without it
         nets = [staircase(**kw) for kw in BATCH_UNEVEN_CAPS]
         ckt = _Circuit(nets)
         rng = np.random.default_rng(17)
@@ -1463,19 +1500,22 @@ class TestLinearize:
 
                 def poisoned(x):
                     f = residual(x)
-                    blocks = ckt.jac_blocks
-                    blocks[:, ckt.n, :] = blocks[:, :, ckt.n] = np.nan
+                    sums = ckt.jac_blocks.base  # the whole scatter
+                    assert sums.shape == (ckt.n_bins,)
+                    sums[-1] = np.nan
                     return f
                 ckt.residual = poisoned
             ckt.set_conductances(ckt.cap_c / 1e-12, 0.0)
             ckt.set_sources(ihist, source_values(nets, [3e-9, 7e-9]))
             ckt.residual(x)
             jac, xn = ckt.jacobian().copy(), x.copy()
+            assert ckt.jacobian().flags.c_contiguous and jac.shape == (2, ckt.n, ckt.n)
             iters, excess, failed = ckt.newton(xn, [0, 1], t=[3e-9, 7e-9])
             assert not failed and np.isfinite(jac).all()
-            assert np.isnan(ckt.jac_blocks[:, ckt.n]).all() == poison
+            assert np.isnan(ckt.jac_blocks.base[-1]) == poison
             return jac, xn, iters, excess
 
+        assert np.count_nonzero(ckt.bins == ckt.n_bins - 1) > 0  # ground's stamps
         plain, poisoned = linearization(ckt, False), linearization(_Circuit(nets), True)
         for a, b in zip(plain, poisoned):
             assert np.array_equal(a, b)

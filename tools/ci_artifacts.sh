@@ -11,8 +11,10 @@
 # by this checkout's perfbench/digit_stream.py).  Then each run writes its
 # files to OUT/<name> and its stdout to OUT/<name>.stdout: compare, the
 # README load sweep, a hold sweep (its members stop at 4, 8 and 12 ns, so
-# the batch narrows at three rounds), a vth_scale sweep, the gnrfet32
-# decoder in its json and csv formats, the gnrfet32 testbench netlist
+# the batch narrows at three rounds), a vth_scale sweep, a one-point
+# gnrfet32 load sweep at hold 1 ns and 3 fF (Newton fails a step at the
+# floor there, and the run goes on by its one retry, 8x shorter), the
+# gnrfet32 decoder in its json and csv formats, the gnrfet32 testbench netlist
 # (written to OUT/in, its stdout to OUT/in.stdout) and run of each netlist.
 # Every run is made; a run that exits non-zero is named on stderr, and the
 # script then exits 1.
@@ -48,6 +50,7 @@ artifact compare compare --format table --format json
 artifact sweep sweep --param load --start 1e-15 --stop 5e-15 --count 5
 artifact hold sweep --param hold --start 1e-9 --stop 3e-9 --count 3
 artifact vth sweep --param vth_scale --start 0.9 --stop 1.1 --count 3
+artifact retry sweep --tech gnrfet32 --hold 1e-9 --param load --start 3e-15 --stop 3e-15 --count 1
 artifact decoder decoder --tech gnrfet32 --format json --format csv
 artifact in cell testbench --tech gnrfet32
 artifact testbench run "$out/in/testbench_gnrfet32.sp"
