@@ -96,6 +96,8 @@ def resolve_tech(name: str) -> TechnologyCard:
 def build_cell(name: str, cfg: RunConfig, tech: TechnologyCard) -> Netlist:
     """One generated cell by CLI name, with cfg's supply and load and, for
     the testbench, its hold, slew and dt; vlc indices are 1-based here."""
+    if name not in CELL_NAMES:
+        raise ValueError(f"unknown cell {name!r}; one of: {', '.join(CELL_NAMES)}")
     spec = CellSpec(tech=tech, levels=LevelMap(4, cfg.vdd), load=cfg.load)
     if name.startswith("vlc"):
         return build_vlc(int(name[3:]) - 1, spec)
@@ -105,9 +107,7 @@ def build_cell(name: str, cfg: RunConfig, tech: TechnologyCard) -> Netlist:
         return build_xor2(spec)
     if name == "decoder":
         return build_decoder(spec)
-    if name == "testbench":
-        return build_staircase_testbench(spec, hold=cfg.hold, slew=cfg.slew, dt=cfg.dt)
-    raise ValueError(f"unknown cell {name!r}; one of: {', '.join(CELL_NAMES)}")
+    return build_staircase_testbench(spec, hold=cfg.hold, slew=cfg.slew, dt=cfg.dt)
 
 
 # ---------------------------------------------------------------------------

@@ -19,53 +19,23 @@ into index arrays over two forms of branch, both a current from end p to q:
 
 Ground is index n, one past the last unknown: every solution vector carries
 a trailing 0 there, and F carries its row n, which nothing reads, so no
-stamp tests for ground.  Each member's Jacobian block is a contiguous n x n;
-the compile step sends every stamp on ground's row or column to one spare
-slot past the blocks, which nothing reads either.  One stamp gives every
-Jacobian entry: a derivative w by x[c] - x[d] adds w, -w, -w, w at (p, c),
-(p, d), (q, c), (q, d), once per linear branch and per FET once for gm and
-once for gds (Ho, Ruehli and Brennan, IEEE TCAS 1975).  So one table, a
-column (p, q, c, d) per derivative, gives every control voltage, branch
-current end and Jacobian slot.
+stamp tests for ground; the compile step sends every Jacobian stamp on
+ground's row or column to one spare slot past the members' blocks, which
+nothing reads either.  One stamp gives every Jacobian entry: a derivative w
+by x[c] - x[d] adds w, -w, -w, w at (p, c), (p, d), (q, c), (q, d), once per
+linear branch and per FET once for gm and once for gds (Ho, Ruehli and
+Brennan, IEEE TCAS 1975).  So one table, a column (p, q, c, d) per
+derivative, gives every control voltage, branch current end and Jacobian
+slot.
 
 At n = 22 an update's arithmetic is small next to numpy's fixed cost per
 call, so one Newton update is a fixed, short sequence of calls on buffers
 that the compile step allocates, the same for a batch of one as of many:
+_Circuit.residual's one scatter gives F and the whole Jacobian, and
+_solve's one LAPACK call gives dx.
 
-  1. one gather of x[hi], then x[lo], into one buffer and one subtraction
-     give every control voltage;
-  2. the linear branches' currents g*v + i0 go to the front of one value
-     buffer, and one square_law pass over the FETs writes their currents
-     after them, reversing the devices with vds < 0.  The buffer goes on
-     with one derivative w per column of the table: the linear branches'
-     g, whose capacitor slice takes the companions' geq when the step
-     changes and whose shunt slice changes with the shunt, then the FETs'
-     gm and gds, which the same square_law pass writes;
-  3. one negation fills the buffer's mirror half, and one copy appends
-     every w negated and as it is, so the buffer holds the weights of one
-     scatter: each branch current, for its two ends, and the Jacobian
-     weights w, -w, -w, w of every column;
-  4. one np.bincount sums the currents into the KCL residual F and the
-     weights into the whole Jacobian J, in the slots after F's (each slot
-     adds the same terms in the same order as a scatter of F or of J
-     alone), and J is a view of those slots, its members' blocks;
-  5. one LAPACK call solves J dx = -F with the probe below into the
-     solution buffer, and one np.abs into a buffer and one reduction along
-     its rows give each member's |dx|inf and |z|inf.  When every member
-     iterates, the solve reads the blocks and F themselves, and one
-     in-place addition applies dx.
-
-_Circuit also owns the buffers of the solve (_SolveBuffers): the right-hand
-sides, |J| and its row sums, the solutions and their magnitudes, with the
-probe as one read-only row.  A solve of the m members still iterating uses
-the first m rows of each.  So dx, J and the KCL scale are views: each stays
-valid until the next update, or the next call that wrote it.
-
-The KCL test's per-node scale, when Newton needs it, is one np.maximum.at
-of the branch currents' magnitudes over their ends.  Max and negation are
-exact, so no order of the branches changes a result.  Newton solves
-J dx = -F and converges when both a small update step and a small true KCL
-residual hold at every node:
+Newton solves J dx = -F and converges when both a small update step and a
+small true KCL residual hold at every node:
 
     |sum of branch currents| <= _ABSTOL + _RELTOL * max |branch current|
     |dx| <= _VTOL for every unknown
@@ -86,64 +56,50 @@ at x_k+1 before it solves, and accepts x_k+1 if it holds.  The recorded
 KCL excess is that of the iterate the test ran on, x_k or x_k+1, at most
 _ABSTOL either way.  The KCL test, with its per-node scale, is evaluated
 only when a member's update has met the update test, at the last iteration
-allowed and for a member that fails.  A member still iterating after the
-last update allowed failed the KCL test if that update met the update
-test, else the update test; its ConvergenceError names the test, for the
-update test the unknown of the largest |dx|, and its worst KCL node.
+allowed and for a member that fails.
 
 A batch of B netlists with the same nodes and sources is compiled as the
 disjoint union of its members' branches: member b's unknowns and its own
 ground slot sit at offset b*(n+1) of one flat vector, so one scatter serves
 the whole batch, and the Jacobian is B contiguous n x n blocks, which
-LAPACK solves.  Newton runs the members in lockstep: each keeps its own
-convergence test, update clip and divergence check, and a member that has
-converged is frozen, so its solution, iteration count and KCL excess are
-exactly those of a run alone.  The members still iterating are solved
-together.  A member that fails drops out, and so do the members
-after it; the batch then raises the failure of its lowest-index failing
-member.  ``transient_batch`` runs netlists with the same nodes and sources
-as one batch, in lockstep rounds that try the next step of every member
-still live.  Each member keeps its clock (time, step and accept/reject
-decision), its accepted points and its counters in one record, and its row
-of the round's last two solutions, so its run is bitwise the one it gives
-alone.  A member that is done, or dropped after a failure, leaves the
-compiled batch: the batch is compiled again for the live members (a netlist
-is validated once, before the first compile), which carry their rows (and
-under the trapezoidal rule their capacitor currents) over, so no round
-assembles or solves a member that is not live.  Each member's branches
-compile in the same order in any batch, and its Jacobian and residual slots
-and its LAPACK system are its own, so its arithmetic does not change.
-``transient`` is a batch of one.
+LAPACK solves.  Each member's branches compile in the same order in any
+batch, and its Jacobian and residual slots and its LAPACK system are its
+own, so its arithmetic does not change.  Newton runs the members in
+lockstep: each keeps its own convergence test, update clip and divergence
+check, and a member that has converged is frozen, so its solution,
+iteration count and KCL excess are exactly those of a run alone.  The
+members still iterating are solved together, and a member that fails drops
+out.
 
-Each Newton step is one call of numpy's LAPACK gufunc (the one behind
-np.linalg.solve, without that wrapper's checks) on the stacked J dx = -F
+transient_batch runs a batch in lockstep rounds that try the next step of
+every member still live.  A member is live until it is done, or until it
+or a member before it fails; the run then raises the failure of its
+lowest-index failing member.  Each member keeps its clock (time, step and
+accept/reject decision), its accepted points and its counters in one
+record, and its row of the round's last two solutions, so its run is
+bitwise the one it gives alone.  A member that is no longer live leaves
+the compiled batch: the batch is compiled again for the live members (a
+netlist is validated once, before the first compile), which carry their
+rows (and under the trapezoidal rule their capacitor currents) over, so no
+round assembles or solves a member that is not live.  transient is a batch
+of one.
+
+Each Newton step is one LAPACK call (_lapack) on the stacked J dx = -F
 together with a probe right-hand side D p, p fixed and D = diag(r), r_i the
-sum of |J_ij| over row i, taken as the product |J| @ ones, and p and ones
-read-only rows that every stack broadcasts.  The two right-hand sides are the
-rows of one batch x 2 x n buffer, which the gufunc reads transposed, as its
-columns, and it writes the two solutions dx and z transposed too, as the
-rows of a second such buffer: dx and z are contiguous rows, and their norms
-a reduction along them.  numpy's error state ignores every floating-point
-flag for the gufunc's call alone: it is set to a state built once at import
-and reset after the call, so that no warning of the residual or its scatter
-is hidden.  LAPACK sees J unchanged; the probe's solution z is that of the
-row-equilibrated D^-1 J z = p (Golub and Van Loan, Matrix Computations,
-sec. 3.5), and |D^-1 J|inf = 1, so |z|inf estimates the condition of
-D^-1 J.  A product sums a row in another order than a row reduction, so r,
-z and the SVD's dx below may move in their last bits with the way r is
-taken, but LAPACK's dx does not: LAPACK factors J alone, no column's values
-enter another's solution, and z feeds only the test against _PROBE_KAPPA.
-But dx is this two-column solve's, not a one-column solve's (up to 2e-16 of
-the largest entry apart): dropping the probe moves the decoder's waveforms.
-LAPACK factors each system of the stack on its own, and the gufunc returns
-NaN for a system it cannot factor, leaving the others as they are alone.  A
-system is doubtful where its dx is not finite (NaN included) or |z|inf
-reaches _PROBE_KAPPA, and the doubtful ones go to one stacked SVD of D^-1 J
-(Golub and Van Loan, sec. 2.4).  A smallest singular value of at most 1e-14
-times the largest makes the matrix singular: _solve returns the indices of
-the unknowns that its null vector moves, and Newton's SingularMatrixError
-names them, node names and i(<source>) as in the CSV header.  Otherwise the
-SVD gives dx.
+sum of |J_ij| over row i.  LAPACK sees J unchanged; the probe's solution z
+is that of the row-equilibrated D^-1 J z = p (Golub and Van Loan, Matrix
+Computations, sec. 3.5), and |D^-1 J|inf = 1, so |z|inf estimates the
+condition of D^-1 J.  dx is this two-column solve's, not a one-column
+solve's (up to 2e-16 of the largest entry apart): dropping the probe moves
+the decoder's waveforms.  LAPACK factors each system of the stack on its
+own, and the gufunc returns NaN for a system it cannot factor, leaving the
+others as they are alone.  A system is doubtful where its dx is not finite
+(NaN included) or |z|inf reaches _PROBE_KAPPA, and the doubtful ones go to
+one stacked SVD of D^-1 J (Golub and Van Loan, sec. 2.4).  A smallest
+singular value of at most 1e-14 times the largest makes the matrix
+singular: _solve returns the indices of the unknowns that its null vector
+moves, and Newton's SingularMatrixError names them, node names and
+i(<source>) as in the CSV header.  Otherwise the SVD gives dx.
 
 If the plain DC solve fails, it is retried with gmin stepping: shunts of
 _GMIN * 10**(_GMIN_STEPS - s) from every node to ground for s = 0.._GMIN_STEPS,
@@ -156,20 +112,20 @@ From those corners _Member alone derives its breakpoints and its floor.
 Transient analysis forces a time point at every breakpoint (every source's
 corner strictly inside (0, tstop)), merged where closer together than a
 millionth of the floor step.  The floor is the .tran dt clamped to
-tstop/1000, to dtmax and to a tenth of the shortest edge between two
-corners of different value that starts before tstop; the ceiling is the
-.tran dtmax if that exceeds dt, else the floor.  A run whose tstop over
-its ceiling exceeds _MAX_STEPS cannot finish and raises ValueError before
-its DC point.  One rule sets every step.
-Each segment between two breakpoints starts at the floor.  The step asked
-for is held between the floor and the ceiling; it takes the rest of the
-segment if that is no longer than the step up to rounding (1e-9 relative),
-and half of it if the step would leave a remainder below the floor.  So a
-step below the floor is one of the last two of its segment, and with the
-ceiling at the floor the steps are the floor's.  After each accepted point
-the step asked for is h * min(2, 0.9 * (tol / err)**(1/(p+1))), p the order
-of the rule, tol the fixed _LTE_TOL (0.1 mV) and err the local truncation
-error estimate (Nagel, SPICE2, UCB/ERL M520, 1975)
+tstop/1000, to dtmax and to a tenth of the shortest edge between two corners
+of different value that starts before tstop; the ceiling is the .tran dtmax
+if that exceeds dt, else the floor.  A run whose tstop over its ceiling
+exceeds _MAX_STEPS cannot finish and raises ValueError before its DC point.
+One rule sets every step.  Each segment between two breakpoints starts at
+the floor.  The step asked for is held between the floor and the ceiling; it
+takes the rest of the segment if that is no longer than the step up to
+rounding (1e-9 relative), and half of it if the step would leave a remainder
+below the floor.  So a step below the floor is one of the last two of its
+segment, and with the ceiling at the floor the steps are the floor's.  After
+each accepted point the step asked for is
+h * min(2, 0.9 * (tol / err)**(1/(p+1))), p the order of the rule, tol the
+fixed _LTE_TOL (0.1 mV) and err the local truncation error estimate (Nagel,
+SPICE2, UCB/ERL M520, 1975)
 
     err = max over the node voltages of |x_corrected - x_predicted|
 
@@ -193,13 +149,12 @@ once from SolveOptions:
 
 with v_prev and i_prev the capacitor's voltage and current at the last
 accepted point.  geq, -geq and so g depend on the steps alone and are set
-again only when one changes; every residual's one scatter sums the whole
-Jacobian from g and the FETs' derivatives.  The last two accepted
-solutions of every member are two batch x n+1 arrays, last and prev, both
-the DC solution at first; a mask of the members accepted updates them, and
-one gather from last gives v_prev.  Only the
-trapezoidal rule keeps i_prev, as geq * v + ihist with v gathered from the
-accepted solution (Newton's last residual is at the iterate before it).
+again only when one changes.  The last two accepted solutions of every
+member are two batch x n+1 arrays, last and prev, both the DC solution at
+first; a mask of the members accepted updates them, and one gather from
+last gives v_prev.  Only the trapezoidal rule keeps i_prev, as
+geq * v + ihist with v gathered from the accepted solution (Newton's last
+residual is at the iterate before it).
 
 Newton at each time point starts from a linear predictor through the last
 two accepted points (Nagel, SPICE2, UCB/ERL M520, 1975):
@@ -302,7 +257,8 @@ _IGNORE_ALL = _make_extobj(all="ignore")
 
 def _lapack(a, b, out):
     """The gufunc's solve with every floating-point flag ignored, and the
-    caller's error state set again after it, as np.errstate sets them."""
+    caller's error state set again after it, as np.errstate sets them, so
+    that no warning outside the solve is hidden."""
     token = _extobj_contextvar.set(_IGNORE_ALL)
     try:
         return _lapack_solve(a, b, out=out)
@@ -435,7 +391,10 @@ _MAX_STEPS = 10**8
 
 # V, the largest local truncation error estimate (max |corrected - predicted|
 # over the node voltages) that a step above the floor may leave; the step
-# grows while the estimate stays below it.
+# grows while the estimate stays below it.  It bounds the local error, not
+# the global: on the RC ladders that tests/test_step_oracle.py solves
+# exactly, a free step's local error reaches 0.40x it under backward Euler
+# and 0.007x under the trapezoidal rule, the global error 14x and 0.05x.
 _LTE_TOL = 1e-4
 
 # Newton's convergence test (module docstring): A, the KCL residual floor;
@@ -458,15 +417,10 @@ def _column(rows, i, dtype=float) -> np.ndarray:
 
 
 class _Circuit:
-    """Netlists with the same nodes and sources, compiled once into branch
-    index arrays over one flat unknown vector, and the linearization Newton
-    iterates on: the linear branches' conductances g (set_conductances),
-    their offset currents i0 and Newton's update clip (set_sources).
-
-    Member b's unknowns sit at b*(n+1) .. b*(n+1) + n-1, its ground at
-    b*(n+1) + n and its Jacobian in the contiguous n x n block b of
-    residual's scatter.
-    A single circuit is a batch of one.  The netlists are valid:
+    """A batch of netlists with the same nodes and sources, compiled once
+    (module docstring), and the linearization Newton iterates on: the linear
+    branches' conductances g (set_conductances), their offset currents i0
+    and Newton's update clip (set_sources).  The netlists must be valid:
     dc_operating_point and transient_batch validate each once.
     """
 
@@ -563,10 +517,7 @@ class _Circuit:
         self.i0_cap = self.i0[self.cap_branches]
         self.i0_src = self.i0[src_branches].reshape(self.batch, -1)
         # one np.bincount over bins sums the currents into F's n_f slots and
-        # the Jacobian weights after them, at each column's slots (p, c),
-        # (p, d), (q, c), (q, d) of its member's n x n block, or at one
-        # spare slot past the blocks, which nothing reads, for a slot on
-        # ground's row or column
+        # the Jacobian weights into the blocks after them (module docstring)
         self.n_f = self.batch * n1
         spare = self.n_f + self.batch * n * n
         member, row = np.divmod(np.concatenate((p, p, q, q)), n1)
@@ -606,7 +557,8 @@ class _Circuit:
         """KCL residual F (batch x n) at x (batch x n+1, ground 0 last).
 
         F stays in f, the branch currents in cur and the Jacobian's blocks
-        in jac_blocks until the next call: kcl, scale and jacobian read them.
+        (batch x n x n) in jac_blocks until the next call: kcl, scale and
+        newton read them.
         """
         # the indices are in range by construction; mode="raise" would
         # gather into a temporary and copy it to out
@@ -632,11 +584,6 @@ class _Circuit:
         np.maximum.at(self.mags, self.ends, np.abs(self.cur, out=self.cur_mag).reshape(-1))
         return self.node_mags
 
-    def jacobian(self):
-        """dF/dx at residual's last x, batch x n x n: residual's contiguous
-        Jacobian blocks, valid until the next residual call."""
-        return self.jac_blocks
-
     def cap_voltages(self, x):
         """The capacitor branches' voltages x[c] - x[d] at x (batch x n+1),
         by residual's gather and subtraction: a view of a buffer, valid until
@@ -647,9 +594,9 @@ class _Circuit:
         return self.v_lin[self.cap_branches]
 
     def newton(self, x, live, t=None, label=""):
-        """Lockstep Newton-Raphson on J dx = -F to the dual (residual + step)
-        criterion for the members listed, ascending, in live, on the
-        linearization that set_conductances and set_sources last set.
+        """Lockstep Newton-Raphson (module docstring) for the members
+        listed, ascending, in live, on the linearization that
+        set_conductances and set_sources last set.
 
         x (batch x n+1) holds the initial guess and is updated in place.
         t holds each member's time point, None for a DC solve, which errors
@@ -684,10 +631,10 @@ class _Circuit:
             # the rows of the members still iterating
             solved = members
             if len(members) == batch:  # the blocks and F themselves
-                pick, jac, f_it = slice(None), self.jacobian(), f
+                pick, jac, f_it = slice(None), self.jac_blocks, f
             else:
                 pick = np.array(members, dtype=np.intp)
-                jac, f_it = self.jacobian()[pick], f[pick]
+                jac, f_it = self.jac_blocks[pick], f[pick]
             dx, step, singular = _solve(jac, f_it, self.solve_buf)
             # NaN propagates through np.maximum and fails every test of a
             # step: a non-finite update has a step that is not below inf.
@@ -816,13 +763,12 @@ class _Member:
     are the merged breakpoints from 0 to tstop; the member is in the
     segment from bps[seg] to bps[seg + 1], its last accepted point at t,
     reached by a step of h_last (inf at the DC point).  The next attempt is
-    a step of h to the time point next; it may be rejected only if free,
-    that is if h is above the floor, and retry marks the one retry of a
-    step at the floor that Newton failed.  times, iters (Newton updates) and
+    a step of h to the time point next; free marks h above the floor, and
+    retry the one retry of a floor step.  times, iters (Newton updates) and
     excess (KCL excess) hold one entry per accepted point, and blocks its
-    solutions (ground 0 last), _BLOCK rows to an array rather than one
-    array each; pending counts the updates since the last one, and error
-    holds the error that ends the member's run, if any.
+    solutions (ground 0 last), _BLOCK rows to an array; pending counts the
+    updates since the last one, and error holds the error that ends the
+    member's run, if any.
     """
 
     def __init__(self, stimuli, analysis: Transient):
@@ -859,9 +805,8 @@ class _Member:
         self._plan(floor)
 
     def _plan(self, h: float) -> None:
-        """Make the next attempt a step of h, held between the floor and
-        the ceiling: the rest of the segment if h covers it up to rounding,
-        half of it if a step of h would leave a remainder below the floor."""
+        """Make the next attempt a step of h, held and cut by the module
+        docstring's step rule."""
         h = min(max(h, self.floor), self.ceiling)
         t1 = self.bps[self.seg + 1]
         rest = t1 - self.t
@@ -948,13 +893,8 @@ class _Member:
 def transient_batch(nets: list[Netlist], *,
                     opts: SolveOptions | None = None) -> list[WaveformSet]:
     """Transients of netlists with the same nodes and sources, each from its
-    t=0 operating point, run in lockstep as one batch: each round, every
-    member still live tries its next step.  A member is live until it is
-    done, or until it or a member before it fails; the batch is then
-    compiled again for the members still live.
-
-    Each netlist's .tran card plans its steps, and each member keeps its
-    own time points.  Every WaveformSet is bitwise the one the netlist
+    t=0 operating point on the steps its .tran card plans, run as one batch
+    (module docstring): one WaveformSet per netlist, bitwise the one it
     gives alone.  Netlists whose nodes or sources differ raise ValueError.
     If any netlist fails, the error of the lowest-index one is raised,
     with that index in its ``member``.
@@ -1048,15 +988,10 @@ def _tran_card(net: Netlist) -> Transient:
 
 def transient(net: Netlist, analysis: Transient | None = None,
               opts: SolveOptions | None = None) -> WaveformSet:
-    """Transient from the t=0 operating point: a batch of one, of a copy
-    of net whose one analysis is analysis, if given; net is left as it was.
-
-    Every stimulus breakpoint is a time point, and each segment between two
-    breakpoints starts at the floor step (dt, clamped as the module
-    docstring says).  The step then grows up to the .tran dtmax while the
-    local truncation error estimate stays within _LTE_TOL; without a dtmax
-    above dt it stays at the floor.  Identical inputs produce bit-identical
-    WaveformSets.
+    """Transient from the t=0 operating point, on the steps of the module
+    docstring's step rule: a batch of one, of a copy of net whose one
+    analysis is analysis, if given; net is left as it was.  Identical inputs
+    produce bit-identical WaveformSets.
     """
     net = net if analysis is None else replace(net, analyses=[analysis])
     return transient_batch([net], opts=opts)[0]

@@ -122,7 +122,6 @@ class DcStimulus:
 @dataclass(frozen=True)
 class PwlStimulus:
     points: tuple[tuple[float, float], ...]
-    times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # lists given in code become the tuples parse gives back
@@ -137,11 +136,12 @@ class PwlStimulus:
         for (t0, _), (t1, _) in zip(self.points, self.points[1:]):
             if not t1 > t0:
                 raise ValueError("PWL times must be strictly increasing")
-        object.__setattr__(self, "times", tuple(t for t, _ in self.points))
 
     def value_at(self, t: float) -> float:
         pts = self.points
-        i = bisect.bisect_left(self.times, t)  # the first corner at or after t
+        # (t_i, v_i) sorts before (t,) exactly when t_i < t, so i is the
+        # first corner at or after t
+        i = bisect.bisect_left(pts, (t,))
         if i == 0:
             return pts[0][1]
         if i == len(pts):

@@ -10,7 +10,7 @@ from mvlsim.netlist import model_line, parse
 @pytest.fixture
 def one_fet():
     """Factory: one_fet(card) gives a function (vgs, vds) -> (F, J), the KCL
-    residual and Jacobian that _Circuit.residual and jacobian compute for
+    residual and Jacobian that _Circuit.residual computes for
     one FET of that card, its gate and drain held by sources and its source
     and bulk at ground.  Unknowns: v(g), v(d), i(vg), i(vd); row 1 of F is
     the drain current plus the drain's gmin shunt current."""
@@ -26,6 +26,6 @@ def one_fet():
             x = np.array([[vgs, vds, 0.0, 0.0, 0.0]])
             ckt.set_sources(open_caps, np.array([[vgs, vds]]))
             f = ckt.residual(x)
-            return f[0], ckt.jacobian()[0]
+            return f[0], ckt.jac_blocks[0]
         return at
     return make

@@ -290,9 +290,12 @@ class TestCell:
         assert sum(d.kind == "fet" for d in parse(text).devices) == fets
 
     def test_unknown_cell_is_exit_1(self, capsys):
-        assert main(["cell", "nand3"]) == 1
-        with pytest.raises(ValueError, match="^unknown cell 'nand3'; one of: "):
-            build_cell("nand3", RunConfig(), preset("cmos32"))
+        # int() takes vlc01 and "vlc 1", which once built VLC(0), and vlcx
+        # once failed with int()'s message, not the list of cells
+        for name in ("nand3", "vlc01", "vlc 1", "vlcx", "vlc0", "vlc4"):
+            assert main(["cell", name]) == 1
+            with pytest.raises(ValueError, match=f"^unknown cell {re.escape(repr(name))}; one of: "):
+                build_cell(name, RunConfig(), preset("cmos32"))
 
     def test_usage_errors_are_exit_1(self, capsys):
         assert main(["decoder", "--vdd", "notanumber"]) == 1

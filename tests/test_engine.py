@@ -151,7 +151,7 @@ def linearize(ckt, x, svals, geq, ihist, shunt):
     ckt.set_conductances(geq, shunt)
     ckt.set_sources(ihist, svals[None])
     f = ckt.residual(x[None])
-    return f[0], ckt.scale()[0].copy(), ckt.jacobian()[0].copy()
+    return f[0], ckt.scale()[0].copy(), ckt.jac_blocks[0].copy()
 
 
 def gnrfet32_linearization():
@@ -331,7 +331,7 @@ class TestSolveLinear:
         ckt.set_sources(rng.uniform(-1e-5, 1e-5, len(ckt.cap_c)),
                         source_values(nets, [3e-9, 4e-9, 5e-9]))
         f = ckt.residual(x).copy()
-        jac = ckt.jacobian().copy()
+        jac = ckt.jac_blocks.copy()
         for m in (2, 3, 1):
             dx, step, singular = _solve(jac[:m], f[:m], ckt.solve_buf)
             assert not singular and len(dx) == len(step) == m
@@ -1377,7 +1377,7 @@ class TestLinearize:
         ckt.set_conductances(np.concatenate(geq), shunt)
         ckt.set_sources(np.concatenate(ihist), svals)
         f = ckt.residual(x)
-        scale, jac = ckt.scale(), ckt.jacobian()
+        scale, jac = ckt.scale(), ckt.jac_blocks
         assert f.shape == (2, n) and scale.shape == (2, nv) and jac.shape == (2, n, n)
         for b, net in enumerate(nets):
             idx = {name: i for i, name in enumerate(ckt.node_names)}
@@ -1459,8 +1459,9 @@ class TestLinearize:
         assert ckt.cap_voltages(x).tolist() == expect
 
     def test_cap_voltages_leave_the_linearization_as_it_was(self):
-        # a cap_voltages call at another x between residual and jacobian,
-        # scale and the KCL test changes none of F, J, the scale or the test
+        # a cap_voltages call at another x between residual and the reads
+        # of J, the scale and the KCL test changes none of F, J, the scale
+        # or the test
         nets = [staircase(**kw) for kw in BATCH_UNEVEN_CAPS]
         ckt = _Circuit(nets)
         rng = np.random.default_rng(13)
@@ -1474,7 +1475,7 @@ class TestLinearize:
             f = ckt.residual(x)
             if probe is not None:
                 ckt.cap_voltages(probe)
-            jac, scale = ckt.jacobian().copy(), ckt.scale().copy()
+            jac, scale = ckt.jac_blocks.copy(), ckt.scale().copy()
             over, err = ckt.kcl()
             return f.copy(), jac, scale, over.copy(), err
 
@@ -1508,8 +1509,8 @@ class TestLinearize:
             ckt.set_conductances(ckt.cap_c / 1e-12, 0.0)
             ckt.set_sources(ihist, source_values(nets, [3e-9, 7e-9]))
             ckt.residual(x)
-            jac, xn = ckt.jacobian().copy(), x.copy()
-            assert ckt.jacobian().flags.c_contiguous and jac.shape == (2, ckt.n, ckt.n)
+            jac, xn = ckt.jac_blocks.copy(), x.copy()
+            assert ckt.jac_blocks.flags.c_contiguous and jac.shape == (2, ckt.n, ckt.n)
             iters, excess, failed = ckt.newton(xn, [0, 1], t=[3e-9, 7e-9])
             assert not failed and np.isfinite(jac).all()
             assert np.isnan(ckt.jac_blocks.base[-1]) == poison

@@ -76,6 +76,23 @@ def test_calibration_tool_finds_src_from_any_directory(tmp_path):
     assert Path(out.strip()).resolve() == SRC / "mvlsim" / "__init__.py"
 
 
+def test_src_line_counts_add_up(capsys):
+    # CI reports each change's src/ lines as code, docstring, comment and
+    # blank; the four counts of each module add up to its line count
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    sample = '"""doc\n\nmore"""\n\nx = 1  # code\n# comment\ns = """a\n\nb"""\n'
+    assert tool.count(sample) == {"code": 4, "docstring": 3, "comment": 1, "blank": 1}
+    lines = 0
+    for path in sorted((SRC / "mvlsim").glob("*.py")):
+        text = path.read_text()
+        assert sum(tool.count(text).values()) == len(text.splitlines()), path.name
+        lines += len(text.splitlines())
+    assert tool.main([str(SRC)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[-1] == str(lines)
+
+
 def test_scripts_import_names_that_exist():
     # the benchmark and the tools import these names; CI runs only some of
     # the scripts, so a name the package drops would otherwise go unnoticed
